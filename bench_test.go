@@ -496,7 +496,8 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 // BenchmarkSampleSolve measures one full step-1 + step-2 per-sample solve —
 // component discovery plus the min-count and concentration ILP pairs — on a
 // prepared s9234 preset, i.e. the actual unit of work the Monte Carlo loop
-// repeats ~10⁴ times per Table-I row.
+// repeats ~10⁴ times per Table-I row. nodes/op counts the branch-and-bound
+// node relaxations per solve.
 func BenchmarkSampleSolve(b *testing.B) {
 	bench := prepared(b, "s9234")
 	sb, err := insertion.NewSampleBench(bench.Graph, insertion.Config{
@@ -508,11 +509,13 @@ func BenchmarkSampleSolve(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		sb.Solve() // warm all solver scratch and pools to steady state
 	}
+	nodes := sb.Nodes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.Solve()
 	}
+	b.ReportMetric(float64(sb.Nodes()-nodes)/float64(b.N), "nodes/op")
 }
 
 // BenchmarkDiffconFeasibility measures the per-chip yield check.

@@ -403,6 +403,9 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 	}
 	rows := make([]Row, len(targets))
 	sweeps := make([]*yield.SweepEvaluator, len(targets))
+	// One Runner serves every target: the pair adjacency is built once and
+	// the later targets draw warm solvers from the first one's pool.
+	runner := insertion.NewRunner(b.Graph, b.Placement)
 	for i, target := range targets {
 		T := b.PeriodFor(target)
 		start := time.Now()
@@ -418,7 +421,7 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			// it ships exactly the fields the wire protocol keys on.
 			cfg.Pass = rc.Pass(cfg)
 		}
-		res, err := insertion.Run(b.Graph, b.Placement, cfg)
+		res, err := runner.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
 		}

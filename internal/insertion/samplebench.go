@@ -69,3 +69,9 @@ func (sb *SampleBench) Solve() int {
 	o2 := sb.s2.solve(sb.chip)
 	return o1.NK + o2.NK
 }
+
+// Nodes returns the branch-and-bound nodes (LP relaxations) both solvers
+// have solved so far, summed over every hot, warm and cold node solve.
+func (sb *SampleBench) Nodes() int {
+	return sb.s1.arena.Stats.Nodes() + sb.s2.arena.Stats.Nodes()
+}

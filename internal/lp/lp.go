@@ -254,7 +254,8 @@ type Workspace struct {
 	red     []float64
 	colVal  []float64
 	x       []float64
-	rowUsed []bool // m: refactorization scratch
+	rowUsed []bool  // m: refactorization scratch
+	pivNZ   []int32 // nonzero columns of the normalized pivot row
 
 	// Solved-state metadata for warm restarts. live reports that the fields
 	// above describe a completed optimal solve of a problem with n vars and
@@ -895,14 +896,23 @@ func (ws *Workspace) runDualSimplex(m, stride, width, maxIter int) (Status, erro
 // pivotTo performs a Gauss-Jordan pivot on (row, col) over the first width
 // columns of the flat tableau and installs col into the basis. Basic values
 // are maintained by the caller.
+//
+// The nonzero columns of the normalized pivot row are collected once into
+// ws.pivNZ and the row updates touch only those. Tableau rows are mostly
+// zero, and subtracting f·0 never changes an entry's value, so the result
+// equals the dense update element for element.
 func (ws *Workspace) pivotTo(m, stride, width, row, col int) {
 	tab := ws.tab
 	pr := tab[row*stride : row*stride+width]
-	pv := pr[col]
-	inv := 1 / pv
+	inv := 1 / pr[col]
+	nz := grow(ws.pivNZ, width)[:0]
 	for k := range pr {
 		pr[k] *= inv
+		if pr[k] != 0 {
+			nz = append(nz, int32(k))
+		}
 	}
+	ws.pivNZ = nz
 	pr[col] = 1 // exact
 	for i := 0; i < m; i++ {
 		if i == row {
@@ -913,8 +923,8 @@ func (ws *Workspace) pivotTo(m, stride, width, row, col int) {
 		if f == 0 {
 			continue
 		}
-		for k, v := range pr {
-			ri[k] -= f * v
+		for _, k := range nz {
+			ri[k] -= f * pr[k]
 		}
 		ri[col] = 0 // exact
 	}
@@ -1053,15 +1063,27 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 		}
 	}
 
-	// Refactorize: pivot each snapshot-basic column back in, choosing the
-	// largest remaining pivot row (partial pivoting) and carrying the
-	// right-hand side along. The matrix depends only on the rows and the
-	// snapshot's mapping, so a basis that was nonsingular when saved can
-	// only hit a near-zero pivot if the snapshot doesn't match the problem.
+	if !ws.refactor(m, stride, b.basis) {
+		return Solution{}, ErrBasisMismatch
+	}
+
+	ws.cost = grow(ws.cost, total)
+	ws.red = grow(ws.red, total)
+	constShift := p.setPhase2Cost(ws, total)
+	return p.finishWarm(ws, m, stride, total, b.ncols, artStart, constShift)
+}
+
+// refactor pivots each column of cols back into the basis of the raw
+// tableau, choosing the largest remaining pivot row (partial pivoting) and
+// carrying the right-hand side in ws.xB along. The matrix depends only on
+// the rows and the snapshot's mapping, so a basis that was nonsingular when
+// saved can only hit a near-zero pivot — reported as false — if the
+// snapshot doesn't match the problem.
+func (ws *Workspace) refactor(m, stride int, cols []int) bool {
+	tab, xB := ws.tab, ws.xB
 	ws.rowUsed = grow(ws.rowUsed, m)
 	clear(ws.rowUsed)
-	basis := ws.basis
-	for _, c := range b.basis {
+	for _, c := range cols {
 		r, bestA := -1, 1e-8
 		for i := 0; i < m; i++ {
 			if ws.rowUsed[i] {
@@ -1072,38 +1094,20 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 			}
 		}
 		if r == -1 {
-			return Solution{}, ErrBasisMismatch
+			return false
 		}
 		ws.rowUsed[r] = true
-		basis[r] = c
-		pr := tab[r*stride : r*stride+stride]
-		inv := 1 / pr[c]
-		for k := range pr {
-			pr[k] *= inv
-		}
-		pr[c] = 1 // exact
-		xB[r] *= inv
+		// Carry the right-hand side first (it reads column c before the
+		// pivot clears it), then pivot over the full stride.
+		xB[r] *= 1 / tab[r*stride+c]
 		for i := 0; i < m; i++ {
-			if i == r {
-				continue
+			if f := tab[i*stride+c]; i != r && f != 0 {
+				xB[i] -= f * xB[r]
 			}
-			ri := tab[i*stride : i*stride+stride]
-			f := ri[c]
-			if f == 0 {
-				continue
-			}
-			for k, v := range pr {
-				ri[k] -= f * v
-			}
-			ri[c] = 0 // exact
-			xB[i] -= f * xB[r]
 		}
+		ws.pivotTo(m, stride, stride, r, c)
 	}
-
-	ws.cost = grow(ws.cost, total)
-	ws.red = grow(ws.red, total)
-	constShift := p.setPhase2Cost(ws, total)
-	return p.finishWarm(ws, m, stride, total, b.ncols, artStart, constShift)
+	return true
 }
 
 // finishWarm runs the dual reoptimization, the primal cleanup, and the

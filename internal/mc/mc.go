@@ -166,10 +166,20 @@ func (e *Engine) Chip(k int) *timing.Chip {
 	return ch
 }
 
-// chunk is the batch size of the work distributor: large enough that the
-// atomic claim is negligible next to even the cheapest per-sample work, and
-// small enough to balance tails across workers at typical sample budgets.
+// chunk is the largest batch the work distributor hands out: large enough
+// that the atomic claim is negligible next to even the cheapest per-sample
+// work. Small ranges use smaller batches (see chunkFor) so that every worker
+// gets several of them and the tail balances.
 const chunk = 64
+
+// chunkFor sizes the batches for a range of n samples over workers workers:
+// min(chunk, max(1, n/(8·workers))), about eight batches per worker. The
+// size depends only on n and workers, and chip k is a function of (Seed, k)
+// alone, so results are the same for any batch size. Ranges of 512 chips
+// per worker or more keep the full chunk.
+func chunkFor(n, workers int) int {
+	return min(chunk, max(1, n/(8*workers)))
+}
 
 // ForEach runs fn for samples 0..n-1 in parallel. Each worker owns one
 // reusable chip buffer; fn must not retain ch. fn is called exactly once
@@ -244,8 +254,9 @@ func forEachChunked(lo, hi, workers int, newWorker func() func(k int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
+	c := chunkFor(n, workers)
+	if workers > (n+c-1)/c {
+		workers = (n + c - 1) / c
 	}
 	if workers < 1 {
 		return
@@ -259,11 +270,11 @@ func forEachChunked(lo, hi, workers int, newWorker func() func(k int)) {
 			defer wg.Done()
 			body := newWorker()
 			for {
-				start := int(next.Add(chunk)) - chunk
+				start := int(next.Add(int64(c))) - c
 				if start >= hi {
 					return
 				}
-				end := min(start+chunk, hi)
+				end := min(start+c, hi)
 				for k := start; k < end; k++ {
 					body(k)
 				}

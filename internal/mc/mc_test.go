@@ -51,19 +51,32 @@ func TestChipDeterministicAcrossScheduling(t *testing.T) {
 
 func TestForEachCoversAllSamplesOnce(t *testing.T) {
 	e := buildEngine(t, 10, 40, 2)
-	n := 500
-	var count int64
-	seen := make([]int32, n)
-	e.ForEach(n, func(k int, ch *timing.Chip) {
-		atomic.AddInt64(&count, 1)
-		atomic.AddInt32(&seen[k], 1)
-	})
-	if count != int64(n) {
-		t.Fatalf("count = %d", count)
+	// Small ranges get batches below chunk; every size must still cover
+	// each sample exactly once.
+	for _, n := range []int{1, 7, 150, 500} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			e.Workers = workers
+			var count int64
+			seen := make([]int32, n)
+			e.ForEach(n, func(k int, ch *timing.Chip) {
+				atomic.AddInt64(&count, 1)
+				atomic.AddInt32(&seen[k], 1)
+			})
+			if count != int64(n) {
+				t.Fatalf("n=%d workers=%d: count = %d", n, workers, count)
+			}
+			for k, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: sample %d seen %d times", n, workers, k, c)
+				}
+			}
+		}
 	}
-	for k, c := range seen {
-		if c != 1 {
-			t.Fatalf("sample %d seen %d times", k, c)
+	for _, c := range []struct{ n, workers, want int }{
+		{150, 2, 9}, {3, 8, 1}, {1024, 2, 64}, {1500, 2, 64}, {100000, 2, 64},
+	} {
+		if got := chunkFor(c.n, c.workers); got != c.want {
+			t.Errorf("chunkFor(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
 		}
 	}
 }

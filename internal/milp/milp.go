@@ -129,6 +129,9 @@ type SolveStats struct {
 	Hot, Warm, Cold, Fallbacks int
 }
 
+// Nodes returns the node relaxations solved, by any path.
+func (s SolveStats) Nodes() int { return s.Hot + s.Warm + s.Cold }
+
 // Arena holds all reusable branch-and-bound memory: the simplex workspace
 // shared by every node's LP relaxation, freelists for the per-node bound
 // copies and parent-basis snapshots, the node queue, and the incumbent
@@ -241,6 +244,11 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 			}
 		}
 	}
+
+	// With an integral objective every integer-feasible point has an integral
+	// value, so a subtree is dominated as soon as its bound rounds up to the
+	// incumbent (see dominated).
+	intObj := p.integralObjective()
 
 	// solveCold temporarily installs bounds, solves, and restores.
 	a.origLo = grow(a.origLo, n)
@@ -384,7 +392,7 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 				best.Nodes = nodes
 				return best, cerr
 			}
-			if crel.Status == lp.Optimal && crel.Obj < best.Obj-1e-9 {
+			if crel.Status == lp.Optimal && !dominated(crel.Obj, best.Obj, intObj) {
 				rel = crel
 				continue // keep diving
 			}
@@ -420,7 +428,7 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 		popped := false
 		for len(a.queue) > 0 {
 			nd := popBest(a)
-			if nd.bound >= best.Obj-1e-9 {
+			if dominated(nd.bound, best.Obj, intObj) {
 				a.putBounds(nd.lo)
 				a.putBounds(nd.hi)
 				a.putBasis(nd.basis)
@@ -442,7 +450,7 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 				best.Nodes = nodes
 				return best, err
 			}
-			if r2.Status != lp.Optimal || r2.Obj >= best.Obj-1e-9 {
+			if r2.Status != lp.Optimal || dominated(r2.Obj, best.Obj, intObj) {
 				a.putBounds(nd.lo)
 				a.putBounds(nd.hi)
 				continue
@@ -457,6 +465,35 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 	}
 	best.Nodes = nodes
 	return best, nil
+}
+
+// integralObjective reports whether every non-zero objective coefficient is
+// a finite integer on an integral variable, so that every integer-feasible
+// point has an integral objective value.
+func (p *Problem) integralObjective() bool {
+	for v := range p.kind {
+		c := p.LP.Obj(v)
+		if c == 0 {
+			continue
+		}
+		if p.kind[v] == Continuous || c != math.Trunc(c) || math.IsInf(c, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// dominated reports whether a subtree whose relaxation bound is bound can be
+// pruned against the incumbent objective inc. The general rule keeps a 1e-9
+// slack. Under an integral objective no point in the subtree is worth less
+// than ceil(bound) (less 1e-6 of LP drift), and since the incumbent is only
+// replaced on a strict improvement, a subtree whose rounded-up bound reaches
+// inc can never change the answer.
+func dominated(bound, inc float64, intObj bool) bool {
+	if intObj {
+		return math.Ceil(bound-1e-6) >= inc
+	}
+	return bound >= inc-1e-9
 }
 
 // popBest removes and returns the queued node with the smallest bound; ties

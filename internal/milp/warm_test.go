@@ -156,11 +156,14 @@ func TestWarmMatchesColdMixed(t *testing.T) {
 // TestNodeLimitReturnsIncumbent: when the node budget runs out after an
 // incumbent was found, the Solution alongside ErrNodeLimit must carry it.
 func TestNodeLimitReturnsIncumbent(t *testing.T) {
-	// min x s.t. 2x ≥ 5, x ∈ [0,10] integer. The root LP is x = 2.5; the
-	// dive rounds up to the incumbent x = 3 at node 2; the remaining queued
-	// child (x ≤ 2) busts MaxNodes = 2 before being solved.
+	// min 1.5x s.t. 2x ≥ 5, x ∈ [0,10] integer. The root LP is x = 2.5; the
+	// dive rounds up to the incumbent x = 3 (objective 4.5) at node 2; the
+	// remaining queued child (x ≤ 2, bound 3.75) busts MaxNodes = 2 before
+	// being solved. The objective is non-integral on purpose: with min x the
+	// integral-objective rule proves x = 3 optimal at node 2 (the child's
+	// bound 2.5 rounds up to the incumbent) and the limit never fires.
 	p := NewProblem()
-	x := p.AddVar(Integer, 0, 10, 1, "x")
+	x := p.AddVar(Integer, 0, 10, 1.5, "x")
 	p.AddRow(lp.GE, 5, lp.T(x, 2))
 	s, err := p.Solve(Options{MaxNodes: 2})
 	if err != ErrNodeLimit {
@@ -169,7 +172,7 @@ func TestNodeLimitReturnsIncumbent(t *testing.T) {
 	if s.Status != lp.Optimal {
 		t.Fatalf("incumbent discarded: %+v", s)
 	}
-	if s.Obj != 3 || s.X[x] != 3 {
+	if s.Obj != 4.5 || s.X[x] != 3 {
 		t.Fatalf("incumbent = %+v, want x = 3", s)
 	}
 	if s.Nodes == 0 {

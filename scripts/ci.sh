@@ -280,11 +280,12 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     # Cross-check the warm-start solver paths against cold solves and the
     # brute-force oracle, and hammer the shard wire decoders with arbitrary
     # frames (must reject or round-trip, never panic). Off by default
-    # (it adds ~2x CI_FUZZ_TIME of wall time); the CI workflow enables it.
+    # (it adds ~4x CI_FUZZ_TIME of wall time); the CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzSolveFromBasis' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
+        go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
     else
         echo "skipped (CI_FUZZ=off)"
