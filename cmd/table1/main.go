@@ -36,7 +36,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tabular"
-	"repro/internal/yield"
 )
 
 // fatalf is the single failure path: message to stderr, non-zero exit, so
@@ -87,14 +86,12 @@ func main() {
 	// One pool for the whole table: worker health and shard counters carry
 	// across circuits (a worker that died on s9234 is not retried on every
 	// later circuit — the per-pass probe revives it if it comes back).
-	var pool *shard.Pool
-	if *workers != "" {
-		pool = shard.NewPoolWith(strings.Split(*workers, ","), shard.Options{
-			RangeTimeout:  *rangeTimeout,
-			MaxAttempts:   *retries,
-			HedgeMultiple: *hedge,
-		})
-	}
+	// Without -workers the pool is empty and every pass runs in-process.
+	pool := shard.NewPoolWith(strings.Split(*workers, ","), shard.Options{
+		RangeTimeout:  *rangeTimeout,
+		MaxAttempts:   *retries,
+		HedgeMultiple: *hedge,
+	})
 
 	// ctx covers every sharded pass of the table: ^C releases all in-flight
 	// worker ranges instead of leaking minutes of solver work.
@@ -139,11 +136,12 @@ func main() {
 }
 
 // localRows prepares the bench in-process and runs the shared-evaluation
-// row batch. With a worker pool, every Monte Carlo sample loop — the
-// flow's step-1/B1/step-2 passes and the yield evaluation — shards across
-// the workers instead; rows are byte-identical either way (the reductions
-// are shared code over merged k-indexed partials), only the runtime
-// column reflects the distributed schedule.
+// row batch through a coordinator over pool. With workers, every Monte
+// Carlo sample loop — the flow's step-1/B1/step-2 passes and the yield
+// evaluation — shards across them; with an empty pool everything runs in
+// this process. Rows are byte-identical either way (the reductions are
+// shared code over merged k-indexed partials); only the runtime column
+// reflects the distributed schedule.
 func localRows(ctx context.Context, pool *shard.Pool, shards int, codec, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
 	b, err := expt.PreparePreset(name, expt.Options{})
 	if err != nil {
@@ -151,31 +149,23 @@ func localRows(ctx context.Context, pool *shard.Pool, shards int, codec, name st
 	}
 	fmt.Fprintf(os.Stderr, "%s: µT=%.1f σT=%.1f (hold-viol rate %.4f)\n",
 		name, b.Period.Mu, b.Period.Sigma, b.Period.HoldViolRate)
-	rc := expt.RowConfig{
+	coord := serve.NewCoordinator(pool, shards,
+		serve.CircuitSpec{Preset: name}, expt.Options{},
+		core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
+	coord.Codec = codec
+	// RowConfig's hooks are ctx-free; bind the run context here so the
+	// expt layer stays ignorant of the dispatch plane. One shared
+	// evaluation pass measures all three targets' yields: the fresh-chip
+	// population is realized once per circuit.
+	return expt.RunRows(b, expt.Targets, expt.RowConfig{
 		InsertSamples: samples,
 		EvalSamples:   evalN,
 		Seed:          seed,
 		Eps:           eps,
 		Conf:          conf,
-	}
-	if pool != nil {
-		coord := serve.NewCoordinator(pool, shards,
-			serve.CircuitSpec{Preset: name}, expt.Options{},
-			core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
-		coord.Codec = codec
-		// RowConfig's hooks are ctx-free; bind the run context here so the
-		// expt layer stays ignorant of the dispatch plane.
-		rc.Pass = func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(ctx, cfg) }
-		rc.EvalPlans = func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error) {
-			return coord.EvalPlans(ctx, plans, n, seed)
-		}
-		rc.EvalPlansAdaptive = func(plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error) {
-			return coord.EvalPlansAdaptive(ctx, plans, n, seed, prec)
-		}
-	}
-	// One shared evaluation pass measures all three targets' yields: the
-	// fresh-chip population is realized once per circuit.
-	return expt.RunRows(b, expt.Targets, rc)
+		Pass:          func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(ctx, cfg) },
+		Tally:         coord.RowTally(ctx),
+	})
 }
 
 // serverRows reproduces the same rows through a bufinsd daemon: one

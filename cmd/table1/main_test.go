@@ -12,7 +12,6 @@ import (
 	"repro/internal/insertion"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/yield"
 )
 
 // tinyBench prepares a generated circuit the way expt.Prepare would but at
@@ -33,7 +32,7 @@ func tinyBench(t *testing.T) (*expt.Bench, serve.CircuitSpec, expt.Options) {
 }
 
 // TestShardedRowsByteIdentical drives the exact wiring the -workers flag
-// uses — expt.RunRows with a serve.Coordinator's InsertPass/EvalPlans over
+// uses — expt.RunRows with a serve.Coordinator's InsertPass/RowTally over
 // two worker daemons and uneven 7-range splits — and demands the rows
 // match the in-process run on every reported field. Runtime is wall
 // clock (the one column that legitimately differs between schedules) and
@@ -58,9 +57,7 @@ func TestShardedRowsByteIdentical(t *testing.T) {
 		core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
 	src := rc
 	src.Pass = func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(context.Background(), cfg) }
-	src.EvalPlans = func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error) {
-		return coord.EvalPlans(context.Background(), plans, n, seed)
-	}
+	src.Tally = coord.RowTally(context.Background())
 	got, err := expt.RunRows(b, expt.Targets, src)
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,9 @@
 // tuning?" for any circuit.
 //
 // All (period, strategy) queries of a run are answered from one batched
-// evaluation pass: each fresh chip is realized exactly once and handed to
-// every strategy's sweep evaluator (yield.EvaluateMany), so a 10-period ×
-// 4-strategy sweep costs one chip population, not forty.
+// evaluation pass (serve.Coordinator.Evaluate): each fresh chip is
+// realized exactly once and handed to every strategy's sweep evaluator, so
+// a 10-period × 4-strategy sweep costs one chip population, not forty.
 //
 // With -server the preparation, insertion, and evaluation run inside a
 // bufinsd daemon instead of this process; the daemon executes the same
@@ -42,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
-	"repro/internal/mc"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tabular"
@@ -124,46 +123,31 @@ func main() {
 	}
 }
 
-// evalQuery is one plan (or its strategy expansion) × period sweep.
-type evalQuery struct {
-	plan       insertion.Plan
-	Ts         []float64
-	strategies bool
-}
-
-// evalResult pairs strategy names with their sweep reports; adaptive runs
-// fill adaptive (parallel to names) instead of reports.
-type evalResult struct {
-	names    []string
-	reports  []yield.SweepReport
-	adaptive []yield.AdaptiveReport
-}
-
 // origCell and tunedCell render one sweep point of one strategy as a table
 // cell: the exact percent for fixed-n runs, estimate±half-width (both in
 // percent) for adaptive ones.
-func (r evalResult) origCell(si, pi int) any {
-	if len(r.adaptive) > 0 {
-		p := r.adaptive[si].Original[pi]
+func origCell(r serve.YieldResult, si, pi int) any {
+	if len(r.Adaptive) > 0 {
+		p := r.Adaptive[si].Original[pi]
 		return fmt.Sprintf("%.2f±%.2f", p.Estimate*100, p.HalfWidth*100)
 	}
-	return r.reports[si].Original[pi].Percent()
+	return r.Reports[si].Original[pi].Percent()
 }
 
-func (r evalResult) tunedCell(si, pi int) any {
-	if len(r.adaptive) > 0 {
-		p := r.adaptive[si].Tuned[pi]
+func tunedCell(r serve.YieldResult, si, pi int) any {
+	if len(r.Adaptive) > 0 {
+		p := r.Adaptive[si].Tuned[pi]
 		return fmt.Sprintf("%.2f±%.2f", p.Estimate*100, p.HalfWidth*100)
 	}
-	return r.reports[si].Tuned[pi].Percent()
+	return r.Reports[si].Tuned[pi].Percent()
 }
 
 // adaptiveFooter summarizes the shared wave loop of an adaptive run (empty
 // for fixed-n runs). Every query of a batch shares the loop, so the counts
 // are read off the first adaptive report.
-func adaptiveFooter(results []evalResult, evalN int) string {
+func adaptiveFooter(results []serve.YieldResult, evalN int) string {
 	for _, r := range results {
-		for _, rep := range r.adaptive {
+		for _, rep := range r.Adaptive {
 			return fmt.Sprintf("adaptive: ±%g at %.0f%% confidence used %d/%d chips in %d waves (met=%v)",
 				rep.Eps, rep.Conf*100, rep.SamplesUsed, evalN, rep.Waves, rep.Met)
 		}
@@ -182,7 +166,7 @@ type backend interface {
 	insert(k float64, samples int, seed uint64) (insertion.Plan, error)
 	// evaluate answers every query from one shared realization pass over
 	// evalN fresh chips of universe seed.
-	evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error)
+	evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error)
 }
 
 // strategySeed is the fixed randk seed of the comparison set.
@@ -223,12 +207,12 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := be.evaluate([]evalQuery{{plan: *plan, Ts: []float64{plan.T}}}, o.evalN, o.seed+0x1000)
+	res, err := be.evaluate([]serve.YieldQuery{{Plan: *plan}}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
-	if len(res[0].adaptive) > 0 {
-		a := res[0].adaptive[0]
+	if len(res[0].Adaptive) > 0 {
+		a := res[0].Adaptive[0]
 		yo, y := a.Original[0], a.Tuned[0]
 		fmt.Fprintf(out, "plan %q (%d buffers) at T=%.1f ps:\n",
 			o.planFile, len(plan.Groups), plan.T)
@@ -238,7 +222,7 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 		fmt.Fprintln(out, adaptiveFooter(res, o.evalN))
 		return nil
 	}
-	rep := res[0].reports[0].At(0)
+	rep := res[0].Reports[0].At(0)
 	fmt.Fprintf(out, "plan %q (%d buffers) at T=%.1f ps over %d chips:\n",
 		o.planFile, len(plan.Groups), plan.T, o.evalN)
 	fmt.Fprintf(out, "  Yo = %6.2f %%\n  Y  = %6.2f %%\n  Yi = %+6.2f points\n",
@@ -254,30 +238,30 @@ func runClassicMode(be backend, o options, out io.Writer) error {
 		nb   int
 	}
 	var rows []targetRow
-	var queries []evalQuery
+	var queries []serve.YieldQuery
 	for _, k := range []float64{0, 1, 2} {
 		plan, err := be.insert(k, o.samples, o.seed)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, targetRow{k: k, T: plan.T, nb: len(plan.Groups)})
-		queries = append(queries, evalQuery{plan: plan, Ts: []float64{plan.T}, strategies: true})
+		queries = append(queries, serve.YieldQuery{Plan: plan, Strategies: true, StrategySeed: strategySeed})
 	}
 	results, err := be.evaluate(queries, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
 	header := []string{"T", "Yo(%)", "Nb"}
-	for _, name := range results[0].names {
+	for _, name := range results[0].Names {
 		header = append(header, name+" Y(%)")
 	}
 	tb := tabular.New(header...)
 	tb.SetTitle("Yield vs strategy (equal buffer budget for topk/randk):")
 	for i, row := range rows {
 		cells := []any{fmt.Sprintf("%.1f (µ+%0.0fσ)", row.T, row.k),
-			results[i].origCell(0, 0), row.nb}
-		for si := range results[i].names {
-			cells = append(cells, results[i].tunedCell(si, 0))
+			origCell(results[i], 0, 0), row.nb}
+		for si := range results[i].Names {
+			cells = append(cells, tunedCell(results[i], si, 0))
 		}
 		tb.AddRowf(cells...)
 	}
@@ -304,22 +288,22 @@ func runSweepMode(be backend, o options, out io.Writer) error {
 			Ts[i] = lo + (hi-lo)*float64(i)/float64(o.periods-1)
 		}
 	}
-	results, err := be.evaluate([]evalQuery{{plan: plan, Ts: Ts, strategies: true}}, o.evalN, o.seed+0x1000)
+	results, err := be.evaluate([]serve.YieldQuery{{Plan: plan, Periods: Ts, Strategies: true, StrategySeed: strategySeed}}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
 	res := results[0]
 	header := []string{"T", "Yo(%)"}
-	for _, name := range res.names {
+	for _, name := range res.Names {
 		header = append(header, name+" Y(%)")
 	}
 	tb := tabular.New(header...)
 	tb.SetTitle(fmt.Sprintf("Yield sweep, %d periods, insertion at µT+σ (Nb=%d), %d chips realized once:",
 		o.periods, len(plan.Groups), o.evalN))
 	for i := range Ts {
-		cells := []any{fmt.Sprintf("%.1f", Ts[i]), res.origCell(0, i)}
-		for si := range res.names {
-			cells = append(cells, res.tunedCell(si, i))
+		cells := []any{fmt.Sprintf("%.1f", Ts[i]), origCell(res, 0, i)}
+		for si := range res.Names {
+			cells = append(cells, tunedCell(res, si, i))
 		}
 		tb.AddRowf(cells...)
 	}
@@ -350,10 +334,11 @@ type localBackend struct {
 	ctx context.Context
 	sys *core.System
 	// coord shards the sample loops over worker daemons (-workers mode);
-	// nil runs everything in this process. Either way the reductions are
-	// shared code, so the output is byte-identical.
-	coord     *serve.Coordinator
-	eps, conf float64
+	// its pool is empty otherwise, so everything runs in this process.
+	// Either way the reductions are shared code, so the output is
+	// byte-identical.
+	coord *serve.Coordinator
+	prec  yield.Precision
 }
 
 func newLocalBackend(o options) (backend, error) {
@@ -374,25 +359,23 @@ func newLocalBackend(o options) (backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &localBackend{ctx: o.ctx, sys: sys, eps: o.eps, conf: o.conf}
+	spec, err := circuitSpecOf(o)
+	if err != nil {
+		return nil, err
+	}
+	codec, err := serve.ParseCodec(o.codec)
+	if err != nil {
+		return nil, err
+	}
+	b := &localBackend{ctx: o.ctx, sys: sys, prec: yield.Precision{Eps: o.eps, Conf: o.conf}}
 	if b.ctx == nil {
 		b.ctx = context.Background()
 	}
-	if o.workers != "" {
-		spec, err := circuitSpecOf(o)
-		if err != nil {
-			return nil, err
-		}
-		codec, err := serve.ParseCodec(o.codec)
-		if err != nil {
-			return nil, err
-		}
-		b.coord = serve.NewCoordinator(
-			shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
-			spec, expt.Options{}, sys,
-			insertion.NewRunner(sys.Graph(), sys.Bench().Placement))
-		b.coord.Codec = codec
-	}
+	b.coord = serve.NewCoordinator(
+		shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
+		spec, expt.Options{}, sys,
+		insertion.NewRunner(sys.Graph(), sys.Bench().Placement))
+	b.coord.Codec = codec
 	return b, nil
 }
 
@@ -404,9 +387,7 @@ func (b *localBackend) insert(k float64, samples int, seed uint64) (insertion.Pl
 	// Resolve the defaults before the executor captures the configuration:
 	// the wire protocol ships exactly the values the flow runs with.
 	cfg := b.sys.ResolveInsertConfig(T, insertion.Config{Samples: samples, Seed: seed})
-	if b.coord != nil {
-		cfg.Pass = b.coord.InsertPass(b.ctx, cfg)
-	}
+	cfg.Pass = b.coord.InsertPass(b.ctx, cfg)
 	res, err := b.sys.Insert(T, cfg)
 	if err != nil {
 		return insertion.Plan{}, err
@@ -414,48 +395,10 @@ func (b *localBackend) insert(k float64, samples int, seed uint64) (insertion.Pl
 	return res.Plan(b.sys.Name()), nil
 }
 
-func (b *localBackend) evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error) {
-	// The expansion and batched evaluation are serve.EvaluateQueries — the
-	// exact code the daemon's /v1/yield runs — so local, sharded, and
-	// server mode cannot drift apart.
-	var (
-		results []serve.YieldResult
-		err     error
-	)
-	switch {
-	case b.eps > 0 && b.coord != nil:
-		results, err = b.coord.EvaluateQueriesAdaptive(b.ctx, evalN, seed, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf})
-	case b.eps > 0:
-		results, err = serve.EvaluateQueriesAdaptive(b.sys.Graph(), seed, evalN, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf})
-	case b.coord != nil:
-		results, err = b.coord.EvaluateQueries(b.ctx, evalN, seed, toServeQueries(queries))
-	default:
-		g := b.sys.Graph()
-		results, err = serve.EvaluateQueries(b.ctx, g, mc.New(g, seed), evalN, toServeQueries(queries))
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]evalResult, len(results))
-	for i, r := range results {
-		out[i] = evalResult{names: r.Names, reports: r.Reports, adaptive: r.Adaptive}
-	}
-	return out, nil
-}
-
-// toServeQueries maps the CLI's query form onto the service schema shared
-// by both backends.
-func toServeQueries(queries []evalQuery) []serve.YieldQuery {
-	var out []serve.YieldQuery
-	for _, q := range queries {
-		out = append(out, serve.YieldQuery{
-			Plan:         q.plan,
-			Periods:      q.Ts,
-			Strategies:   q.strategies,
-			StrategySeed: strategySeed,
-		})
-	}
-	return out
+// evaluate runs serve.Coordinator.Evaluate — the exact code the daemon's
+// /v1/yield runs — so local, sharded, and server mode cannot drift apart.
+func (b *localBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
+	return b.coord.Evaluate(b.ctx, evalN, seed, queries, b.prec)
 }
 
 // ---------------- server backend ----------------
@@ -504,27 +447,15 @@ func (b *serverBackend) insert(k float64, samples int, seed uint64) (insertion.P
 	return resp.Plan, nil
 }
 
-func (b *serverBackend) evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error) {
-	req := serve.YieldRequest{
+func (b *serverBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
+	resp, err := b.cl.Yield(serve.YieldRequest{
 		Circuit: b.spec, Options: b.opt,
 		EvalSamples: evalN, Seed: seed,
 		Eps: b.eps, Conf: b.conf,
-	}
-	for _, q := range queries {
-		req.Queries = append(req.Queries, serve.YieldQuery{
-			Plan:         q.plan,
-			Periods:      q.Ts,
-			Strategies:   q.strategies,
-			StrategySeed: strategySeed,
-		})
-	}
-	resp, err := b.cl.Yield(req)
+		Queries: queries,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]evalResult, len(resp.Results))
-	for i, r := range resp.Results {
-		out[i] = evalResult{names: r.Names, reports: r.Reports, adaptive: r.Adaptive}
-	}
-	return out, nil
+	return resp.Results, nil
 }

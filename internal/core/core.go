@@ -134,8 +134,13 @@ func (s *System) MeasureYield(res *insertion.Result, T float64, n int, seed uint
 	if seed == 0 {
 		seed = 0xD1CE
 	}
-	eng := mc.New(s.bench.Graph, seed)
-	return yield.Evaluate(ev, eng, n, T), nil
+	// A one-point sweep through the shared executor (yield.Drive): the
+	// report is byte-identical to per-period evaluation at T.
+	rep, err := yield.EvaluateSweep(ev, mc.New(s.bench.Graph, seed), n, []float64{T})
+	if err != nil {
+		return yield.Report{}, err
+	}
+	return rep.At(0), nil
 }
 
 // NewTuner builds the post-silicon configurator for an insertion result.

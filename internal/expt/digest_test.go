@@ -54,3 +54,42 @@ func TestRunRowsDigests(t *testing.T) {
 		}
 	}
 }
+
+// adaptiveRowDigests pins RunRows under Eps 0.02 the same way: the rows then
+// carry adaptive reports from the shared wave loop. They were recorded
+// before fixed-n and adaptive evaluation were merged into one executor
+// (yield.Drive).
+var adaptiveRowDigests = map[uint64]string{
+	101: "67933ce261bdc1252df8eff4e7c3b96824a7e74e9c80d2620cff4a7c7260d4be",
+	202: "ae5a8e70a4eee50b24c3d4ab87865e79ff88d77187b0be5c14a024e312df03d1",
+}
+
+func TestRunRowsAdaptiveDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full s9234 row-sets")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded with amd64 floating-point rounding")
+	}
+	b, err := PreparePreset("s9234", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{101, 202} {
+		rows, err := RunRows(b, Targets, RowConfig{InsertSamples: 150, EvalSamples: 750, Seed: seed, Eps: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			rows[i].Runtime = 0
+		}
+		raw, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != adaptiveRowDigests[seed] {
+			t.Errorf("seed %d: adaptive RunRows digest %s, want %s", seed, got, adaptiveRowDigests[seed])
+		}
+	}
+}

@@ -6,6 +6,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -332,18 +333,12 @@ type RowConfig struct {
 	// required to be byte-identical to the in-process pass, so rows are
 	// the same either way.
 	Pass func(insertion.Config) insertion.PassFunc
-	// EvalPlans, when non-nil, measures each row's single-period yield
-	// report from its durable plan instead of the in-process shared pass
-	// (serve.Coordinator.EvalPlans shards the chip range across workers).
-	// Plans carry the same spec, groups, and target the in-process
-	// evaluators are built from, so reports are byte-identical.
-	EvalPlans func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error)
-	// EvalPlansAdaptive is the distributed executor for the adaptive pass
-	// (serve.Coordinator.EvalPlansAdaptive); it is consulted instead of
-	// EvalPlans when Eps > 0. Like every other hook it must match the
-	// in-process result exactly — the wave schedule is a pure function of
-	// the merged tallies, so sharding cannot change it.
-	EvalPlansAdaptive func(plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error)
+	// Tally, when non-nil, supplies the tallier for the shared yield pass
+	// (serve.Coordinator.RowTally shards each wave across workers); nil =
+	// in-process. It receives every row's durable plan and the sweeps
+	// built from it, and must cover each wave exactly — integer tallies
+	// then make the rows byte-identical either way.
+	Tally func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc
 }
 
 func (rc *RowConfig) fill() {
@@ -395,12 +390,6 @@ func RunRow(b *Bench, target Target, rc RowConfig) (Row, error) {
 // repeated realization cost is gone.
 func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 	rc.fill()
-	// remote marks the evaluation pass that will actually answer this run:
-	// the adaptive hook only applies under Eps, the exact hook only without.
-	remote := rc.EvalPlans != nil
-	if rc.Eps > 0 {
-		remote = rc.EvalPlansAdaptive != nil
-	}
 	rows := make([]Row, len(targets))
 	sweeps := make([]*yield.SweepEvaluator, len(targets))
 	// One Runner serves every target: the pair adjacency is built once and
@@ -426,14 +415,12 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
 		}
 		elapsed := time.Since(start)
-		if !remote {
-			ev, err := yield.NewEvaluator(b.Graph, res.Cfg.Spec, res.Groups)
-			if err != nil {
-				return nil, err
-			}
-			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{T}); err != nil {
-				return nil, err
-			}
+		ev, err := yield.NewEvaluator(b.Graph, res.Cfg.Spec, res.Groups)
+		if err != nil {
+			return nil, err
+		}
+		if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{T}); err != nil {
+			return nil, err
 		}
 		rows[i] = Row{
 			Circuit: b.Name,
@@ -447,54 +434,31 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			Insert:  res,
 		}
 	}
-	if rc.Eps > 0 {
-		prec := yield.Precision{Eps: rc.Eps, Conf: rc.Conf}
-		var (
-			reps []yield.AdaptiveReport
-			err  error
-		)
-		if remote {
-			plans := make([]insertion.Plan, len(rows))
-			for i := range rows {
-				plans[i] = rows[i].Insert.Plan(b.Name)
-			}
-			reps, err = rc.EvalPlansAdaptive(plans, rc.EvalSamples, rc.Seed+0x1000, prec)
-		} else {
-			eng := mc.New(b.Graph, rc.Seed+0x1000)
-			eng.Workers = rc.Workers
-			reps, err = yield.EvaluateManyAdaptive(eng, rc.EvalSamples, prec, sweeps...)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("expt: adaptive yield evaluation on %s: %w", b.Name, err)
-		}
-		for i := range rows {
-			rows[i].Yo = reps[i].Original[0].Estimate * 100
-			rows[i].Y = reps[i].Tuned[0].Estimate * 100
-			rows[i].Yi = rows[i].Y - rows[i].Yo
-			rows[i].Adaptive = &reps[i]
-		}
-		return rows, nil
-	}
-	var reports []yield.Report
-	if rc.EvalPlans != nil {
-		// Sharded evaluation: every row's plan carries the exact spec,
-		// groups, and target its in-process evaluator would be built from.
+	seed := rc.Seed + 0x1000
+	tally := yield.LocalTally(yield.Stream(b.Graph, seed, rc.Workers), sweeps...)
+	if rc.Tally != nil {
+		// Every row's plan carries the exact spec, groups, and target its
+		// sweep was built from.
 		plans := make([]insertion.Plan, len(rows))
 		for i := range rows {
 			plans[i] = rows[i].Insert.Plan(b.Name)
 		}
-		var err error
-		if reports, err = rc.EvalPlans(plans, rc.EvalSamples, rc.Seed+0x1000); err != nil {
-			return nil, fmt.Errorf("expt: sharded yield evaluation on %s: %w", b.Name, err)
-		}
-	} else {
-		eng := mc.New(b.Graph, rc.Seed+0x1000)
-		eng.Workers = rc.Workers
-		for _, srep := range yield.EvaluateMany(eng, rc.EvalSamples, sweeps...) {
-			reports = append(reports, srep.At(0))
-		}
+		tally = rc.Tally(plans, sweeps, rc.EvalSamples, seed)
 	}
-	for i, rep := range reports {
+	prec := yield.Precision{Eps: rc.Eps, Conf: rc.Conf}
+	reports, adaptive, err := yield.Drive(context.Background(), rc.EvalSamples, prec, sweeps, tally)
+	if err != nil {
+		return nil, fmt.Errorf("expt: yield evaluation on %s: %w", b.Name, err)
+	}
+	for i := range rows {
+		if adaptive != nil {
+			rows[i].Yo = adaptive[i].Original[0].Estimate * 100
+			rows[i].Y = adaptive[i].Tuned[0].Estimate * 100
+			rows[i].Yi = rows[i].Y - rows[i].Yo
+			rows[i].Adaptive = &adaptive[i]
+			continue
+		}
+		rep := reports[i].At(0)
 		rows[i].Yo = rep.Original.Percent()
 		rows[i].Y = rep.Tuned.Percent()
 		rows[i].Yi = rep.Improvement()

@@ -1,14 +1,12 @@
 package expt
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/ckt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
-	"repro/internal/mc"
 	"repro/internal/yield"
 )
 
@@ -234,7 +232,7 @@ func TestRunRowsSharedEvalMatchesRunRow(t *testing.T) {
 // TestRunRowsAdaptive: Eps switches the shared yield pass to sequential
 // evaluation — rows carry the adaptive report instead of the exact one, the
 // estimates agree with a fixed-n run to within the reported interval, and
-// remote runs consult the adaptive hook (never the exact EvalPlans hook).
+// the Tally hook reproduces the in-process wave loop.
 func TestRunRowsAdaptive(t *testing.T) {
 	b := smallBench(t)
 	rc := RowConfig{InsertSamples: 150, EvalSamples: 2000, Seed: 3}
@@ -274,29 +272,30 @@ func TestRunRowsAdaptive(t *testing.T) {
 		}
 	}
 
-	// Hook dispatch: under Eps only the adaptive executor runs, and it
-	// reproduces the in-process wave loop exactly (same tallies, same
-	// schedule).
-	rc.EvalPlans = func([]insertion.Plan, int, uint64) ([]yield.Report, error) {
-		t.Error("exact EvalPlans hook consulted under Eps")
-		return nil, fmt.Errorf("wrong hook")
-	}
-	rc.EvalPlansAdaptive = func(plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error) {
+	// The Tally hook: a tallier over sweeps rebuilt from the row plans (as a
+	// remote worker rebuilds them) reproduces the in-process wave loop
+	// exactly (same tallies, same schedule).
+	calls := 0
+	rc.Tally = func(plans []insertion.Plan, _ []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
+		calls++
 		sweeps := make([]*yield.SweepEvaluator, len(plans))
 		for i, p := range plans {
 			ev, err := yield.NewEvaluator(b.Graph, p.Spec, p.Groups)
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
 			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{p.T}); err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
 		}
-		return yield.EvaluateManyAdaptive(mc.New(b.Graph, seed), n, prec, sweeps...)
+		return yield.LocalTally(yield.Stream(b.Graph, seed, 0), sweeps...)
 	}
 	hooked, err := RunRows(b, Targets, rc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("Tally hook consulted %d times, want once per RunRows", calls)
 	}
 	for i := range hooked {
 		if !reflect.DeepEqual(hooked[i].Adaptive, rows[i].Adaptive) {

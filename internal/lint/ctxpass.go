@@ -29,7 +29,6 @@ var batchLoopCallees = map[string]bool{
 	"ForEachBatch":      true,
 	"ForEachRangeBatch": true,
 	"TallyRange":        true,
-	"TallyRangeZero":    true,
 	"EvaluateSweep":     true,
 	"EvaluateMany":      true,
 }

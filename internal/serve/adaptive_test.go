@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // adaptiveYieldReq is the probe every adaptive serve test runs: a
@@ -172,4 +179,66 @@ func TestAdaptiveYieldValidation(t *testing.T) {
 	if len(resp.Results[0].Reports) == 0 || len(resp.Results[0].Adaptive) != 0 {
 		t.Fatalf("eps-unset request answered adaptively: %+v", resp.Results[0])
 	}
+}
+
+// TestAdaptiveYieldCancelsInProcess: a client hanging up on an adaptive
+// /v1/yield served without workers must stop the wave loop promptly. The
+// tight eps and large cap would otherwise keep the handler realizing
+// chips for many seconds after nobody is listening.
+func TestAdaptiveYieldCancelsInProcess(t *testing.T) {
+	check := leakcheck.Guard(t, leakcheck.Slack(6))
+	inner := New(Config{}).Handler()
+	entered := make(chan struct{})
+	returned := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/yield" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		close(entered)
+		defer close(returned)
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	cl := NewClient(ts.URL)
+	ins, err := cl.Insert(insertReq(130, 5)) // warms the bench
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(YieldRequest{
+		Circuit:     tinySpec(),
+		Options:     tinyOptions(),
+		EvalSamples: 10_000_000,
+		Seed:        5 + 0x1000,
+		Eps:         0.0005,
+		Queries:     []YieldQuery{{Plan: ins.Plan}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-entered
+		time.Sleep(50 * time.Millisecond) // past the first waves
+		cancel()
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/yield", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	hc := &http.Client{}
+	if resp, err := hc.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("cancelled adaptive yield must fail, got a response")
+	}
+	select {
+	case <-returned:
+	case <-time.After(3 * time.Second):
+		t.Fatal("adaptive /v1/yield handler still running 3s after the client hung up")
+	}
+	hc.CloseIdleConnections()
+	cl.HTTP.CloseIdleConnections()
+	check()
 }

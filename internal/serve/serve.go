@@ -569,33 +569,12 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var results []YieldResult
-	switch {
-	case req.Eps > 0:
-		// Adaptive: escalating waves until every threshold reaches ±eps at
-		// conf. The stratified wave universe differs from the fixed-n one,
-		// so this path never touches the population cache; the wave
-		// schedule is identical sharded and in-process.
-		prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
-		if s.pool != nil {
-			results, err = s.coordinator(req.Circuit, req.Options, e).EvaluateQueriesAdaptive(r.Context(), req.EvalSamples, req.Seed, req.Queries, prec)
-		} else {
-			results, err = EvaluateQueriesAdaptive(e.sys.Graph(), req.Seed, req.EvalSamples, req.Queries, prec)
-		}
-		if err == nil {
-			s.recordAdaptive(req.EvalSamples, results)
-		}
-	case s.pool != nil:
-		// Sharded: tile the chip range across the worker pool and merge the
-		// per-sweep tallies (byte-identical to the in-process pass).
-		results, err = s.coordinator(req.Circuit, req.Options, e).EvaluateQueries(r.Context(), req.EvalSamples, req.Seed, req.Queries)
-	default:
-		src := s.chipSource(e, req.Seed, req.EvalSamples)
-		results, err = EvaluateQueries(r.Context(), e.sys.Graph(), src, req.EvalSamples, req.Queries)
-	}
+	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
+	results, err := s.coordinator(req.Circuit, req.Options, e).Evaluate(r.Context(), req.EvalSamples, req.Seed, req.Queries, prec)
 	if err != nil {
 		return nil, asClientError(err)
 	}
+	s.recordAdaptive(req.EvalSamples, results)
 	return &YieldResponse{
 		Results:   results,
 		ElapsedMS: time.Since(start).Milliseconds(),
@@ -615,22 +594,25 @@ func asClientError(err error) error {
 
 // EvaluateQueries expands every query into its named sweeps (the plan
 // alone, or the baseline.Strategies comparison set around it) and answers
-// the whole batch from one shared realization pass (yield.EvaluateMany) —
-// n chips are realized once in total, not once per (query, strategy,
-// period). It is the single evaluation path shared by the /v1/yield
-// handler and the CLIs' in-process mode, which is what keeps their
-// outputs byte-identical by construction. Errors are client errors
+// the whole batch exactly from one shared pass over n chips of src — n
+// chips are realized once in total, not once per (query, strategy,
+// period). It is Coordinator.Evaluate over an empty pool, the path the
+// /v1/yield handler and the CLIs run too. Errors are client errors
 // (malformed plans, unsorted sweeps).
 func EvaluateQueries(ctx context.Context, g *timing.Graph, src mc.Source, n int, queries []YieldQuery) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(g, queries)
-	if err != nil {
-		return nil, err
+	c := &Coordinator{Pool: shard.NewPool(nil), g: g, pop: func(uint64, int) mc.Source { return src }}
+	return c.Evaluate(ctx, n, 0, queries, yield.Precision{})
+}
+
+// EvaluateQueriesAdaptive is the adaptive counterpart of EvaluateQueries:
+// the whole batch shares one wave loop (every sweep sees every wave), so
+// the rule stops only when every threshold of every query is within eps.
+// It streams the stratified universe of seed from a fresh engine.
+func EvaluateQueriesAdaptive(g *timing.Graph, seed uint64, n int, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
+	if !prec.Active() {
+		return nil, fmt.Errorf("serve: adaptive evaluation needs eps > 0, got %v", prec.Eps)
 	}
-	reports := yield.EvaluateMany(ctxSource{ctx: ctx, src: src}, n, sweeps...)
-	if err := ctx.Err(); err != nil {
-		return nil, err // samples after the cancellation point never ran
-	}
-	return foldReports(results, reports), nil
+	return (&Coordinator{Pool: shard.NewPool(nil), g: g}).Evaluate(context.TODO(), n, seed, queries, prec)
 }
 
 // expandQueries validates every query and expands it into its named sweep
@@ -669,52 +651,9 @@ func expandQueries(g *timing.Graph, queries []YieldQuery) ([]YieldResult, []*yie
 	return results, sweeps, nil
 }
 
-// foldReports distributes the flat sweep reports back onto the per-query
-// results in expansion order.
-func foldReports(results []YieldResult, reports []yield.SweepReport) []YieldResult {
-	i := 0
-	for qi := range results {
-		for range results[qi].Names {
-			results[qi].Reports = append(results[qi].Reports, reports[i])
-			i++
-		}
-	}
-	return results
-}
-
-// EvaluateQueriesAdaptive is the adaptive counterpart of EvaluateQueries:
-// the whole batch shares one wave loop (every sweep sees every wave), so
-// the rule stops only when every threshold of every query is within eps.
-// It streams from a fresh engine — the stratified adaptive universe is
-// distinct from the cached fixed-n populations.
-func EvaluateQueriesAdaptive(g *timing.Graph, seed uint64, n int, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(g, queries)
-	if err != nil {
-		return nil, err
-	}
-	reports, err := yield.EvaluateManyAdaptive(mc.New(g, seed), n, prec, sweeps...)
-	if err != nil {
-		return nil, err
-	}
-	return foldAdaptive(results, reports), nil
-}
-
-// foldAdaptive distributes the flat adaptive reports back onto the
-// per-query results in expansion order.
-func foldAdaptive(results []YieldResult, reports []yield.AdaptiveReport) []YieldResult {
-	i := 0
-	for qi := range results {
-		for range results[qi].Names {
-			results[qi].Adaptive = append(results[qi].Adaptive, reports[i])
-			i++
-		}
-	}
-	return results
-}
-
-// recordAdaptive accounts one adaptive yield request. The batch shares a
-// single wave loop, so sample/wave counts are per request, read off the
-// first report.
+// recordAdaptive accounts one adaptive yield request; fixed-n results
+// carry no adaptive report and are skipped. The batch shares a single wave
+// loop, so sample/wave counts are per request, read off the first report.
 func (s *Server) recordAdaptive(requested int, results []YieldResult) {
 	for _, res := range results {
 		if len(res.Adaptive) == 0 {

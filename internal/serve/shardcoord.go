@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -107,18 +106,10 @@ func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
 	// the universe, so materializing the full (seed, n) population here
 	// would defeat the point of sharding it. The ctx guard lets a cancelled
 	// coordinator attempt — including an adaptive tail wave whose precision
-	// was met elsewhere — release the worker's CPU mid-range. Strata selects
-	// the stratified adaptive universe (0 = the plain fixed-n one).
-	eng := mc.New(e.sys.Graph(), req.Seed)
-	eng.Stratify = req.Strata
-	src := ctxSource{ctx: r.Context(), src: eng}
-	var tallies []yield.SweepTally
-	if req.ZeroOnly {
-		tallies = yield.TallyRangeZero(src, req.Range.Lo, req.Range.Hi, sweeps...)
-	} else {
-		tallies = yield.TallyRange(src, req.Range.Lo, req.Range.Hi, sweeps...)
-	}
-	if err := r.Context().Err(); err != nil {
+	// was met elsewhere — release the worker's CPU mid-range.
+	tally := yield.LocalTally(yield.Stream(e.sys.Graph(), req.Seed, 0), sweeps...)
+	tallies, err := tally(r.Context(), req.Range.Lo, req.Range.Hi, req.ZeroOnly, req.Strata)
+	if err != nil {
 		return nil, err // partial tallies must not go on the wire
 	}
 	return &YieldPassResponse{
@@ -126,34 +117,6 @@ func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
 		//lint:ignore contract:determinism ElapsedMS is latency accounting; the merged tallies are unaffected
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}, nil
-}
-
-// ctxSource threads cancellation into an mc.Source pass: once ctx ends,
-// the remaining samples skip their realization/consumer work (the dominant
-// cost) so the pass returns promptly. The caller must treat the pass
-// output as garbage when ctx ended — samples after the cancellation point
-// never ran.
-type ctxSource struct {
-	ctx context.Context
-	src mc.Source
-}
-
-func (s ctxSource) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
-	s.ForEachRangeBatch(0, n, fns...)
-}
-
-func (s ctxSource) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip)) {
-	guarded := make([]func(k int, ch *timing.Chip), len(fns))
-	for i, fn := range fns {
-		fn := fn
-		guarded[i] = func(k int, ch *timing.Chip) {
-			if s.ctx.Err() != nil {
-				return
-			}
-			fn(k, ch)
-		}
-	}
-	s.src.ForEachRangeBatch(lo, hi, guarded...)
 }
 
 // sweepsFor expands a query batch into its sweep evaluators through the
@@ -189,15 +152,16 @@ func (s *Server) sweepsFor(e *benchEntry, queries []YieldQuery) ([]*yield.SweepE
 
 // Coordinator shards the flow's Monte Carlo sample loops over a worker
 // pool for one circuit × options. It serves the Server's /v1/insert and
-// /v1/yield when Config.Workers is set, and the CLIs' -workers mode
-// directly (the in-process local fallback runs on the coordinator's own
-// graph and runner). Safe for concurrent use.
+// /v1/yield, and the CLIs directly. Ranges no worker takes — every range,
+// when the pool is empty — run in this process on the coordinator's own
+// graph and runner, so in-process evaluation is a coordinator over an
+// empty pool. Safe for concurrent use.
 type Coordinator struct {
 	// Pool is the worker registry (never nil; an empty pool runs every
 	// range in-process).
 	Pool *shard.Pool
 	// Shards is the range count per pass (0 = 4 per registered worker,
-	// minimum 1).
+	// minimum 1). An empty pool always runs one range.
 	Shards int
 	// Circuit and Options identify the prepared bench on the workers.
 	Circuit CircuitSpec
@@ -210,6 +174,11 @@ type Coordinator struct {
 
 	g      *timing.Graph
 	runner *insertion.Runner
+	// pop, when set, supplies the plain universe (seed, n) for locally
+	// drained ranges: the server's cached populations, or the caller's
+	// source. Stratified adaptive waves, and every range when pop is nil,
+	// stream from a fresh engine.
+	pop func(seed uint64, n int) mc.Source
 }
 
 // NewCoordinator builds a coordinator for a locally prepared system. The
@@ -227,9 +196,11 @@ func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Opt
 }
 
 // coordinator builds the Server's per-request coordinator around a cached
-// bench entry (sharing its warm runner for the local fallback).
+// bench entry (sharing its warm runner for the local fallback). Without
+// workers it runs over an empty pool and reads fixed-n chips from the
+// bench's population cache.
 func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		Pool:    s.pool,
 		Shards:  s.cfg.Shards,
 		Circuit: spec,
@@ -238,6 +209,11 @@ func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) 
 		g:       e.sys.Graph(),
 		runner:  e.runner,
 	}
+	if c.Pool == nil {
+		c.Pool = shard.NewPool(nil)
+		c.pop = func(seed uint64, n int) mc.Source { return s.chipSource(e, seed, n) }
+	}
+	return c
 }
 
 // codecFor picks the request framing for one worker: the coordinator's
@@ -325,27 +301,19 @@ func (c *Coordinator) postYieldPass(ctx context.Context, w *shard.Worker, req Yi
 	return resp, nil
 }
 
-// ranges tiles [0, n), and revives any down workers that answer /healthz
-// again — a restarted worker rejoins at the next coordinated pass.
-func (c *Coordinator) ranges(ctx context.Context, n int) []shard.Range {
-	return c.waveRanges(ctx, 0, n)
-}
-
-// waveRanges tiles the sub-range [lo, hi) — a full pass, or one adaptive
-// dispatch wave — and probes down workers so a restarted worker rejoins at
-// the next pass or wave.
-func (c *Coordinator) waveRanges(ctx context.Context, lo, hi int) []shard.Range {
+// ranges tiles [lo, hi) — a full pass, or one adaptive wave — and probes
+// down workers so a restarted worker rejoins at the next pass or wave. An
+// empty pool gets the whole range at once: splitting it would only run the
+// parts one after another.
+func (c *Coordinator) ranges(ctx context.Context, lo, hi int) []shard.Range {
 	if c.Pool.Alive() < c.Pool.Size() {
 		c.Pool.Probe(ctx, "/healthz")
 	}
 	parts := c.Shards
-	if parts <= 0 {
+	if parts <= 0 || c.Pool.Size() == 0 {
 		parts = 4 * c.Pool.Size()
-		if parts < 1 {
-			parts = 1
-		}
 	}
-	return shard.SplitRange(lo, hi, parts)
+	return shard.SplitRange(lo, hi, max(parts, 1))
 }
 
 // InsertPass returns the distributed executor for one flow configuration:
@@ -353,8 +321,12 @@ func (c *Coordinator) waveRanges(ctx context.Context, lo, hi int) []shard.Range 
 // passes each fan out over the pool and merge k-indexed outcomes. cfg must
 // be the same configuration the flow runs with (before Pass is set). ctx
 // bounds every pass the returned func runs: cancelling it releases every
-// in-flight worker range and aborts the flow.
+// in-flight worker range and aborts the flow. With an empty pool it returns
+// nil: the flow then runs its passes in-process, chip cache included.
 func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) insertion.PassFunc {
+	if c.Pool.Size() == 0 {
+		return nil
+	}
 	return func(spec insertion.PassSpec) ([]insertion.SampleOutcome, error) {
 		out := make([]insertion.SampleOutcome, cfg.Samples)
 		req := InsertPassRequest{
@@ -401,157 +373,86 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 			copy(out[r.Lo:r.Hi], part)
 			return nil
 		}
-		if err := c.Pool.Run(ctx, c.ranges(ctx, cfg.Samples), post, local); err != nil {
+		if err := c.Pool.Run(ctx, c.ranges(ctx, 0, cfg.Samples), post, local); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 }
 
-// EvaluateQueries answers a yield query batch over n chips of universe
-// seed by sharding the chip range and merging per-sweep tallies —
-// byte-identical to the in-process EvaluateQueries on the same inputs.
-func (c *Coordinator) EvaluateQueries(ctx context.Context, n int, seed uint64, queries []YieldQuery) ([]YieldResult, error) {
+// Evaluate answers a yield query batch over n chips of universe seed:
+// exact fixed-n when prec is inactive, adaptive to ±prec.Eps (capped at n
+// chips) otherwise. Either way yield.Drive runs the schedule and the
+// coordinator tallier realizes each wave, so the results are byte-identical
+// for any pool — empty, healthy, or losing workers mid-run — and
+// cancelling ctx releases every in-flight range promptly.
+func (c *Coordinator) Evaluate(ctx context.Context, n int, seed uint64, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
 	results, sweeps, err := expandQueries(c.g, queries)
 	if err != nil {
 		return nil, err
 	}
-	merged := make([]yield.SweepTally, len(sweeps))
-	for i, sw := range sweeps {
-		merged[i] = sw.NewTally()
-	}
-	// Validation runs before the range is acknowledged: a malformed
-	// response (e.g. version skew) rejects the whole attempt as corrupt —
-	// Pool.Run retries the range elsewhere, and nothing was merged.
-	validate := func(parts []yield.SweepTally) error {
-		if len(parts) != len(sweeps) {
-			return fmt.Errorf("serve: got %d tallies, want %d", len(parts), len(sweeps))
-		}
-		for i, sw := range sweeps {
-			if want := len(sw.Ts) + 1; len(parts[i].FirstZero) != want || len(parts[i].FirstTuned) != want {
-				return fmt.Errorf("serve: tally %d has lengths %d/%d, want %d",
-					i, len(parts[i].FirstZero), len(parts[i].FirstTuned), want)
-			}
-		}
-		return nil
-	}
-	var mu sync.Mutex
-	mergeAll := func(parts []yield.SweepTally) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := range merged {
-			if err := merged[i].Merge(parts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	req := YieldPassRequest{
-		Circuit:     c.Circuit,
-		Options:     c.Options,
-		EvalSamples: n,
-		Seed:        seed,
-		Queries:     queries,
-	}
-	header, err := json.Marshal(req)
+	reports, adaptive, err := yield.Drive(ctx, n, prec, sweeps, c.tally(queries, sweeps, n, seed))
 	if err != nil {
 		return nil, err
 	}
-	post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-		resp, err := c.postYieldPass(ctx, w, req, header, r)
-		if err != nil {
-			return err
+	i := 0
+	for qi := range results {
+		for range results[qi].Names {
+			if adaptive != nil {
+				results[qi].Adaptive = append(results[qi].Adaptive, adaptive[i])
+			} else {
+				results[qi].Reports = append(results[qi].Reports, reports[i])
+			}
+			i++
 		}
-		if err := validate(resp.Tallies); err != nil {
-			return shard.Errf(shard.ClassCorrupt, "%w", err)
-		}
-		if !commit() {
-			return nil // lost hedge race: the range already merged
-		}
-		if err := mergeAll(resp.Tallies); err != nil {
-			// Post-commit merge failures cannot retry (the range is already
-			// acknowledged); abort the pass explicitly rather than finish
-			// with a silently short tally.
-			return shard.Errf(shard.ClassFatal, "serve: merging range [%d,%d): %w", r.Lo, r.Hi, err)
-		}
-		return nil
 	}
-	local := func(ctx context.Context, r shard.Range) error {
-		src := ctxSource{ctx: ctx, src: mc.New(c.g, seed)}
-		parts := yield.TallyRange(src, r.Lo, r.Hi, sweeps...)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return mergeAll(parts)
-	}
-	if err := c.Pool.Run(ctx, c.ranges(ctx, n), post, local); err != nil {
-		return nil, err
-	}
-	reports := make([]yield.SweepReport, len(sweeps))
-	for i, sw := range sweeps {
-		reports[i] = sw.ReportOf(merged[i])
-	}
-	return foldReports(results, reports), nil
+	return results, nil
 }
 
-// EvaluateQueriesAdaptive answers a yield query batch adaptively: the same
-// wave state machine the in-process path drives (yield.Adaptive) decides
-// range, kind, and stopping, and each wave is dispatched over the pool as
-// its own sharded pass — so the wave schedule, the samples used, and every
-// reported estimate are identical to EvaluateQueriesAdaptive in serve.go
-// on the same inputs. Worker loss inside a wave is absorbed by Pool.Run as
-// usual (re-dispatch, in-process drain), and cancelling ctx releases every
-// in-flight wave range promptly.
-func (c *Coordinator) EvaluateQueriesAdaptive(ctx context.Context, n int, seed uint64, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(c.g, queries)
-	if err != nil {
-		return nil, err
-	}
-	a, err := yield.NewAdaptive(prec, n, sweeps...)
-	if err != nil {
-		return nil, asClientError(err)
-	}
-	for {
-		lo, hi, zeroOnly, ok := a.Next()
-		if !ok {
-			break
+// RowTally is the coordinator tallier in the shape of expt.RowConfig.Tally:
+// each row's plan becomes a plain plan query, and every wave runs under
+// ctx, since RunRows drives without a context of its own.
+func (c *Coordinator) RowTally(ctx context.Context) func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
+	return func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
+		queries := make([]YieldQuery, len(plans))
+		for i, p := range plans {
+			queries[i] = YieldQuery{Plan: p}
 		}
+		tally := c.tally(queries, sweeps, n, seed)
+		return func(_ context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
+			return tally(ctx, lo, hi, zeroOnly, strata)
+		}
+	}
+}
+
+// tally is the coordinator tallier for a query batch over universe
+// (seed, n); sweeps is the batch's expansion. Each wave is one Pool.Run
+// over its sub-ranges: worker partials are validated before the range is
+// acknowledged (a malformed one, e.g. from version skew, is rejected as
+// corrupt and retried elsewhere) and merged after, and ranges no worker
+// takes drain through the local tallier.
+func (c *Coordinator) tally(queries []YieldQuery, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
+	stream := yield.Stream(c.g, seed, 0)
+	local := yield.LocalTally(func(strata int) mc.Source {
+		if strata == 0 && c.pop != nil {
+			return c.pop(seed, n)
+		}
+		return stream(strata)
+	}, sweeps...)
+	return func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
 		merged := make([]yield.SweepTally, len(sweeps))
 		for i, sw := range sweeps {
+			merged[i] = sw.NewTally()
 			if zeroOnly {
-				merged[i] = yield.SweepTally{FirstZero: make([]int, len(sw.Ts)+1)}
-			} else {
-				merged[i] = sw.NewTally()
+				merged[i].FirstTuned = nil
 			}
-		}
-		validate := func(parts []yield.SweepTally) error {
-			if len(parts) != len(sweeps) {
-				return fmt.Errorf("serve: got %d tallies, want %d", len(parts), len(sweeps))
-			}
-			for i, sw := range sweeps {
-				wantTuned := len(sw.Ts) + 1
-				if zeroOnly {
-					wantTuned = 0
-				}
-				if len(parts[i].FirstZero) != len(sw.Ts)+1 || len(parts[i].FirstTuned) != wantTuned {
-					return fmt.Errorf("serve: wave tally %d has lengths %d/%d, want %d/%d",
-						i, len(parts[i].FirstZero), len(parts[i].FirstTuned), len(sw.Ts)+1, wantTuned)
-				}
-			}
-			return nil
 		}
 		var mu sync.Mutex
 		mergeAll := func(parts []yield.SweepTally) error {
 			mu.Lock()
 			defer mu.Unlock()
 			for i := range merged {
-				var err error
-				if zeroOnly {
-					err = merged[i].MergeZero(parts[i])
-				} else {
-					err = merged[i].Merge(parts[i])
-				}
-				if err != nil {
+				if err := merged[i].Merge(parts[i]); err != nil {
 					return err
 				}
 			}
@@ -564,7 +465,7 @@ func (c *Coordinator) EvaluateQueriesAdaptive(ctx context.Context, n int, seed u
 			Seed:        seed,
 			Queries:     queries,
 			ZeroOnly:    zeroOnly,
-			Strata:      a.Prec.Strata,
+			Strata:      strata,
 		}
 		header, err := json.Marshal(req)
 		if err != nil {
@@ -575,77 +476,30 @@ func (c *Coordinator) EvaluateQueriesAdaptive(ctx context.Context, n int, seed u
 			if err != nil {
 				return err
 			}
-			if err := validate(resp.Tallies); err != nil {
-				return shard.Errf(shard.ClassCorrupt, "%w", err)
+			if err := yield.CheckWave(sweeps, resp.Tallies, r.Len(), zeroOnly); err != nil {
+				return shard.Errf(shard.ClassCorrupt, "serve: worker %s range [%d,%d): %w", w.Base, r.Lo, r.Hi, err)
 			}
 			if !commit() {
 				return nil // lost hedge race: the range already merged
 			}
 			if err := mergeAll(resp.Tallies); err != nil {
-				return shard.Errf(shard.ClassFatal, "serve: merging wave range [%d,%d): %w", r.Lo, r.Hi, err)
+				// Post-commit merge failures cannot retry (the range is already
+				// acknowledged); abort the wave explicitly rather than finish
+				// with a silently short tally.
+				return shard.Errf(shard.ClassFatal, "serve: merging range [%d,%d): %w", r.Lo, r.Hi, err)
 			}
 			return nil
 		}
-		local := func(ctx context.Context, r shard.Range) error {
-			eng := mc.New(c.g, seed)
-			eng.Stratify = a.Prec.Strata
-			src := ctxSource{ctx: ctx, src: eng}
-			var parts []yield.SweepTally
-			if zeroOnly {
-				parts = yield.TallyRangeZero(src, r.Lo, r.Hi, sweeps...)
-			} else {
-				parts = yield.TallyRange(src, r.Lo, r.Hi, sweeps...)
-			}
-			if err := ctx.Err(); err != nil {
+		drain := func(ctx context.Context, r shard.Range) error {
+			parts, err := local(ctx, r.Lo, r.Hi, zeroOnly, strata)
+			if err != nil {
 				return err
 			}
 			return mergeAll(parts)
 		}
-		if err := c.Pool.Run(ctx, c.waveRanges(ctx, lo, hi), post, local); err != nil {
+		if err := c.Pool.Run(ctx, c.ranges(ctx, lo, hi), post, drain); err != nil {
 			return nil, err
 		}
-		if err := a.Absorb(merged); err != nil {
-			return nil, err
-		}
+		return merged, nil
 	}
-	return foldAdaptive(results, a.Reports()), nil
-}
-
-// EvalPlans measures each plan's single-period yield report (at its own
-// target T) over n fresh chips — the sharded replacement for the shared
-// in-process pass expt.RunRows runs, byte-identical to it.
-func (c *Coordinator) EvalPlans(ctx context.Context, plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error) {
-	queries := make([]YieldQuery, len(plans))
-	for i, p := range plans {
-		queries[i] = YieldQuery{Plan: p}
-	}
-	results, err := c.EvaluateQueries(ctx, n, seed, queries)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]yield.Report, len(results))
-	for i, res := range results {
-		reports[i] = res.Reports[0].At(0)
-	}
-	return reports, nil
-}
-
-// EvalPlansAdaptive is EvalPlans under a precision target: one shared
-// wave-dispatched sequential pass answers every plan's single-period yield
-// to ±prec.Eps (capped at n chips), matching the in-process adaptive path
-// wave for wave.
-func (c *Coordinator) EvalPlansAdaptive(ctx context.Context, plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error) {
-	queries := make([]YieldQuery, len(plans))
-	for i, p := range plans {
-		queries[i] = YieldQuery{Plan: p}
-	}
-	results, err := c.EvaluateQueriesAdaptive(ctx, n, seed, queries, prec)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]yield.AdaptiveReport, len(results))
-	for i, res := range results {
-		reports[i] = res.Adaptive[0]
-	}
-	return reports, nil
 }

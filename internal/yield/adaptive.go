@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/mc"
@@ -36,8 +37,7 @@ const (
 
 // Precision is an adaptive evaluation request: stop when every queried
 // threshold's yield is known to ±Eps at confidence Conf. The zero value
-// (Eps 0) is inactive — callers fall back to the fixed-n path, which stays
-// byte-identical to non-adaptive evaluation.
+// (Eps 0) is inactive: Drive then runs exact fixed-n evaluation.
 type Precision struct {
 	// Eps is the target half-width on every reported yield, in (0, 0.5).
 	// 0 disables adaptive evaluation.
@@ -111,18 +111,11 @@ type AdaptiveReport struct {
 	Conf         float64 `json:"conf"`
 }
 
-// Adaptive is the wave state machine. The driver loop alternates Next
-// (which range to realize, and whether the wave is zero-only) with Absorb
-// (merge the wave's tallies, advance the stopping rule):
-//
-//	for lo, hi, zeroOnly, ok := a.Next(); ok; lo, hi, zeroOnly, ok = a.Next() {
-//		a.Absorb(…tallies for [lo,hi)…)
-//	}
-//
-// The machine never realizes chips itself — EvaluateManyAdaptive drives it
-// against an mc.Engine in-process, and serve.Coordinator drives the same
-// machine with each wave sharded across workers, so both backends follow
-// the identical schedule.
+// Adaptive is the wave state machine. Drive alternates Next (which range
+// to realize, and whether the wave is zero-only) with Absorb (merge the
+// wave's tallies, advance the stopping rule). The machine never realizes
+// chips itself: the tallier Drive is given does, in-process or sharded
+// across workers, so every backend follows the identical schedule.
 type Adaptive struct {
 	// Prec is the normalized request (defaults filled, Strata possibly
 	// cleared when the sample cap cannot balance the bands).
@@ -209,30 +202,14 @@ func (a *Adaptive) Next() (lo, hi int, zeroOnly bool, ok bool) {
 }
 
 // Absorb merges the pending wave's tallies (one per sweep, produced by
-// TallyRange or TallyRangeZero over exactly the range Next returned) and
-// advances the stopping rule.
+// TallyRange over exactly the range and kind Next returned) and advances
+// the stopping rule.
 func (a *Adaptive) Absorb(tallies []SweepTally) error {
 	if !a.pending {
 		return fmt.Errorf("yield: Absorb without a pending wave")
 	}
-	if len(tallies) != len(a.sweeps) {
-		return fmt.Errorf("yield: wave returned %d tallies for %d sweeps", len(tallies), len(a.sweeps))
-	}
-	want := a.pendHi - a.pendLo
-	for i, t := range tallies {
-		nT := len(a.sweeps[i].Ts)
-		if len(t.FirstZero) != nT+1 {
-			return fmt.Errorf("yield: wave tally %d has %d zero bins, want %d", i, len(t.FirstZero), nT+1)
-		}
-		switch {
-		case a.pendZero && len(t.FirstTuned) != 0:
-			return fmt.Errorf("yield: zero-only wave tally %d carries tuned bins", i)
-		case !a.pendZero && len(t.FirstTuned) != nT+1:
-			return fmt.Errorf("yield: wave tally %d has %d tuned bins, want %d", i, len(t.FirstTuned), nT+1)
-		}
-		if got := t.Chips(); got != want {
-			return fmt.Errorf("yield: wave tally %d covers %d chips, want %d", i, got, want)
-		}
+	if err := CheckWave(a.sweeps, tallies, a.pendHi-a.pendLo, a.pendZero); err != nil {
+		return err
 	}
 	for i, t := range tallies {
 		if a.pendZero {
@@ -406,32 +383,13 @@ func (a *Adaptive) Reports() []AdaptiveReport {
 	return out
 }
 
-// EvaluateManyAdaptive is the in-process driver: it runs the adaptive
-// wave loop over the engine until every sweep threshold reaches the
-// requested precision or n samples are exhausted. The engine's Stratify is
-// set from the request — the stratified universe differs from the plain
-// one at the same seed, which is fine because only adaptive (eps > 0)
-// evaluation ever reaches this path.
+// EvaluateManyAdaptive drives the adaptive wave loop in-process over eng,
+// whose Stratify each wave sets from the request: the stratified universe
+// differs from the plain one at the same seed.
 func EvaluateManyAdaptive(eng *mc.Engine, n int, prec Precision, sweeps ...*SweepEvaluator) ([]AdaptiveReport, error) {
-	a, err := NewAdaptive(prec, n, sweeps...)
-	if err != nil {
-		return nil, err
+	if _, err := prec.norm(); err != nil {
+		return nil, err // an inactive prec would silently run fixed-n
 	}
-	eng.Stratify = a.Prec.Strata
-	for {
-		lo, hi, zeroOnly, ok := a.Next()
-		if !ok {
-			break
-		}
-		var ts []SweepTally
-		if zeroOnly {
-			ts = TallyRangeZero(eng, lo, hi, sweeps...)
-		} else {
-			ts = TallyRange(eng, lo, hi, sweeps...)
-		}
-		if err := a.Absorb(ts); err != nil {
-			return nil, err
-		}
-	}
-	return a.Reports(), nil
+	_, reps, err := Drive(context.Background(), n, prec, sweeps, LocalTally(func(strata int) mc.Source { eng.Stratify = strata; return eng }, sweeps...))
+	return reps, err
 }

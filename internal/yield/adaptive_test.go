@@ -139,20 +139,9 @@ func TestAdaptiveShardedWavesMatchInProcess(t *testing.T) {
 		for c := 0; c+1 < len(cuts); c++ {
 			eng := mc.New(g, seed)
 			eng.Stratify = a.Prec.Strata
-			var part []SweepTally
-			if zeroOnly {
-				part = TallyRangeZero(eng, cuts[c], cuts[c+1], sweeps...)
-			} else {
-				part = TallyRange(eng, cuts[c], cuts[c+1], sweeps...)
-			}
+			part := TallyRange(eng, cuts[c], cuts[c+1], zeroOnly, sweeps...)
 			for i := range merged {
-				var err error
-				if zeroOnly {
-					err = merged[i].MergeZero(part[i])
-				} else {
-					err = merged[i].Merge(part[i])
-				}
-				if err != nil {
+				if err := merged[i].Merge(part[i]); err != nil {
 					t.Fatal(err)
 				}
 			}

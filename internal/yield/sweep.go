@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -217,6 +218,7 @@ func (t SweepTally) Chips() int {
 }
 
 // Merge adds another partial tally (from a disjoint chip range) into t.
+// Zero-only tallies (FirstTuned nil) merge into a zero-only accumulator.
 func (t *SweepTally) Merge(o SweepTally) error {
 	if len(o.FirstZero) != len(t.FirstZero) || len(o.FirstTuned) != len(t.FirstTuned) {
 		return fmt.Errorf("yield: merging tallies of different sweep lengths (%d vs %d)",
@@ -227,20 +229,6 @@ func (t *SweepTally) Merge(o SweepTally) error {
 	}
 	for i, c := range o.FirstTuned {
 		t.FirstTuned[i] += c
-	}
-	return nil
-}
-
-// MergeZero adds only the zero-pass histogram of o into t. The adaptive
-// zero-only waves produce tallies with no tuned bins (FirstTuned nil), so
-// the full Merge would reject them; their step-1 counts still accumulate.
-func (t *SweepTally) MergeZero(o SweepTally) error {
-	if len(o.FirstZero) != len(t.FirstZero) {
-		return fmt.Errorf("yield: merging zero tallies of different sweep lengths (%d vs %d)",
-			len(o.FirstZero), len(t.FirstZero))
-	}
-	for i, c := range o.FirstZero {
-		t.FirstZero[i] += c
 	}
 	return nil
 }
@@ -283,8 +271,8 @@ func (s *SweepEvaluator) RangePass(lo, hi int) (consume func(k int, ch *timing.C
 // RangePassZero is the zero-only form of RangePass: only the step-1
 // (zero-tuning) threshold search runs — no rescue system, no Bellman–Ford
 // — so a chip costs a handful of FeasibleAtZero probes instead of a
-// solver pass. The tally carries FirstZero only (FirstTuned stays nil, a
-// shape MergeZero accepts and Merge rejects). The adaptive evaluator uses
+// solver pass. The tally carries FirstZero only (FirstTuned stays nil, so
+// it merges only with other zero-only tallies). The adaptive evaluator uses
 // these cheap waves to extend the step-1 horizon (original yield, and the
 // control-variate correction of tuned yield) without paying step-2 cost.
 func (s *SweepEvaluator) RangePassZero(lo, hi int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
@@ -322,14 +310,6 @@ func (s *SweepEvaluator) ReportOf(t SweepTally) SweepReport {
 	return rep
 }
 
-// Pass begins one n-chip evaluation pass: RangePass over the full range,
-// reported cumulatively. The report is byte-identical for any worker count
-// — and, through the tally form, for any sharding of [0, n).
-func (s *SweepEvaluator) Pass(n int) (consume func(k int, ch *timing.Chip), report func() SweepReport) {
-	consume, tally := s.RangePass(0, n)
-	return consume, func() SweepReport { return s.ReportOf(tally()) }
-}
-
 // EvaluateSweep measures Yo and Y at every period of the sorted sweep Ts
 // over n chips from src, realizing each chip exactly once. The result is
 // byte-identical to calling Evaluate per sweep point on the same universe.
@@ -338,47 +318,28 @@ func EvaluateSweep(ev *Evaluator, src mc.Source, n int, Ts []float64) (SweepRepo
 	if err != nil {
 		return SweepReport{}, err
 	}
-	consume, report := sw.Pass(n)
-	src.ForEachBatch(n, consume)
-	return report(), nil
+	return EvaluateMany(src, n, sw)[0], nil
 }
 
 // TallyRange runs one shared realization pass over chips [lo, hi) of src
 // feeding every sweep, returning their partial tallies in order — the
-// worker half of the sharded yield loop: disjoint ranges tiling [0, n)
-// merge (SweepTally.Merge) into exactly the tally one full pass produces.
+// unit every tallier runs: disjoint ranges tiling a wave merge
+// (SweepTally.Merge) into exactly the tally one full pass produces. With
+// zeroOnly set, only the step-1 threshold search runs (RangePassZero) and
+// the tallies carry FirstZero alone.
 //
 //contract:allocfree
-func TallyRange(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []SweepTally {
+func TallyRange(src mc.Source, lo, hi int, zeroOnly bool, sweeps ...*SweepEvaluator) []SweepTally {
+	pass := (*SweepEvaluator).RangePass
+	if zeroOnly {
+		pass = (*SweepEvaluator).RangePassZero
+	}
 	//lint:ignore contract:allocfree per-wave header: O(sweeps), not O(samples)
 	consumes := make([]func(k int, ch *timing.Chip), len(sweeps))
 	//lint:ignore contract:allocfree per-wave header: O(sweeps), not O(samples)
 	tallies := make([]func() SweepTally, len(sweeps))
 	for i, sw := range sweeps {
-		consumes[i], tallies[i] = sw.RangePass(lo, hi)
-	}
-	src.ForEachRangeBatch(lo, hi, consumes...)
-	//lint:ignore contract:allocfree per-wave partial-tally result: O(sweeps), not O(samples)
-	out := make([]SweepTally, len(sweeps))
-	for i, tl := range tallies {
-		out[i] = tl()
-	}
-	return out
-}
-
-// TallyRangeZero is the zero-only form of TallyRange: one shared
-// realization pass over chips [lo, hi) feeding every sweep's step-1
-// threshold search only. Partial tallies carry FirstZero alone and merge
-// via SweepTally.MergeZero.
-//
-//contract:allocfree
-func TallyRangeZero(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []SweepTally {
-	//lint:ignore contract:allocfree per-wave header: O(sweeps), not O(samples)
-	consumes := make([]func(k int, ch *timing.Chip), len(sweeps))
-	//lint:ignore contract:allocfree per-wave header: O(sweeps), not O(samples)
-	tallies := make([]func() SweepTally, len(sweeps))
-	for i, sw := range sweeps {
-		consumes[i], tallies[i] = sw.RangePassZero(lo, hi)
+		consumes[i], tallies[i] = pass(sw, lo, hi)
 	}
 	src.ForEachRangeBatch(lo, hi, consumes...)
 	//lint:ignore contract:allocfree per-wave partial-tally result: O(sweeps), not O(samples)
@@ -394,15 +355,6 @@ func TallyRangeZero(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []Swee
 // order. This is the batched form of the (period, strategy) query matrix:
 // n chips are realized once in total, not once per query.
 func EvaluateMany(src mc.Source, n int, sweeps ...*SweepEvaluator) []SweepReport {
-	consumes := make([]func(k int, ch *timing.Chip), len(sweeps))
-	reports := make([]func() SweepReport, len(sweeps))
-	for i, sw := range sweeps {
-		consumes[i], reports[i] = sw.Pass(n)
-	}
-	src.ForEachBatch(n, consumes...)
-	out := make([]SweepReport, len(sweeps))
-	for i, rep := range reports {
-		out[i] = rep()
-	}
-	return out
+	reports, _, _ := Drive(context.Background(), n, Precision{}, sweeps, LocalTally(func(int) mc.Source { return src }, sweeps...))
+	return reports // a background local fixed-n pass cannot fail
 }

@@ -222,7 +222,7 @@ func TestTallyRangeMergesToFullPass(t *testing.T) {
 	ranges := [][2]int{{0, 1}, {1, 130}, {130, 640}, {640, 900}}
 	merged := sw.NewTally()
 	for i := len(ranges) - 1; i >= 0; i-- {
-		part := TallyRange(mc.New(g, seed), ranges[i][0], ranges[i][1], sw)[0]
+		part := TallyRange(mc.New(g, seed), ranges[i][0], ranges[i][1], false, sw)[0]
 		data, err := json.Marshal(part)
 		if err != nil {
 			t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 // little-endian (see internal/shard/wire): a u32 tally count, then per
 // tally a presence-flagged FirstZero list and a presence-flagged
 // FirstTuned list. Zero-only tallies carry FirstTuned == nil, and the
-// codec preserves nil vs present exactly: MergeZero vs Merge dispatch
-// on it, so a codec that normalized one into the other would change the
-// merge semantics.
+// codec preserves nil vs present exactly: CheckWave tells the wave kinds
+// apart by it, so a codec that normalized one into the other would reject
+// every partial of that kind.
 
 // AppendTallies appends the binary encoding of ts to buf and returns
 // the grown slice. Encoding into a reused buffer is allocation-free

@@ -36,7 +36,7 @@ func TestTalliesRoundTrip(t *testing.T) {
 }
 
 func TestTalliesPreserveZeroOnlyNil(t *testing.T) {
-	// MergeZero vs Merge dispatch on FirstTuned presence; the codec must
+	// CheckWave tells the wave kinds apart by FirstTuned presence; the codec must
 	// not normalize a zero-only tally into a full one or vice versa.
 	ts := []SweepTally{{FirstZero: []int{7, 7}, FirstTuned: nil}}
 	var tb TallyBuf

@@ -151,6 +151,9 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     echo "== go test =="
     go test ./...
 
+    echo "== perfbench (own module: vet + smoke test) =="
+    (cd perfbench && go vet ./... && go test ./...)
+
     setup_smoke
 
     echo "== service smoke (bufinsd) =="
