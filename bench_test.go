@@ -606,6 +606,25 @@ func BenchmarkYieldSweep(b *testing.B) {
 	b.ReportMetric(rep.At(0).Improvement(), "Yi_at_muT_points")
 }
 
+// BenchmarkYieldSweepReplay measures the sweep kernel alone: the same plan
+// and 10-period grid as BenchmarkYieldSweep, replayed over a population of
+// 2000 chips materialized before the clock starts, so no realization is
+// timed.
+func BenchmarkYieldSweepReplay(b *testing.B) {
+	ev, bench, Ts := yieldSweepSetup(b)
+	pop := mc.New(bench.Graph, 0x1F00D).Materialize(2000)
+	b.ResetTimer()
+	var rep yield.SweepReport
+	for i := 0; i < b.N; i++ {
+		var err error
+		rep, err = yield.EvaluateSweep(ev, pop, 2000, Ts)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(rep.At(0).Improvement(), "Yi_at_muT_points")
+}
+
 // BenchmarkYieldPerPeriod is the pre-batching baseline: one Evaluate call —
 // and one fresh chip population — per period. BenchmarkYieldSweep must beat
 // it by ≥2×; the two report byte-identical yields.

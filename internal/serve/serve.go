@@ -105,6 +105,41 @@ func (c *Config) fill() {
 	}
 }
 
+// Request size limits. A yield pass keeps two int32 thresholds per chip
+// per sweep and an insertion pass one outcome per sample, so an unbounded
+// count exhausts memory, and the Go runtime's out-of-memory error kills
+// the process rather than failing the request. Requests over a limit get
+// 400 naming it. Every in-repo caller stays far below them.
+const (
+	// maxEvalSamples bounds a yield request's eval_samples.
+	maxEvalSamples = 1 << 24
+	// maxInsertSamples bounds an insertion request's samples.
+	maxInsertSamples = 1 << 20
+	// maxSweepSamples bounds eval_samples × the expanded sweep count:
+	// at most 256 MiB of per-chip thresholds.
+	maxSweepSamples = 1 << 25
+)
+
+// checkSamples validates a request's sample count field against its limit.
+func checkSamples(field string, n, limit int) error {
+	if n <= 0 {
+		return badRequest("need %s > 0", field)
+	}
+	if n > limit {
+		return badRequest("%s %d exceeds the limit of %d", field, n, limit)
+	}
+	return nil
+}
+
+// checkSweepSamples validates the chip count against the expanded sweep
+// count of a yield request.
+func checkSweepSamples(n, sweeps int) error {
+	if sweeps > 0 && n > maxSweepSamples/sweeps {
+		return badRequest("eval_samples × sweeps = %d × %d exceeds the limit of %d", n, sweeps, maxSweepSamples)
+	}
+	return nil
+}
+
 // Server answers insertion and yield queries from warm prepared-benchmark
 // state. Safe for concurrent use; create with New.
 type Server struct {
@@ -467,8 +502,8 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Samples <= 0 {
-		return nil, badRequest("need samples > 0")
+	if err := checkSamples("samples", req.Samples, maxInsertSamples); err != nil {
+		return nil, err
 	}
 	e, _, err := s.getBench(req.Circuit, req.Options)
 	if err != nil {
@@ -558,8 +593,8 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.EvalSamples <= 0 {
-		return nil, badRequest("need eval_samples > 0")
+	if err := checkSamples("eval_samples", req.EvalSamples, maxEvalSamples); err != nil {
+		return nil, err
 	}
 	if len(req.Queries) == 0 {
 		return nil, badRequest("need at least one query")
@@ -569,9 +604,16 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 		return nil, err
 	}
 	start := time.Now()
-	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
-	results, err := s.coordinator(req.Circuit, req.Options, e).Evaluate(r.Context(), req.EvalSamples, req.Seed, req.Queries, prec)
+	c := s.coordinator(req.Circuit, req.Options, e)
+	results, sweeps, err := expandQueries(c.g, req.Queries)
 	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	if err := checkSweepSamples(req.EvalSamples, len(sweeps)); err != nil {
+		return nil, err
+	}
+	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
+	if err := c.evaluate(r.Context(), req.EvalSamples, req.Seed, req.Queries, results, sweeps, prec); err != nil {
 		return nil, asClientError(err)
 	}
 	s.recordAdaptive(req.EvalSamples, results)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -330,6 +331,51 @@ func TestRequestValidation(t *testing.T) {
 		if _, err := cl.Insert(req); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 			t.Fatalf("%s: want HTTP 400, got %v", name, err)
 		}
+	}
+}
+
+// TestOversizedRequests400: sample counts over the package limits are
+// rejected with 400 naming the limit, before any per-chip allocation, and
+// the server keeps serving afterwards. Unbounded, eval_samples 1<<40 makes
+// the sweep tally allocate two int32 per chip and the runtime's
+// out-of-memory error kills the process.
+func TestOversizedRequests400(t *testing.T) {
+	_, cl := newTestServer(t)
+	ins, err := cl.Insert(insertReq(130, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := []YieldQuery{{Plan: ins.Plan}}
+	strategies := []YieldQuery{{Plan: ins.Plan, Strategies: true}}
+	for _, tc := range []struct {
+		name    string
+		n       int
+		queries []YieldQuery
+		limit   int
+	}{
+		{"eval_samples", 1 << 40, plan, maxEvalSamples},
+		{"eval_samples×sweeps", maxEvalSamples, append(slices.Clone(strategies), plan...), maxSweepSamples},
+	} {
+		_, err := cl.Yield(YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: tc.n, Seed: 1, Queries: tc.queries})
+		if err == nil || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
+			t.Fatalf("%s: want HTTP 400 naming the limit %d, got %v", tc.name, tc.limit, err)
+		}
+	}
+	big := insertReq(maxInsertSamples+1, 5)
+	if _, err := cl.Insert(big); err == nil || !strings.Contains(err.Error(), "HTTP 400") ||
+		!strings.Contains(err.Error(), fmt.Sprint(maxInsertSamples)) {
+		t.Fatalf("insert samples: want HTTP 400 naming the limit %d, got %v", maxInsertSamples, err)
+	}
+	// Still serving: a normal yield request answers.
+	resp, err := cl.Yield(YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: 200, Seed: 1, Queries: strategies})
+	if err != nil {
+		t.Fatalf("server stopped serving after the rejected requests: %v", err)
+	}
+	if len(resp.Results) != 1 || len(resp.Results[0].Reports) != 4 {
+		t.Fatalf("follow-up yield answered %+v, want one result of 4 strategy reports", resp.Results)
+	}
+	if err := cl.Health(); err != nil {
+		t.Fatal(err)
 	}
 }
 

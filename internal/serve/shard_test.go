@@ -306,6 +306,26 @@ func TestShardPassEndpointsValidate(t *testing.T) {
 	}); code != http.StatusBadRequest {
 		t.Fatalf("empty query list: HTTP %d, want 400", code)
 	}
+	if code := post("/v1/shard/insert-pass", InsertPassRequest{
+		Circuit: tinySpec(), Options: tinyOptions(),
+		T: 1000, Samples: 1 << 40, Pass: insertion.PassSpec{Kind: insertion.PassFloating},
+		Range: shard.Range{Lo: 0, Hi: 10},
+	}); code != http.StatusBadRequest {
+		t.Fatalf("insert pass over the samples limit: HTTP %d, want 400", code)
+	}
+	ins, err := cl.Insert(insertReq(130, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1 << 40, maxEvalSamples} {
+		if code := post("/v1/shard/yield-pass", YieldPassRequest{
+			Circuit: tinySpec(), Options: tinyOptions(),
+			EvalSamples: n, Queries: []YieldQuery{{Plan: ins.Plan, Strategies: true}},
+			Range: shard.Range{Lo: 0, Hi: 10},
+		}); code != http.StatusBadRequest {
+			t.Fatalf("yield pass of %d chips × 4 sweeps: HTTP %d, want 400", n, code)
+		}
+	}
 }
 
 // fastDispatch tunes the dispatch plane for test clockwork: real

@@ -47,8 +47,8 @@ const (
 // insertPass executes one contiguous k-range of an insertion pass; the
 // codec-negotiating passHandler decodes req from either framing.
 func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error) {
-	if req.Samples <= 0 {
-		return nil, badRequest("need samples > 0")
+	if err := checkSamples("samples", req.Samples, maxInsertSamples); err != nil {
+		return nil, err
 	}
 	e, _, err := s.getBench(req.Circuit, req.Options)
 	if err != nil {
@@ -83,8 +83,8 @@ func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error)
 // yieldPass tallies one contiguous chip range of a yield sweep batch;
 // the codec-negotiating passHandler decodes req from either framing.
 func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
-	if req.EvalSamples <= 0 {
-		return nil, badRequest("need eval_samples > 0")
+	if err := checkSamples("eval_samples", req.EvalSamples, maxEvalSamples); err != nil {
+		return nil, err
 	}
 	if len(req.Queries) == 0 {
 		return nil, badRequest("need at least one query")
@@ -99,6 +99,9 @@ func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
 	sweeps, err := s.sweepsFor(e, req.Queries)
 	if err != nil {
 		return nil, badRequest("%v", err)
+	}
+	if err := checkSweepSamples(req.EvalSamples, len(sweeps)); err != nil {
+		return nil, err
 	}
 	//lint:ignore contract:determinism ElapsedMS is latency accounting; the merged tallies are unaffected
 	start := time.Now()
@@ -391,9 +394,18 @@ func (c *Coordinator) Evaluate(ctx context.Context, n int, seed uint64, queries 
 	if err != nil {
 		return nil, err
 	}
+	if err := c.evaluate(ctx, n, seed, queries, results, sweeps, prec); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// evaluate is Evaluate over an already expanded batch: results and sweeps
+// come from expandQueries(c.g, queries), and the reports land in results.
+func (c *Coordinator) evaluate(ctx context.Context, n int, seed uint64, queries []YieldQuery, results []YieldResult, sweeps []*yield.SweepEvaluator, prec yield.Precision) error {
 	reports, adaptive, err := yield.Drive(ctx, n, prec, sweeps, c.tally(queries, sweeps, n, seed))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	i := 0
 	for qi := range results {
@@ -406,7 +418,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, n int, seed uint64, queries 
 			i++
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // RowTally is the coordinator tallier in the shape of expt.RowConfig.Tally:

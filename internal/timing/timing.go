@@ -35,12 +35,62 @@ type Graph struct {
 	hold  []variation.Canonical // per FF
 	dim   int                   // global source dimension
 
-	// Sparse evaluation forms precomputed by Build (nil on hand-assembled
-	// graphs, which fall back to the dense canonical forms). Realization is
-	// the innermost Monte Carlo loop; skipping zero sensitivities there is
-	// a measurable win once the source space has spatial regions.
+	// Realization kernels precomputed by Build; hand-assembled graphs have
+	// neither and fall back to the dense canonical forms. Realization is the
+	// innermost Monte Carlo loop. When every form loads on exactly the three
+	// sources [0 1 2] — the single-region DefaultSpace of every preset and
+	// generated circuit — the packed tables feed the unrolled realize3;
+	// otherwise (spatial regions) the sparse forms skip the zero
+	// sensitivities. Exactly one of the two sets is non-nil.
+	pairs3, ffs3    []rec3             // per pair (max, min), per FF (setup, hold)
 	maxSp, minSp    []variation.Sparse // per pair
 	setupSp, holdSp []variation.Sparse // per FF
+}
+
+// form3 is a canonical form over exactly the global sources [0 1 2],
+// unpacked for realize3.
+type form3 struct{ mean, c0, c1, c2, rand float64 }
+
+// rec3 is one realization record of the packed tables: the two forms that
+// share an independent deviate (a pair's max and min delays, or a
+// flip-flop's setup and hold times), adjacent in memory.
+type rec3 struct{ a, b form3 }
+
+// pack3 returns the packed form of c, or false unless c loads on exactly
+// the sources [0 1 2] (its sparse index list is [0 1 2]). A form with a
+// zero sensitivity does not pack: padding the zero back in would add a
+// 0·g term Sparse.Eval skips, which can change the sign of a zero sum.
+func pack3(c variation.Canonical) (form3, bool) {
+	if len(c.Sens) != 3 || c.Sens[0] == 0 || c.Sens[1] == 0 || c.Sens[2] == 0 {
+		return form3{}, false
+	}
+	return form3{mean: c.Mean, c0: c.Sens[0], c1: c.Sens[1], c2: c.Sens[2], rand: c.Rand}, true
+}
+
+// packRec packs the two forms of one realization record.
+func packRec(a, b variation.Canonical) (rec3, bool) {
+	fa, okA := pack3(a)
+	fb, okB := pack3(b)
+	return rec3{fa, fb}, okA && okB
+}
+
+// packTables builds the realize3 tables, or returns nil tables when any
+// form does not pack.
+func (g *Graph) packTables() (pairs, ffs []rec3) {
+	var ok bool
+	pairs = make([]rec3, len(g.Pairs))
+	for p := range g.Pairs {
+		if pairs[p], ok = packRec(g.Pairs[p].Max, g.Pairs[p].Min); !ok {
+			return nil, nil
+		}
+	}
+	ffs = make([]rec3, g.NS)
+	for f := range ffs {
+		if ffs[f], ok = packRec(g.setup[f], g.hold[f]); !ok {
+			return nil, nil
+		}
+	}
+	return pairs, ffs
 }
 
 // Build assembles the constraint graph from an SSTA analyzer and optional
@@ -51,11 +101,12 @@ func Build(a *ssta.Analyzer, skew []float64) *Graph {
 
 // BuildPairs assembles the constraint graph from precomputed pair delays —
 // a full PairDelays result or an incremental RepropagateCone one. The pair
-// forms are copied into sparse evaluation snapshots (and the dense structs
-// are value copies), so the graph's realized numbers stay frozen even if
-// the analyzer arena is propagated again afterwards; only the dense
-// Pairs[i].Max/Min.Sens slices alias the arena, which is why a shared
-// analyzer must be Forked before further edits.
+// forms are copied into evaluation snapshots, the packed tables or the
+// sparse forms (and the dense structs are value copies), so the graph's
+// realized numbers stay frozen even if the analyzer arena is propagated
+// again afterwards; only the dense Pairs[i].Max/Min.Sens slices alias the
+// arena, which is why a shared analyzer must be Forked before further
+// edits.
 func BuildPairs(a *ssta.Analyzer, pairs []ssta.Pair, skew []float64) *Graph {
 	ns := a.C.NumFFs()
 	if skew == nil {
@@ -73,6 +124,9 @@ func BuildPairs(a *ssta.Analyzer, pairs []ssta.Pair, skew []float64) *Graph {
 	for id := 0; id < ns; id++ {
 		g.setup[id] = a.Setup(id)
 		g.hold[id] = a.Hold(id)
+	}
+	if g.pairs3, g.ffs3 = g.packTables(); g.pairs3 != nil {
+		return g
 	}
 	g.maxSp = make([]variation.Sparse, len(g.Pairs))
 	g.minSp = make([]variation.Sparse, len(g.Pairs))
@@ -126,8 +180,11 @@ type NormSource interface {
 // (shared between its max and min, which are the same physical paths), and
 // one per FF timing pair. DMin is clamped to DMax. A warm call performs no
 // heap allocations.
+//
+//contract:allocfree
 func (g *Graph) RealizeInto(rng NormSource, ch *Chip) {
 	if cap(ch.gvec) < g.dim {
+		//lint:ignore contract:allocfree first-use sizing of the chip-owned gvec (NewChip presizes it; only zero-value chips grow here)
 		ch.gvec = make([]float64, g.dim)
 	}
 	gvec := ch.gvec[:g.dim]
@@ -139,9 +196,16 @@ func (g *Graph) RealizeInto(rng NormSource, ch *Chip) {
 
 // RealizeWithGlobals samples a chip with a caller-provided global vector
 // (used by tests that pin the die-level variation). Graphs assembled by
-// Build evaluate through their precomputed sparse forms; hand-built graphs
-// use the dense canonical forms.
+// Build evaluate through realize3 or their precomputed sparse forms;
+// hand-built graphs use the dense canonical forms. All three kernels
+// return bit-identical chips.
+//
+//contract:allocfree
 func (g *Graph) RealizeWithGlobals(rng NormSource, gvec []float64, ch *Chip) {
+	if g.pairs3 != nil {
+		realize3(rng, gvec[0], gvec[1], gvec[2], g.pairs3, g.ffs3, ch)
+		return
+	}
 	sparse := g.maxSp != nil
 	for p := range g.Pairs {
 		r := rng.NormFloat64()
@@ -178,6 +242,61 @@ func (g *Graph) RealizeWithGlobals(rng NormSource, gvec []float64, ch *Chip) {
 		}
 		ch.Setup[f] = s
 		ch.Hold[f] = h
+	}
+}
+
+// realize3 is the realization kernel of single-region graphs: one pass
+// over each packed table with the three global deviates held in locals and
+// every form's evaluation unrolled. It performs exactly the IEEE operations
+// of Sparse.Eval on an index list [0 1 2], in the same order, followed by
+// the same clamps, so its chips are bit-identical to the sparse and dense
+// kernels'; dropping the index indirection and the per-form loop is what
+// makes it faster.
+//
+//contract:allocfree
+func realize3(rng NormSource, g0, g1, g2 float64, pairs, ffs []rec3, ch *Chip) {
+	dmax, dmin := ch.DMax[:len(pairs)], ch.DMin[:len(pairs)]
+	for p := range pairs {
+		q := &pairs[p]
+		r := rng.NormFloat64()
+		mx := q.a.mean
+		mx += q.a.c0 * g0
+		mx += q.a.c1 * g1
+		mx += q.a.c2 * g2
+		mx = mx + q.a.rand*r
+		mn := q.b.mean
+		mn += q.b.c0 * g0
+		mn += q.b.c1 * g1
+		mn += q.b.c2 * g2
+		mn = mn + q.b.rand*r
+		if mn > mx {
+			mn = mx
+		}
+		dmax[p] = mx
+		dmin[p] = mn
+	}
+	setup, hold := ch.Setup[:len(ffs)], ch.Hold[:len(ffs)]
+	for f := range ffs {
+		q := &ffs[f]
+		r := rng.NormFloat64()
+		s := q.a.mean
+		s += q.a.c0 * g0
+		s += q.a.c1 * g1
+		s += q.a.c2 * g2
+		s = s + q.a.rand*r
+		h := q.b.mean
+		h += q.b.c0 * g0
+		h += q.b.c1 * g1
+		h += q.b.c2 * g2
+		h = h + q.b.rand*r
+		if s < 0 {
+			s = 0
+		}
+		if h < 0 {
+			h = 0
+		}
+		setup[f] = s
+		hold[f] = h
 	}
 }
 

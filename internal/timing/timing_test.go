@@ -280,28 +280,60 @@ func TestTinyHandBuiltConstraintValues(t *testing.T) {
 	}
 }
 
+// TestSparseEvalMatchesDense pins both kernels BuildPairs can select
+// against the dense canonical forms, bit for bit: the unrolled realize3 on
+// a single-region graph (every form loads on exactly sources [0 1 2]) and
+// the sparse loop on a two-region graph. Each input also asserts which
+// kernel the graph selected, so a silent fallback cannot pass.
 func TestSparseEvalMatchesDense(t *testing.T) {
-	// Graphs assembled by Build realize through precomputed sparse forms;
-	// the result must be bit-identical to evaluating the dense canonical
-	// forms (skipping zero sensitivities never changes an IEEE sum).
-	g := buildGraph(t, 20, 100, 21, 0.02)
-	dense := &Graph{NS: g.NS, Skew: g.Skew, Pairs: g.Pairs, setup: g.setup, hold: g.hold, dim: g.dim}
-	chS := g.NewChip()
-	chD := dense.NewChip()
-	for k := 0; k < 10; k++ {
-		g.RealizeInto(rand.New(rand.NewPCG(7, uint64(k))), chS)
-		dense.RealizeInto(rand.New(rand.NewPCG(7, uint64(k))), chD)
-		for p := range g.Pairs {
-			if chS.DMax[p] != chD.DMax[p] || chS.DMin[p] != chD.DMin[p] {
-				t.Fatalf("sample %d pair %d: sparse (%v,%v) vs dense (%v,%v)",
-					k, p, chS.DMax[p], chS.DMin[p], chD.DMax[p], chD.DMin[p])
-			}
+	twoRegions := func(t *testing.T) *Graph {
+		c, err := gen.Generate(gen.Config{NumFFs: 20, NumGates: 100, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for f := 0; f < g.NS; f++ {
-			if chS.Setup[f] != chD.Setup[f] || chS.Hold[f] != chD.Hold[f] {
-				t.Fatalf("sample %d FF %d: sparse FF timing diverges", k, f)
-			}
+		m := &variation.Model{Space: variation.Space{Params: 3, Regions: 2}, Lib: cells.Default()}
+		m.RegionOf = func(node int) int { return node % 2 }
+		a, err := ssta.New(c, m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		g := Build(a, nil)
+		return g.WithSkew(g.HoldSafeSkews(SkewSigma(g.Pairs, 0.02), 22))
+	}
+	for _, tc := range []struct {
+		name   string
+		build  func(t *testing.T) *Graph
+		packed bool // realize3 selected, else the sparse loop
+	}{
+		{"single-region", func(t *testing.T) *Graph { return buildGraph(t, 20, 100, 21, 0.02) }, true},
+		{"two-region", twoRegions, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.build(t)
+			if packed := g.pairs3 != nil; packed != tc.packed || packed == (g.maxSp != nil) {
+				t.Fatalf("kernel selection: packed=%v sparse=%v, want packed=%v", packed, g.maxSp != nil, tc.packed)
+			}
+			dense := &Graph{NS: g.NS, Skew: g.Skew, Pairs: g.Pairs, setup: g.setup, hold: g.hold, dim: g.dim}
+			chS := g.NewChip()
+			chD := dense.NewChip()
+			for k := 0; k < 10; k++ {
+				g.RealizeInto(rand.New(rand.NewPCG(7, uint64(k))), chS)
+				dense.RealizeInto(rand.New(rand.NewPCG(7, uint64(k))), chD)
+				for p := range g.Pairs {
+					if math.Float64bits(chS.DMax[p]) != math.Float64bits(chD.DMax[p]) ||
+						math.Float64bits(chS.DMin[p]) != math.Float64bits(chD.DMin[p]) {
+						t.Fatalf("sample %d pair %d: built (%v,%v) vs dense (%v,%v)",
+							k, p, chS.DMax[p], chS.DMin[p], chD.DMax[p], chD.DMin[p])
+					}
+				}
+				for f := 0; f < g.NS; f++ {
+					if math.Float64bits(chS.Setup[f]) != math.Float64bits(chD.Setup[f]) ||
+						math.Float64bits(chS.Hold[f]) != math.Float64bits(chD.Hold[f]) {
+						t.Fatalf("sample %d FF %d: built FF timing diverges from dense", k, f)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -27,17 +27,18 @@ func (r SweepReport) At(i int) Report {
 
 // SweepEvaluator answers a whole sorted period sweep per chip in one shot.
 //
-// For a fixed chip both pass conditions are monotone in T — the zero-tuning
-// setup slacks and the rescue-feasibility bounds only relax as the period
-// grows, and the hold side does not depend on T at all — so the sweep
-// reduces to two threshold searches per chip: the first index passing with
-// zero tuning, and the first index where rescue is feasible. The rescue
-// search builds the T-independent hold-side difference system once per chip
-// and re-appends only the setup bounds per probe, through a per-worker
-// resettable diffcon.IntSystem and reused Bellman-Ford scratch, so the warm
-// per-chip sweep performs no heap allocations. Every per-(chip, period)
-// decision evaluates the same arithmetic as Evaluate at that period, so a
-// sweep is byte-identical to per-period evaluation — it just realizes the
+// For a fixed chip both pass conditions are monotone in T: every setup
+// bound is a chain of IEEE operations, each monotone in T, so it is
+// non-decreasing in T, and the hold side does not depend on T at all. Per
+// chip the sweep therefore reduces to two thresholds, the first index
+// passing with zero tuning and the first index where the buffers rescue
+// the chip. ChipSweep finds the first with one scan over the pairs and the
+// second with a binary search over Bellman-Ford probes of the rescue
+// sites only (the pair classes are fixed by NewEvaluator). The probes
+// reuse a per-worker resettable diffcon.IntSystem and solver scratch, so
+// the warm per-chip sweep performs no heap allocations. Every per-(chip,
+// period) decision equals Evaluate's at that period, so a sweep is
+// byte-identical to per-period evaluation; it just realizes the
 // population once instead of once per period.
 type SweepEvaluator struct {
 	ev   *Evaluator
@@ -59,19 +60,15 @@ func NewSweepEvaluator(ev *Evaluator, Ts []float64) (*SweepEvaluator, error) {
 	return s, nil
 }
 
-// SweepScratch is the per-worker reusable state of a sweep: the hold-side
-// difference system, the Bellman-Ford solver scratch, and the recorded
-// T-dependent constraint sites. One scratch must not be shared between
-// goroutines; Pass manages a pool internally.
+// SweepScratch is the per-worker reusable state of the rescue search: a
+// difference system holding one chip's hold side (the T-independent
+// prefix every probe truncates back to) and the Bellman-Ford solver
+// scratch. One scratch must not be shared between goroutines; RangePass
+// manages a pool internally.
 type SweepScratch struct {
-	sys *diffcon.IntSystem
-	sv  diffcon.IntSolver
-	// T-dependent constraint sites recorded by prepare, replayed per probe.
-	edges  []int32 // pairs with both endpoints buffered: setup edge a→b
-	uppers []int32 // capture unbuffered: upper bound on launch var
-	lowers []int32 // launch unbuffered: lower bound on capture var
-	selfs  []int32 // same-variable pairs: sign check only
-	base   int     // hold-side constraint count (truncation point)
+	sys  *diffcon.IntSystem
+	sv   diffcon.IntSolver
+	base int // hold-side constraint count (truncation point)
 }
 
 // NewScratch allocates a scratch; its buffers grow to the circuit's size on
@@ -80,72 +77,51 @@ func (s *SweepEvaluator) NewScratch() *SweepScratch {
 	return &SweepScratch{sys: diffcon.NewIntSystem(0)}
 }
 
-// prepare builds the chip's T-independent constraint side into the scratch
-// and records where the T-dependent setup bounds go. It returns false when
-// a hold constraint between same-variable endpoints fails — such a chip is
-// unfixable at every period.
-func (sc *SweepScratch) prepare(e *Evaluator, ch *timing.Chip) bool {
+// prepare builds the chip's T-independent constraint side over the rescue
+// sites: the buffer windows and every hold bound that involves a buffered
+// variable. Self pairs contribute nothing; ChipSweep's scan has already
+// checked them.
+//
+//contract:allocfree
+func (sc *SweepScratch) prepare(e *Evaluator, ch *timing.Chip) {
 	g := e.G
 	step := e.Spec.Step()
 	sc.sys.Reset(len(e.kLo))
-	sc.edges = sc.edges[:0]
-	sc.uppers = sc.uppers[:0]
-	sc.lowers = sc.lowers[:0]
-	sc.selfs = sc.selfs[:0]
 	for v := range e.kLo {
 		sc.sys.AddUpper(v, e.kHi[v])
 		sc.sys.AddLower(v, e.kLo[v])
 	}
-	for p := range g.Pairs {
-		pr := &g.Pairs[p]
-		a := e.varOf[pr.Launch]
-		b := e.varOf[pr.Capture]
-		hB := g.HoldBound(ch, p)
-		switch {
-		case a == b:
-			if hB < 0 {
-				return false
-			}
-			sc.selfs = append(sc.selfs, int32(p))
-		case a >= 0 && b >= 0:
-			sc.sys.Add(b, a, diffcon.GridBound(hB, step))
-			sc.edges = append(sc.edges, int32(p))
-		case a >= 0: // capture unbuffered
-			sc.sys.AddLower(a, -diffcon.GridBound(hB, step))
-			sc.uppers = append(sc.uppers, int32(p))
-		default: // launch unbuffered
-			sc.sys.AddUpper(b, diffcon.GridBound(hB, step))
-			sc.lowers = append(sc.lowers, int32(p))
-		}
+	for _, st := range e.edges {
+		sc.sys.Add(int(st.b), int(st.a), diffcon.GridBound(g.HoldBound(ch, int(st.p)), step))
+	}
+	for _, st := range e.uppers {
+		sc.sys.AddLower(int(st.a), -diffcon.GridBound(g.HoldBound(ch, int(st.p)), step))
+	}
+	for _, st := range e.lowers {
+		sc.sys.AddUpper(int(st.b), diffcon.GridBound(g.HoldBound(ch, int(st.p)), step))
 	}
 	sc.base = sc.sys.NumConstraints()
-	return true
 }
 
-// rescueFeasible reports whether the prepared chip can be rescued at T:
-// truncate back to the hold side, append the setup bounds for this T, and
-// run the reused solver. The bounds computed here are bit-identical to the
-// ones Evaluator.system builds at the same T.
+// rescueFeasible reports whether the buffers can satisfy every rescue
+// site's constraints at T on the prepared chip: truncate back to the hold
+// side, append the setup bounds for this T, and run the reused solver.
+// The bounds are bit-identical to the ones Evaluator.fillSystem builds at
+// the same T; the self pairs' setup side is ChipSweep's to check.
+//
+//contract:allocfree
 func (sc *SweepScratch) rescueFeasible(e *Evaluator, ch *timing.Chip, T float64) bool {
 	g := e.G
 	step := e.Spec.Step()
-	for _, p := range sc.selfs {
-		if g.SetupBound(ch, int(p), T) < 0 {
-			return false
-		}
-	}
 	sc.sys.Truncate(sc.base)
-	for _, p := range sc.edges {
-		pr := &g.Pairs[p]
-		sc.sys.Add(e.varOf[pr.Launch], e.varOf[pr.Capture], diffcon.GridBound(g.SetupBound(ch, int(p), T), step))
+	for _, st := range e.edges {
+		sc.sys.Add(int(st.a), int(st.b), diffcon.GridBound(g.SetupBound(ch, int(st.p), T), step))
 	}
-	for _, p := range sc.uppers {
-		pr := &g.Pairs[p]
-		sc.sys.AddUpper(e.varOf[pr.Launch], diffcon.GridBound(g.SetupBound(ch, int(p), T), step))
+	for _, st := range e.uppers {
+		sc.sys.AddUpper(int(st.a), diffcon.GridBound(g.SetupBound(ch, int(st.p), T), step))
 	}
-	for _, p := range sc.lowers {
-		pr := &g.Pairs[p]
-		sc.sys.AddLower(e.varOf[pr.Capture], -diffcon.GridBound(g.SetupBound(ch, int(p), T), step))
+	for _, st := range e.lowers {
+		sc.sys.AddLower(int(st.b), -diffcon.GridBound(g.SetupBound(ch, int(st.p), T), step))
 	}
 	return sc.sv.Feasible(sc.sys)
 }
@@ -155,46 +131,98 @@ func (sc *SweepScratch) rescueFeasible(e *Evaluator, ch *timing.Chip, T float64)
 // the inserted buffers (len(Ts) = never). Warm calls perform no heap
 // allocations.
 //
-// Both predicates are exactly monotone in T — setup bounds are computed by
-// monotone floating-point expressions of T and flooring preserves order, so
-// relaxation in the real formulation is relaxation of the evaluated system
-// too — which makes the hand-rolled binary searches below agree with
-// evaluating every sweep point directly.
+// One scan (see scan) yields firstZero and selfFirst, the first index at
+// which every self pair meets setup. No tuning moves a self pair, so the
+// chip is rescued at Ts[i] exactly when i ≥ selfFirst and the rescue
+// pairs' difference system is feasible at Ts[i]. Both conditions are
+// monotone in T, and a zero pass is a rescue, so the tuned threshold is
+// the first feasible probe of a binary search over [selfFirst, firstZero);
+// a chip with selfFirst = firstZero (in particular firstZero = 0) needs no
+// probe.
+//
+//contract:allocfree
 func (s *SweepEvaluator) ChipSweep(ch *timing.Chip, sc *SweepScratch) (firstZero, firstTuned int) {
-	firstZero = s.firstZeroIndex(ch)
-	// A tuned pass is zero-pass OR rescue, both monotone: only rescues
-	// strictly before firstZero can improve the tuned threshold.
-	firstTuned = firstZero
-	if firstZero > 0 && sc.prepare(s.ev, ch) {
-		lo, hi := 0, firstZero
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if sc.rescueFeasible(s.ev, ch, s.Ts[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		firstTuned = lo
+	selfFirst, firstZero := s.scan(ch)
+	if selfFirst >= firstZero {
+		return firstZero, firstZero
 	}
-	return firstZero, firstTuned
-}
-
-// firstZeroIndex binary-searches the smallest sweep index at which the
-// chip passes with zero tuning (len(Ts) = never) — the step-1 half of
-// ChipSweep, shared with the adaptive zero-only waves.
-func (s *SweepEvaluator) firstZeroIndex(ch *timing.Chip) int {
-	g := s.ev.G
-	lo, hi := 0, len(s.Ts)
+	sc.prepare(s.ev, ch)
+	lo, hi := selfFirst, firstZero
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if g.FeasibleAtZero(ch, s.Ts[mid]) {
+		if sc.rescueFeasible(s.ev, ch, s.Ts[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo
+	return firstZero, lo
+}
+
+// firstZeroIndex returns the smallest sweep index at which the chip passes
+// with zero tuning (len(Ts) = never), the step-1 half of ChipSweep shared
+// with the adaptive zero-only waves.
+//
+//contract:allocfree
+func (s *SweepEvaluator) firstZeroIndex(ch *timing.Chip) int {
+	_, firstZero := s.scan(ch)
+	return firstZero
+}
+
+// scan computes a chip's zero-tuning threshold firstZero in one pass over
+// the pairs, self pairs first, together with selfFirst, the threshold of
+// the self pairs alone. The chip passes with zero tuning at Ts[i] exactly
+// when no hold bound is negative and every setup bound at Ts[i] is
+// non-negative. Setup bounds are non-decreasing in T, so that holds for
+// i ≥ maxₚ firstₚ, where firstₚ is pair p's own first passing index: a
+// single candidate index advanced past each pair's failing periods
+// computes the maximum in O(pairs + len(Ts)) bound evaluations, where a
+// binary search pays about log₂(len(Ts)+1) full FeasibleAtZero passes.
+//
+// A self pair failing hold can never pass, tuned or not, so the chip
+// returns (len(Ts), len(Ts)), as it does when the candidate runs off the
+// sweep among the self pairs. A rescue pair failing hold only rules out
+// the zero pass: firstZero = len(Ts), selfFirst intact.
+//
+//contract:allocfree
+func (s *SweepEvaluator) scan(ch *timing.Chip) (selfFirst, firstZero int) {
+	nT := len(s.Ts)
+	i, ok := s.advance(ch, s.ev.selfs, 0)
+	if !ok || i == nT {
+		return nT, nT
+	}
+	selfFirst = i
+	if i, ok = s.advance(ch, s.ev.rescue, i); !ok {
+		return selfFirst, nT
+	}
+	return selfFirst, i
+}
+
+// advance moves the candidate sweep index i past every period at which
+// one of the pairs ps fails setup with zero tuning, stopping at len(Ts).
+// ok is false when one of them fails hold. The bounds are the expressions
+// of timing.Graph.HoldBound and SetupBound, operation for operation, over
+// the pre-resolved endpoints.
+//
+//contract:allocfree
+func (s *SweepEvaluator) advance(ch *timing.Chip, ps []pairRef, i int) (next int, ok bool) {
+	skew := s.ev.G.Skew
+	Ts := s.Ts
+	for _, r := range ps {
+		skl, skc := skew[r.launch], skew[r.capture]
+		if ch.DMin[r.p]-ch.Hold[r.capture]+skl-skc < 0 {
+			return i, false
+		}
+		dc := ch.Setup[r.capture]
+		dmax := ch.DMax[r.p]
+		for i < len(Ts) && Ts[i]-dc-dmax+skc-skl < 0 {
+			i++
+		}
+		if i == len(Ts) {
+			break
+		}
+	}
+	return i, true
 }
 
 // SweepTally is the mergeable partial result of a sweep over any subset of

@@ -3,6 +3,7 @@ package yield
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -33,22 +34,177 @@ func sweepFixture(t *testing.T) (*Evaluator, *timing.Graph, []float64, []inserti
 	return ev, g, Ts, res.Groups
 }
 
+// sharedGroup returns the plan's grouping with the two endpoints of one
+// launch≠capture pair merged into a single two-FF group: pairs between
+// them are self pairs whose variable is buffered.
+func sharedGroup(t *testing.T, g *timing.Graph, plan []insertion.Group, spec insertion.BufferSpec) []insertion.Group {
+	t.Helper()
+	for _, pr := range g.Pairs {
+		l, c := pr.Launch, pr.Capture
+		if l == c {
+			continue
+		}
+		var out []insertion.Group
+		for _, grp := range plan {
+			if !slices.Contains(grp.FFs, l) && !slices.Contains(grp.FFs, c) {
+				out = append(out, grp)
+			}
+		}
+		half := float64(spec.Steps/2) * spec.Step()
+		return append(out, insertion.Group{FFs: []int{l, c}, Lo: -half, Hi: float64(spec.Steps)*spec.Step() - half})
+	}
+	t.Fatal("no launch≠capture pair to share a group")
+	return nil
+}
+
 // TestSweepMatchesPerPeriodEvaluate is the core equivalence claim: a sweep
 // report is byte-identical to running today's per-period Evaluate at every
-// sweep point on the same sample universe.
+// sweep point on the same sample universe. The groupings cover every pair
+// class: the baseline strategy set around the flow's plan ("sampling" is
+// the plan itself; everyFF makes every launch≠capture pair an edge) and a
+// shared two-FF group. The zero-only pass (RangePassZero) must land on the
+// same FeasibleAtZero counts at every point.
 func TestSweepMatchesPerPeriodEvaluate(t *testing.T) {
-	ev, g, Ts, _ := sweepFixture(t)
+	ev, g, Ts, plan := sweepFixture(t)
 	const n, seed = 1200, 909
-	rep, err := EvaluateSweep(ev, mc.New(g, seed), n, Ts)
+	groupings := append(baseline.Strategies(g, ev.Spec, Ts[len(Ts)-1], plan, 5),
+		baseline.Named{Name: "shared-group", Groups: sharedGroup(t, g, plan, ev.Spec)})
+	for _, st := range groupings {
+		t.Run(st.Name, func(t *testing.T) {
+			cev, err := NewEvaluator(g, ev.Spec, st.Groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch st.Name {
+			case "everyFF":
+				if len(cev.uppers)+len(cev.lowers) != 0 || len(cev.edges) == 0 {
+					t.Fatalf("everyFF: %d uppers, %d lowers, %d edges; want edges only",
+						len(cev.uppers), len(cev.lowers), len(cev.edges))
+				}
+			case "shared-group":
+				buffered := 0
+				for _, r := range cev.selfs {
+					if cev.varOf[r.launch] >= 0 {
+						buffered++
+					}
+				}
+				if buffered == 0 {
+					t.Fatal("shared group put no buffered pair in the self class")
+				}
+			}
+			sw, err := NewSweepEvaluator(cev, Ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := EvaluateMany(mc.New(g, seed), n, sw)[0]
+			zero := sw.ReportOf(SweepTally{
+				FirstZero:  TallyRange(mc.New(g, seed), 0, n, true, sw)[0].FirstZero,
+				FirstTuned: make([]int, len(Ts)+1),
+			})
+			for i, T := range Ts {
+				want := Evaluate(cev, mc.New(g, seed), n, T)
+				if got := rep.At(i); got != want {
+					t.Fatalf("sweep point %d (T=%v): %+v != per-period %+v", i, T, got, want)
+				}
+				if got := zero.Original[i]; got != want.Original {
+					t.Fatalf("zero-only point %d (T=%v): %+v != FeasibleAtZero count %+v", i, T, got, want.Original)
+				}
+			}
+		})
+	}
+}
+
+// oracleThresholds evaluates the chip at every sweep point with the
+// reference predicates: FeasibleAtZero for the zero pass, and the full
+// per-period system (ChipFeasible) for the tuned pass.
+func oracleThresholds(ev *Evaluator, ch *timing.Chip, Ts []float64) (firstZero, firstTuned int) {
+	firstZero, firstTuned = len(Ts), len(Ts)
+	for i := len(Ts) - 1; i >= 0; i-- {
+		zero := ev.G.FeasibleAtZero(ch, Ts[i])
+		if zero {
+			firstZero = i
+		}
+		if zero || ev.ChipFeasible(ch, Ts[i]) {
+			firstTuned = i
+		}
+	}
+	return firstZero, firstTuned
+}
+
+// cloneChip deep-copies a chip so a test can edit its realized values.
+func cloneChip(ch *timing.Chip) *timing.Chip {
+	return &timing.Chip{
+		DMax:  slices.Clone(ch.DMax),
+		DMin:  slices.Clone(ch.DMin),
+		Setup: slices.Clone(ch.Setup),
+		Hold:  slices.Clone(ch.Hold),
+	}
+}
+
+// TestChipSweepForcedBranches edits realized chips so each early exit of
+// the kernel fires, and checks ChipSweep and firstZeroIndex against the
+// per-period oracles on every one: a self pair failing hold (never passes,
+// tuned or not), a self pair failing setup at every period, and a rescue
+// pair failing hold (never a zero pass, yet the buffers can still rescue).
+func TestChipSweepForcedBranches(t *testing.T) {
+	ev, g, Ts, plan := sweepFixture(t)
+	cev, err := NewEvaluator(g, ev.Spec, sharedGroup(t, g, plan, ev.Spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, T := range Ts {
-		want := Evaluate(ev, mc.New(g, seed), n, T)
-		got := rep.At(i)
-		if got != want {
-			t.Fatalf("sweep point %d (T=%v): %+v != per-period %+v", i, T, got, want)
+	sw, err := NewSweepEvaluator(cev, Ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sw.NewScratch()
+	nT := len(Ts)
+	eng := mc.New(g, 915)
+	check := func(name string, ch *timing.Chip) (firstZero, firstTuned int) {
+		t.Helper()
+		wz, wt := oracleThresholds(cev, ch, Ts)
+		z, tn := sw.ChipSweep(ch, sc)
+		if z != wz || tn != wt {
+			t.Fatalf("%s: ChipSweep = (%d, %d), per-period oracle (%d, %d)", name, z, tn, wz, wt)
 		}
+		if z := sw.firstZeroIndex(ch); z != wz {
+			t.Fatalf("%s: firstZeroIndex = %d, oracle %d", name, z, wz)
+		}
+		return wz, wt
+	}
+	if len(cev.selfs) == 0 || len(cev.rescue) == 0 {
+		t.Fatalf("fixture needs both classes: %d self, %d rescue pairs", len(cev.selfs), len(cev.rescue))
+	}
+	rescued := false
+	for k := 0; k < 40; k++ {
+		base := eng.Chip(k)
+		check("unedited", base)
+
+		ch := cloneChip(base)
+		ch.DMin[cev.selfs[k%len(cev.selfs)].p] = -1e6
+		if z, tn := check("self hold failure", ch); z != nT || tn != nT {
+			t.Fatalf("self hold failure passed at (%d, %d)", z, tn)
+		}
+
+		ch = cloneChip(base)
+		ch.DMax[cev.selfs[k%len(cev.selfs)].p] = 1e9
+		if z, tn := check("self setup failure", ch); z != nT || tn != nT {
+			t.Fatalf("self setup failure passed at (%d, %d)", z, tn)
+		}
+
+		// Push one rescue pair half a grid step past its hold bound: no
+		// zero pass, but shifting the capture buffer by a step can fix it.
+		r := cev.rescue[k%len(cev.rescue)]
+		ch = cloneChip(base)
+		hB := g.HoldBound(ch, int(r.p))
+		ch.DMin[r.p] -= hB + 0.5*cev.Spec.Step()
+		if z, tn := check("rescue hold failure", ch); z != nT {
+			t.Fatalf("rescue hold failure passed with zero tuning at %d", z)
+		} else if tn < nT {
+			rescued = true
+		}
+	}
+	if !rescued {
+		t.Fatal("no rescue-pair hold failure was rescued; the branch went unexercised")
 	}
 }
 

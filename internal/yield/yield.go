@@ -28,7 +28,23 @@ type Evaluator struct {
 
 	varOf    []int // FF id → group variable index, −1 when unbuffered
 	kLo, kHi []int64
+
+	// The pairs partitioned once by the group variables a (launch) and
+	// b (capture), for the sweep kernel. Self pairs have a == b (both
+	// unbuffered, or one shared group), so no tuning moves their
+	// constraints. The rest are rescue pairs, split into edges (a, b ≥ 0),
+	// uppers (capture unbuffered, x_b = 0) and lowers (launch unbuffered,
+	// x_a = 0).
+	selfs, rescue         []pairRef
+	edges, uppers, lowers []site
 }
+
+// pairRef is a pair with its endpoint flip-flops resolved, so the sweep
+// scan reads twelve bytes per pair instead of the whole timing.Pair.
+type pairRef struct{ p, launch, capture int32 }
+
+// site is a rescue pair with its group variables resolved.
+type site struct{ p, a, b int32 }
 
 // NewEvaluator prepares an evaluator for a buffer grouping. Group windows
 // must be grid-aligned (the flow guarantees this).
@@ -63,7 +79,63 @@ func NewEvaluator(g *timing.Graph, spec insertion.BufferSpec, groups []insertion
 			e.varOf[ff] = gi
 		}
 	}
+	e.classify()
 	return e, nil
+}
+
+// The pair classes of the sweep kernel (see Evaluator).
+const (
+	classSelf = iota
+	classEdge
+	classUpper
+	classLower
+)
+
+// classOf returns the class of a pair whose launch and capture have the
+// group variables a and b (−1 when unbuffered).
+func classOf(a, b int) int {
+	switch {
+	case a == b:
+		return classSelf
+	case a >= 0 && b >= 0:
+		return classEdge
+	case a >= 0: // capture unbuffered
+		return classUpper
+	}
+	return classLower // launch unbuffered
+}
+
+// classify partitions the pairs into the sweep kernel's classes, sizing
+// each class list exactly.
+func (e *Evaluator) classify() {
+	pairs := e.G.Pairs
+	vars := func(p int) (a, b int) { return e.varOf[pairs[p].Launch], e.varOf[pairs[p].Capture] }
+	var n [4]int
+	for p := range pairs {
+		n[classOf(vars(p))]++
+	}
+	e.selfs = make([]pairRef, 0, n[classSelf])
+	e.rescue = make([]pairRef, 0, len(pairs)-n[classSelf])
+	e.edges = make([]site, 0, n[classEdge])
+	e.uppers = make([]site, 0, n[classUpper])
+	e.lowers = make([]site, 0, n[classLower])
+	for p := range pairs {
+		a, b := vars(p)
+		ref := pairRef{p: int32(p), launch: int32(pairs[p].Launch), capture: int32(pairs[p].Capture)}
+		st := site{p: int32(p), a: int32(a), b: int32(b)}
+		switch classOf(a, b) {
+		case classSelf:
+			e.selfs = append(e.selfs, ref)
+			continue
+		case classEdge:
+			e.edges = append(e.edges, st)
+		case classUpper:
+			e.uppers = append(e.uppers, st)
+		case classLower:
+			e.lowers = append(e.lowers, st)
+		}
+		e.rescue = append(e.rescue, ref)
+	}
 }
 
 // NumVars returns the number of shared buffer variables.
