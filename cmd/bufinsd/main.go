@@ -11,7 +11,6 @@
 //	bufinsd -worker -addr :8078                      # shard worker
 //	bufinsd -workers http://h1:8078,http://h2:8078   # coordinator
 //	bufinsd -store /var/lib/bufinsd                  # persistent prepared store
-//	bufinsd -workers ... -codec json                 # shard framing (debug)
 //
 // With -workers the daemon coordinates the Monte Carlo sample loops of
 // /v1/insert and /v1/yield across shard workers (other bufinsd processes):
@@ -28,11 +27,9 @@
 // Carlo. Entries are verified on load; corrupt ones are quarantined and
 // re-prepared, never trusted.
 //
-// -codec selects the shard pass framing a coordinator speaks to its
-// workers: "binary" (default, length-prefixed little-endian), "json"
-// (debug/compat), or "mixed" (alternating per worker — the CI matrix uses
-// it to prove both framings merge identically in one run). Workers answer
-// whichever codec the coordinator sends, so the flag is coordinator-side.
+// Coordinator and workers speak one framing on /v1/shard/*: the
+// length-prefixed little-endian binary frame of internal/shard/wire. A
+// worker answers any other request Content-Type with 415.
 //
 // The -check mode probes a running daemon: it prepares and inserts a tiny
 // generated circuit through the service and verifies the returned plan and
@@ -97,7 +94,6 @@ func main() {
 		expectWaves = flag.Bool("expect-waves", false, "with -check: additionally require the daemon's /metrics to show a multi-wave adaptive evaluation that stopped under its sample cap")
 		expectStore = flag.Bool("expect-store", false, "with -check: additionally require the daemon's /metrics to show the prepared-bench store answered (hits >= 1, misses == 0 — proves a restart re-attached without re-preparing)")
 		storeDir    = flag.String("store", "", "persistent prepared-bench store directory (empty = in-memory LRU only)")
-		codec       = flag.String("codec", "", "shard pass framing to workers: binary (default), json, or mixed")
 
 		rangeTimeout = flag.Duration("range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
 		retries      = flag.Int("retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
@@ -134,10 +130,6 @@ func main() {
 	if *chaosWorker != "" && len(workerList) == 0 {
 		fatalf("-chaos-worker requires -workers")
 	}
-	shardCodec, err := serve.ParseCodec(*codec)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	if *storeDir != "" {
 		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
 			fatalf("-store: %v", err)
@@ -162,7 +154,6 @@ func main() {
 		ChaosSeed:   *chaosSeed,
 		ChaosRate:   *chaosRate,
 		ChaosFaults: faults,
-		Codec:       shardCodec,
 		StoreDir:    *storeDir,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -57,7 +57,6 @@ func main() {
 		server   = flag.String("server", "", "bufinsd base URL: run the flow in the daemon instead of in-process")
 		workers  = flag.String("workers", "", "comma-separated shard-worker bufinsd URLs: shard the sample loops across them (coordinating from this process)")
 		shards   = flag.Int("shards", 0, "k-ranges per sharded pass (0 = 4 per worker)")
-		codec    = flag.String("codec", "", "shard pass framing to workers: binary (default), json, or mixed")
 
 		rangeTimeout = flag.Duration("range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
 		retries      = flag.Int("retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
@@ -66,10 +65,6 @@ func main() {
 	flag.Parse()
 	if *server != "" && *workers != "" {
 		fatalf("-server and -workers are mutually exclusive")
-	}
-	shardCodec, err := serve.ParseCodec(*codec)
-	if err != nil {
-		fatalf("%v", err)
 	}
 
 	names := make([]string, 0, len(gen.Presets))
@@ -107,7 +102,7 @@ func main() {
 		if *server != "" {
 			rows, err = serverRows(*server, name, *samples, *evalN, *seed, *eps, *conf)
 		} else {
-			rows, err = localRows(ctx, pool, *shards, shardCodec, name, *samples, *evalN, *seed, *eps, *conf)
+			rows, err = localRows(ctx, pool, *shards, name, *samples, *evalN, *seed, *eps, *conf)
 		}
 		if err != nil {
 			fatalf("%v", err)
@@ -142,7 +137,7 @@ func main() {
 // this process. Rows are byte-identical either way (the reductions are
 // shared code over merged k-indexed partials); only the runtime column
 // reflects the distributed schedule.
-func localRows(ctx context.Context, pool *shard.Pool, shards int, codec, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
+func localRows(ctx context.Context, pool *shard.Pool, shards int, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
 	b, err := expt.PreparePreset(name, expt.Options{})
 	if err != nil {
 		return nil, err
@@ -152,7 +147,6 @@ func localRows(ctx context.Context, pool *shard.Pool, shards int, codec, name st
 	coord := serve.NewCoordinator(pool, shards,
 		serve.CircuitSpec{Preset: name}, expt.Options{},
 		core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
-	coord.Codec = codec
 	// RowConfig's hooks are ctx-free; bind the run context here so the
 	// expt layer stays ignorant of the dispatch plane. One shared
 	// evaluation pass measures all three targets' yields: the fresh-chip

@@ -67,7 +67,6 @@ type options struct {
 	server        string
 	workers       string
 	shards        int
-	codec         string
 
 	// Adaptive precision: eps > 0 evaluates sequentially (escalating waves,
 	// stopping once every reported yield is known to ±eps at confidence
@@ -107,7 +106,6 @@ func main() {
 	flag.StringVar(&o.server, "server", "", "bufinsd base URL: run prepare/insert/yield in the daemon instead of in-process")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated shard-worker bufinsd URLs: shard the sample loops across them (coordinating from this process)")
 	flag.IntVar(&o.shards, "shards", 0, "k-ranges per sharded pass (0 = 4 per worker)")
-	flag.StringVar(&o.codec, "codec", "", "shard pass framing to workers: binary (default), json, or mixed")
 	flag.DurationVar(&o.rangeTimeout, "range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
 	flag.IntVar(&o.retries, "retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
 	flag.Float64Var(&o.hedge, "hedge", 0, "hedge stragglers outstanding this many multiples of the mean range latency (0 = default 3, negative disables)")
@@ -363,10 +361,6 @@ func newLocalBackend(o options) (backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := serve.ParseCodec(o.codec)
-	if err != nil {
-		return nil, err
-	}
 	b := &localBackend{ctx: o.ctx, sys: sys, prec: yield.Precision{Eps: o.eps, Conf: o.conf}}
 	if b.ctx == nil {
 		b.ctx = context.Background()
@@ -375,7 +369,6 @@ func newLocalBackend(o options) (backend, error) {
 		shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
 		spec, expt.Options{}, sys,
 		insertion.NewRunner(sys.Graph(), sys.Bench().Placement))
-	b.coord.Codec = codec
 	return b, nil
 }
 

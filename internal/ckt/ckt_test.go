@@ -287,3 +287,54 @@ func TestMultiFaninDFFRejected(t *testing.T) {
 		t.Fatalf("diagnostic should name the DFF and its nature, got: %v", err)
 	}
 }
+
+// s27Bench is the ISCAS89 s27 netlist: 4 inputs, 1 output, 3 DFFs and
+// 10 gates, small enough to seed a fuzzer.
+const s27Bench = `# s27
+INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+OUTPUT(G17)
+
+G5 = DFF(G10)
+G6 = DFF(G11)
+G7 = DFF(G13)
+G14 = NOT(G0)
+G17 = NOT(G11)
+G8 = AND(G14, G6)
+G15 = OR(G12, G8)
+G16 = OR(G3, G8)
+G9 = NAND(G16, G15)
+G10 = NOR(G14, G11)
+G11 = NOR(G5, G9)
+G12 = NOR(G1, G7)
+G13 = NOR(G2, G12)
+`
+
+// FuzzParseBench drives the .bench parser with untrusted text (inline
+// netlists on /v1/prepare take this path): nothing may panic, and a
+// netlist that parses must survive BenchString and a re-parse as an
+// Equal circuit.
+func FuzzParseBench(f *testing.F) {
+	f.Add(s27Bench)
+	f.Add(sampleBench)
+	f.Add("INPUT(a)\nOUTPUT(x)\nx = AND(a, a)\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseBenchString(src, "fuzz")
+		if err != nil {
+			return
+		}
+		text, err := BenchString(c)
+		if err != nil {
+			t.Fatalf("BenchString of a parsed circuit: %v", err)
+		}
+		back, err := ParseBenchString(text, "fuzz")
+		if err != nil {
+			t.Fatalf("re-parse failed: %v\n%s", err, text)
+		}
+		if !Equal(c, back) {
+			t.Fatalf("round trip not Equal:\n--- input\n%s\n--- written\n%s", src, text)
+		}
+	})
+}

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 )
@@ -632,8 +631,3 @@ func (p *Problem) feasible(x []float64) bool {
 }
 
 func (p *Problem) objCoef(v int) float64 { return p.LP.Obj(v) }
-
-// SortSolutionsByObj is a helper for tests comparing solution pools.
-func SortSolutionsByObj(sols []Solution) {
-	sort.Slice(sols, func(i, j int) bool { return sols[i].Obj < sols[j].Obj })
-}

@@ -10,6 +10,8 @@
 //	POST /v1/prepare  — warm the bench cache for a circuit × options
 //	POST /v1/insert   — run (or replay from cache) the insertion flow
 //	POST /v1/yield    — evaluate plans/strategies over period sweeps
+//	POST /v1/shard/insert-pass, /v1/shard/yield-pass — one sample range of
+//	                    a coordinated pass (binary frames only, see wire.go)
 //	GET  /healthz     — liveness + uptime
 //	GET  /metrics     — Prometheus-style counters
 //
@@ -130,7 +132,8 @@ type InsertRequest struct {
 	Seed    uint64 `json:"seed"`
 	// MaxBuffers caps the physical buffer count (0 = uncapped).
 	MaxBuffers int `json:"max_buffers,omitempty"`
-	// Workers bounds the solve parallelism (0 = all cores).
+	// Workers bounds the solve parallelism (0 = all cores; the server
+	// clamps it to [0, GOMAXPROCS]).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -229,7 +232,9 @@ type InsertPassRequest struct {
 	T       float64      `json:"t_ps"`
 	Samples int          `json:"samples"`
 	Seed    uint64       `json:"seed"`
-	Workers int          `json:"workers,omitempty"`
+	// Workers bounds the solve parallelism (0 = all cores; clamped to
+	// [0, GOMAXPROCS] like InsertRequest.Workers).
+	Workers int `json:"workers,omitempty"`
 	// Spec is the buffer hardware (zero = default τ=T/8, 20 steps).
 	Spec insertion.BufferSpec `json:"spec,omitempty"`
 	// MaxComponent caps the per-sample closure (0 = default 64).

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/insertion"
 )
 
 // benchInsertReq is the query both benchmarks answer; bigger period
@@ -139,50 +136,4 @@ func TestWarmSpeedup(t *testing.T) {
 		t.Fatalf("warm query %v not ≥10× faster than cold %v", warm, cold)
 	}
 	t.Logf("cold %v, warm %v (%.0f×)", cold, warm, float64(cold)/float64(warm))
-}
-
-// BenchmarkShardPassCodec compares coordinator-side CPU for one shard
-// insert-pass response under the two framings: full JSON marshal +
-// unmarshal vs binary append + arena decode. Informational (never gated —
-// see bench.sh): it exists to document the codec win in absolute numbers
-// on the machine at hand.
-func BenchmarkShardPassCodec(b *testing.B) {
-	outs := make([]insertion.SampleOutcome, 512)
-	for i := range outs {
-		outs[i].Feasible = i%5 != 0
-		outs[i].NK = i % 4
-		if outs[i].Feasible {
-			tuned := make([]insertion.Tuning, i%6)
-			for j := range tuned {
-				tuned[j] = insertion.Tuning{FF: j, Val: float64(i*j) * 0.25}
-			}
-			outs[i].Tuned = tuned
-		}
-	}
-	resp := &InsertPassResponse{Outcomes: outs, ElapsedMS: 12}
-
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			data, err := json.Marshal(resp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var got InsertPassResponse
-			if err := json.Unmarshal(data, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		var ob insertion.OutcomeBuf
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendInsertPassResponse(buf[:0], resp)
-			if _, err := decodeInsertPassResponse(buf, &ob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

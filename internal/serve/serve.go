@@ -58,11 +58,10 @@ type Config struct {
 	// retries, breakers, hedging); the zero value selects shard.Options'
 	// defaults.
 	Dispatch shard.Options
-	// Codec selects the wire codec the coordinator speaks on /v1/shard/*
-	// when Workers is set: CodecBinary (the default), CodecJSON (the
-	// debug/compat surface), or CodecMixed (alternate per worker). It
-	// steers outbound framing only — every server answers both codecs,
-	// negotiated per request via Content-Type/Accept.
+	// Codec is ignored.
+	//
+	// Deprecated: the shard plane speaks only the binary frame
+	// (CodecBinary), so there is nothing left to select.
 	Codec string
 	// StoreDir, when set, backs the prepared-bench LRU with a persistent
 	// content-addressed snapshot store in that directory: first prepares
@@ -100,9 +99,6 @@ func (c *Config) fill() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
-	if c.Codec == "" {
-		c.Codec = CodecBinary
-	}
 }
 
 // Request size limits. A yield pass keeps two int32 thresholds per chip
@@ -119,6 +115,13 @@ const (
 	// at most 256 MiB of per-chip thresholds.
 	maxSweepSamples = 1 << 25
 )
+
+// solveWorkers bounds a request's solve parallelism to [0, GOMAXPROCS]
+// (0 = all cores). mc starts one goroutine per worker, each with its own
+// graph-sized chip and pooled solver, so an unbounded client-chosen count
+// scales memory with the request rather than the machine. Outcomes are
+// deterministic in (seed, k), so the bound cannot change a result.
+func solveWorkers(n int) int { return min(max(n, 0), runtime.GOMAXPROCS(0)) }
 
 // checkSamples validates a request's sample count field against its limit.
 func checkSamples(field string, n, limit int) error {
@@ -275,10 +278,11 @@ func New(cfg Config) *Server {
 			}
 		}
 	}
-	s.mux.Handle("/v1/prepare", s.jsonHandler(epPrepare, s.handlePrepare))
-	s.mux.Handle("/v1/insert", s.jsonHandler(epInsert, s.handleInsert))
-	s.mux.Handle("/v1/yield", s.jsonHandler(epYield, s.handleYield))
-	s.shardRoutes()
+	s.mux.Handle("/v1/prepare", s.postHandler(epPrepare, s.handlePrepare))
+	s.mux.Handle("/v1/insert", s.postHandler(epInsert, s.handleInsert))
+	s.mux.Handle("/v1/yield", s.postHandler(epYield, s.handleYield))
+	s.mux.Handle(insertPassPath, s.postHandler(epInsertPass, s.handleInsertPass))
+	s.mux.Handle(yieldPassPath, s.postHandler(epYieldPass, s.handleYieldPass))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
@@ -304,9 +308,10 @@ func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// jsonHandler wraps one POST endpoint: inflight limiting, body capping,
-// request decoding, response encoding, and error mapping.
-func (s *Server) jsonHandler(ep endpoint, fn func(r *http.Request) (any, error)) http.Handler {
+// postHandler wraps one POST endpoint: inflight limiting, body capping,
+// response encoding (a binary frame for the shard passes, JSON for the
+// rest), and error mapping. fn decodes the request itself.
+func (s *Server) postHandler(ep endpoint, fn func(r *http.Request) (any, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.m.requests[ep].Add(1)
 		if r.Method != http.MethodPost {
@@ -332,6 +337,10 @@ func (s *Server) jsonHandler(ep endpoint, fn func(r *http.Request) (any, error))
 				status = he.status
 			}
 			s.fail(w, ep, status, err)
+			return
+		}
+		if f, ok := resp.(frame); ok {
+			writeFrame(w, f)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -537,7 +546,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 			Samples:    req.Samples,
 			Seed:       req.Seed,
 			MaxBuffers: req.MaxBuffers,
-			Workers:    req.Workers,
+			Workers:    solveWorkers(req.Workers),
 		}
 		if s.pool != nil {
 			// Shard the flow's sample passes across the worker pool. The

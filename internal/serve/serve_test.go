@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/expt"
 	"repro/internal/gen"
@@ -515,5 +518,54 @@ func TestPrepareWhatIfBadNode(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown node") {
 		t.Fatalf("unknown node should 400 with a clear message, got %v", err)
+	}
+}
+
+// TestInsertClampsWorkers: a client-chosen workers count is bounded to
+// GOMAXPROCS at the serve boundary. mc starts one goroutine per worker,
+// each with its own chip and pooled solver, so workers = samples would
+// otherwise fan out one goroutine per sample. The plan must match the
+// default parallelism's byte for byte.
+func TestInsertClampsWorkers(t *testing.T) {
+	const n = 4096
+	_, def := newTestServer(t)
+	want, err := def.Insert(insertReq(n, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl := newTestServer(t)
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+				peak.Store(g)
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Microsecond):
+			}
+		}
+	}()
+	req := insertReq(n, 5)
+	req.Workers = n
+	got, err := cl.Insert(req)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := base + 4*runtime.GOMAXPROCS(0) + 16; int(peak.Load()) > limit {
+		t.Fatalf("workers=%d peaked at %d goroutines, want <= %d (%d at start, GOMAXPROCS %d)", n, peak.Load(), limit, base, runtime.GOMAXPROCS(0))
+	}
+	wj, _ := json.Marshal(want.Plan)
+	gj, _ := json.Marshal(got.Plan)
+	if string(wj) != string(gj) || got.Stats != want.Stats {
+		t.Fatalf("workers=%d plan diverges from workers=0:\n got %s\nwant %s", n, gj, wj)
 	}
 }

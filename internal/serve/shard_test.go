@@ -18,6 +18,7 @@ import (
 	"repro/internal/insertion"
 	"repro/internal/shard"
 	"repro/internal/shard/chaos"
+	"repro/internal/shard/wire"
 
 	"repro/internal/leakcheck"
 )
@@ -79,7 +80,8 @@ func insertYield(t *testing.T, cl *Client) (insertion.Plan, InsertStats, string)
 // claim: a coordinator sharding over 1, 2, or 7-range splits (uneven by
 // construction: 130 and 400 are not multiples of 7) across 1 or 2 worker
 // processes answers /v1/insert and /v1/yield byte-identically to the plain
-// in-process server.
+// in-process server. Every tiling of {1, 2 workers} × {1, 2, 7 shards}
+// runs, so a pool with more workers than ranges is covered too.
 func TestShardedByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	_, plain := newTestServer(t)
 	wantPlan, wantStats, wantResults := insertYield(t, plain)
@@ -89,7 +91,9 @@ func TestShardedByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		shards  int
 	}{
 		{workers[:1], 1},
+		{workers[:1], 2},
 		{workers[:1], 7},
+		{workers, 1},
 		{workers, 2},
 		{workers, 7},
 	} {
@@ -115,47 +119,37 @@ func TestShardedByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardedByteIdenticalAcrossCodecs is the codec matrix: JSON, binary,
-// and mixed (per-worker alternating) framing must all merge to the same
-// bytes as the plain in-process server over uneven tilings — the codec is
-// pure transport, invisible in every merged result.
+// TestShardedByteIdenticalAcrossCodecs pins the deprecated Config.Codec
+// stub: the shard plane has one framing, so every value a caller may still
+// set — empty, "binary", or the retired "json" and "mixed" — is ignored.
+// Each coordinator still dispatches binary frames (a JSON request would
+// draw a fatal 415 and force local fallback) and merges to the same bytes
+// as the plain in-process server.
 func TestShardedByteIdenticalAcrossCodecs(t *testing.T) {
 	_, plain := newTestServer(t)
 	wantPlan, wantStats, wantResults := insertYield(t, plain)
 	wj, _ := json.Marshal(wantPlan)
 	workers := startWorkers(t, 2)
-	for _, codec := range []string{CodecJSON, CodecBinary, CodecMixed} {
-		for _, tc := range []struct {
-			workers []string
-			shards  int
-		}{
-			{workers[:1], 1},
-			{workers[:1], 2},
-			{workers[:1], 7},
-			{workers, 1},
-			{workers, 2},
-			{workers, 7},
-		} {
-			s := New(Config{Workers: tc.workers, Shards: tc.shards, Codec: codec})
-			ts := httptest.NewServer(s.Handler())
-			gotPlan, gotStats, gotResults := insertYield(t, NewClient(ts.URL))
-			gj, _ := json.Marshal(gotPlan)
-			if string(wj) != string(gj) {
-				t.Fatalf("%s, %dw×%ds: plan diverges:\n got %s\nwant %s", codec, len(tc.workers), tc.shards, gj, wj)
-			}
-			if gotStats != wantStats {
-				t.Fatalf("%s, %dw×%ds: stats diverge: got %+v want %+v", codec, len(tc.workers), tc.shards, gotStats, wantStats)
-			}
-			if gotResults != wantResults {
-				t.Fatalf("%s, %dw×%ds: yield results diverge", codec, len(tc.workers), tc.shards)
-			}
-			if s.Pool().C.Dispatched.Load() == 0 {
-				t.Fatalf("%s, %dw×%ds: no ranges dispatched to workers", codec, len(tc.workers), tc.shards)
-			}
-			if s.Pool().C.Local.Load() != 0 {
-				t.Fatalf("%s, %dw×%ds: healthy pool fell back to local execution", codec, len(tc.workers), tc.shards)
-			}
-			ts.Close()
+	for _, codec := range []string{"", CodecBinary, "json", "mixed"} {
+		s := New(Config{Workers: workers, Shards: 7, Codec: codec})
+		ts := httptest.NewServer(s.Handler())
+		gotPlan, gotStats, gotResults := insertYield(t, NewClient(ts.URL))
+		ts.Close()
+		gj, _ := json.Marshal(gotPlan)
+		if string(wj) != string(gj) {
+			t.Fatalf("codec %q: plan diverges:\n got %s\nwant %s", codec, gj, wj)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("codec %q: stats diverge: got %+v want %+v", codec, gotStats, wantStats)
+		}
+		if gotResults != wantResults {
+			t.Fatalf("codec %q: yield results diverge", codec)
+		}
+		if s.Pool().C.Dispatched.Load() == 0 {
+			t.Fatalf("codec %q: no ranges dispatched to workers", codec)
+		}
+		if s.Pool().C.Local.Load() != 0 {
+			t.Fatalf("codec %q: coordinator fell back to local execution", codec)
 		}
 	}
 }
@@ -191,7 +185,7 @@ func flakyWorker(t *testing.T, target string, succeed int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header = r.Header.Clone() // codec negotiation rides on Content-Type/Accept
+		req.Header = r.Header.Clone()
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -262,22 +256,67 @@ func TestShardedDegradesToInProcess(t *testing.T) {
 }
 
 // TestShardPassEndpointsValidate: the worker endpoints reject malformed
-// ranges and specs with 400s rather than desynchronizing a run.
+// ranges and specs with 400s rather than desynchronizing a run, and any
+// framing but the binary shard frame with a 415 — every error body JSON.
 func TestShardPassEndpointsValidate(t *testing.T) {
 	_, cl := newTestServer(t)
-	post := func(path string, req any) int {
+	send := func(path, contentType string, body []byte) int {
 		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := cl.HTTP.Post(cl.Base+path, "application/json", strings.NewReader(string(body)))
+		resp, err := cl.HTTP.Post(cl.Base+path, contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			var e ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Fatalf("%s: HTTP %d error body is not a JSON error (%v)", path, resp.StatusCode, err)
+			}
+		}
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
+	}
+	// post frames req as the coordinator does: the JSON header with a zero
+	// Range, the range itself beside it.
+	post := func(path string, req any) int {
+		t.Helper()
+		var rng shard.Range
+		switch r := req.(type) {
+		case InsertPassRequest:
+			rng, r.Range = r.Range, shard.Range{}
+			req = r
+		case YieldPassRequest:
+			rng, r.Range = r.Range, shard.Range{}
+			req = r
+		}
+		header, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return send(path, wire.ContentType, appendPassRequest(nil, header, rng))
+	}
+	// A well-formed frame is accepted, so the 400s below are the
+	// validators speaking, not a framing error.
+	if code := post(insertPassPath, InsertPassRequest{
+		Circuit: tinySpec(), Options: tinyOptions(),
+		T: 1e9, Samples: 4, Pass: insertion.PassSpec{Kind: insertion.PassFloating},
+		Range: shard.Range{Lo: 0, Hi: 4},
+	}); code != http.StatusOK {
+		t.Fatalf("valid insert pass: HTTP %d, want 200", code)
+	}
+	for _, path := range []string{insertPassPath, yieldPassPath} {
+		body, err := json.Marshal(InsertPassRequest{Circuit: tinySpec(), Samples: 4, Range: shard.Range{Lo: 0, Hi: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := send(path, "application/json", body); code != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s: JSON body: HTTP %d, want 415", path, code)
+		}
+		// A coordinator that hits the 415 must fail loudly, not retry.
+		w := shard.NewPool([]string{cl.Base}).Workers()[0]
+		if _, err := w.PostBody(context.Background(), path, "application/json", body); shard.ClassOf(err) != shard.ClassFatal {
+			t.Fatalf("%s: JSON body classified %v, want ClassFatal (err: %v)", path, shard.ClassOf(err), err)
+		}
 	}
 	if code := post("/v1/shard/insert-pass", InsertPassRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),

@@ -13,13 +13,12 @@ import (
 	"repro/internal/insertion"
 	"repro/internal/mc"
 	"repro/internal/shard"
-	"repro/internal/shard/wire"
 	"repro/internal/timing"
 	"repro/internal/yield"
 )
 
 // This file is both halves of the sharded sample loop over the service's
-// HTTP/JSON surface:
+// HTTP surface (binary frames, see wire.go):
 //
 //   - the worker half: /v1/shard/insert-pass and /v1/shard/yield-pass
 //     handlers that execute one contiguous k-range against the worker's
@@ -44,9 +43,12 @@ const (
 	yieldPassPath  = "/v1/shard/yield-pass"
 )
 
-// insertPass executes one contiguous k-range of an insertion pass; the
-// codec-negotiating passHandler decodes req from either framing.
-func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error) {
+// handleInsertPass executes one contiguous k-range of an insertion pass.
+func (s *Server) handleInsertPass(r *http.Request) (any, error) {
+	req, err := decodeFrame(r, decodeInsertPassRequest)
+	if err != nil {
+		return nil, err
+	}
 	if err := checkSamples("samples", req.Samples, maxInsertSamples); err != nil {
 		return nil, err
 	}
@@ -60,7 +62,7 @@ func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error)
 		T:               req.T,
 		Samples:         req.Samples,
 		Seed:            req.Seed,
-		Workers:         req.Workers,
+		Workers:         solveWorkers(req.Workers),
 		Spec:            req.Spec,
 		MaxComponent:    req.MaxComponent,
 		NoConcentration: req.NoConcentration,
@@ -80,9 +82,12 @@ func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error)
 	}, nil
 }
 
-// yieldPass tallies one contiguous chip range of a yield sweep batch;
-// the codec-negotiating passHandler decodes req from either framing.
-func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
+// handleYieldPass tallies one contiguous chip range of a yield sweep batch.
+func (s *Server) handleYieldPass(r *http.Request) (any, error) {
+	req, err := decodeFrame(r, decodeYieldPassRequest)
+	if err != nil {
+		return nil, err
+	}
 	if err := checkSamples("eval_samples", req.EvalSamples, maxEvalSamples); err != nil {
 		return nil, err
 	}
@@ -169,11 +174,6 @@ type Coordinator struct {
 	// Circuit and Options identify the prepared bench on the workers.
 	Circuit CircuitSpec
 	Options expt.Options
-	// Codec selects the wire framing for dispatched passes: CodecBinary
-	// (also the zero value's meaning), CodecJSON, or CodecMixed
-	// (alternate per worker). Responses decode by their Content-Type, so
-	// any mix of framings merges into byte-identical results.
-	Codec string
 
 	g      *timing.Graph
 	runner *insertion.Runner
@@ -208,7 +208,6 @@ func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) 
 		Shards:  s.cfg.Shards,
 		Circuit: spec,
 		Options: opt,
-		Codec:   s.cfg.Codec,
 		g:       e.sys.Graph(),
 		runner:  e.runner,
 	}
@@ -217,91 +216,6 @@ func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) 
 		c.pop = func(seed uint64, n int) mc.Source { return s.chipSource(e, seed, n) }
 	}
 	return c
-}
-
-// codecFor picks the request framing for one worker: the coordinator's
-// configured codec, with CodecMixed alternating by pool position (even
-// index binary, odd JSON).
-func (c *Coordinator) codecFor(w *shard.Worker) string {
-	switch c.Codec {
-	case CodecJSON:
-		return CodecJSON
-	case CodecMixed:
-		for i, wk := range c.Pool.Workers() {
-			if wk == w {
-				if i%2 == 1 {
-					return CodecJSON
-				}
-				break
-			}
-		}
-	}
-	return CodecBinary
-}
-
-// postInsertPass sends one insert-pass range to w in the coordinator's
-// codec and decodes the response by its Content-Type. req must carry a
-// zero Range (the frame, or a copy, carries r); header is req's JSON
-// form, marshaled once per pass and shared by every range. A response
-// frame that fails to decode — truncated mid-frame, version-skewed, or
-// mangled — classifies corrupt: the partial is discarded and the range
-// retries elsewhere, never merging.
-func (c *Coordinator) postInsertPass(ctx context.Context, w *shard.Worker, req InsertPassRequest, header []byte, r shard.Range) (*InsertPassResponse, error) {
-	if c.codecFor(w) == CodecJSON {
-		var resp InsertPassResponse
-		req.Range = r
-		if err := w.Post(ctx, insertPassPath, req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
-	data, ct, err := w.PostBody(ctx, insertPassPath, wire.ContentType, wire.ContentType, appendPassRequest(nil, header, r))
-	if err != nil {
-		return nil, err
-	}
-	if !wantsBinary(ct) {
-		// The worker answered on the JSON debug surface despite our Accept.
-		var resp InsertPassResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding insert-pass response from %s: %w", w.Base, err)
-		}
-		return &resp, nil
-	}
-	var ob insertion.OutcomeBuf
-	resp, err := decodeInsertPassResponse(data, &ob)
-	if err != nil {
-		return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding binary insert-pass frame from %s: %w", w.Base, err)
-	}
-	return resp, nil
-}
-
-// postYieldPass is postInsertPass for yield-pass ranges.
-func (c *Coordinator) postYieldPass(ctx context.Context, w *shard.Worker, req YieldPassRequest, header []byte, r shard.Range) (*YieldPassResponse, error) {
-	if c.codecFor(w) == CodecJSON {
-		var resp YieldPassResponse
-		req.Range = r
-		if err := w.Post(ctx, yieldPassPath, req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
-	data, ct, err := w.PostBody(ctx, yieldPassPath, wire.ContentType, wire.ContentType, appendPassRequest(nil, header, r))
-	if err != nil {
-		return nil, err
-	}
-	if !wantsBinary(ct) {
-		var resp YieldPassResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding yield-pass response from %s: %w", w.Base, err)
-		}
-		return &resp, nil
-	}
-	var tb yield.TallyBuf
-	resp, err := decodeYieldPassResponse(data, &tb)
-	if err != nil {
-		return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding binary yield-pass frame from %s: %w", w.Base, err)
-	}
-	return resp, nil
 }
 
 // ranges tiles [lo, hi) — a full pass, or one adaptive wave — and probes
@@ -351,7 +265,7 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 			return nil, err
 		}
 		post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-			resp, err := c.postInsertPass(ctx, w, req, header, r)
+			resp, err := postPass(ctx, w, insertPassPath, header, r, decodeInsertPassResponse)
 			if err != nil {
 				return err
 			}
@@ -484,7 +398,7 @@ func (c *Coordinator) tally(queries []YieldQuery, sweeps []*yield.SweepEvaluator
 			return nil, err
 		}
 		post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-			resp, err := c.postYieldPass(ctx, w, req, header, r)
+			resp, err := postPass(ctx, w, yieldPassPath, header, r, decodeYieldPassResponse)
 			if err != nil {
 				return err
 			}

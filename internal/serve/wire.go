@@ -1,12 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/insertion"
@@ -16,10 +15,9 @@ import (
 )
 
 // This file is the binary wire codec for the /v1/shard/* pass payloads,
-// negotiated per request via Content-Type (request encoding) and Accept
-// (response encoding). JSON remains the debug/compat surface — a worker
-// answers whichever codec the coordinator speaks, and error responses
-// are always JSON regardless of Accept.
+// the only framing those endpoints speak: a request whose Content-Type is
+// not wire.ContentType gets 415, and error responses are JSON like every
+// other endpoint's.
 //
 // Frame grammar (all little-endian, see internal/shard/wire):
 //
@@ -30,38 +28,17 @@ import (
 // its Range zeroed: the slow-moving part (circuit spec, options, query
 // batch, pass spec) is marshaled once per pass and shared by every
 // range and wave, while the per-range part travels as two native ints.
-// Reusing the JSON form for the header guarantees the binary and JSON
-// codecs agree on every field — including nil-vs-empty — by
-// construction. The response is the bulky direction (per-sample
-// outcomes, per-sweep tallies) and is fully binary via the flat batch
-// codecs in internal/insertion and internal/yield.
+// Reusing the JSON form for the header keeps every field — including
+// nil-vs-empty — exactly as the request types define it. The response is
+// the bulky direction (per-sample outcomes, per-sweep tallies) and is
+// fully binary via the flat batch codecs in internal/insertion and
+// internal/yield.
 
-// Codec names accepted by Config.Codec, Coordinator.Codec, and the
-// cmds' -codec flag.
-const (
-	// CodecBinary frames every shard pass in the length-prefixed binary
-	// codec (the default: ~10x less coordinator CPU and bytes than JSON
-	// for the flat numeric payloads).
-	CodecBinary = "binary"
-	// CodecJSON keeps every shard pass on the HTTP/JSON debug surface.
-	CodecJSON = "json"
-	// CodecMixed alternates codecs across the worker pool (even worker
-	// index binary, odd JSON) — the CI matrix uses it to prove both
-	// framings merge byte-identically in one run.
-	CodecMixed = "mixed"
-)
-
-// ParseCodec validates a codec name from config or flag input; the
-// empty string selects the default (binary).
-func ParseCodec(s string) (string, error) {
-	switch s {
-	case "":
-		return CodecBinary, nil
-	case CodecBinary, CodecJSON, CodecMixed:
-		return s, nil
-	}
-	return "", fmt.Errorf("unknown shard codec %q (want %s, %s, or %s)", s, CodecBinary, CodecJSON, CodecMixed)
-}
+// CodecBinary names the binary shard frame.
+//
+// Deprecated: the shard plane speaks only the binary frame; the name
+// survives for callers that still set Config.Codec, which is ignored.
+const CodecBinary = "binary"
 
 // appendPassRequest frames one pass request: the shared JSON header plus
 // the native per-range window.
@@ -73,58 +50,41 @@ func appendPassRequest(buf []byte, header []byte, r shard.Range) []byte {
 	return buf
 }
 
-// decodePassRequest unframes a binary pass request into the JSON header
-// and the range window; the caller unmarshals the header into its
-// request type and restores the range.
-func decodePassRequest(data []byte) (header []byte, rng shard.Range, err error) {
+// decodePassRequest unframes a binary pass request: the JSON header
+// unmarshals into req, and the range window comes back for the caller
+// to restore.
+func decodePassRequest(data []byte, req any) (shard.Range, error) {
 	r := wire.NewReader(data)
 	r.Version(wire.Version)
-	header = r.Bytes()
-	rng.Lo = r.Int()
-	rng.Hi = r.Int()
+	header := r.Bytes()
+	rng := shard.Range{Lo: r.Int(), Hi: r.Int()}
 	if err := r.Done(); err != nil {
-		return nil, shard.Range{}, err
+		return shard.Range{}, err
 	}
-	return header, rng, nil
+	return rng, json.Unmarshal(header, req)
 }
 
-func decodeInsertPassRequest(data []byte) (InsertPassRequest, error) {
-	var req InsertPassRequest
-	header, rng, err := decodePassRequest(data)
-	if err != nil {
-		return req, err
-	}
-	if err := json.Unmarshal(header, &req); err != nil {
-		return req, err
-	}
-	req.Range = rng
-	return req, nil
+func decodeInsertPassRequest(data []byte) (req InsertPassRequest, err error) {
+	req.Range, err = decodePassRequest(data, &req)
+	return req, err
 }
 
-func decodeYieldPassRequest(data []byte) (YieldPassRequest, error) {
-	var req YieldPassRequest
-	header, rng, err := decodePassRequest(data)
-	if err != nil {
-		return req, err
-	}
-	if err := json.Unmarshal(header, &req); err != nil {
-		return req, err
-	}
-	req.Range = rng
-	return req, nil
+func decodeYieldPassRequest(data []byte) (req YieldPassRequest, err error) {
+	req.Range, err = decodePassRequest(data, &req)
+	return req, err
 }
 
-// appendInsertPassResponse frames one insert-pass response binary.
-func appendInsertPassResponse(buf []byte, resp *InsertPassResponse) []byte {
+// appendFrame frames one insert-pass response binary.
+func (resp *InsertPassResponse) appendFrame(buf []byte) []byte {
 	buf = wire.AppendU8(buf, wire.Version)
 	buf = insertion.AppendOutcomes(buf, resp.Outcomes)
 	buf = wire.AppendInt(buf, int(resp.ElapsedMS))
 	return buf
 }
 
-// decodeInsertPassResponse unframes a binary insert-pass response into
-// ob's reused storage; the outcomes alias ob.
-func decodeInsertPassResponse(data []byte, ob *insertion.OutcomeBuf) (*InsertPassResponse, error) {
+// decodeInsertPassResponse unframes a binary insert-pass response.
+func decodeInsertPassResponse(data []byte) (*InsertPassResponse, error) {
+	var ob insertion.OutcomeBuf
 	r := wire.NewReader(data)
 	r.Version(wire.Version)
 	outs := ob.Decode(&r)
@@ -135,17 +95,17 @@ func decodeInsertPassResponse(data []byte, ob *insertion.OutcomeBuf) (*InsertPas
 	return &InsertPassResponse{Outcomes: outs, ElapsedMS: int64(elapsed)}, nil
 }
 
-// appendYieldPassResponse frames one yield-pass response binary.
-func appendYieldPassResponse(buf []byte, resp *YieldPassResponse) []byte {
+// appendFrame frames one yield-pass response binary.
+func (resp *YieldPassResponse) appendFrame(buf []byte) []byte {
 	buf = wire.AppendU8(buf, wire.Version)
 	buf = yield.AppendTallies(buf, resp.Tallies)
 	buf = wire.AppendInt(buf, int(resp.ElapsedMS))
 	return buf
 }
 
-// decodeYieldPassResponse unframes a binary yield-pass response into
-// tb's reused storage; the tallies alias tb.
-func decodeYieldPassResponse(data []byte, tb *yield.TallyBuf) (*YieldPassResponse, error) {
+// decodeYieldPassResponse unframes a binary yield-pass response.
+func decodeYieldPassResponse(data []byte) (*YieldPassResponse, error) {
+	var tb yield.TallyBuf
 	r := wire.NewReader(data)
 	r.Version(wire.Version)
 	tallies := tb.Decode(&r)
@@ -156,103 +116,59 @@ func decodeYieldPassResponse(data []byte, tb *yield.TallyBuf) (*YieldPassRespons
 	return &YieldPassResponse{Tallies: tallies, ElapsedMS: int64(elapsed)}, nil
 }
 
+// frame is a 200 response written as a binary shard frame instead of
+// JSON: the pass responses.
+type frame interface {
+	appendFrame(buf []byte) []byte
+}
+
 // encBufPool recycles response encode buffers across shard-pass
 // requests so the warm worker encode path reuses storage instead of
 // allocating a fresh frame per range.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// wantsBinary reports whether the request's header h (Content-Type or
-// Accept) selects the binary shard codec.
-func wantsBinary(h string) bool {
-	return strings.Contains(h, wire.ContentType)
+// writeFrame writes resp's frame as the 200 body.
+func writeFrame(w http.ResponseWriter, resp frame) {
+	bp := encBufPool.Get().(*[]byte)
+	buf := resp.appendFrame((*bp)[:0])
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.Write(buf)
+	*bp = buf[:0]
+	encBufPool.Put(bp)
 }
 
-// shardRoutes installs the codec-negotiating /v1/shard/* handlers.
-func (s *Server) shardRoutes() {
-	s.mux.Handle(insertPassPath, s.passHandler(epInsertPass,
-		func(body []byte) (any, error) {
-			var req InsertPassRequest
-			err := json.Unmarshal(body, &req)
-			return req, err
-		},
-		func(body []byte) (any, error) { return decodeInsertPassRequest(body) },
-		func(r *http.Request, req any) (any, error) { return s.insertPass(r, req.(InsertPassRequest)) },
-		func(buf []byte, resp any) []byte { return appendInsertPassResponse(buf, resp.(*InsertPassResponse)) },
-	))
-	s.mux.Handle(yieldPassPath, s.passHandler(epYieldPass,
-		func(body []byte) (any, error) {
-			var req YieldPassRequest
-			err := json.Unmarshal(body, &req)
-			return req, err
-		},
-		func(body []byte) (any, error) { return decodeYieldPassRequest(body) },
-		func(r *http.Request, req any) (any, error) { return s.yieldPass(r, req.(YieldPassRequest)) },
-		func(buf []byte, resp any) []byte { return appendYieldPassResponse(buf, resp.(*YieldPassResponse)) },
-	))
+// decodeFrame reads a binary pass request and unframes it: 415 unless the
+// body is declared a shard frame, 400 if it does not unframe.
+func decodeFrame[T any](r *http.Request, unframe func([]byte) (T, error)) (T, error) {
+	var req T
+	if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
+		return req, &httpError{status: http.StatusUnsupportedMediaType, err: fmt.Errorf("shard passes take Content-Type %s, not %q", wire.ContentType, ct)}
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return req, badRequest("reading request: %v", err)
+	}
+	if req, err = unframe(body); err != nil {
+		return req, badRequest("decoding request: %v", err)
+	}
+	return req, nil
 }
 
-// passHandler wraps one /v1/shard/* endpoint with codec negotiation on
-// top of the jsonHandler duties (inflight limiting, body capping, error
-// mapping): the request decodes by Content-Type, the 200 response
-// encodes by Accept, and errors are always JSON.
-func (s *Server) passHandler(ep endpoint,
-	decodeJSON func([]byte) (any, error),
-	decodeBin func([]byte) (any, error),
-	handle func(*http.Request, any) (any, error),
-	appendBin func([]byte, any) []byte,
-) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.m.requests[ep].Add(1)
-		if r.Method != http.MethodPost {
-			s.fail(w, ep, http.StatusMethodNotAllowed, errors.New("POST only"))
-			return
-		}
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.m.rejected.Add(1)
-			s.fail(w, ep, http.StatusTooManyRequests, errors.New("server at max inflight requests"))
-			return
-		}
-		s.m.inflight.Add(1)
-		defer s.m.inflight.Add(-1)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-			return
-		}
-		var req any
-		if wantsBinary(r.Header.Get("Content-Type")) {
-			req, err = decodeBin(body)
-		} else {
-			req, err = decodeJSON(body)
-		}
-		if err != nil {
-			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		resp, err := handle(r, req)
-		if err != nil {
-			status := http.StatusInternalServerError
-			var he *httpError
-			if errors.As(err, &he) {
-				status = he.status
-			}
-			s.fail(w, ep, status, err)
-			return
-		}
-		if wantsBinary(r.Header.Get("Accept")) {
-			bp := encBufPool.Get().(*[]byte)
-			buf := appendBin((*bp)[:0], resp)
-			w.Header().Set("Content-Type", wire.ContentType)
-			w.Write(buf)
-			*bp = buf[:0]
-			encBufPool.Put(bp)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
+// postPass sends one pass range to w as a binary frame and unframes the
+// 200 body with unframe. header is the pass request's JSON form with a
+// zero Range, marshaled once per pass and shared by every range. A body
+// that does not unframe — truncated mid-frame, version-skewed, mangled,
+// or not a frame at all — classifies corrupt: the partial is discarded
+// and the range retries elsewhere, never merging.
+func postPass[T any](ctx context.Context, w *shard.Worker, path string, header []byte, r shard.Range, unframe func([]byte) (T, error)) (T, error) {
+	data, err := w.PostBody(ctx, path, wire.ContentType, appendPassRequest(nil, header, r))
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	resp, err := unframe(data)
+	if err != nil {
+		return resp, shard.Errf(shard.ClassCorrupt, "serve: decoding %s frame from %s: %w", path, w.Base, err)
+	}
+	return resp, nil
 }

@@ -96,9 +96,8 @@ func TestInsertPassResponseRoundTrip(t *testing.T) {
 		},
 		ElapsedMS: 42,
 	}
-	frame := appendInsertPassResponse(nil, resp)
-	var ob insertion.OutcomeBuf
-	got, err := decodeInsertPassResponse(frame, &ob)
+	frame := resp.appendFrame(nil)
+	got, err := decodeInsertPassResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +114,8 @@ func TestYieldPassResponseRoundTrip(t *testing.T) {
 		},
 		ElapsedMS: 7,
 	}
-	frame := appendYieldPassResponse(nil, resp)
-	var tb yield.TallyBuf
-	got, err := decodeYieldPassResponse(frame, &tb)
+	frame := resp.appendFrame(nil)
+	got, err := decodeYieldPassResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,37 +127,28 @@ func TestYieldPassResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for in, want := range map[string]string{
-		"":     CodecBinary,
-		"json": CodecJSON, "binary": CodecBinary, "mixed": CodecMixed,
-	} {
-		got, err := ParseCodec(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Fatal("ParseCodec accepted an unknown codec")
-	}
-}
-
 // TestTruncatedBinaryFrameClassifiesCorrupt is the truncate-mid-frame
-// guarantee: a worker whose 200 response carries a short binary frame
-// must classify ClassCorrupt at the coordinator — the partial is
-// discarded and retried, never merged.
+// guarantee: a worker whose 200 response carries a short binary frame —
+// or no frame at all, like a JSON body — must classify ClassCorrupt at
+// the coordinator: the partial is discarded and retried, never merged.
 func TestTruncatedBinaryFrameClassifiesCorrupt(t *testing.T) {
-	full := appendInsertPassResponse(nil, &InsertPassResponse{
+	resp := &InsertPassResponse{
 		Outcomes: []insertion.SampleOutcome{
 			{Feasible: true, Tuned: []insertion.Tuning{{FF: 1, Val: 2}}},
 			{Feasible: true},
 		},
 		ElapsedMS: 3,
-	})
+	}
+	full := resp.appendFrame(nil)
+	asJSON, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]byte{
 		"truncated":   full[:len(full)/2],
 		"mangled":     append([]byte{'!'}, full[1:]...), // chaos corrupt: first byte flipped
 		"wrong-count": appendPassRequest(nil, []byte("{}"), shard.Range{}),
+		"json":        asJSON, // a worker that answered JSON instead of a frame
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -169,12 +158,10 @@ func TestTruncatedBinaryFrameClassifiesCorrupt(t *testing.T) {
 			}))
 			defer ts.Close()
 			pool := shard.NewPoolWith([]string{ts.URL}, shard.Options{})
-			c := &Coordinator{Pool: pool, Codec: CodecBinary}
-			req := wireInsertReq()
-			header, _ := json.Marshal(req)
-			_, err := c.postInsertPass(context.Background(), pool.Workers()[0], req, header, shard.Range{Lo: 0, Hi: 2})
+			header, _ := json.Marshal(wireInsertReq())
+			_, err := postPass(context.Background(), pool.Workers()[0], insertPassPath, header, shard.Range{Lo: 0, Hi: 2}, decodeInsertPassResponse)
 			if err == nil {
-				t.Fatal("short/mangled binary frame decoded cleanly")
+				t.Fatal("short/mangled/non-frame body decoded cleanly")
 			}
 			if got := shard.ClassOf(err); got != shard.ClassCorrupt {
 				t.Fatalf("class = %v, want ClassCorrupt (err: %v)", got, err)
@@ -183,107 +170,26 @@ func TestTruncatedBinaryFrameClassifiesCorrupt(t *testing.T) {
 	}
 }
 
-// TestPassHandlerNegotiatesCodecs drives one worker endpoint through all
-// four Content-Type × Accept combinations and checks the response framing
-// follows Accept while the decoded payload stays identical.
-func TestPassHandlerNegotiatesCodecs(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := InsertPassRequest{
-		Circuit: tinySpec(),
-		Options: tinyOptions(),
-		T:       1e9, // generous period: every sample is feasible fast
-		Samples: 4,
-		Seed:    5,
-		Pass:    insertion.PassSpec{Kind: insertion.PassFloating},
-		Range:   shard.Range{Lo: 0, Hi: 4},
-	}
-	pool := shard.NewPoolWith([]string{ts.URL}, shard.Options{})
-	w := pool.Workers()[0]
-
-	var wantJSON string
-	for _, tc := range []struct{ reqCodec, respCodec string }{
-		{CodecJSON, CodecJSON},
-		{CodecJSON, CodecBinary},
-		{CodecBinary, CodecJSON},
-		{CodecBinary, CodecBinary},
-	} {
-		var body []byte
-		var err error
-		ct := "application/json"
-		if tc.reqCodec == CodecBinary {
-			hdr := req
-			hdr.Range = shard.Range{}
-			header, merr := json.Marshal(hdr)
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			body = appendPassRequest(nil, header, req.Range)
-			ct = wire.ContentType
-		} else if body, err = json.Marshal(req); err != nil {
-			t.Fatal(err)
-		}
-		accept := "application/json"
-		if tc.respCodec == CodecBinary {
-			accept = wire.ContentType
-		}
-		data, gotCT, err := w.PostBody(context.Background(), insertPassPath, ct, accept, body)
-		if err != nil {
-			t.Fatalf("%s→%s: %v", tc.reqCodec, tc.respCodec, err)
-		}
-		var resp InsertPassResponse
-		if tc.respCodec == CodecBinary {
-			if gotCT != wire.ContentType {
-				t.Fatalf("%s→%s: response Content-Type = %q", tc.reqCodec, tc.respCodec, gotCT)
-			}
-			var ob insertion.OutcomeBuf
-			p, err := decodeInsertPassResponse(data, &ob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp = *p
-		} else {
-			if gotCT == wire.ContentType {
-				t.Fatalf("%s→%s: JSON Accept answered binary", tc.reqCodec, tc.respCodec)
-			}
-			if err := json.Unmarshal(data, &resp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		resp.ElapsedMS = 0
-		j := reqJSON(t, resp.Outcomes)
-		if wantJSON == "" {
-			wantJSON = j
-		} else if j != wantJSON {
-			t.Fatalf("%s→%s: outcomes diverge across codecs:\n got  %s\n want %s", tc.reqCodec, tc.respCodec, j, wantJSON)
-		}
-	}
-}
-
 // FuzzWireRoundTrip feeds arbitrary bytes to every binary frame decoder:
 // nothing may panic, a clean decode must re-encode to a frame that
 // decodes to the same value, and a rejected frame must surface a wire
 // sentinel that the coordinator maps to ClassCorrupt.
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(appendInsertPassResponse(nil, &InsertPassResponse{
+	f.Add((&InsertPassResponse{
 		Outcomes:  []insertion.SampleOutcome{{Feasible: true, NK: 2, Tuned: []insertion.Tuning{{FF: 1, Val: 0.5}}}},
 		ElapsedMS: 9,
-	}))
-	f.Add(appendYieldPassResponse(nil, &YieldPassResponse{
+	}).appendFrame(nil))
+	f.Add((&YieldPassResponse{
 		Tallies:   []yield.SweepTally{{FirstZero: []int{1, 0}, FirstTuned: []int{1, 0}}, {FirstZero: []int{2}}},
 		ElapsedMS: 1,
-	}))
+	}).appendFrame(nil))
 	hdr, _ := json.Marshal(wireYieldReq())
 	f.Add(appendPassRequest(nil, hdr, shard.Range{Lo: 3, Hi: 9}))
 	f.Add([]byte{wire.Version})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ob insertion.OutcomeBuf
-		if resp, err := decodeInsertPassResponse(data, &ob); err == nil {
-			re := appendInsertPassResponse(nil, resp)
-			var ob2 insertion.OutcomeBuf
-			resp2, err := decodeInsertPassResponse(re, &ob2)
+		if resp, err := decodeInsertPassResponse(data); err == nil {
+			re := resp.appendFrame(nil)
+			resp2, err := decodeInsertPassResponse(re)
 			if err != nil {
 				t.Fatalf("re-encoded insert frame failed to decode: %v", err)
 			}
@@ -291,11 +197,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("insert frame not canonical:\n a %s\n b %s", reqJSON(t, resp), reqJSON(t, resp2))
 			}
 		}
-		var tb yield.TallyBuf
-		if resp, err := decodeYieldPassResponse(data, &tb); err == nil {
-			re := appendYieldPassResponse(nil, resp)
-			var tb2 yield.TallyBuf
-			resp2, err := decodeYieldPassResponse(re, &tb2)
+		if resp, err := decodeYieldPassResponse(data); err == nil {
+			re := resp.appendFrame(nil)
+			resp2, err := decodeYieldPassResponse(re)
 			if err != nil {
 				t.Fatalf("re-encoded yield frame failed to decode: %v", err)
 			}

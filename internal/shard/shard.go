@@ -284,55 +284,25 @@ func (w *Worker) Down() bool { return w.br.state() == brOpen }
 // or "open" (exported on /metrics).
 func (w *Worker) BreakerState() string { return w.br.state().String() }
 
-// Post sends one JSON request to a worker endpoint under ctx and decodes
-// the JSON response into out. Failures come back classified (*Error):
-// transport errors and 5xx are transient, 429 throttled, other 4xx fatal,
-// and a 2xx body that cannot be read or decoded is corrupt — the caller
-// must discard it, never merge it.
-func (w *Worker) Post(ctx context.Context, path string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return &Error{Class: ClassFatal, Err: fmt.Errorf("shard: encoding %s request: %w", path, err)}
-	}
-	data, _, err := w.PostBody(ctx, path, "application/json", "application/json", body)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return &Error{Class: ClassCorrupt, Status: http.StatusOK, Err: fmt.Errorf("shard: decoding %s%s response: %w", w.Base, path, err)}
-	}
-	return nil
-}
-
-// PostBody sends one pre-encoded request body to a worker endpoint under
-// ctx and returns the raw 200 response body together with its
-// Content-Type. contentType names the request encoding; accept, when
-// non-empty, is sent as the Accept header so the worker can answer in
-// the caller's preferred codec (error responses stay JSON regardless —
-// the negotiated codec covers only successful payloads). Failures come
-// back classified exactly like Post: transport errors and 5xx are
+// PostBody sends one pre-encoded request body (of MIME type contentType)
+// to a worker endpoint under ctx and returns the raw 200 response body.
+// Failures come back classified (*Error): transport errors and 5xx are
 // transient, 429 throttled, other 4xx fatal, and a 2xx body that cannot
 // be read is corrupt — the caller must discard it, never merge it. A
 // body that reads fully but fails the caller's decode must likewise be
 // classified corrupt by the caller.
-func (w *Worker) PostBody(ctx context.Context, path, contentType, accept string, body []byte) ([]byte, string, error) {
+func (w *Worker) PostBody(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, "", &Error{Class: ClassFatal, Err: fmt.Errorf("shard: building %s%s request: %w", w.Base, path, err)}
+		return nil, &Error{Class: ClassFatal, Err: fmt.Errorf("shard: building %s%s request: %w", w.Base, path, err)}
 	}
 	hreq.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		hreq.Header.Set("Accept", accept)
-	}
 	resp, err := w.client.Do(hreq)
 	if err != nil {
-		return nil, "", &Error{Class: ClassTransient, Err: fmt.Errorf("shard: POST %s%s: %w", w.Base, path, err)}
+		return nil, &Error{Class: ClassTransient, Err: fmt.Errorf("shard: POST %s%s: %w", w.Base, path, err)}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
@@ -344,7 +314,7 @@ func (w *Worker) PostBody(ctx context.Context, path, contentType, accept string,
 		if resp.StatusCode == http.StatusOK {
 			class = ClassCorrupt
 		}
-		return nil, "", &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: reading %s%s response: %w", w.Base, path, err)}
+		return nil, &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: reading %s%s response: %w", w.Base, path, err)}
 	}
 	if resp.StatusCode != http.StatusOK {
 		class := classifyStatus(resp.StatusCode)
@@ -352,11 +322,11 @@ func (w *Worker) PostBody(ctx context.Context, path, contentType, accept string,
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return nil, "", &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: %s%s: %s (HTTP %d)", w.Base, path, e.Error, resp.StatusCode)}
+			return nil, &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: %s%s: %s (HTTP %d)", w.Base, path, e.Error, resp.StatusCode)}
 		}
-		return nil, "", &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: %s%s: HTTP %d", w.Base, path, resp.StatusCode)}
+		return nil, &Error{Class: class, Status: resp.StatusCode, Err: fmt.Errorf("shard: %s%s: HTTP %d", w.Base, path, resp.StatusCode)}
 	}
-	return data, resp.Header.Get("Content-Type"), nil
+	return data, nil
 }
 
 // healthy probes the worker's health endpoint (short timeout; aborted

@@ -23,8 +23,8 @@ import (
 	"math"
 )
 
-// ContentType is the MIME type negotiated on /v1/shard/* for the binary
-// codec ("application/json" remains the debug/compat surface).
+// ContentType is the MIME type of every /v1/shard/* request and 200
+// response: the binary frame is the shard plane's only framing.
 const ContentType = "application/x-bufins-shard"
 
 // Version is the frame version byte leading every binary payload.

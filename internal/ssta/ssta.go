@@ -250,13 +250,6 @@ func (a *Analyzer) Hold(id int) variation.Canonical { return a.hold[id] }
 // mutate it.
 func (a *Analyzer) GateDelay(node int) variation.Canonical { return a.gateDelay[node] }
 
-// SetGateDelay replaces the canonical delay of a node. The caller is
-// responsible for following up with RepropagateCone(node) (or a full
-// PairDelays) before reading pairs.
-func (a *Analyzer) SetGateDelay(node int, d variation.Canonical) {
-	variation.CopyInto(&a.gateDelay[node], d)
-}
-
 // AddDelay adds a deterministic delta (ps) to the nominal delay of a node
 // — the what-if edit of a buffer insertion at the node's output, or a
 // clk→Q shift for a DFF. Setup/hold forms are unaffected.

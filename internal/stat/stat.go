@@ -43,9 +43,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanStd returns both the mean and the sample standard deviation in one pass.
 func MeanStd(xs []float64) (mean, std float64) {
 	n := len(xs)

@@ -18,7 +18,7 @@ out="${1:-BENCH_$(date -u +%Y%m%d).json}"
 # ci.sh smokes them for one iteration); TestWarmSpeedup asserts the ≥10×
 # warm ratio. Disable with BENCH_SERVE=off.
 pattern="${BENCH_PATTERN:-LPSolve|MILPMinCount|SampleSolve|DiffconFeasibility|SSTAPairDelays|SSTAPrepareCold|SSTARepropagateCone|ChipRealization|YieldSweep|YieldPerPeriod|AdaptiveYield|ShardWire}"
-serve_pattern="${BENCH_SERVE_PATTERN:-ServeWarmQuery|ServeColdPrepare|ShardedYieldSweep|ShardPassCodec}"
+serve_pattern="${BENCH_SERVE_PATTERN:-ServeWarmQuery|ServeColdPrepare|ShardedYieldSweep}"
 benchtime="${BENCH_TIME:-1s}"
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . |

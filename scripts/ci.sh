@@ -179,21 +179,6 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     start_daemon coordinator -workers "$w1,$w2" -shards 6
     "$smokedir/bufinsd" -check "$daemon_url" -expect-shards -expect-waves
 
-    echo "== codec matrix (json / binary / mixed shard framing) =="
-    # One coordinator per wire framing over the same worker pair. Each run
-    # independently proves byte-identity against the in-process flow; on top
-    # of that the -check outputs must agree byte-for-byte across codecs once
-    # the counter echoes (scheduling-dependent retry/hedge tallies) are
-    # filtered out — the codec is pure transport, invisible in every result.
-    for c in json binary mixed; do
-        start_daemon "coord-$c" -workers "$w1,$w2" -shards 6 -codec "$c"
-        "$smokedir/bufinsd" -check "$daemon_url" -expect-shards -expect-waves |
-            tee "$smokedir/check-$c.out" |
-            grep -v '^bufinsd check: bufinsd_' >"$smokedir/check-$c.filtered"
-    done
-    diff "$smokedir/check-json.filtered" "$smokedir/check-binary.filtered"
-    diff "$smokedir/check-binary.filtered" "$smokedir/check-mixed.filtered"
-
     cleanup_smoke
     trap - EXIT
 
@@ -201,7 +186,7 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     go test -run '^$' \
         -bench 'LPSolve|MILPMinCount|SampleSolve|DiffconFeasibility|SSTAPairDelays|SSTAPrepareCold|SSTARepropagateCone|ChipRealization|YieldSweep|AdaptiveYield|ShardWire' \
         -benchtime=1x .
-    go test -run '^$' -bench 'ServeWarmQuery|ServeColdPrepare|ShardedYieldSweep|ShardPassCodec' -benchtime=1x ./internal/serve
+    go test -run '^$' -bench 'ServeWarmQuery|ServeColdPrepare|ShardedYieldSweep' -benchtime=1x ./internal/serve
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "chaos" ]; then
@@ -223,7 +208,7 @@ if [ "$stage" = "all" ] || [ "$stage" = "chaos" ]; then
         -range-timeout 1s -retries 8
     "$smokedir/bufinsd" -check "$daemon_url" -expect-shards
 
-    echo "== chaos smoke (truncate-mid-frame, binary codec) =="
+    echo "== chaos smoke (truncate-mid-frame) =="
     # Truncation-only schedule against the default binary framing: a short
     # frame must be classified corrupt by the wire decoder (counted, then
     # retried on a clean attempt) — never a panic, never a partial batch
@@ -279,17 +264,19 @@ if [ "$stage" = "store" ]; then
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
-    echo "== fuzz (solver equivalence + wire round-trip, short budget) =="
+    echo "== fuzz (solver equivalence + wire and .bench round-trip, short budget) =="
     # Cross-check the warm-start solver paths against cold solves and the
-    # brute-force oracle, and hammer the shard wire decoders with arbitrary
-    # frames (must reject or round-trip, never panic). Off by default
-    # (it adds ~4x CI_FUZZ_TIME of wall time); the CI workflow enables it.
+    # brute-force oracle, hammer the shard wire decoders with arbitrary
+    # frames, and feed the .bench parser arbitrary netlist text (each must
+    # reject or round-trip, never panic). Off by default (it adds ~5x
+    # CI_FUZZ_TIME of wall time); the CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzSolveFromBasis' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
+        go test -run '^$' -fuzz 'FuzzParseBench' -fuzztime "$fuzztime" ./internal/ckt
     else
         echo "skipped (CI_FUZZ=off)"
     fi
