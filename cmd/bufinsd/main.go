@@ -178,6 +178,9 @@ func main() {
 		}
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	// Boot-time warm-up runs through the public API (a client against
 	// ourselves) so it exercises the same path requests take; the listener
 	// is already up, so /healthz works while presets prepare.
@@ -190,7 +193,7 @@ func main() {
 					continue
 				}
 				start := time.Now()
-				if _, err := cl.Prepare(serve.PrepareRequest{
+				if _, err := cl.Prepare(ctx, serve.PrepareRequest{
 					Circuit: serve.CircuitSpec{Preset: name},
 				}); err != nil {
 					fmt.Fprintf(os.Stderr, "bufinsd: warm-up %s: %v\n", name, err)
@@ -202,8 +205,6 @@ func main() {
 	}
 
 	srv := &http.Server{Handler: s.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -362,6 +363,7 @@ func checkAdaptiveWaves(metricsText string) error {
 }
 
 func runCheckFlow(base string) error {
+	ctx := context.Background()
 	cl := serve.NewClient(base)
 	if err := cl.Health(); err != nil {
 		return err
@@ -374,18 +376,18 @@ func runCheckFlow(base string) error {
 		evalSamples = 300
 		evalSeed    = seed + 0x1000
 	)
-	prep, err := cl.Prepare(serve.PrepareRequest{Circuit: spec, Options: opt})
+	prep, err := cl.Prepare(ctx, serve.PrepareRequest{Circuit: spec, Options: opt})
 	if err != nil {
 		return err
 	}
 	k := targetK
-	ins, err := cl.Insert(serve.InsertRequest{
+	ins, err := cl.Insert(ctx, serve.InsertRequest{
 		Circuit: spec, Options: opt, TargetK: &k, Samples: samples, Seed: seed,
 	})
 	if err != nil {
 		return err
 	}
-	yld, err := cl.Yield(serve.YieldRequest{
+	yld, err := cl.Yield(ctx, serve.YieldRequest{
 		Circuit: spec, Options: opt, EvalSamples: evalSamples, Seed: evalSeed,
 		Queries: []serve.YieldQuery{{Plan: ins.Plan}},
 	})
@@ -446,7 +448,7 @@ func runCheckFlow(base string) error {
 	)
 	easy := b.Period.Mu + 3.5*b.Period.Sigma
 	aQueries := []serve.YieldQuery{{Plan: ins.Plan, Periods: []float64{easy}}}
-	ayld, err := cl.Yield(serve.YieldRequest{
+	ayld, err := cl.Yield(ctx, serve.YieldRequest{
 		Circuit: spec, Options: opt, EvalSamples: adaptiveCap, Seed: evalSeed,
 		Eps: adaptiveEps, Conf: adaptiveConf, Queries: aQueries,
 	})

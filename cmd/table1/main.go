@@ -6,10 +6,17 @@
 // The paper uses 10 000 insertion samples; the default here is 1000 for a
 // laptop-scale run — pass -samples 10000 to match the paper exactly.
 //
-// With -server the preparation, insertion, and yield measurement run in a
-// bufinsd daemon, so regenerating the table over an already-warm cache
-// skips the per-circuit SSTA; the reported numbers are identical (the
-// runtime column then measures the daemon-side flow time).
+// Each circuit is the service's three calls — Prepare, Insert per target,
+// one batched Yield — on a serve.Service: an in-process serve.Server by
+// default, sharding its sample loops over the -workers daemons if given,
+// or a serve.Client for the bufinsd daemon at -server, whose warm cache
+// skips the per-circuit SSTA. The rows are identical either way; the
+// runtime column is the service-side flow time.
+//
+// In-process runs follow the daemon's request semantics: -samples 0 is an
+// error, and at most 2²⁰ insertion samples, 2²⁴ eval chips and 2²⁵ eval
+// chips × sweeps are accepted. ^C cancels -server and -workers runs
+// promptly; an in-process insertion finishes first.
 //
 // Usage:
 //
@@ -29,10 +36,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/gen"
-	"repro/internal/insertion"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tabular"
@@ -78,18 +83,26 @@ func main() {
 		}
 	}
 
-	// One pool for the whole table: worker health and shard counters carry
+	// One service for the whole table, so in-process worker health carries
 	// across circuits (a worker that died on s9234 is not retried on every
-	// later circuit — the per-pass probe revives it if it comes back).
-	// Without -workers the pool is empty and every pass runs in-process.
-	pool := shard.NewPoolWith(strings.Split(*workers, ","), shard.Options{
-		RangeTimeout:  *rangeTimeout,
-		MaxAttempts:   *retries,
-		HedgeMultiple: *hedge,
-	})
+	// later circuit — the per-pass probe revives it if it comes back). A
+	// one-shot table gains nothing from the bench and population caches.
+	var svc serve.Service
+	if *server != "" {
+		svc = serve.NewClient(*server)
+	} else {
+		var pool []string // nil, not [""], without -workers
+		if *workers != "" {
+			pool = strings.Split(*workers, ",")
+		}
+		svc = serve.New(serve.Config{Workers: pool, Shards: *shards, MaxBenches: 1, MaxPopulationMB: 1,
+			Dispatch: shard.Options{RangeTimeout: *rangeTimeout, MaxAttempts: *retries, HedgeMultiple: *hedge}})
+	}
+	rc := expt.RowConfig{InsertSamples: *samples, EvalSamples: *evalN, Seed: *seed, Eps: *eps, Conf: *conf}
 
-	// ctx covers every sharded pass of the table: ^C releases all in-flight
-	// worker ranges instead of leaking minutes of solver work.
+	// ctx covers every call of the table: ^C abandons a -server request and
+	// releases all in-flight worker ranges instead of leaking minutes of
+	// solver work.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -97,13 +110,7 @@ func main() {
 	tb.SetTitle(fmt.Sprintf("Table I reproduction (%d insertion samples, %d eval chips)", *samples, *evalN))
 	grand := time.Now()
 	for _, name := range names {
-		var rows []expt.Row
-		var err error
-		if *server != "" {
-			rows, err = serverRows(*server, name, *samples, *evalN, *seed, *eps, *conf)
-		} else {
-			rows, err = localRows(ctx, pool, *shards, name, *samples, *evalN, *seed, *eps, *conf)
-		}
+		rows, err := tableRows(ctx, svc, serve.CircuitSpec{Preset: name}, expt.Options{}, rc)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -130,66 +137,34 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total wall time: %v\n", time.Since(grand))
 }
 
-// localRows prepares the bench in-process and runs the shared-evaluation
-// row batch through a coordinator over pool. With workers, every Monte
-// Carlo sample loop — the flow's step-1/B1/step-2 passes and the yield
-// evaluation — shards across them; with an empty pool everything runs in
-// this process. Rows are byte-identical either way (the reductions are
-// shared code over merged k-indexed partials); only the runtime column
-// reflects the distributed schedule.
-func localRows(ctx context.Context, pool *shard.Pool, shards int, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
-	b, err := expt.PreparePreset(name, expt.Options{})
+// tableRows computes one circuit's Table I rows through svc: one prepare,
+// one insert per target, and a single batched yield request, so the
+// evaluation population is realized once per circuit. The rows equal
+// expt.RunRows(bench, expt.Targets, rc) on every field but Runtime (here
+// the service-side flow time) and Insert (nil: only the plan crosses the
+// service).
+func tableRows(ctx context.Context, svc serve.Service, spec serve.CircuitSpec, opt expt.Options, rc expt.RowConfig) ([]expt.Row, error) {
+	prep, err := svc.Prepare(ctx, serve.PrepareRequest{Circuit: spec, Options: opt})
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "%s: µT=%.1f σT=%.1f (hold-viol rate %.4f)\n",
-		name, b.Period.Mu, b.Period.Sigma, b.Period.HoldViolRate)
-	coord := serve.NewCoordinator(pool, shards,
-		serve.CircuitSpec{Preset: name}, expt.Options{},
-		core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
-	// RowConfig's hooks are ctx-free; bind the run context here so the
-	// expt layer stays ignorant of the dispatch plane. One shared
-	// evaluation pass measures all three targets' yields: the fresh-chip
-	// population is realized once per circuit.
-	return expt.RunRows(b, expt.Targets, expt.RowConfig{
-		InsertSamples: samples,
-		EvalSamples:   evalN,
-		Seed:          seed,
-		Eps:           eps,
-		Conf:          conf,
-		Pass:          func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(ctx, cfg) },
-		Tally:         coord.RowTally(ctx),
-	})
-}
-
-// serverRows reproduces the same rows through a bufinsd daemon: one
-// prepare, one insert per target, and a single batched yield request — the
-// daemon realizes the evaluation population once per circuit, exactly like
-// the in-process shared pass.
-func serverRows(base, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
-	cl := serve.NewClient(base)
-	spec := serve.CircuitSpec{Preset: name}
-	opt := expt.Options{}
-	prep, err := cl.Prepare(serve.PrepareRequest{Circuit: spec, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "%s: µT=%.1f σT=%.1f (hold-viol rate %.4f)\n",
-		name, prep.Mu, prep.Sigma, prep.HoldViolRate)
+		prep.Name, prep.Mu, prep.Sigma, prep.HoldViolRate)
 	rows := make([]expt.Row, len(expt.Targets))
 	yreq := serve.YieldRequest{
 		Circuit: spec, Options: opt,
-		EvalSamples: evalN, Seed: seed + 0x1000,
-		Eps: eps, Conf: conf,
+		EvalSamples: rc.EvalSamples, Seed: rc.Seed + 0x1000,
+		Eps: rc.Eps, Conf: rc.Conf,
 	}
 	for i, target := range expt.Targets {
 		k := float64(target)
-		ins, err := cl.Insert(serve.InsertRequest{
+		ins, err := svc.Insert(ctx, serve.InsertRequest{
 			Circuit: spec, Options: opt,
-			TargetK: &k, Samples: samples, Seed: seed,
+			TargetK: &k, Samples: rc.InsertSamples, Seed: rc.Seed,
+			MaxBuffers: rc.MaxBuffers, Workers: rc.Workers,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("insert %s@%v: %w", name, target, err)
+			return nil, fmt.Errorf("insert %s@%v: %w", prep.Name, target, err)
 		}
 		rows[i] = expt.Row{
 			Circuit: prep.Name,
@@ -203,12 +178,12 @@ func serverRows(base, name string, samples, evalN int, seed uint64, eps, conf fl
 		}
 		yreq.Queries = append(yreq.Queries, serve.YieldQuery{Plan: ins.Plan})
 	}
-	yld, err := cl.Yield(yreq)
+	yld, err := svc.Yield(ctx, yreq)
 	if err != nil {
-		return nil, fmt.Errorf("yield %s: %w", name, err)
+		return nil, fmt.Errorf("yield %s: %w", prep.Name, err)
 	}
 	for i := range rows {
-		if eps > 0 {
+		if rc.Eps > 0 {
 			rep := yld.Results[i].Adaptive[0]
 			rows[i].Yo = rep.Original[0].Estimate * 100
 			rows[i].Y = rep.Tuned[0].Estimate * 100

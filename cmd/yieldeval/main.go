@@ -4,20 +4,24 @@
 // "where does the paper's method sit between no tuning and unlimited
 // tuning?" for any circuit.
 //
-// All (period, strategy) queries of a run are answered from one batched
-// evaluation pass (serve.Coordinator.Evaluate): each fresh chip is
-// realized exactly once and handed to every strategy's sweep evaluator, so
-// a 10-period × 4-strategy sweep costs one chip population, not forty.
+// A run is the service's three calls — Prepare, Insert, Yield — on a
+// serve.Service: an in-process serve.Server by default, sharding its
+// sample loops over the -workers daemons if given, or a serve.Client for
+// the bufinsd daemon at -server. The same deterministic code runs on the
+// same seeds either way, so the output is byte-identical. All (period,
+// strategy) queries go in one Yield request, answered from one pass that
+// hands each fresh chip to every strategy's sweep evaluator: a 10-period ×
+// 4-strategy sweep costs one chip population, not forty.
 //
-// With -server the preparation, insertion, and evaluation run inside a
-// bufinsd daemon instead of this process; the daemon executes the same
-// deterministic code on the same seeds, so the output is byte-identical —
-// the warm bench cache just answers repeat circuits in milliseconds.
+// In-process runs follow the daemon's request semantics: -seed 0 is seed
+// 0, -samples 0 is an error, and at most 2²⁰ insertion samples, 2²⁴ eval
+// chips and 2²⁵ eval chips × sweeps are accepted. ^C cancels -server and
+// -workers runs promptly; an in-process insertion finishes first.
 //
 // With -eps the evaluation is sequential: chips arrive in escalating waves
 // until every reported yield is known to ±eps at the -conf confidence level
-// (valid under optional stopping), with -eval as the sample cap. All three
-// backends run the identical wave schedule, and -eps 0 is exactly the
+// (valid under optional stopping), with -eval as the sample cap. Every
+// mode runs the identical wave schedule, and -eps 0 is exactly the
 // fixed-n pass.
 //
 // Usage:
@@ -29,6 +33,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -39,13 +44,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tabular"
-	"repro/internal/yield"
 )
 
 // fatalf is the single failure path: message to stderr, non-zero exit, so
@@ -81,15 +83,6 @@ type options struct {
 	hedge        float64
 
 	ctx context.Context
-}
-
-// dispatchOptions maps the CLI's dispatch flags onto the shard plane.
-func (o options) dispatchOptions() shard.Options {
-	return shard.Options{
-		RangeTimeout:  o.rangeTimeout,
-		MaxAttempts:   o.retries,
-		HedgeMultiple: o.hedge,
-	}
 }
 
 func main() {
@@ -153,49 +146,27 @@ func adaptiveFooter(results []serve.YieldResult, evalN int) string {
 	return ""
 }
 
-// backend abstracts where the heavy lifting happens: in this process or in
-// a bufinsd daemon. Both implementations run the same deterministic code
-// on the same seeds, so run's output is byte-identical either way (proven
-// in main_test.go).
-type backend interface {
-	summary() string
-	targetPeriod(k float64) float64
-	// insert runs the flow at period µT + k·σT and returns the plan.
-	insert(k float64, samples int, seed uint64) (insertion.Plan, error)
-	// evaluate answers every query from one shared realization pass over
-	// evalN fresh chips of universe seed.
-	evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error)
-}
-
 // strategySeed is the fixed randk seed of the comparison set.
 const strategySeed = 5
 
 func run(o options, out io.Writer) error {
-	var (
-		be  backend
-		err error
-	)
-	if o.server != "" {
-		be, err = newServerBackend(o)
-	} else {
-		be, err = newLocalBackend(o)
-	}
+	se, err := newSession(o)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, be.summary())
+	fmt.Fprintln(out, se.prep.Summary)
 	fmt.Fprintln(out)
 	switch {
 	case o.planFile != "":
-		return runPlanMode(be, o, out)
+		return runPlanMode(se, o, out)
 	case o.periods > 0:
-		return runSweepMode(be, o, out)
+		return runSweepMode(se, o, out)
 	}
-	return runClassicMode(be, o, out)
+	return runClassicMode(se, o, out)
 }
 
 // runPlanMode evaluates a saved plan at its own target period.
-func runPlanMode(be backend, o options, out io.Writer) error {
+func runPlanMode(se *session, o options, out io.Writer) error {
 	f, err := os.Open(o.planFile)
 	if err != nil {
 		return err
@@ -205,7 +176,7 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := be.evaluate([]serve.YieldQuery{{Plan: *plan}}, o.evalN, o.seed+0x1000)
+	res, err := se.evaluate([]serve.YieldQuery{{Plan: *plan}}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
@@ -230,7 +201,7 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 
 // runClassicMode reproduces the three-target strategy table: one insertion
 // per target, every (target, strategy) yield from one shared pass.
-func runClassicMode(be backend, o options, out io.Writer) error {
+func runClassicMode(se *session, o options, out io.Writer) error {
 	type targetRow struct {
 		k, T float64
 		nb   int
@@ -238,14 +209,14 @@ func runClassicMode(be backend, o options, out io.Writer) error {
 	var rows []targetRow
 	var queries []serve.YieldQuery
 	for _, k := range []float64{0, 1, 2} {
-		plan, err := be.insert(k, o.samples, o.seed)
+		plan, err := se.insert(k, o.samples, o.seed)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, targetRow{k: k, T: plan.T, nb: len(plan.Groups)})
 		queries = append(queries, serve.YieldQuery{Plan: plan, Strategies: true, StrategySeed: strategySeed})
 	}
-	results, err := be.evaluate(queries, o.evalN, o.seed+0x1000)
+	results, err := se.evaluate(queries, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
@@ -272,8 +243,8 @@ func runClassicMode(be backend, o options, out io.Writer) error {
 
 // runSweepMode runs the insertion once at µT+σ and evaluates every
 // strategy across a fine period sweep in a single chip-realization pass.
-func runSweepMode(be backend, o options, out io.Writer) error {
-	plan, err := be.insert(1, o.samples, o.seed)
+func runSweepMode(se *session, o options, out io.Writer) error {
+	plan, err := se.insert(1, o.samples, o.seed)
 	if err != nil {
 		return err
 	}
@@ -281,12 +252,12 @@ func runSweepMode(be backend, o options, out io.Writer) error {
 	if o.periods == 1 {
 		Ts[0] = plan.T // single-point sweep: just the insertion target
 	} else {
-		lo, hi := be.targetPeriod(0), be.targetPeriod(2)
+		lo, hi := se.targetPeriod(0), se.targetPeriod(2)
 		for i := range Ts {
 			Ts[i] = lo + (hi-lo)*float64(i)/float64(o.periods-1)
 		}
 	}
-	results, err := be.evaluate([]serve.YieldQuery{{Plan: plan, Periods: Ts, Strategies: true, StrategySeed: strategySeed}}, o.evalN, o.seed+0x1000)
+	results, err := se.evaluate([]serve.YieldQuery{{Plan: plan, Periods: Ts, Strategies: true, StrategySeed: strategySeed}}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
@@ -312,140 +283,62 @@ func runSweepMode(be backend, o options, out io.Writer) error {
 	return nil
 }
 
-// ---------------- local backend ----------------
+// session is one prepared circuit on the service that runs it: a bufinsd
+// daemon with -server, otherwise an in-process server coordinating the
+// -workers shard daemons, if any. A one-shot run gains nothing from a
+// population cache, so the in-process server streams every population.
+type session struct {
+	o    options
+	svc  serve.Service
+	spec serve.CircuitSpec
+	prep *serve.PrepareResponse
+}
 
-// circuitSpecOf maps the CLI's circuit selection onto the service schema —
-// shared by -server and -workers modes so daemon-side bench keys (and the
-// fallback circuit name of an inline netlist) are identical in both.
-func circuitSpecOf(o options) (serve.CircuitSpec, error) {
+func newSession(o options) (*session, error) {
+	o.ctx = cmp.Or(o.ctx, context.Background())
+	se := &session{o: o, spec: serve.CircuitSpec{Preset: o.preset}}
 	if o.bench != "" {
 		text, err := os.ReadFile(o.bench)
 		if err != nil {
-			return serve.CircuitSpec{}, err
+			return nil, err
 		}
-		return serve.CircuitSpec{Bench: string(text), BenchName: o.bench}, nil
+		// The path is the fallback name of a netlist without a "# name".
+		se.spec = serve.CircuitSpec{Bench: string(text), BenchName: o.bench}
 	}
-	return serve.CircuitSpec{Preset: o.preset}, nil
-}
-
-type localBackend struct {
-	ctx context.Context
-	sys *core.System
-	// coord shards the sample loops over worker daemons (-workers mode);
-	// its pool is empty otherwise, so everything runs in this process.
-	// Either way the reductions are shared code, so the output is
-	// byte-identical.
-	coord *serve.Coordinator
-	prec  yield.Precision
-}
-
-func newLocalBackend(o options) (backend, error) {
-	var (
-		sys *core.System
-		err error
-	)
-	if o.bench != "" {
-		f, ferr := os.Open(o.bench)
-		if ferr != nil {
-			return nil, ferr
-		}
-		sys, err = core.FromBench(f, o.bench, expt.Options{})
-		f.Close()
+	if o.server != "" {
+		se.svc = serve.NewClient(o.server)
 	} else {
-		sys, err = core.FromPreset(o.preset, expt.Options{})
+		var workers []string // nil, not [""], without -workers
+		if o.workers != "" {
+			workers = strings.Split(o.workers, ",")
+		}
+		se.svc = serve.New(serve.Config{Workers: workers, Shards: o.shards, MaxPopulationMB: 1,
+			Dispatch: shard.Options{RangeTimeout: o.rangeTimeout, MaxAttempts: o.retries, HedgeMultiple: o.hedge}})
 	}
-	if err != nil {
-		return nil, err
-	}
-	spec, err := circuitSpecOf(o)
-	if err != nil {
-		return nil, err
-	}
-	b := &localBackend{ctx: o.ctx, sys: sys, prec: yield.Precision{Eps: o.eps, Conf: o.conf}}
-	if b.ctx == nil {
-		b.ctx = context.Background()
-	}
-	b.coord = serve.NewCoordinator(
-		shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
-		spec, expt.Options{}, sys,
-		insertion.NewRunner(sys.Graph(), sys.Bench().Placement))
-	return b, nil
+	var err error
+	se.prep, err = se.svc.Prepare(o.ctx, serve.PrepareRequest{Circuit: se.spec})
+	return se, err
 }
 
-func (b *localBackend) summary() string                { return b.sys.Summary() }
-func (b *localBackend) targetPeriod(k float64) float64 { return b.sys.TargetPeriod(k) }
+// targetPeriod is µT + k·σT over the prepared distribution, the same
+// arithmetic the service resolves a TargetK with.
+func (se *session) targetPeriod(k float64) float64 { return se.prep.Mu + k*se.prep.Sigma }
 
-func (b *localBackend) insert(k float64, samples int, seed uint64) (insertion.Plan, error) {
-	T := b.sys.TargetPeriod(k)
-	// Resolve the defaults before the executor captures the configuration:
-	// the wire protocol ships exactly the values the flow runs with.
-	cfg := b.sys.ResolveInsertConfig(T, insertion.Config{Samples: samples, Seed: seed})
-	cfg.Pass = b.coord.InsertPass(b.ctx, cfg)
-	res, err := b.sys.Insert(T, cfg)
-	if err != nil {
-		return insertion.Plan{}, err
-	}
-	return res.Plan(b.sys.Name()), nil
-}
-
-// evaluate runs serve.Coordinator.Evaluate — the exact code the daemon's
-// /v1/yield runs — so local, sharded, and server mode cannot drift apart.
-func (b *localBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
-	return b.coord.Evaluate(b.ctx, evalN, seed, queries, b.prec)
-}
-
-// ---------------- server backend ----------------
-
-type serverBackend struct {
-	cl        *serve.Client
-	spec      serve.CircuitSpec
-	opt       expt.Options
-	prep      *serve.PrepareResponse
-	eps, conf float64
-}
-
-func newServerBackend(o options) (backend, error) {
-	// The daemon receives inline netlists with BenchName carrying the file
-	// path, so a netlist without a "# name" comment still gets the same
-	// fallback name the local path uses.
-	spec, err := circuitSpecOf(o)
-	if err != nil {
-		return nil, err
-	}
-	b := &serverBackend{cl: serve.NewClient(o.server), spec: spec, opt: expt.Options{}, eps: o.eps, conf: o.conf}
-	prep, err := b.cl.Prepare(serve.PrepareRequest{Circuit: spec, Options: b.opt})
-	if err != nil {
-		return nil, err
-	}
-	b.prep = prep
-	return b, nil
-}
-
-func (b *serverBackend) summary() string { return b.prep.Summary }
-
-func (b *serverBackend) targetPeriod(k float64) float64 {
-	// Same arithmetic as core.System.TargetPeriod over the exact µ/σ the
-	// daemon reported (float64 survives JSON round-trips bit-exactly).
-	return b.prep.Mu + k*b.prep.Sigma
-}
-
-func (b *serverBackend) insert(k float64, samples int, seed uint64) (insertion.Plan, error) {
-	resp, err := b.cl.Insert(serve.InsertRequest{
-		Circuit: b.spec, Options: b.opt,
-		TargetK: &k, Samples: samples, Seed: seed,
-	})
+// insert runs the flow at period µT + k·σT and returns the plan.
+func (se *session) insert(k float64, samples int, seed uint64) (insertion.Plan, error) {
+	resp, err := se.svc.Insert(se.o.ctx, serve.InsertRequest{Circuit: se.spec, TargetK: &k, Samples: samples, Seed: seed})
 	if err != nil {
 		return insertion.Plan{}, err
 	}
 	return resp.Plan, nil
 }
 
-func (b *serverBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
-	resp, err := b.cl.Yield(serve.YieldRequest{
-		Circuit: b.spec, Options: b.opt,
-		EvalSamples: evalN, Seed: seed,
-		Eps: b.eps, Conf: b.conf,
-		Queries: queries,
+// evaluate answers every query from one shared pass over evalN fresh chips
+// of universe seed.
+func (se *session) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
+	resp, err := se.svc.Yield(se.o.ctx, serve.YieldRequest{
+		Circuit: se.spec, EvalSamples: evalN, Seed: seed,
+		Eps: se.o.eps, Conf: se.o.conf, Queries: queries,
 	})
 	if err != nil {
 		return nil, err

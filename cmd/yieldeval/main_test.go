@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -107,31 +109,7 @@ func TestServerModeSweepByteIdentical(t *testing.T) {
 func TestServerModePlanByteIdentical(t *testing.T) {
 	bench := writeTinyBench(t)
 	url := startDaemon(t)
-	// Build a plan file the way bufins -saveplan would.
-	f, err := os.Open(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.FromBench(f, bench, expt.Options{})
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Insert(sys.TargetPeriod(1), insertion.Config{Samples: 120, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := res.Plan(sys.Name())
-	planPath := filepath.Join(t.TempDir(), "plan.json")
-	pf, err := os.Create(planPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Save(pf); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-	requireIdentical(t, options{bench: bench, evalN: 300, seed: 5, planFile: planPath}, url)
+	requireIdentical(t, options{bench: bench, evalN: 300, seed: 5, planFile: savePlan(t, bench)}, url)
 }
 
 // requireIdenticalSharded runs the same query in-process and with the
@@ -210,4 +188,63 @@ func TestAdaptiveByteIdenticalAcrossBackends(t *testing.T) {
 	}
 	requireIdentical(t, o, startDaemon(t))
 	requireIdenticalSharded(t, o, []string{startDaemon(t), startDaemon(t)}, 7)
+}
+
+// savePlan writes the µT+σ plan of the bench the way bufins -saveplan
+// would, for the -plan option set.
+func savePlan(t *testing.T, bench string) string {
+	t.Helper()
+	f, err := os.Open(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.FromBench(f, bench, expt.Options{})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Insert(sys.TargetPeriod(1), insertion.Config{Samples: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "plan.json")
+	pf, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	plan := res.Plan(sys.Name())
+	if err := plan.Save(pf); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunDigests pins run()'s stdout for the classic, sweep, plan and
+// adaptive option sets to digests recorded before the CLI moved onto the
+// service surface. The plan file's temp path is printed, so it is replaced
+// by a fixed token before hashing.
+func TestRunDigests(t *testing.T) {
+	bench := writeTinyBench(t)
+	plan := savePlan(t, bench)
+	cases := []struct {
+		name string
+		o    options
+		want string
+	}{
+		{"classic", options{bench: bench, samples: 120, evalN: 300, seed: 5}, "3aa05301c9e7eca7b5a2aa0a6a4a874b776c62e2a7c3be98862ef2427ac82618"},
+		{"sweep", options{bench: bench, samples: 120, evalN: 300, seed: 5, periods: 4}, "a04e069297655c8c2f7d080853cacc757b18418d9fcf79aff06c75bfa22c6eca"},
+		{"plan", options{bench: bench, evalN: 300, seed: 5, planFile: plan}, "5ab834e2d4e2d7cb53538001ba7306d5d4e1ef6bf1f2ce56f26d25a3f79b28d7"},
+		{"adaptive", options{bench: bench, samples: 120, evalN: 2000, seed: 5, eps: 0.05, conf: 0.9}, "c961ee63f1e6aac73d0ee129f35754f8a95fe097a8f06f7c8d7c43a2b6a0c380"},
+	}
+	for _, tc := range cases {
+		var out bytes.Buffer
+		if err := run(tc.o, &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		text := bytes.ReplaceAll(out.Bytes(), []byte(plan), []byte("PLAN"))
+		if got := fmt.Sprintf("%x", sha256.Sum256(text)); got != tc.want {
+			t.Errorf("%s: stdout digest %s, want %s\n%s", tc.name, got, tc.want, text)
+		}
+	}
 }

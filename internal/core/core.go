@@ -101,12 +101,11 @@ func (s *System) TargetPeriod(k float64) float64 {
 	return s.bench.Period.Mu + k*s.bench.Period.Sigma
 }
 
-// ResolveInsertConfig applies Insert's defaulting — cfg.T := T, a
-// moderate sample budget, the fixed default seed — without running the
-// flow. Callers that capture the configuration before running (the
-// sharded coordinator's executor ships these exact fields over the wire)
-// resolve through here so there is a single owner of the defaults.
-func (s *System) ResolveInsertConfig(T float64, cfg insertion.Config) insertion.Config {
+// Insert runs the paper's sampling-based flow for the target period T.
+// cfg.T is overwritten with T; a zero budget runs 2000 samples, a zero
+// seed takes 0xF00D, and other zero fields take paper defaults (τ = T/8,
+// 20 steps, rt = 0.8, dt = 10, 0.1 % skip rule).
+func (s *System) Insert(T float64, cfg insertion.Config) (*insertion.Result, error) {
 	cfg.T = T
 	if cfg.Samples == 0 {
 		cfg.Samples = 2000
@@ -114,14 +113,7 @@ func (s *System) ResolveInsertConfig(T float64, cfg insertion.Config) insertion.
 	if cfg.Seed == 0 {
 		cfg.Seed = 0xF00D
 	}
-	return cfg
-}
-
-// Insert runs the paper's sampling-based flow for the target period T.
-// cfg.T is overwritten with T; other zero fields take paper defaults
-// (τ = T/8, 20 steps, rt = 0.8, dt = 10, 0.1 % skip rule).
-func (s *System) Insert(T float64, cfg insertion.Config) (*insertion.Result, error) {
-	return insertion.Run(s.bench.Graph, s.bench.Placement, s.ResolveInsertConfig(T, cfg))
+	return insertion.Run(s.bench.Graph, s.bench.Placement, cfg)
 }
 
 // MeasureYield evaluates original and buffered yield at period T over n

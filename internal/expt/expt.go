@@ -326,19 +326,6 @@ type RowConfig struct {
 	// Conf is the adaptive confidence level (0 = 0.95); ignored unless Eps
 	// is set.
 	Conf float64
-
-	// Pass, when non-nil, supplies the distributed executor for each
-	// insertion run's Monte Carlo passes (serve.Coordinator.InsertPass is
-	// the production implementation); nil = in-process. The executor is
-	// required to be byte-identical to the in-process pass, so rows are
-	// the same either way.
-	Pass func(insertion.Config) insertion.PassFunc
-	// Tally, when non-nil, supplies the tallier for the shared yield pass
-	// (serve.Coordinator.RowTally shards each wave across workers); nil =
-	// in-process. It receives every row's durable plan and the sweeps
-	// built from it, and must cover each wave exactly — integer tallies
-	// then make the rows byte-identical either way.
-	Tally func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc
 }
 
 func (rc *RowConfig) fill() {
@@ -405,11 +392,6 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			MaxBuffers: rc.MaxBuffers,
 			Workers:    rc.Workers,
 		}
-		if rc.Pass != nil {
-			// The executor captures the configuration before Pass is set —
-			// it ships exactly the fields the wire protocol keys on.
-			cfg.Pass = rc.Pass(cfg)
-		}
 		res, err := runner.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
@@ -436,15 +418,6 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 	}
 	seed := rc.Seed + 0x1000
 	tally := yield.LocalTally(yield.Stream(b.Graph, seed, rc.Workers), sweeps...)
-	if rc.Tally != nil {
-		// Every row's plan carries the exact spec, groups, and target its
-		// sweep was built from.
-		plans := make([]insertion.Plan, len(rows))
-		for i := range rows {
-			plans[i] = rows[i].Insert.Plan(b.Name)
-		}
-		tally = rc.Tally(plans, sweeps, rc.EvalSamples, seed)
-	}
 	prec := yield.Precision{Eps: rc.Eps, Conf: rc.Conf}
 	reports, adaptive, err := yield.Drive(context.Background(), rc.EvalSamples, prec, sweeps, tally)
 	if err != nil {

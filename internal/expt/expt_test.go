@@ -1,12 +1,10 @@
 package expt
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/ckt"
 	"repro/internal/gen"
-	"repro/internal/insertion"
 	"repro/internal/yield"
 )
 
@@ -231,8 +229,7 @@ func TestRunRowsSharedEvalMatchesRunRow(t *testing.T) {
 
 // TestRunRowsAdaptive: Eps switches the shared yield pass to sequential
 // evaluation — rows carry the adaptive report instead of the exact one, the
-// estimates agree with a fixed-n run to within the reported interval, and
-// the Tally hook reproduces the in-process wave loop.
+// estimates agree with a fixed-n run to within the reported interval.
 func TestRunRowsAdaptive(t *testing.T) {
 	b := smallBench(t)
 	rc := RowConfig{InsertSamples: 150, EvalSamples: 2000, Seed: 3}
@@ -272,37 +269,6 @@ func TestRunRowsAdaptive(t *testing.T) {
 		}
 	}
 
-	// The Tally hook: a tallier over sweeps rebuilt from the row plans (as a
-	// remote worker rebuilds them) reproduces the in-process wave loop
-	// exactly (same tallies, same schedule).
-	calls := 0
-	rc.Tally = func(plans []insertion.Plan, _ []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
-		calls++
-		sweeps := make([]*yield.SweepEvaluator, len(plans))
-		for i, p := range plans {
-			ev, err := yield.NewEvaluator(b.Graph, p.Spec, p.Groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{p.T}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return yield.LocalTally(yield.Stream(b.Graph, seed, 0), sweeps...)
-	}
-	hooked, err := RunRows(b, Targets, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("Tally hook consulted %d times, want once per RunRows", calls)
-	}
-	for i := range hooked {
-		if !reflect.DeepEqual(hooked[i].Adaptive, rows[i].Adaptive) {
-			t.Fatalf("row %d: hook adaptive report diverges:\n got %+v\nwant %+v",
-				i, hooked[i].Adaptive, rows[i].Adaptive)
-		}
-	}
 }
 
 func TestRegionAssigner(t *testing.T) {

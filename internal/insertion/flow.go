@@ -54,6 +54,9 @@ func (r *Runner) runPass(src mc.Source, cfg Config, spec PassSpec) (*passResult,
 		if len(raw) != cfg.Samples {
 			return nil, fmt.Errorf("insertion: distributed %s pass returned %d outcomes, want %d", spec.Kind, len(raw), cfg.Samples)
 		}
+		if err := CheckOutcomes(r.g.NS, raw); err != nil {
+			return nil, fmt.Errorf("insertion: distributed %s pass: %w", spec.Kind, err)
+		}
 	} else {
 		mode, allowed, lower, center, err := r.passParams(spec)
 		if err != nil {

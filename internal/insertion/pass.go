@@ -55,6 +55,22 @@ type PassSpec struct {
 // that each run Runner.PassRange on the same prepared circuit.
 type PassFunc func(spec PassSpec) ([]SampleOutcome, error)
 
+// CheckOutcomes validates a pass's outcomes before they reduce: every
+// tuned FF must lie in [0, ns). It is the insertion twin of
+// yield.CheckWave — the coordinator runs it on every worker partial, and
+// the flow on every Config.Pass result, so a malformed outcome is an
+// error, never an index panic in the reduction.
+func CheckOutcomes(ns int, outs []SampleOutcome) error {
+	for k, out := range outs {
+		for _, tn := range out.Tuned {
+			if tn.FF < 0 || tn.FF >= ns {
+				return fmt.Errorf("insertion: outcome %d tunes FF %d outside [0,%d)", k, tn.FF, ns)
+			}
+		}
+	}
+	return nil
+}
+
 // passParams translates a wire-form PassSpec into the solver-facing pass
 // configuration. The translation is the same whether the pass runs in the
 // coordinating process or a worker, which is what keeps the two paths

@@ -74,6 +74,22 @@ func TestTiledPassesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPassHookRejectsOutOfRangeFF: a Config.Pass result that tunes an FF
+// outside the circuit fails the flow with an error instead of panicking
+// in the reduction.
+func TestPassHookRejectsOutOfRangeFF(t *testing.T) {
+	g, T, pl := buildBench(t, 10, 40, 42)
+	cfg := Config{T: T, Samples: 20, Seed: 3}
+	cfg.Pass = func(PassSpec) ([]SampleOutcome, error) {
+		out := make([]SampleOutcome, cfg.Samples)
+		out[0] = SampleOutcome{Feasible: true, NK: 1, Tuned: []Tuning{{FF: 1 << 20}}}
+		return out, nil
+	}
+	if _, err := Run(g, pl, cfg); err == nil {
+		t.Fatal("flow accepted a pass outcome tuning an FF outside the circuit")
+	}
+}
+
 // TestPassRangeValidation: malformed specs and ranges fail loudly instead
 // of silently desynchronizing a distributed run.
 func TestPassRangeValidation(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // before the cap but narrow enough to need several waves.
 func adaptiveYieldReq(t *testing.T, cl *Client) YieldRequest {
 	t.Helper()
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func adaptiveYieldReq(t *testing.T, cl *Client) YieldRequest {
 func TestAdaptiveYieldShardedMatchesInProcess(t *testing.T) {
 	plainS, plain := newTestServer(t)
 	req := adaptiveYieldReq(t, plain)
-	want, err := plain.Yield(req)
+	want, err := plain.Yield(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAdaptiveYieldShardedMatchesInProcess(t *testing.T) {
 
 	workers := startWorkers(t, 2)
 	s, cl := shardedClient(t, workers, 3)
-	got, err := cl.Yield(req)
+	got, err := cl.Yield(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +101,16 @@ func TestAdaptiveYieldShardedMatchesInProcess(t *testing.T) {
 // early stop with samples_used < samples_requested.
 func TestAdaptiveYieldEarlyStopAndMetrics(t *testing.T) {
 	s, cl := newTestServer(t)
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := cl.Prepare(PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
+	prep, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	easy := prep.Mu + 3.5*prep.Sigma // both curves ≈ 1 here
-	resp, err := cl.Yield(YieldRequest{
+	resp, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit:     tinySpec(),
 		Options:     tinyOptions(),
 		EvalSamples: 40000,
@@ -150,7 +150,7 @@ func TestAdaptiveYieldEarlyStopAndMetrics(t *testing.T) {
 // Adaptive payload.
 func TestAdaptiveYieldValidation(t *testing.T) {
 	_, cl := newTestServer(t)
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestAdaptiveYieldValidation(t *testing.T) {
 	} {
 		req := base
 		req.Eps, req.Conf = bad.eps, bad.conf
-		if _, err := cl.Yield(req); err == nil {
+		if _, err := cl.Yield(context.Background(), req); err == nil {
 			t.Errorf("eps=%v conf=%v accepted, want 400", bad.eps, bad.conf)
 		}
 	}
-	resp, err := cl.Yield(base)
+	resp, err := cl.Yield(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAdaptiveYieldCancelsInProcess(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	cl := NewClient(ts.URL)
-	ins, err := cl.Insert(insertReq(130, 5)) // warms the bench
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5)) // warms the bench
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -24,12 +25,12 @@ func BenchmarkServeWarmQuery(b *testing.B) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := NewClient(ts.URL)
-	if _, err := cl.Insert(benchInsertReq()); err != nil {
+	if _, err := cl.Insert(context.Background(), benchInsertReq()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Insert(benchInsertReq()); err != nil {
+		if _, err := cl.Insert(context.Background(), benchInsertReq()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +44,7 @@ func BenchmarkServeColdPrepare(b *testing.B) {
 		s := New(Config{})
 		ts := httptest.NewServer(s.Handler())
 		cl := NewClient(ts.URL)
-		if _, err := cl.Insert(benchInsertReq()); err != nil {
+		if _, err := cl.Insert(context.Background(), benchInsertReq()); err != nil {
 			b.Fatal(err)
 		}
 		ts.Close()
@@ -66,7 +67,7 @@ func BenchmarkShardedYieldSweep(b *testing.B) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := NewClient(ts.URL)
-	ins, err := cl.Insert(benchInsertReq())
+	ins, err := cl.Insert(context.Background(), benchInsertReq())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,12 +83,12 @@ func BenchmarkShardedYieldSweep(b *testing.B) {
 		Queries:     []YieldQuery{{Plan: ins.Plan, Periods: Ts}},
 	}
 	// Warm both workers' bench caches before timing.
-	if _, err := cl.Yield(req); err != nil {
+	if _, err := cl.Yield(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Yield(req); err != nil {
+		if _, err := cl.Yield(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +106,7 @@ func TestWarmSpeedup(t *testing.T) {
 		defer ts.Close()
 		cl := NewClient(ts.URL)
 		start := time.Now()
-		if _, err := cl.Insert(benchInsertReq()); err != nil {
+		if _, err := cl.Insert(context.Background(), benchInsertReq()); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -115,13 +116,13 @@ func TestWarmSpeedup(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := NewClient(ts.URL)
-	if _, err := cl.Insert(benchInsertReq()); err != nil {
+	if _, err := cl.Insert(context.Background(), benchInsertReq()); err != nil {
 		t.Fatal(err)
 	}
 	warm := time.Hour
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		resp, err := cl.Insert(benchInsertReq())
+		resp, err := cl.Insert(context.Background(), benchInsertReq())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,14 +26,19 @@ func NewClient(base string) *Client {
 	}
 }
 
-// post sends one JSON request and decodes the JSON response into out.
+// post sends one JSON request under ctx and decodes the JSON response into out.
 // Non-2xx responses surface the server's error message.
-func (c *Client) post(path string, req, out any) error {
+func (c *Client) post(ctx context.Context, path string, req, out any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	resp, err := c.HTTP.Post(c.Base+path, "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := c.HTTP.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("serve: POST %s: %w", path, err)
 	}
@@ -55,27 +61,27 @@ func (c *Client) post(path string, req, out any) error {
 }
 
 // Prepare warms the server's bench cache.
-func (c *Client) Prepare(req PrepareRequest) (*PrepareResponse, error) {
+func (c *Client) Prepare(ctx context.Context, req PrepareRequest) (*PrepareResponse, error) {
 	var out PrepareResponse
-	if err := c.post("/v1/prepare", req, &out); err != nil {
+	if err := c.post(ctx, "/v1/prepare", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // Insert runs (or replays) the insertion flow server-side.
-func (c *Client) Insert(req InsertRequest) (*InsertResponse, error) {
+func (c *Client) Insert(ctx context.Context, req InsertRequest) (*InsertResponse, error) {
 	var out InsertResponse
-	if err := c.post("/v1/insert", req, &out); err != nil {
+	if err := c.post(ctx, "/v1/insert", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // Yield evaluates a batch of yield queries server-side.
-func (c *Client) Yield(req YieldRequest) (*YieldResponse, error) {
+func (c *Client) Yield(ctx context.Context, req YieldRequest) (*YieldResponse, error) {
 	var out YieldResponse
-	if err := c.post("/v1/yield", req, &out); err != nil {
+	if err := c.post(ctx, "/v1/yield", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

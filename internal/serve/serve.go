@@ -143,6 +143,22 @@ func checkSweepSamples(n, sweeps int) error {
 	return nil
 }
 
+// Service is the paper's flow as three calls: prepare the SSTA model, run
+// the per-sample insertion ILPs, count Monte Carlo yield. A Server answers
+// them in this process, a Client forwards them to a bufinsd daemon; both
+// run the same deterministic code on the same seeds, so a caller holding
+// a Service gets byte-identical answers from either.
+type Service interface {
+	Prepare(ctx context.Context, req PrepareRequest) (*PrepareResponse, error)
+	Insert(ctx context.Context, req InsertRequest) (*InsertResponse, error)
+	Yield(ctx context.Context, req YieldRequest) (*YieldResponse, error)
+}
+
+var (
+	_ Service = (*Server)(nil)
+	_ Service = (*Client)(nil)
+)
+
 // Server answers insertion and yield queries from warm prepared-benchmark
 // state. Safe for concurrent use; create with New.
 type Server struct {
@@ -278,9 +294,9 @@ func New(cfg Config) *Server {
 			}
 		}
 	}
-	s.mux.Handle("/v1/prepare", s.postHandler(epPrepare, s.handlePrepare))
-	s.mux.Handle("/v1/insert", s.postHandler(epInsert, s.handleInsert))
-	s.mux.Handle("/v1/yield", s.postHandler(epYield, s.handleYield))
+	s.mux.Handle("/v1/prepare", s.postHandler(epPrepare, call(s.Prepare)))
+	s.mux.Handle("/v1/insert", s.postHandler(epInsert, call(s.Insert)))
+	s.mux.Handle("/v1/yield", s.postHandler(epYield, call(s.Yield)))
 	s.mux.Handle(insertPassPath, s.postHandler(epInsertPass, s.handleInsertPass))
 	s.mux.Handle(yieldPassPath, s.postHandler(epYieldPass, s.handleYieldPass))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -355,13 +371,16 @@ func (s *Server) fail(w http.ResponseWriter, ep endpoint, status int, err error)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-func decode[T any](r *http.Request) (T, error) {
-	var req T
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		return req, badRequest("decoding request: %v", err)
+// call adapts one Service method to a postHandler callback: decode the
+// JSON request, then run the method under the request's context.
+func call[Req, Resp any](fn func(context.Context, Req) (Resp, error)) func(*http.Request) (any, error) {
+	return func(r *http.Request) (any, error) {
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return nil, badRequest("decoding request: %v", err)
+		}
+		return fn(r.Context(), req)
 	}
-	return req, nil
 }
 
 // getBench returns the cached (or freshly prepared) bench entry for a
@@ -454,11 +473,9 @@ func (s *Server) chipSource(e *benchEntry, seed uint64, n int) mc.Source {
 	return pe.pop
 }
 
-func (s *Server) handlePrepare(r *http.Request) (any, error) {
-	req, err := decode[PrepareRequest](r)
-	if err != nil {
-		return nil, err
-	}
+// Prepare warms the bench cache for a circuit × options, or answers a
+// what-if probe on a fork of the cached bench.
+func (s *Server) Prepare(_ context.Context, req PrepareRequest) (*PrepareResponse, error) {
 	e, hit, err := s.getBench(req.Circuit, req.Options)
 	if err != nil {
 		return nil, err
@@ -506,11 +523,10 @@ func resolveT(e *benchEntry, period, targetK *float64) (float64, error) {
 	return 0, badRequest("need exactly one of period_ps, target_k")
 }
 
-func (s *Server) handleInsert(r *http.Request) (any, error) {
-	req, err := decode[InsertRequest](r)
-	if err != nil {
-		return nil, err
-	}
+// Insert runs (or replays from the plan cache) the insertion flow. ctx
+// bounds the sharded passes when the server coordinates workers; an
+// in-process flow runs to completion.
+func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse, error) {
 	if err := checkSamples("samples", req.Samples, maxInsertSamples); err != nil {
 		return nil, err
 	}
@@ -552,7 +568,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 			// Shard the flow's sample passes across the worker pool. The
 			// executor is not part of the plan key: sharded and in-process
 			// runs are byte-identical, so any cached plan answers both.
-			cfg.Pass = s.coordinator(req.Circuit, req.Options, e).InsertPass(r.Context(), cfg)
+			cfg.Pass = s.coordinator(req.Circuit, req.Options, e).InsertPass(ctx, cfg)
 		}
 		res, err := e.runner.Run(cfg)
 		if err != nil {
@@ -597,11 +613,9 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 	return &resp, nil
 }
 
-func (s *Server) handleYield(r *http.Request) (any, error) {
-	req, err := decode[YieldRequest](r)
-	if err != nil {
-		return nil, err
-	}
+// Yield evaluates a query batch from one shared chip pass; cancelling ctx
+// stops the evaluation between chips.
+func (s *Server) Yield(ctx context.Context, req YieldRequest) (*YieldResponse, error) {
 	if err := checkSamples("eval_samples", req.EvalSamples, maxEvalSamples); err != nil {
 		return nil, err
 	}
@@ -622,7 +636,7 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 		return nil, err
 	}
 	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
-	if err := c.evaluate(r.Context(), req.EvalSamples, req.Seed, req.Queries, results, sweeps, prec); err != nil {
+	if err := c.evaluate(ctx, req.EvalSamples, req.Seed, req.Queries, results, sweeps, prec); err != nil {
 		return nil, asClientError(err)
 	}
 	s.recordAdaptive(req.EvalSamples, results)

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -70,7 +73,7 @@ func inProcessBench(t *testing.T) *expt.Bench {
 // samples, and seed mean the same deterministic flow.
 func TestInsertMatchesInProcess(t *testing.T) {
 	_, cl := newTestServer(t)
-	got, err := cl.Insert(insertReq(150, 3))
+	got, err := cl.Insert(context.Background(), insertReq(150, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +102,14 @@ func TestInsertMatchesInProcess(t *testing.T) {
 // plan cache, marked Cached, and byte-identical to the first answer.
 func TestInsertPlanCache(t *testing.T) {
 	s, cl := newTestServer(t)
-	first, err := cl.Insert(insertReq(120, 5))
+	first, err := cl.Insert(context.Background(), insertReq(120, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Fatal("first query cannot be a cache hit")
 	}
-	second, err := cl.Insert(insertReq(120, 5))
+	second, err := cl.Insert(context.Background(), insertReq(120, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestInsertPlanCache(t *testing.T) {
 	// A different budget is a different query.
 	req := insertReq(120, 5)
 	req.MaxBuffers = 1
-	third, err := cl.Insert(req)
+	third, err := cl.Insert(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestInsertPlanCache(t *testing.T) {
 // equal, valid plan.
 func TestPlanRoundTripThroughService(t *testing.T) {
 	_, cl := newTestServer(t)
-	resp, err := cl.Insert(insertReq(150, 3))
+	resp, err := cl.Insert(context.Background(), insertReq(150, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestPlanRoundTripThroughService(t *testing.T) {
 		t.Fatalf("round-tripped plan differs:\n%+v\n%+v", *loaded, resp.Plan)
 	}
 	// And the loaded plan is accepted back by the service.
-	yr, err := cl.Yield(YieldRequest{
+	yr, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),
 		EvalSamples: 400, Seed: 99,
 		Queries: []YieldQuery{{Plan: *loaded}},
@@ -179,7 +182,7 @@ func TestYieldMalformedPlan400(t *testing.T) {
 		Spec:   insertion.BufferSpec{MaxRange: 12.5, Steps: 20},
 		Groups: []insertion.Group{{FFs: []int{0}, Lo: 3, Hi: 9}}, // window misses 0
 	}
-	_, err := cl.Yield(YieldRequest{
+	_, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),
 		EvalSamples: 100, Seed: 1,
 		Queries: []YieldQuery{{Plan: bad}},
@@ -215,7 +218,7 @@ func TestEmptyGroupsPlanValidatesAndYields(t *testing.T) {
 	if err := empty.Validate(); err != nil {
 		t.Fatalf("empty-groups plan must validate: %v", err)
 	}
-	yr, err := cl.Yield(YieldRequest{
+	yr, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),
 		EvalSamples: 300, Seed: 11,
 		Queries: []YieldQuery{{Plan: empty}},
@@ -233,13 +236,13 @@ func TestEmptyGroupsPlanValidatesAndYields(t *testing.T) {
 // byte-identical to yield.EvaluateMany run locally on the same universe.
 func TestYieldMatchesInProcess(t *testing.T) {
 	_, cl := newTestServer(t)
-	ins, err := cl.Insert(insertReq(150, 3))
+	ins, err := cl.Insert(context.Background(), insertReq(150, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const evalN, evalSeed = 600, 4099
 	Ts := []float64{ins.T * 0.98, ins.T, ins.T * 1.02}
-	yr, err := cl.Yield(YieldRequest{
+	yr, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),
 		EvalSamples: evalN, Seed: evalSeed,
 		Queries: []YieldQuery{{Plan: ins.Plan, Periods: Ts, Strategies: true, StrategySeed: 5}},
@@ -276,7 +279,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	cl := NewClient(ts.URL)
-	ref, err := cl.Insert(insertReq(100, 2))
+	ref, err := cl.Insert(context.Background(), insertReq(100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				r, err := cl.Insert(insertReq(100, 2))
+				r, err := cl.Insert(context.Background(), insertReq(100, 2))
 				if err == nil {
 					if j, _ := json.Marshal(r.Plan); !bytes.Equal(j, refJSON) {
 						err = fmt.Errorf("concurrent insert diverged")
@@ -297,13 +300,13 @@ func TestConcurrentMixedRequests(t *testing.T) {
 				}
 				errs[i] = err
 			case 1:
-				r, err := cl.Insert(insertReq(100, uint64(40+i)))
+				r, err := cl.Insert(context.Background(), insertReq(100, uint64(40+i)))
 				if err == nil && r.Plan.T != ref.Plan.T {
 					err = fmt.Errorf("target drifted")
 				}
 				errs[i] = err
 			default:
-				_, err := cl.Yield(YieldRequest{
+				_, err := cl.Yield(context.Background(), YieldRequest{
 					Circuit: tinySpec(), Options: tinyOptions(),
 					EvalSamples: 200, Seed: 77,
 					Queries: []YieldQuery{{Plan: ref.Plan}},
@@ -331,7 +334,7 @@ func TestRequestValidation(t *testing.T) {
 		"bad-preset":  {Circuit: CircuitSpec{Preset: "nope"}, Samples: 10, TargetK: new(float64)},
 		"two-specs":   {Circuit: CircuitSpec{Preset: "s9234", Bench: "x"}, Samples: 10, TargetK: new(float64)},
 	} {
-		if _, err := cl.Insert(req); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		if _, err := cl.Insert(context.Background(), req); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 			t.Fatalf("%s: want HTTP 400, got %v", name, err)
 		}
 	}
@@ -344,7 +347,7 @@ func TestRequestValidation(t *testing.T) {
 // out-of-memory error kills the process.
 func TestOversizedRequests400(t *testing.T) {
 	_, cl := newTestServer(t)
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,18 +362,18 @@ func TestOversizedRequests400(t *testing.T) {
 		{"eval_samples", 1 << 40, plan, maxEvalSamples},
 		{"eval_samples×sweeps", maxEvalSamples, append(slices.Clone(strategies), plan...), maxSweepSamples},
 	} {
-		_, err := cl.Yield(YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: tc.n, Seed: 1, Queries: tc.queries})
+		_, err := cl.Yield(context.Background(), YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: tc.n, Seed: 1, Queries: tc.queries})
 		if err == nil || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
 			t.Fatalf("%s: want HTTP 400 naming the limit %d, got %v", tc.name, tc.limit, err)
 		}
 	}
 	big := insertReq(maxInsertSamples+1, 5)
-	if _, err := cl.Insert(big); err == nil || !strings.Contains(err.Error(), "HTTP 400") ||
+	if _, err := cl.Insert(context.Background(), big); err == nil || !strings.Contains(err.Error(), "HTTP 400") ||
 		!strings.Contains(err.Error(), fmt.Sprint(maxInsertSamples)) {
 		t.Fatalf("insert samples: want HTTP 400 naming the limit %d, got %v", maxInsertSamples, err)
 	}
 	// Still serving: a normal yield request answers.
-	resp, err := cl.Yield(YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: 200, Seed: 1, Queries: strategies})
+	resp, err := cl.Yield(context.Background(), YieldRequest{Circuit: tinySpec(), Options: tinyOptions(), EvalSamples: 200, Seed: 1, Queries: strategies})
 	if err != nil {
 		t.Fatalf("server stopped serving after the rejected requests: %v", err)
 	}
@@ -390,7 +393,7 @@ func TestInflightLimit(t *testing.T) {
 	defer ts.Close()
 	cl := NewClient(ts.URL)
 	s.inflight <- struct{}{} // occupy the only slot
-	_, err := cl.Insert(insertReq(10, 1))
+	_, err := cl.Insert(context.Background(), insertReq(10, 1))
 	if err == nil || !strings.Contains(err.Error(), "HTTP 429") {
 		t.Fatalf("want HTTP 429, got %v", err)
 	}
@@ -406,7 +409,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if err := cl.Health(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Insert(insertReq(80, 1)); err != nil {
+	if _, err := cl.Insert(context.Background(), insertReq(80, 1)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := cl.HTTP.Get(cl.Base + "/metrics")
@@ -437,7 +440,7 @@ func TestBenchEviction(t *testing.T) {
 	cl := NewClient(ts.URL)
 	for seed := uint64(1); seed <= 3; seed++ {
 		spec := CircuitSpec{Gen: &gen.Config{NumFFs: 12, NumGates: 40, Seed: seed}}
-		if _, err := cl.Prepare(PrepareRequest{Circuit: spec, Options: expt.Options{PeriodSamples: 200}}); err != nil {
+		if _, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: spec, Options: expt.Options{PeriodSamples: 200}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,7 +457,7 @@ func TestBenchEviction(t *testing.T) {
 // in-process WhatIf bit-for-bit, and never add an entry to the bench LRU.
 func TestPrepareWhatIf(t *testing.T) {
 	s, cl := newTestServer(t)
-	base, err := cl.Prepare(PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
+	base, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +479,7 @@ func TestPrepareWhatIf(t *testing.T) {
 	}
 	edits := []expt.Edit{{Node: b.Circuit.Nodes[editNode].Name, DeltaPS: 55}}
 
-	got, err := cl.Prepare(PrepareRequest{Circuit: tinySpec(), Options: tinyOptions(), WhatIf: edits})
+	got, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tinySpec(), Options: tinyOptions(), WhatIf: edits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +504,7 @@ func TestPrepareWhatIf(t *testing.T) {
 	if benches != 1 {
 		t.Fatalf("what-if polluted the bench LRU: %d entries", benches)
 	}
-	again, err := cl.Prepare(PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
+	again, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +515,7 @@ func TestPrepareWhatIf(t *testing.T) {
 
 func TestPrepareWhatIfBadNode(t *testing.T) {
 	_, cl := newTestServer(t)
-	_, err := cl.Prepare(PrepareRequest{
+	_, err := cl.Prepare(context.Background(), PrepareRequest{
 		Circuit: tinySpec(), Options: tinyOptions(),
 		WhatIf: []expt.Edit{{Node: "definitely-not-a-node", DeltaPS: 5}},
 	})
@@ -529,7 +532,7 @@ func TestPrepareWhatIfBadNode(t *testing.T) {
 func TestInsertClampsWorkers(t *testing.T) {
 	const n = 4096
 	_, def := newTestServer(t)
-	want, err := def.Insert(insertReq(n, 5))
+	want, err := def.Insert(context.Background(), insertReq(n, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +557,7 @@ func TestInsertClampsWorkers(t *testing.T) {
 	}()
 	req := insertReq(n, 5)
 	req.Workers = n
-	got, err := cl.Insert(req)
+	got, err := cl.Insert(context.Background(), req)
 	close(done)
 	wg.Wait()
 	if err != nil {
@@ -567,5 +570,31 @@ func TestInsertClampsWorkers(t *testing.T) {
 	gj, _ := json.Marshal(got.Plan)
 	if string(wj) != string(gj) || got.Stats != want.Stats {
 		t.Fatalf("workers=%d plan diverges from workers=0:\n got %s\nwant %s", n, gj, wj)
+	}
+}
+
+// TestClientHonoursContext: cancelling the caller's context abandons an
+// in-flight request promptly instead of waiting out the daemon.
+func TestClientHonoursContext(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The server notices the client hanging up only once the body is
+		// consumed.
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := NewClient(ts.URL).Yield(ctx, YieldRequest{})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("cancelled request returned after %v", elapsed)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
 	}
 }

@@ -51,12 +51,12 @@ func shardedClient(t *testing.T, workers []string, shards int) (*Server, *Client
 // comparable parts (elapsed fields stripped).
 func insertYield(t *testing.T, cl *Client) (insertion.Plan, InsertStats, string) {
 	t.Helper()
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	Ts := []float64{ins.T - 20, ins.T, ins.T + 20, ins.T + 40}
-	yld, err := cl.Yield(YieldRequest{
+	yld, err := cl.Yield(context.Background(), YieldRequest{
 		Circuit:     tinySpec(),
 		Options:     tinyOptions(),
 		EvalSamples: 400,
@@ -352,7 +352,7 @@ func TestShardPassEndpointsValidate(t *testing.T) {
 	}); code != http.StatusBadRequest {
 		t.Fatalf("insert pass over the samples limit: HTTP %d, want 400", code)
 	}
-	ins, err := cl.Insert(insertReq(130, 5))
+	ins, err := cl.Insert(context.Background(), insertReq(130, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,12 +564,12 @@ func TestShardedInsertCancelsPromptlyAndIsNotCached(t *testing.T) {
 	// been evicted, so this computes fresh and matches in-process.
 	hang.Store(false)
 	_, plainCl := newTestServer(t)
-	want, err := plainCl.Insert(insertReq(60, 11))
+	want, err := plainCl.Insert(context.Background(), insertReq(60, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := NewClient(ts.URL)
-	got, err := cl.Insert(insertReq(60, 11))
+	got, err := cl.Insert(context.Background(), insertReq(60, 11))
 	if err != nil {
 		t.Fatalf("insert after cancellation: %v (was the cancelled error cached?)", err)
 	}
@@ -588,4 +588,56 @@ func TestShardedInsertCancelsPromptlyAndIsNotCached(t *testing.T) {
 	cl.HTTP.CloseIdleConnections()
 	plainCl.HTTP.CloseIdleConnections()
 	check()
+}
+
+// TestShardedRejectsOutOfRangeTunedFF: a well-framed insert-pass partial
+// whose outcome tunes an FF outside the circuit is corrupt — retried and
+// never merged, so it can neither crash the flow's reduction nor poison
+// the plan cache. The proxy worker re-frames every insert-pass 200 with one
+// such outcome; the coordinator must still answer the plain server's plan,
+// and answer the identical request again.
+func TestShardedRejectsOutOfRangeTunedFF(t *testing.T) {
+	inner := New(Config{}).Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		if r.URL.Path != insertPassPath || rec.Code != http.StatusOK {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		resp, err := decodeInsertPassResponse(rec.Body.Bytes())
+		if err != nil || len(resp.Outcomes) == 0 {
+			t.Errorf("proxy: decoding insert-pass frame: %v", err)
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		resp.Outcomes[0].Feasible = true
+		resp.Outcomes[0].Tuned = append(resp.Outcomes[0].Tuned, insertion.Tuning{FF: 1 << 20})
+		writeFrame(w, resp)
+	}))
+	t.Cleanup(worker.Close)
+
+	_, plain := newTestServer(t)
+	want, err := plain.Insert(context.Background(), insertReq(60, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: []string{worker.URL}, Shards: 3, Dispatch: fastDispatch()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	cl := NewClient(ts.URL)
+	wj, _ := json.Marshal(want.Plan)
+	for i := 0; i < 2; i++ {
+		got, err := cl.Insert(context.Background(), insertReq(60, 11))
+		if err != nil {
+			t.Fatalf("insert %d over a corrupting worker: %v", i, err)
+		}
+		if gj, _ := json.Marshal(got.Plan); string(gj) != string(wj) || got.Stats != want.Stats {
+			t.Fatalf("insert %d: plan diverges from the plain server:\n got %s\nwant %s", i, gj, wj)
+		}
+	}
+	if s.Pool().C.Corrupt.Load() < 1 {
+		t.Fatal("no corrupt partial was rejected")
+	}
 }

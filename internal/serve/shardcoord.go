@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/mc"
@@ -159,11 +158,10 @@ func (s *Server) sweepsFor(e *benchEntry, queries []YieldQuery) ([]*yield.SweepE
 // ---------------- coordinator half ----------------
 
 // Coordinator shards the flow's Monte Carlo sample loops over a worker
-// pool for one circuit × options. It serves the Server's /v1/insert and
-// /v1/yield, and the CLIs directly. Ranges no worker takes — every range,
-// when the pool is empty — run in this process on the coordinator's own
-// graph and runner, so in-process evaluation is a coordinator over an
-// empty pool. Safe for concurrent use.
+// pool for one circuit × options. It serves the Server's Insert and Yield.
+// Ranges no worker takes — every range, when the pool is empty — run in
+// this process on the coordinator's own graph and runner, so in-process
+// evaluation is a coordinator over an empty pool. Safe for concurrent use.
 type Coordinator struct {
 	// Pool is the worker registry (never nil; an empty pool runs every
 	// range in-process).
@@ -182,20 +180,6 @@ type Coordinator struct {
 	// source. Stratified adaptive waves, and every range when pop is nil,
 	// stream from a fresh engine.
 	pop func(seed uint64, n int) mc.Source
-}
-
-// NewCoordinator builds a coordinator for a locally prepared system. The
-// runner backs the in-process fallback; passing the system's existing
-// runner (as the server does) shares its warm solver pool.
-func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Options, sys *core.System, runner *insertion.Runner) *Coordinator {
-	return &Coordinator{
-		Pool:    pool,
-		Shards:  shards,
-		Circuit: spec,
-		Options: opt,
-		g:       sys.Graph(),
-		runner:  runner,
-	}
 }
 
 // coordinator builds the Server's per-request coordinator around a cached
@@ -276,6 +260,9 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 			if len(resp.Outcomes) != r.Len() {
 				return shard.Errf(shard.ClassCorrupt, "serve: worker %s returned %d outcomes for range [%d,%d)", w.Base, len(resp.Outcomes), r.Lo, r.Hi)
 			}
+			if err := insertion.CheckOutcomes(c.g.NS, resp.Outcomes); err != nil {
+				return shard.Errf(shard.ClassCorrupt, "serve: worker %s range [%d,%d): %w", w.Base, r.Lo, r.Hi, err)
+			}
 			if !commit() {
 				return nil
 			}
@@ -333,22 +320,6 @@ func (c *Coordinator) evaluate(ctx context.Context, n int, seed uint64, queries 
 		}
 	}
 	return nil
-}
-
-// RowTally is the coordinator tallier in the shape of expt.RowConfig.Tally:
-// each row's plan becomes a plain plan query, and every wave runs under
-// ctx, since RunRows drives without a context of its own.
-func (c *Coordinator) RowTally(ctx context.Context) func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
-	return func(plans []insertion.Plan, sweeps []*yield.SweepEvaluator, n int, seed uint64) yield.TallyFunc {
-		queries := make([]YieldQuery, len(plans))
-		for i, p := range plans {
-			queries[i] = YieldQuery{Plan: p}
-		}
-		tally := c.tally(queries, sweeps, n, seed)
-		return func(_ context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
-			return tally(ctx, lo, hi, zeroOnly, strata)
-		}
-	}
 }
 
 // tally is the coordinator tallier for a query batch over universe

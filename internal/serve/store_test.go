@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -48,7 +49,7 @@ func TestStoreRestartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
 	s1, cl1 := storeServer(t, dir)
-	ins1, err := cl1.Insert(insertReq(60, 5))
+	ins1, err := cl1.Insert(context.Background(), insertReq(60, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestStoreRestartByteIdentical(t *testing.T) {
 
 	// "Restart": a brand-new Server over the same directory.
 	s2, cl2 := storeServer(t, dir)
-	ins2, err := cl2.Insert(insertReq(60, 5))
+	ins2, err := cl2.Insert(context.Background(), insertReq(60, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestStoreRestartByteIdentical(t *testing.T) {
 
 	// And against a storeless server, proving the store changed nothing.
 	_, plain := newTestServer(t)
-	ins3, err := plain.Insert(insertReq(60, 5))
+	ins3, err := plain.Insert(context.Background(), insertReq(60, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestStoreBitFlipQuarantined(t *testing.T) {
 	dir := t.TempDir()
 
 	_, cl1 := storeServer(t, dir)
-	want, err := cl1.Insert(insertReq(60, 5))
+	want, err := cl1.Insert(context.Background(), insertReq(60, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestStoreBitFlipQuarantined(t *testing.T) {
 	}
 
 	s2, cl2 := storeServer(t, dir)
-	got, err := cl2.Insert(insertReq(60, 5))
+	got, err := cl2.Insert(context.Background(), insertReq(60, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestStoreBitFlipQuarantined(t *testing.T) {
 func TestStoreVersionMismatchInvalid(t *testing.T) {
 	dir := t.TempDir()
 	_, cl1 := storeServer(t, dir)
-	if _, err := cl1.Insert(insertReq(60, 5)); err != nil {
+	if _, err := cl1.Insert(context.Background(), insertReq(60, 5)); err != nil {
 		t.Fatal(err)
 	}
 	entries := storeFiles(t, dir, storeExt)

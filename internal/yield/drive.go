@@ -66,7 +66,8 @@ func Drive(ctx context.Context, n int, prec Precision, sweeps []*SweepEvaluator,
 
 // CheckWave validates one wave's tallies before they merge: one tally per
 // sweep, shaped for the wave kind (zero-only tallies carry no tuned bins),
-// each covering exactly chips chips. The coordinator runs it on every
+// no bin negative, and each histogram — FirstZero, and FirstTuned on full
+// waves — covering exactly chips chips. The coordinator runs it on every
 // worker partial, so a malformed response is rejected, never merged.
 func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, chips int, zeroOnly bool) error {
 	if len(tallies) != len(sweeps) {
@@ -83,8 +84,17 @@ func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, chips int, zeroOn
 		case !zeroOnly && len(t.FirstTuned) != nT+1:
 			return fmt.Errorf("yield: wave tally %d has %d tuned bins, want %d", i, len(t.FirstTuned), nT+1)
 		}
-		if got := t.Chips(); got != chips {
-			return fmt.Errorf("yield: wave tally %d covers %d chips, want %d", i, got, chips)
+		for _, bins := range [][]int{t.FirstZero, t.FirstTuned} {
+			sum := 0
+			for _, c := range bins {
+				if c < 0 {
+					return fmt.Errorf("yield: wave tally %d has a negative bin", i)
+				}
+				sum += c
+			}
+			if len(bins) > 0 && sum != chips {
+				return fmt.Errorf("yield: wave tally %d covers %d chips, want %d", i, sum, chips)
+			}
 		}
 	}
 	return nil

@@ -163,7 +163,38 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     # -expect-waves asserts via /metrics that the adaptive probe genuinely
     # ran multiple waves and stopped early (samples_used < samples_requested).
     start_daemon single
+    single_pid=$!
     "$smokedir/bufinsd" -check "$daemon_url" -expect-waves
+
+    echo "== interrupt smoke (yieldeval -server) =="
+    # ^C must end a -server run promptly: the client abandons its in-flight
+    # request (a multi-second s9234 insertion) and exits non-zero within 3 s
+    # instead of waiting for the daemon's answer.
+    go build -o "$smokedir/yieldeval" ./cmd/yieldeval
+    "$smokedir/yieldeval" -preset s9234 -samples 20000 -eval 20000 -server "$daemon_url" \
+        >/dev/null 2>"$smokedir/yieldeval-interrupt.log" &
+    ye_pid=$!
+    sleep 2
+    kill -INT "$ye_pid" 2>/dev/null || true
+    for _ in $(seq 30); do
+        kill -0 "$ye_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$ye_pid" 2>/dev/null; then
+        kill -KILL "$ye_pid"
+        echo "yieldeval -server still running 3 s after SIGINT" >&2
+        exit 1
+    fi
+    ye_status=0
+    wait "$ye_pid" || ye_status=$?
+    if [ "$ye_status" -eq 0 ] || ! grep -q 'context canceled' "$smokedir/yieldeval-interrupt.log"; then
+        cat "$smokedir/yieldeval-interrupt.log" >&2
+        echo "interrupted yieldeval -server exited $ye_status, want non-zero with 'context canceled'" >&2
+        exit 1
+    fi
+    # The abandoned insertion keeps the daemon busy; free the CPU for the
+    # smokes below.
+    kill -KILL "$single_pid"
 
     echo "== distributed smoke (1 coordinator + 2 workers) =="
     # Coordinator/worker trio on ephemeral ports: the same -check probe
