@@ -497,7 +497,8 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 // component discovery plus the min-count and concentration ILP pairs — on a
 // prepared s9234 preset, i.e. the actual unit of work the Monte Carlo loop
 // repeats ~10⁴ times per Table-I row. nodes/op counts the branch-and-bound
-// node relaxations per solve.
+// node relaxations per solve, and hot/op, warm/op, cold/op and fallbacks/op
+// split them by solve path, so a simplex change shows it kept the search.
 func BenchmarkSampleSolve(b *testing.B) {
 	bench := prepared(b, "s9234")
 	sb, err := insertion.NewSampleBench(bench.Graph, insertion.Config{
@@ -509,13 +510,18 @@ func BenchmarkSampleSolve(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		sb.Solve() // warm all solver scratch and pools to steady state
 	}
-	nodes := sb.Nodes()
+	before := sb.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.Solve()
 	}
-	b.ReportMetric(float64(sb.Nodes()-nodes)/float64(b.N), "nodes/op")
+	after, n := sb.Stats(), float64(b.N)
+	b.ReportMetric(float64(after.Nodes()-before.Nodes())/n, "nodes/op")
+	b.ReportMetric(float64(after.Hot-before.Hot)/n, "hot/op")
+	b.ReportMetric(float64(after.Warm-before.Warm)/n, "warm/op")
+	b.ReportMetric(float64(after.Cold-before.Cold)/n, "cold/op")
+	b.ReportMetric(float64(after.Fallbacks-before.Fallbacks)/n, "fallbacks/op")
 }
 
 // BenchmarkDiffconFeasibility measures the per-chip yield check.

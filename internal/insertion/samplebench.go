@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/mc"
+	"repro/internal/milp"
 	"repro/internal/timing"
 )
 
@@ -70,8 +71,14 @@ func (sb *SampleBench) Solve() int {
 	return o1.NK + o2.NK
 }
 
-// Nodes returns the branch-and-bound nodes (LP relaxations) both solvers
-// have solved so far, summed over every hot, warm and cold node solve.
-func (sb *SampleBench) Nodes() int {
-	return sb.s1.arena.Stats.Nodes() + sb.s2.arena.Stats.Nodes()
+// Stats returns both solvers' cumulative node-solve counters (hot, warm,
+// cold, fallbacks), summed; Stats().Nodes() counts every node relaxation.
+func (sb *SampleBench) Stats() milp.SolveStats {
+	a, b := sb.s1.arena.Stats, sb.s2.arena.Stats
+	return milp.SolveStats{
+		Hot:       a.Hot + b.Hot,
+		Warm:      a.Warm + b.Warm,
+		Cold:      a.Cold + b.Cold,
+		Fallbacks: a.Fallbacks + b.Fallbacks,
+	}
 }

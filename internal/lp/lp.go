@@ -213,6 +213,11 @@ const (
 	iterScale = 200 // iteration budget multiplier (× rows+cols)
 )
 
+// primalCap bounds primal simplex iterations (Bland's rule engages at half
+// of it). It counts a full artificial block of m columns whatever the
+// layout, so the budget depends only on the problem shape.
+func primalCap(m, artStart int) int { return iterScale * (2*m + artStart + 1) }
+
 // dualCap bounds warm dual-simplex pivots: a legitimate reoptimization after
 // one bound tightening takes a handful of pivots, so anything past a few
 // multiples of the tableau dimensions is a degenerate stall and the cold
@@ -256,6 +261,10 @@ type Workspace struct {
 	x       []float64
 	rowUsed []bool  // m: refactorization scratch
 	pivNZ   []int32 // nonzero columns of the normalized pivot row
+	// slackRow holds the row of each slack column ncols+s, recorded by
+	// buildRaw. It is the tail of pivNZ's backing array, past the stride
+	// entries pivotTo can use, so it costs no allocation of its own.
+	slackRow []int32
 
 	// Solved-state metadata for warm restarts. live reports that the fields
 	// above describe a completed optimal solve of a problem with n vars and
@@ -311,36 +320,52 @@ func (p *Problem) layoutMaps(ws *Workspace) (ncols int) {
 
 // buildRaw assembles the standard-form tableau for the layout in ws.maps:
 // structural terms mapped through the column expansion, slack columns,
-// per-row sign normalization (rhs ≥ 0), and the artificial identity block.
-// The raw right-hand sides land in ws.xB and each row's artificial starts
-// basic. Both the cold solve and basis restoration build through here, so
-// the sign-flip pattern — which depends only on the rows and the mapping
-// shifts — reproduces bit-for-bit from a snapshot's mapping.
+// per-row sign normalization (rhs ≥ 0), and the artificial block. A row gets
+// an artificial column only when its slack is not +1 after normalization
+// (see needsArtificial); artificials are numbered in row order after the
+// slacks, and every other row starts with its own slack basic. The raw
+// right-hand sides land in ws.xB, each row's starting column in ws.basis and
+// each slack's row in ws.slackRow. Both the cold solve and basis restoration
+// build through here, so the sign-flip pattern — and with it the artificial
+// block — depends only on the rows and the mapping shifts and reproduces
+// bit-for-bit from a snapshot's mapping.
 func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart int) {
 	maps := ws.maps
 	m = len(p.rows)
-	nslack := 0
+	ws.xB = grow(ws.xB, m)
+	xB := ws.xB
+	// The shifted right-hand sides come first: their signs decide which rows
+	// need an artificial, and so the width.
+	nslack, nart := 0, 0
 	for i := range p.rows {
-		if p.rows[i].rel != EQ {
+		r := &p.rows[i]
+		rhs := r.rhs
+		for _, t := range p.terms[r.off : r.off+r.n] {
+			rhs -= t.Coef * maps[t.Var].shift
+		}
+		xB[i] = rhs
+		if r.rel != EQ {
 			nslack++
 		}
+		if needsArtificial(r.rel, rhs) {
+			nart++
+		}
 	}
-	total = ncols + nslack + m // structural' + slacks + artificials
-	stride = total
 	artStart = ncols + nslack
+	total = artStart + nart
+	stride = total
 
 	ws.tab = grow(ws.tab, m*stride)
 	clear(ws.tab)
 	tab := ws.tab
-	ws.xB = grow(ws.xB, m)
-	xB := ws.xB
 	ws.basis = grow(ws.basis, m)
 	basis := ws.basis
-	slackIdx := ncols
+	buf := grow(ws.pivNZ, stride+nslack)
+	ws.pivNZ, ws.slackRow = buf[:0], buf[stride:]
+	slackIdx, artIdx := ncols, artStart
 	for i := range p.rows {
 		r := &p.rows[i]
 		tr := tab[i*stride : i*stride+stride]
-		rhs := r.rhs
 		for _, t := range p.terms[r.off : r.off+r.n] {
 			mp := &maps[t.Var]
 			if mp.negate {
@@ -351,31 +376,39 @@ func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart
 					tr[mp.minus] -= t.Coef
 				}
 			}
-			rhs -= t.Coef * mp.shift
 		}
-		switch r.rel {
-		case LE:
+		if r.rel != EQ {
 			tr[slackIdx] = 1
+			if r.rel == GE {
+				tr[slackIdx] = -1
+			}
+			ws.slackRow[slackIdx-ncols] = int32(i)
+			basis[i] = slackIdx
 			slackIdx++
-		case GE:
-			tr[slackIdx] = -1
-			slackIdx++
-		case EQ:
-			// no slack
 		}
-		// Make RHS non-negative so the artificial start is feasible.
+		// Make RHS non-negative so the starting basis is feasible.
+		rhs := xB[i]
 		if rhs < 0 {
 			for k := range tr {
 				tr[k] = -tr[k]
 			}
-			rhs = -rhs
+			xB[i] = -rhs
 		}
-		// Artificial for this row; a usable slack may replace it below.
-		tr[artStart+i] = 1
-		basis[i] = artStart + i
-		xB[i] = rhs
+		if needsArtificial(r.rel, rhs) {
+			tr[artIdx] = 1
+			basis[i] = artIdx
+			artIdx++
+		}
 	}
 	return m, stride, total, artStart
+}
+
+// needsArtificial reports whether a row with relation rel and shifted
+// right-hand side rhs lacks a +1 slack once buildRaw has normalized it to a
+// non-negative rhs: an EQ row has no slack, and the flip that rhs < 0 forces
+// turns an LE row's +1 slack to −1 and a GE row's −1 to +1.
+func needsArtificial(rel Rel, rhs float64) bool {
+	return rel == EQ || (rel == LE) == (rhs < 0)
 }
 
 // setPhase2Cost loads the original objective over the standard columns into
@@ -452,19 +485,32 @@ func (ws *Workspace) markSolved(n, m, stride, total, ncols, artStart int, constS
 //contract:allocfree
 func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
 	ws.live = false
-	n := len(p.obj)
-	// Quick bound sanity: empty boxes are infeasible outright.
-	for j := 0; j < n; j++ {
-		if p.lo[j] > p.hi[j] {
-			return Solution{Status: Infeasible}, nil
-		}
+	if p.emptyBox() {
+		return Solution{Status: Infeasible}, nil
 	}
-
 	// --- Normalize to standard form: columns y ∈ [0, u] ---
 	ncols := p.layoutMaps(ws)
-	maps := ws.maps
 	m, stride, total, artStart := p.buildRaw(ws, ncols)
+	return p.solveTwoPhase(ws, ncols, m, stride, total, artStart)
+}
 
+// emptyBox reports whether some variable has lo > hi: such a problem is
+// infeasible outright.
+func (p *Problem) emptyBox() bool {
+	for j := range p.lo {
+		if p.lo[j] > p.hi[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// solveTwoPhase runs the cold two-phase simplex on the raw tableau buildRaw
+// laid out, starting from its initial basis.
+//
+//contract:allocfree
+func (p *Problem) solveTwoPhase(ws *Workspace, ncols, m, stride, total, artStart int) (Solution, error) {
+	n, maps := len(p.obj), ws.maps
 	ws.ub = grow(ws.ub, total)
 	ub := ws.ub
 	for j := range ub {
@@ -482,31 +528,6 @@ func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
 	clear(ws.clo)
 
 	tab, basis := ws.tab, ws.basis
-	ncolsSlackEnd := artStart
-	// Use slack as initial basis where it has coefficient +1 (avoids an
-	// artificial): scan each row for a usable slack column.
-	for i := 0; i < m; i++ {
-		ri := i * stride
-		for j := ncols; j < ncolsSlackEnd; j++ {
-			if tab[ri+j] == 1 {
-				// Only if this slack appears in no other row.
-				solo := true
-				for k := 0; k < m; k++ {
-					if k != i && tab[k*stride+j] != 0 {
-						solo = false
-						break
-					}
-				}
-				if solo {
-					// Zero out the artificial column for this row.
-					tab[ri+artStart+i] = 0
-					basis[i] = j
-					break
-				}
-			}
-		}
-	}
-
 	ws.atUpper = grow(ws.atUpper, total)
 	clear(ws.atUpper)
 	ws.inBasis = grow(ws.inBasis, total)
@@ -515,7 +536,7 @@ func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
 		ws.inBasis[basis[i]] = true
 	}
 
-	maxIter := iterScale * (m + total + 1)
+	maxIter := primalCap(m, artStart)
 	ws.cost = grow(ws.cost, total)
 	ws.red = grow(ws.red, total)
 	cost := ws.cost
@@ -1013,19 +1034,25 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 	if b == nil || b.n != n || b.m != len(p.rows) {
 		return Solution{}, ErrBasisMismatch
 	}
-	for j := 0; j < n; j++ {
-		if p.lo[j] > p.hi[j] {
-			return Solution{Status: Infeasible}, nil
-		}
+	if p.emptyBox() {
+		return Solution{Status: Infeasible}, nil
 	}
 	ws.maps = grow(ws.maps, n)
 	copy(ws.maps, b.maps)
 	m, stride, total, artStart := p.buildRaw(ws, b.ncols)
-	if total != b.total {
+	if !p.loadBasis(ws, b, m, stride, total, artStart) ||
+		!ws.refactor(m, stride, b.ncols, b.basis) {
 		return Solution{}, ErrBasisMismatch
 	}
-	if !p.columnBounds(ws, b.ncols, artStart, total) {
-		return Solution{}, ErrBasisMismatch
+	return p.finishRestore(ws, m, stride, total, b.ncols, artStart)
+}
+
+// loadBasis installs snapshot b's column bounds and basis flags over the raw
+// tableau buildRaw laid out, and folds the non-basic resting values into the
+// right-hand side. It reports false when b does not fit the layout.
+func (p *Problem) loadBasis(ws *Workspace, b *Basis, m, stride, total, artStart int) bool {
+	if total != b.total || !p.columnBounds(ws, b.ncols, artStart, total) {
+		return false
 	}
 	clo, ub := ws.clo, ws.ub
 
@@ -1036,7 +1063,7 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 	clear(ws.inBasis)
 	for _, c := range b.basis {
 		if c < 0 || c >= total || ws.inBasis[c] {
-			return Solution{}, ErrBasisMismatch
+			return false
 		}
 		ws.inBasis[c] = true
 	}
@@ -1056,21 +1083,21 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 			continue
 		}
 		if math.IsInf(v, 0) {
-			return Solution{}, ErrBasisMismatch
+			return false
 		}
 		for i := 0; i < m; i++ {
 			xB[i] -= tab[i*stride+j] * v
 		}
 	}
+	return true
+}
 
-	if !ws.refactor(m, stride, b.basis) {
-		return Solution{}, ErrBasisMismatch
-	}
-
+// finishRestore loads the objective and reoptimizes a refactorized basis.
+func (p *Problem) finishRestore(ws *Workspace, m, stride, total, ncols, artStart int) (Solution, error) {
 	ws.cost = grow(ws.cost, total)
 	ws.red = grow(ws.red, total)
 	constShift := p.setPhase2Cost(ws, total)
-	return p.finishWarm(ws, m, stride, total, b.ncols, artStart, constShift)
+	return p.finishWarm(ws, m, stride, total, ncols, artStart, constShift)
 }
 
 // refactor pivots each column of cols back into the basis of the raw
@@ -1079,11 +1106,34 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 // the rows and the snapshot's mapping, so a basis that was nonsingular when
 // saved can only hit a near-zero pivot — reported as false — if the
 // snapshot doesn't match the problem.
-func (ws *Workspace) refactor(m, stride int, cols []int) bool {
+//
+// A slack column (ncols+s, row ws.slackRow[s]) whose row r no earlier pivot
+// used is still ±e_r: pivotTo leaves a column untouched wherever the pivot
+// row's entry is zero, and every earlier pivot row had a zero there. Partial
+// pivoting then picks r, no other row has a nonzero in the column to
+// eliminate, and the Gauss-Jordan step reduces to scaling row r and xB[r] by
+// the pivot's reciprocal — 1, a no-op, or −1. That is the same arithmetic
+// the general step performs, so the result is bit-identical without its
+// three strided scans.
+func (ws *Workspace) refactor(m, stride, ncols int, cols []int) bool {
 	tab, xB := ws.tab, ws.xB
 	ws.rowUsed = grow(ws.rowUsed, m)
 	clear(ws.rowUsed)
 	for _, c := range cols {
+		if s := c - ncols; s >= 0 && s < len(ws.slackRow) {
+			if r := int(ws.slackRow[s]); !ws.rowUsed[r] {
+				ws.rowUsed[r] = true
+				if pr := tab[r*stride : r*stride+stride]; pr[c] < 0 {
+					for k := range pr {
+						pr[k] *= -1
+					}
+					xB[r] *= -1
+				}
+				ws.basis[r] = c
+				ws.inBasis[c] = true
+				continue
+			}
+		}
 		r, bestA := -1, 1e-8
 		for i := 0; i < m; i++ {
 			if ws.rowUsed[i] {
@@ -1122,7 +1172,7 @@ func (p *Problem) finishWarm(ws *Workspace, m, stride, total, ncols, artStart in
 	}
 	// Primal cleanup: at a dual-feasible basis this is one pricing pass
 	// confirming optimality; it also mops up any tolerance drift.
-	obj, st2, err := ws.runSimplex(m, stride, artStart, iterScale*(m+total+1))
+	obj, st2, err := ws.runSimplex(m, stride, artStart, primalCap(m, artStart))
 	if err != nil {
 		return Solution{}, err
 	}

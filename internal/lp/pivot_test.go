@@ -82,6 +82,219 @@ func denseRefactor(ws *Workspace, m, stride int, cols []int) bool {
 	return true
 }
 
+// fullArtificialBuildRaw is the reference layout the compact artificial
+// block replaced: every row gets an artificial column artStart+i and starts
+// with it basic. Only the cold solve then swaps in usable slacks
+// (fullArtificialSlackScan); a basis restore keeps the whole identity
+// block.
+func fullArtificialBuildRaw(p *Problem, ws *Workspace, ncols int) (m, stride, total, artStart int) {
+	maps := ws.maps
+	m = len(p.rows)
+	nslack := 0
+	for i := range p.rows {
+		if p.rows[i].rel != EQ {
+			nslack++
+		}
+	}
+	total = ncols + nslack + m
+	stride = total
+	artStart = ncols + nslack
+	ws.tab = grow(ws.tab, m*stride)
+	clear(ws.tab)
+	tab := ws.tab
+	ws.xB = grow(ws.xB, m)
+	ws.basis = grow(ws.basis, m)
+	slackIdx := ncols
+	for i := range p.rows {
+		r := &p.rows[i]
+		tr := tab[i*stride : i*stride+stride]
+		rhs := r.rhs
+		for _, t := range p.terms[r.off : r.off+r.n] {
+			mp := &maps[t.Var]
+			if mp.negate {
+				tr[mp.plus] -= t.Coef
+			} else {
+				tr[mp.plus] += t.Coef
+				if mp.minus >= 0 {
+					tr[mp.minus] -= t.Coef
+				}
+			}
+			rhs -= t.Coef * mp.shift
+		}
+		switch r.rel {
+		case LE:
+			tr[slackIdx] = 1
+			slackIdx++
+		case GE:
+			tr[slackIdx] = -1
+			slackIdx++
+		}
+		if rhs < 0 {
+			for k := range tr {
+				tr[k] = -tr[k]
+			}
+			rhs = -rhs
+		}
+		tr[artStart+i] = 1
+		ws.basis[i] = artStart + i
+		ws.xB[i] = rhs
+	}
+	return m, stride, total, artStart
+}
+
+// fullArtificialSlackScan is the cold solve's starting-basis scan over the
+// full-artificial layout: a row whose slack is +1 and appears in no other
+// row starts with that slack basic, and its artificial column is zeroed.
+func fullArtificialSlackScan(ws *Workspace, m, stride, ncols, artStart int) {
+	tab := ws.tab
+	for i := 0; i < m; i++ {
+		ri := i * stride
+		for j := ncols; j < artStart; j++ {
+			if tab[ri+j] != 1 {
+				continue
+			}
+			solo := true
+			for k := 0; k < m; k++ {
+				if k != i && tab[k*stride+j] != 0 {
+					solo = false
+					break
+				}
+			}
+			if solo {
+				tab[ri+artStart+i] = 0
+				ws.basis[i] = j
+				break
+			}
+		}
+	}
+}
+
+// fullRefactor is refactor without the slack rule: every column, slacks
+// included, takes the general partial-pivoting Gauss-Jordan step.
+func fullRefactor(ws *Workspace, m, stride int, cols []int) bool {
+	tab, xB := ws.tab, ws.xB
+	used := make([]bool, m)
+	for _, c := range cols {
+		r, bestA := -1, 1e-8
+		for i := 0; i < m; i++ {
+			if used[i] {
+				continue
+			}
+			if a := math.Abs(tab[i*stride+c]); a > bestA {
+				bestA, r = a, i
+			}
+		}
+		if r == -1 {
+			return false
+		}
+		used[r] = true
+		xB[r] *= 1 / tab[r*stride+c]
+		for i := 0; i < m; i++ {
+			if f := tab[i*stride+c]; i != r && f != 0 {
+				xB[i] -= f * xB[r]
+			}
+		}
+		ws.pivotTo(m, stride, stride, r, c)
+	}
+	return true
+}
+
+// fullArtificialSolveWS is SolveWS over the full-artificial layout.
+func fullArtificialSolveWS(p *Problem, ws *Workspace) (Solution, error) {
+	ws.live = false
+	if p.emptyBox() {
+		return Solution{Status: Infeasible}, nil
+	}
+	ncols := p.layoutMaps(ws)
+	m, stride, total, artStart := fullArtificialBuildRaw(p, ws, ncols)
+	fullArtificialSlackScan(ws, m, stride, ncols, artStart)
+	return p.solveTwoPhase(ws, ncols, m, stride, total, artStart)
+}
+
+// fullArtificialSolveFromBasis is SolveFromBasis over the full-artificial
+// layout, refactorized without the slack rule.
+func fullArtificialSolveFromBasis(p *Problem, ws *Workspace, b *Basis) (Solution, error) {
+	ws.live = false
+	n := len(p.obj)
+	if b == nil || b.n != n || b.m != len(p.rows) {
+		return Solution{}, ErrBasisMismatch
+	}
+	if p.emptyBox() {
+		return Solution{Status: Infeasible}, nil
+	}
+	ws.maps = grow(ws.maps, n)
+	copy(ws.maps, b.maps)
+	m, stride, total, artStart := fullArtificialBuildRaw(p, ws, b.ncols)
+	if !p.loadBasis(ws, b, m, stride, total, artStart) || !fullRefactor(ws, m, stride, b.basis) {
+		return Solution{}, ErrBasisMismatch
+	}
+	return p.finishRestore(ws, m, stride, total, b.ncols, artStart)
+}
+
+// solveResult is one retained solve outcome: the Solution with X copied out
+// of its workspace, and the error.
+type solveResult struct {
+	s   Solution
+	err error
+}
+
+// layoutResults runs warmChain on the problem and tightenings that seed
+// and tweak generate, through the given entry points.
+func layoutResults(seed, tweak uint64, solveWS func(*Problem, *Workspace) (Solution, error),
+	fromBasis func(*Problem, *Workspace, *Basis) (Solution, error)) []solveResult {
+	rng := rand.New(rand.NewPCG(seed, tweak))
+	var out []solveResult
+	warmChain(buildRandomLayout(rng), rng, solveWS, fromBasis, func(s Solution, err error) {
+		s.X = slices.Clone(s.X)
+		out = append(out, solveResult{s, err})
+	})
+	return out
+}
+
+// checkCompactLayout requires the production layout and the full-artificial
+// reference to return bit-identical results — status, objective bits, X
+// bits and errors — on every solve of one warm chain.
+func checkCompactLayout(t *testing.T, seed, tweak uint64) {
+	t.Helper()
+	got := layoutResults(seed, tweak, (*Problem).SolveWS, (*Problem).SolveFromBasis)
+	want := layoutResults(seed, tweak, fullArtificialSolveWS, fullArtificialSolveFromBasis)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d/%d: %d solves, full-artificial reference %d", seed, tweak, len(got), len(want))
+	}
+	bits := func(x []float64) []uint64 {
+		out := make([]uint64, len(x))
+		for i, v := range x {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.err != w.err || g.s.Status != w.s.Status ||
+			math.Float64bits(g.s.Obj) != math.Float64bits(w.s.Obj) || !slices.Equal(bits(g.s.X), bits(w.s.X)) {
+			t.Fatalf("seed %d/%d, solve %d: compact %+v (%v), full-artificial %+v (%v)",
+				seed, tweak, i, g.s, g.err, w.s, w.err)
+		}
+	}
+}
+
+// TestCompactLayoutMatchesFullArtificial: the compact artificial block and
+// the slack restore rule change no bit of any cold, restored or hot result.
+func TestCompactLayoutMatchesFullArtificial(t *testing.T) {
+	for seed := uint64(0); seed < 3000; seed++ {
+		checkCompactLayout(t, seed, 331)
+	}
+}
+
+// FuzzCompactLayout is TestCompactLayoutMatchesFullArtificial over
+// fuzzer-chosen problems.
+func FuzzCompactLayout(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(0xF00D), uint64(7))
+	f.Add(uint64(42), uint64(0xBEEF))
+	f.Fuzz(checkCompactLayout)
+}
+
 // rawWorkspace lays out p's standard-form tableau in a fresh workspace
 // (under mapping maps when non-nil) with the initial basis marked.
 func rawWorkspace(p *Problem, maps []mapping, ncols int) (ws *Workspace, m, stride, artStart int) {
@@ -183,7 +396,7 @@ func TestSparseRefactorMatchesDense(t *testing.T) {
 			ws.inBasis[c] = true
 		}
 		ref := cloneWorkspace(ws)
-		ok := ws.refactor(m, stride, b.basis)
+		ok := ws.refactor(m, stride, b.ncols, b.basis)
 		if okRef := denseRefactor(ref, m, stride, b.basis); ok != okRef {
 			t.Fatalf("seed %d: refactor reported %v, dense reference %v", seed, ok, okRef)
 		}

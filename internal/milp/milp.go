@@ -218,6 +218,21 @@ func (p *Problem) Solve(opt Options) (Solution, error) {
 //
 //contract:allocfree
 func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
+	s, err := p.solveArena(a, opt)
+	if testHookSolved != nil {
+		testHookSolved(a, s, err)
+	}
+	return s, err
+}
+
+// testHookSolved, when non-nil, observes every SolveArena result. Only tests
+// set it, to digest the solver's exact output on the flow's own ILPs.
+var testHookSolved func(a *Arena, s Solution, err error)
+
+// solveArena is SolveArena's branch-and-bound search.
+//
+//contract:allocfree
+func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes

@@ -106,40 +106,42 @@ func TestWarmMatchesColdBitForBit(t *testing.T) {
 	}
 }
 
+// randomMixedMILP builds a random mixed problem from seed: even variables
+// integral, odd ones continuous, ≤ rows with small integer data.
+func randomMixedMILP(seed uint64) *Problem {
+	n := 2 + rand.New(rand.NewPCG(seed, 79)).IntN(4)
+	rng := rand.New(rand.NewPCG(seed, 101))
+	p := NewProblem()
+	for v := 0; v < n; v++ {
+		kind := Integer
+		if v%2 == 1 {
+			kind = Continuous
+		}
+		p.AddVar(kind, -3, 3, math.Round(rng.NormFloat64()*2), "v")
+	}
+	for i := 0; i < 1+rng.IntN(4); i++ {
+		var terms []lp.Term
+		for v := 0; v < n; v++ {
+			if rng.Float64() < 0.7 {
+				terms = append(terms, lp.T(v, float64(rng.IntN(7)-3)))
+			}
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		p.AddRow(lp.LE, float64(rng.IntN(9)-3), terms...)
+	}
+	return p
+}
+
 // TestWarmMatchesColdMixed covers mixed integer/continuous problems, where
 // alternate optima can differ in the continuous part: statuses must agree
 // and objectives match within LP tolerance.
 func TestWarmMatchesColdMixed(t *testing.T) {
 	var warmArena, coldArena Arena
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 79))
-		n := 2 + rng.IntN(4)
-		build := func() *Problem {
-			r2 := rand.New(rand.NewPCG(seed, 101))
-			p := NewProblem()
-			for v := 0; v < n; v++ {
-				kind := Integer
-				if v%2 == 1 {
-					kind = Continuous
-				}
-				p.AddVar(kind, -3, 3, math.Round(r2.NormFloat64()*2), "v")
-			}
-			for i := 0; i < 1+r2.IntN(4); i++ {
-				var terms []lp.Term
-				for v := 0; v < n; v++ {
-					if r2.Float64() < 0.7 {
-						terms = append(terms, lp.T(v, float64(r2.IntN(7)-3)))
-					}
-				}
-				if len(terms) == 0 {
-					continue
-				}
-				p.AddRow(lp.LE, float64(r2.IntN(9)-3), terms...)
-			}
-			return p
-		}
-		warm, err1 := build().SolveArena(&warmArena, Options{})
-		cold, err2 := build().SolveArena(&coldArena, Options{NoWarm: true})
+		warm, err1 := randomMixedMILP(seed).SolveArena(&warmArena, Options{})
+		cold, err2 := randomMixedMILP(seed).SolveArena(&coldArena, Options{NoWarm: true})
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -555,7 +555,9 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 		s.m.planMiss.Add(1)
 	}
 	e.mu.Unlock()
+	won := false
 	pe.once.Do(func() {
+		won = true
 		start := time.Now()
 		cfg := insertion.Config{
 			T:          T,
@@ -572,7 +574,7 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 		}
 		res, err := e.runner.Run(cfg)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCancellation(err) {
 				// The winning requester hung up mid-flow. That says nothing
 				// about the query, so the failure must not be cached: evict
 				// the entry so the next identical request recomputes.
@@ -605,12 +607,24 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 			ElapsedMS: time.Since(start).Milliseconds(),
 		}
 	})
+	if !won && isCancellation(pe.err) && ctx.Err() == nil {
+		// This request joined a flow whose requester hung up. That
+		// cancellation is not this request's: the entry is evicted by now,
+		// so asking again recomputes under this request's own context.
+		return s.Insert(ctx, req)
+	}
 	if pe.err != nil {
 		return nil, pe.err
 	}
 	resp := *pe.resp
 	resp.Cached = hit
 	return &resp, nil
+}
+
+// isCancellation reports whether err comes from a cancelled or expired
+// context rather than from the query itself.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Yield evaluates a query batch from one shared chip pass; cancelling ctx

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -588,6 +589,70 @@ func TestShardedInsertCancelsPromptlyAndIsNotCached(t *testing.T) {
 	cl.HTTP.CloseIdleConnections()
 	plainCl.HTTP.CloseIdleConnections()
 	check()
+}
+
+// TestInsertJoinerSurvivesWinnerCancellation: a request that joins an
+// identical in-flight insert must not inherit the first requester's
+// cancellation. When the winner hangs up, the joiner recomputes under its
+// own context and gets the in-process answer.
+func TestInsertJoinerSurvivesWinnerCancellation(t *testing.T) {
+	inner := New(Config{}).Handler()
+	var hang atomic.Bool
+	hang.Store(true)
+	var started sync.Once
+	startedc := make(chan struct{})
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hang.Load() && strings.HasPrefix(r.URL.Path, "/v1/shard/") {
+			io.Copy(io.Discard, r.Body)
+			started.Do(func() { close(startedc) })
+			<-r.Context().Done()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	s := New(Config{Workers: []string{worker.URL}, Shards: 3})
+	req := insertReq(60, 11)
+
+	winCtx, cancelWin := context.WithCancel(context.Background())
+	defer cancelWin()
+	winErr := make(chan error, 1)
+	go func() {
+		_, err := s.Insert(winCtx, req)
+		winErr <- err
+	}()
+	<-startedc // the winner's pass is in flight on the hanging worker
+	type result struct {
+		resp *InsertResponse
+		err  error
+	}
+	joined := make(chan result, 1)
+	go func() {
+		resp, err := s.Insert(context.Background(), req)
+		joined <- result{resp, err}
+	}()
+	for s.m.planHit.Load() == 0 { // the joiner found the in-flight entry
+		time.Sleep(time.Millisecond)
+	}
+	hang.Store(false)
+	cancelWin()
+	if err := <-winErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled winner returned %v, want context.Canceled", err)
+	}
+	got := <-joined
+	if got.err != nil {
+		t.Fatalf("joiner inherited the winner's cancellation: %v", got.err)
+	}
+	_, plainCl := newTestServer(t)
+	want, err := plainCl.Insert(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, _ := json.Marshal(want.Plan)
+	gj, _ := json.Marshal(got.resp.Plan)
+	if string(wj) != string(gj) || got.resp.Stats != want.Stats {
+		t.Fatal("joiner's recompute diverged from the in-process answer")
+	}
 }
 
 // TestShardedRejectsOutOfRangeTunedFF: a well-framed insert-pass partial

@@ -3,6 +3,7 @@ package ssta
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/cells"
@@ -267,5 +268,37 @@ func TestMultiFaninDFFRejectedLoudly(t *testing.T) {
 	c.MustConnect(ff1, ff0)
 	if _, err := New(c, variation.NewModel(cells.Default())); err == nil {
 		t.Fatal("multi-fanin DFF must be rejected, not silently single-arc timed")
+	}
+}
+
+// TestPropagateZeroAllocsMultiWorker: warm PairDelays and RepropagateCone
+// keep their //contract:allocfree promise when propagate fans out over
+// several workers, on an analyzer and on a fork alike. AllocsPerRun pins
+// GOMAXPROCS to 1, so each measured run sets it back to 2 itself (a no-op
+// after the warm-up run) to keep the fan-out on any machine.
+func TestPropagateZeroAllocsMultiWorker(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, a := analyzerFor(t, gen.Config{NumFFs: 30, NumGates: 300, Seed: 6})
+	gate, _ := editTargets(c)
+	if gate < 0 {
+		t.Fatal("generated circuit has no gate-driven capture")
+	}
+	a.PairDelays()
+	for name, an := range map[string]*Analyzer{"analyzer": a, "fork": a.Fork()} {
+		if avg := testing.AllocsPerRun(50, func() {
+			runtime.GOMAXPROCS(2)
+			an.PairDelays()
+		}); avg != 0 {
+			t.Errorf("%s: warm PairDelays allocates %v times per run, want 0", name, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			runtime.GOMAXPROCS(2)
+			an.AddDelay(gate, 1)
+			an.RepropagateCone(gate)
+		}); avg != 0 {
+			t.Errorf("%s: warm RepropagateCone allocates %v times per run, want 0", name, avg)
+		}
 	}
 }

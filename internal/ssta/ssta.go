@@ -90,6 +90,7 @@ type Analyzer struct {
 	arcOff   []int32 // FF id → [arcOff[id], arcOff[id+1]) into arcs/pairs
 
 	pool *sync.Pool // *scratch, shared across forks (sized, not valued)
+	fan  *fanout    // multi-worker propagate state, per analyzer (nil until first use)
 }
 
 // New builds an analyzer, precomputing per-node canonical delays, the
@@ -366,6 +367,31 @@ func (a *Analyzer) launchPass(ffid int32, sc *scratch) {
 	}
 }
 
+// fanout is an analyzer's reusable multi-worker propagate state: the shared
+// worklist cursor, the join, and a worker function bound once, so that
+// starting the workers of a warm call allocates nothing.
+type fanout struct {
+	a    *Analyzer
+	ids  []int32
+	next atomic.Int64
+	wg   sync.WaitGroup
+	work func() // f.run, bound when the fanout is made
+}
+
+// run is one propagate worker: it claims worklist entries until none remain.
+func (f *fanout) run() {
+	defer f.wg.Done()
+	sc := f.a.getScratch()
+	defer f.a.pool.Put(sc)
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.ids) {
+			return
+		}
+		f.a.launchPass(f.ids[i], sc)
+	}
+}
+
 // propagate runs launchPass over the given FF ids, fanning out across CPU
 // cores for larger worklists and staying inline (goroutine-free) for
 // single-launch repropagations.
@@ -385,24 +411,20 @@ func (a *Analyzer) propagate(ids []int32) {
 		a.pool.Put(sc)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := a.getScratch()
-			defer a.pool.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				a.launchPass(ids[i], sc)
-			}
-		}()
+	f := a.fan
+	if f == nil {
+		f = &fanout{a: a}
+		f.work = f.run
+		a.fan = f
 	}
-	wg.Wait()
+	f.ids = ids
+	f.next.Store(0)
+	f.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go f.work()
+	}
+	f.wg.Wait()
+	f.ids = nil
 }
 
 // PairDelays computes canonical pair delays for every launch FF, in
@@ -494,6 +516,7 @@ func (a *Analyzer) RepropagateCone(nodes ...int) []Pair {
 // what-if queries against a shared prepared benchmark.
 func (a *Analyzer) Fork() *Analyzer {
 	b := *a
+	b.fan = nil // the fork propagates on its own arenas
 	b.delaySens = slices.Clone(a.delaySens)
 	b.gateDelay = slices.Clone(a.gateDelay)
 	for i := range b.gateDelay {

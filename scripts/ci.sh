@@ -297,13 +297,15 @@ fi
 if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     echo "== fuzz (solver equivalence + wire and .bench round-trip, short budget) =="
     # Cross-check the warm-start solver paths against cold solves and the
-    # brute-force oracle, hammer the shard wire decoders with arbitrary
-    # frames, and feed the .bench parser arbitrary netlist text (each must
-    # reject or round-trip, never panic). Off by default (it adds ~5x
-    # CI_FUZZ_TIME of wall time); the CI workflow enables it.
+    # brute-force oracle, and the compact simplex layout bit for bit against
+    # the full-artificial reference; hammer the shard wire decoders with
+    # arbitrary frames, and feed the .bench parser arbitrary netlist text
+    # (each must reject or round-trip, never panic). Off by default (it adds
+    # ~6x CI_FUZZ_TIME of wall time); the CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzSolveFromBasis' -fuzztime "$fuzztime" ./internal/lp
+        go test -run '^$' -fuzz 'FuzzCompactLayout' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
