@@ -13,8 +13,8 @@ const (
 	brClosed breakerState = iota
 	// brOpen withdraws the worker; attempts wait out the cooldown.
 	brOpen
-	// brHalfOpen admits probe attempts after the cooldown: the next
-	// success closes the breaker, the next failure re-opens it.
+	// brHalfOpen admits one probe attempt per Run after the cooldown: the
+	// next success closes the breaker, the next failure re-opens it.
 	brHalfOpen
 )
 
@@ -50,29 +50,23 @@ func (b *breaker) state() breakerState {
 	return b.st
 }
 
-// admitDelay reports how long until the worker may take attempts: 0 means
-// admitted now (an open breaker whose cooldown elapsed transitions to
-// half-open), otherwise the remaining cooldown.
-func (b *breaker) admitDelay() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.st != brOpen {
-		return 0
-	}
-	if rem := b.cooldown - time.Since(b.openedAt); rem > 0 {
-		return rem
-	}
-	b.st = brHalfOpen
-	return 0
-}
-
-// probe moves an open breaker to half-open (its scheduled re-admission).
-func (b *breaker) probe() {
+// admission reports how many attempts the worker may run at once in one
+// Run — window when closed, a single probe when half-open — or, while the
+// breaker is open, none and the remaining cooldown. An open breaker whose
+// cooldown elapsed turns half-open.
+func (b *breaker) admission() (tokens int, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.st == brOpen {
+		if rem := b.cooldown - time.Since(b.openedAt); rem > 0 {
+			return 0, rem
+		}
 		b.st = brHalfOpen
 	}
+	if b.st == brHalfOpen {
+		return 1, 0
+	}
+	return window, 0
 }
 
 // success closes the breaker and clears the failure streak.
@@ -84,8 +78,9 @@ func (b *breaker) success() {
 }
 
 // fail records one breaker-relevant failure and reports whether it tripped
-// the breaker open (the caller withdraws the worker and schedules the
-// half-open probe). A half-open probe failure re-opens immediately.
+// the breaker open (counted once; every Run then withdraws the worker's
+// tokens until the half-open probe). A half-open probe failure re-opens
+// immediately.
 func (b *breaker) fail() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

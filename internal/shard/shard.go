@@ -13,9 +13,11 @@
 //   - a per-worker circuit breaker trips after consecutive failures and
 //     re-admits the worker with a half-open probe, so one TCP reset backs
 //     a worker off briefly instead of benching it for the whole pass;
+//   - each healthy worker carries two ranges at once per Run (window), so
+//     it computes the next range while the coordinator merges the last;
 //   - straggling ranges are hedged: once most of a pass is acknowledged, a
 //     range outstanding far longer than the observed per-range latency is
-//     speculatively re-dispatched to an idle worker, first acknowledgment
+//     speculatively re-dispatched to another worker, first acknowledgment
 //     wins, and the loser is cancelled through its context.
 //
 // The package is deliberately ignorant of what a range computes. The
@@ -275,6 +277,7 @@ type Worker struct {
 	client *http.Client
 	prober *http.Client
 	br     breaker
+	idx    int // position in the pool's registry (a Run's token slot)
 }
 
 // Down reports whether the worker's circuit breaker is open.
@@ -378,6 +381,7 @@ func NewPoolWith(bases []string, o Options) *Pool {
 		}
 		w := &Worker{
 			Base:   b,
+			idx:    len(p.workers),
 			client: &http.Client{Timeout: 10 * time.Minute},
 			prober: &http.Client{Timeout: 2 * time.Second},
 		}
@@ -493,14 +497,26 @@ type LocalFunc func(ctx context.Context, r Range) error
 // condition while its primary attempt is outstanding.
 const hedgePoll = 15 * time.Millisecond
 
+// window is how many attempts one Run keeps in flight per healthy worker.
+// With one, a worker idles while the coordinator decodes, validates and
+// merges its partial and posts the next range; a second attempt fills that
+// turnaround. Three measured slower than two: the extra range only splits
+// the worker's CPU further.
+const window = 2
+
 // runState is the per-Run dispatch state shared by the range drivers.
 type runState struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	opts   Options
 
-	idle  chan *Worker // admitted, currently unclaimed workers
-	avail atomic.Int64 // admitted workers (idle or busy); 0 = drain local
+	// Dispatch tokens: an admitted worker has up to window of them (one
+	// while half-open), each idle in the queue or riding an attempt.
+	// slots[i] is the Run's token state of the pool's worker i.
+	idle  chan *Worker
+	avail atomic.Int64 // admitted workers; 0 = drain local
+	tokMu sync.Mutex
+	slots []slot
 
 	total int
 	acked atomic.Int64 // worker-acknowledged ranges (hedge quorum)
@@ -514,6 +530,12 @@ type runState struct {
 	timerMu sync.Mutex
 	timers  []*time.Timer
 	closed  bool
+}
+
+// slot is one worker's dispatch tokens within a Run.
+type slot struct {
+	held      int  // tokens the Run holds: idle in the queue or on an attempt
+	withdrawn bool // not admitted: tokens are dropped until the re-admission
 }
 
 // fail records the first pass-fatal error and cancels the run.
@@ -566,11 +588,86 @@ func (st *runState) stopTimers() {
 	st.timers = nil
 }
 
-// readmit returns a worker to the idle queue (capacity covers every
-// worker, so the send never blocks).
-func (st *runState) readmit(w *Worker) { st.idle <- w }
+// admit joins a worker to the Run with its breaker's token allowance or,
+// while the breaker is open, schedules the re-admission for when the
+// cooldown ends.
+func (st *runState) admit(w *Worker) {
+	st.tokMu.Lock()
+	s := &st.slots[w.idx]
+	n, wait := w.br.admission()
+	if n == 0 {
+		s.withdrawn = true
+		st.after(wait, func() { st.admit(w) })
+		st.tokMu.Unlock()
+		return
+	}
+	s.withdrawn = false
+	st.avail.Add(1)
+	add := topUp(s, n)
+	st.tokMu.Unlock()
+	st.put(w, add)
+}
 
-// acquire claims an idle worker, giving up when the context ends or no
+// topUp raises a slot's held tokens to n and returns how many new tokens
+// the caller must queue (tokMu held).
+func topUp(s *slot, n int) int {
+	add := max(n-s.held, 0)
+	s.held += add
+	return add
+}
+
+// put queues k tokens of w. Every queued token is counted in its slot's
+// held, which never exceeds window, and the queue has room for window
+// tokens per worker, so the sends never block.
+func (st *runState) put(w *Worker, k int) {
+	for ; k > 0; k-- {
+		st.idle <- w
+	}
+}
+
+// keep decides whether a token of w that just came back — popped from the
+// queue or returned by an attempt — stays in the Run, and how many new
+// tokens the caller must queue (tokMu held). Once the breaker is open,
+// whoever opened it, the Run withdraws the worker once and drops its every
+// token until the re-admission; a half-open breaker keeps only its single
+// probe, and a closed one is topped back up to window.
+func (st *runState) keep(w *Worker) (bool, int) {
+	s := &st.slots[w.idx]
+	n, wait := w.br.admission()
+	if n == 0 && !s.withdrawn {
+		s.withdrawn = true
+		st.avail.Add(-1)
+		st.after(wait, func() { st.admit(w) })
+	}
+	if s.withdrawn || s.held > n {
+		s.held--
+		return false, 0
+	}
+	return true, topUp(s, n)
+}
+
+// take reports whether a token popped from the queue may carry an attempt.
+func (st *runState) take(w *Worker) bool {
+	st.tokMu.Lock()
+	ok, add := st.keep(w)
+	st.tokMu.Unlock()
+	st.put(w, add)
+	return ok
+}
+
+// release returns a finished attempt's token to the queue, unless keep
+// drops it.
+func (st *runState) release(w *Worker) {
+	st.tokMu.Lock()
+	ok, add := st.keep(w)
+	st.tokMu.Unlock()
+	if ok {
+		add++
+	}
+	st.put(w, add)
+}
+
+// acquire claims a dispatch token, giving up when the context ends or no
 // worker remains admitted (every breaker open → nil: drain locally).
 func (st *runState) acquire(ctx context.Context) *Worker {
 	if st.avail.Load() == 0 {
@@ -581,7 +678,12 @@ func (st *runState) acquire(ctx context.Context) *Worker {
 	for {
 		select {
 		case w := <-st.idle:
-			return w
+			if st.take(w) {
+				return w
+			}
+			if st.avail.Load() == 0 {
+				return nil
+			}
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
@@ -592,21 +694,31 @@ func (st *runState) acquire(ctx context.Context) *Worker {
 	}
 }
 
-// tryAcquire claims an idle worker without blocking (hedge dispatch).
-func (st *runState) tryAcquire() *Worker {
-	select {
-	case w := <-st.idle:
-		return w
-	default:
-		return nil
+// tryAcquire claims a dispatch token without blocking (hedge dispatch),
+// skipping tokens of the worker that runs the range's primary attempt: a
+// hedge on the same worker would only queue behind it.
+func (st *runState) tryAcquire(primary *Worker) *Worker {
+	skipped := 0
+	defer func() { st.put(primary, skipped) }()
+	for {
+		select {
+		case w := <-st.idle:
+			if w == primary {
+				skipped++
+			} else if st.take(w) {
+				return w
+			}
+		default:
+			return nil
+		}
 	}
 }
 
 // Run executes every range exactly once under ctx: range drivers claim
-// idle workers through post, retrying classified failures with backoff
-// across the pool (circuit breakers withdraw misbehaving workers and
-// re-admit them with half-open probes), hedging stragglers once most of
-// the pass is acknowledged; ranges that exhaust their attempts — or find
+// worker dispatch tokens (window per healthy worker) and run post on them,
+// retrying classified failures with backoff across the pool (circuit
+// breakers withdraw misbehaving workers and re-admit them with half-open
+// probes), hedging stragglers once most of the pass is acknowledged; ranges that exhaust their attempts — or find
 // no admitted worker — run in-process through local, serially, on the
 // caller's goroutine. post and local run concurrently across ranges, so
 // both must be safe for concurrent use (disjoint ranges merge into
@@ -628,25 +740,17 @@ func (p *Pool) Run(ctx context.Context, ranges []Range, post PostFunc, local Loc
 		ctx:    rctx,
 		cancel: cancel,
 		opts:   p.opts,
-		idle:   make(chan *Worker, len(p.workers)+1),
+		idle:   make(chan *Worker, window*len(p.workers)),
+		slots:  make([]slot, len(p.workers)),
 		total:  len(ranges),
 	}
 	defer st.stopTimers()
 
-	// Admit workers: closed/half-open breakers join now; open breakers are
-	// scheduled for a half-open probe when their cooldown expires.
+	// Admit workers: closed breakers join with window tokens and half-open
+	// ones with a single probe; open breakers are scheduled for re-admission
+	// when their cooldown expires.
 	for _, w := range p.workers {
-		w := w
-		if d := w.br.admitDelay(); d == 0 {
-			st.avail.Add(1)
-			st.readmit(w)
-		} else {
-			st.after(d, func() {
-				w.br.probe()
-				st.avail.Add(1)
-				st.readmit(w)
-			})
-		}
+		st.admit(w)
 	}
 
 	ackc := make(chan struct{}, len(ranges))
@@ -721,6 +825,7 @@ func (p *Pool) drive(st *runState, r Range, post PostFunc, ackc chan<- struct{},
 	resc := make(chan attemptResult, o.MaxAttempts+1)
 	attempts, inflight, hedges, retries := 0, 0, 0, 0
 	var primaryStart time.Time
+	var primary *Worker
 
 	commitFor := func(hedge bool) func() bool {
 		return func() bool {
@@ -745,7 +850,7 @@ func (p *Pool) drive(st *runState, r Range, post PostFunc, ackc chan<- struct{},
 			hedges++
 			p.C.Hedges.Add(1)
 		} else {
-			primaryStart = time.Now()
+			primaryStart, primary = time.Now(), w
 		}
 		commit := commitFor(hedge)
 		go func() {
@@ -809,7 +914,7 @@ func (p *Pool) drive(st *runState, r Range, post PostFunc, ackc chan<- struct{},
 			retries++
 		case <-time.After(hedgePoll):
 			if hedges == 0 && attempts < o.MaxAttempts && p.shouldHedge(st, primaryStart) {
-				if w := st.tryAcquire(); w != nil {
+				if w := st.tryAcquire(primary); w != nil {
 					launch(w, true)
 				}
 			}
@@ -822,47 +927,36 @@ func (p *Pool) drive(st *runState, r Range, post PostFunc, ackc chan<- struct{},
 	}
 }
 
-// settle applies one finished attempt to the worker's breaker and the idle
-// queue: successes and benign cancellations readmit immediately, throttles
-// readmit after a jittered backoff without penalty, and transient/corrupt
-// failures penalize the breaker — a trip withdraws the worker until its
-// half-open probe.
+// settle applies one finished attempt to the worker's breaker and returns
+// its token: successes and benign cancellations release it immediately,
+// throttles release it after a jittered backoff without penalty, and
+// transient/corrupt failures penalize the breaker — once it is open, the
+// release withdraws the worker until its half-open probe.
 func (p *Pool) settle(st *runState, w *Worker, err error, rctx context.Context, dur time.Duration) {
-	if err == nil {
+	switch {
+	case err == nil:
 		w.br.success()
 		st.observe(dur)
-		st.readmit(w)
-		return
-	}
-	if rctx.Err() != nil {
+	case rctx.Err() != nil:
 		// The range was acknowledged elsewhere or the run is over; the
 		// aborted attempt says nothing about the worker.
-		st.readmit(w)
-		return
-	}
-	p.C.WorkerErrors.Add(1)
-	switch ClassOf(err) {
-	case ClassThrottled:
-		p.C.Throttled.Add(1)
-		st.after(p.backoff(1), func() { st.readmit(w) })
-	case ClassFatal:
-		st.readmit(w)
 	default:
-		if ClassOf(err) == ClassCorrupt {
+		p.C.WorkerErrors.Add(1)
+		switch ClassOf(err) {
+		case ClassThrottled:
+			p.C.Throttled.Add(1)
+			st.after(p.backoff(1), func() { st.release(w) })
+			return
+		case ClassCorrupt:
 			p.C.Corrupt.Add(1)
-		}
-		if w.br.fail() {
-			p.C.BreakerTrips.Add(1)
-			st.avail.Add(-1)
-			st.after(p.opts.BreakerCooldown, func() {
-				w.br.probe()
-				st.avail.Add(1)
-				st.readmit(w)
-			})
-		} else {
-			st.readmit(w)
+			fallthrough
+		case ClassTransient:
+			if w.br.fail() {
+				p.C.BreakerTrips.Add(1)
+			}
 		}
 	}
+	st.release(w)
 }
 
 // shouldHedge reports whether a straggling range qualifies for speculative

@@ -498,3 +498,233 @@ func countersOf(p *Pool) map[string]int64 {
 		"trips":        p.C.BreakerTrips.Load(),
 	}
 }
+
+// emptyPoolRunAllocs bounds the allocations of one Pool.Run over an empty
+// pool (one range, drained locally) at their count under one-attempt-per-
+// worker dispatch. The in-process yield path runs every wave through it, so
+// the window's per-worker token state must cost it nothing.
+const emptyPoolRunAllocs = 9
+
+func TestRunEmptyPoolAllocs(t *testing.T) {
+	p := NewPool(nil)
+	ranges := []Range{{Lo: 0, Hi: 100}}
+	post := func(ctx context.Context, w *Worker, r Range, commit func() bool) error { return nil }
+	local := func(ctx context.Context, r Range) error { return nil }
+	ctx := context.Background()
+	got := testing.AllocsPerRun(100, func() {
+		if err := p.Run(ctx, ranges, post, local); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Pool.Run over an empty pool: %v allocs", got)
+	if got > emptyPoolRunAllocs {
+		t.Fatalf("Pool.Run over an empty pool allocates %v times, want <= %d", got, emptyPoolRunAllocs)
+	}
+}
+
+// TestRunHonorsBreakerOpenedByAnotherRun: once a worker's breaker trips,
+// no Run — the one that tripped it or a concurrent one — may hand that
+// worker another attempt before its cooldown. An attempt whose token was
+// acquired just before the trip is a benign race, at most window per Run.
+func TestRunHonorsBreakerOpenedByAnotherRun(t *testing.T) {
+	o := fastOpts()
+	o.BreakerCooldown = 10 * time.Second
+	p := NewPoolWith([]string{"http://bad", "http://good"}, o)
+	const runs, n = 2, 40
+	var wg sync.WaitGroup
+	errs := make([]error, runs)
+	late := make([]atomic.Int64, runs)
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cov := newCoverage()
+			errs[i] = p.Run(context.Background(), Split(n, n),
+				func(ctx context.Context, w *Worker, r Range, commit func() bool) error {
+					if w.Base == "http://bad" {
+						if w.Down() {
+							late[i].Add(1)
+						}
+						return errors.New("connection refused")
+					}
+					time.Sleep(time.Millisecond) // keep both Runs overlapping
+					if !commit() {
+						return nil
+					}
+					return cov.mark(r, w.Base)
+				},
+				func(ctx context.Context, r Range) error { return cov.mark(r, "local") })
+			if errs[i] == nil {
+				cov.mu.Lock()
+				if len(cov.seen) != n {
+					errs[i] = fmt.Errorf("acknowledged %d samples, want %d", len(cov.seen), n)
+				}
+				cov.mu.Unlock()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got := late[i].Load(); got > window {
+			t.Errorf("run %d sent %d attempts to a worker whose breaker was open, want <= %d", i, got, window)
+		}
+	}
+	if p.C.BreakerTrips.Load() != 1 {
+		t.Fatalf("breaker trips %d, want 1", p.C.BreakerTrips.Load())
+	}
+}
+
+// peak tracks the concurrent attempts on each worker and their maximum.
+type peak struct {
+	mu       sync.Mutex
+	cur, max map[string]int
+}
+
+func newPeak() *peak { return &peak{cur: map[string]int{}, max: map[string]int{}} }
+
+func (pk *peak) enter(who string) int {
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	pk.cur[who]++
+	if pk.cur[who] > pk.max[who] {
+		pk.max[who] = pk.cur[who]
+	}
+	return pk.cur[who]
+}
+
+func (pk *peak) leave(who string) {
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	pk.cur[who]--
+}
+
+func (pk *peak) top(who string) int {
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	return pk.max[who]
+}
+
+// awaitPeak blocks until who has had want concurrent attempts (or a
+// second passed), so a test observes the window instead of racing it.
+func (pk *peak) awaitPeak(who string, want int) {
+	deadline := time.Now().Add(time.Second)
+	for pk.top(who) < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunKeepsTwoInFlightPerWorker(t *testing.T) {
+	const want = 2 // the window, spelled out: the test pins its value
+	for _, bases := range [][]string{{"http://a"}, {"http://a", "http://b"}} {
+		t.Run(fmt.Sprint(len(bases)), func(t *testing.T) {
+			p := NewPoolWith(bases, fastOpts())
+			cov := newCoverage()
+			pk := newPeak()
+			const n = 160
+			err := p.Run(context.Background(), Split(n, 16),
+				func(ctx context.Context, w *Worker, r Range, commit func() bool) error {
+					pk.enter(w.Base)
+					defer pk.leave(w.Base)
+					pk.awaitPeak(w.Base, want)
+					time.Sleep(2 * time.Millisecond)
+					if !commit() {
+						return nil
+					}
+					return cov.mark(r, w.Base)
+				},
+				func(ctx context.Context, r Range) error { return cov.mark(r, "local") })
+			if err != nil {
+				t.Fatal(err)
+			}
+			cov.check(t, n)
+			for _, b := range bases {
+				if got := pk.top(b); got != want {
+					t.Errorf("worker %s peaked at %d concurrent attempts, want exactly %d", b, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRunHalfOpenAdmitsOneProbe: a worker whose cooldown has elapsed gets
+// one probe attempt; only its success restores the full window.
+func TestRunHalfOpenAdmitsOneProbe(t *testing.T) {
+	p := NewPoolWith([]string{"http://a"}, fastOpts())
+	w := p.Workers()[0]
+	w.br.forceOpen()
+	w.br.openedAt = time.Now().Add(-time.Minute) // cooldown long over
+	cov := newCoverage()
+	pk := newPeak()
+	var calls, duringProbe atomic.Int64
+	const n = 80
+	err := p.Run(context.Background(), Split(n, 8),
+		func(ctx context.Context, w *Worker, r Range, commit func() bool) error {
+			pk.enter(w.Base)
+			defer pk.leave(w.Base)
+			if calls.Add(1) == 1 {
+				time.Sleep(30 * time.Millisecond) // room for a second attempt to sneak in
+				duringProbe.Store(int64(pk.top(w.Base)))
+			} else {
+				pk.awaitPeak(w.Base, 2)
+			}
+			if !commit() {
+				return nil
+			}
+			return cov.mark(r, w.Base)
+		},
+		func(ctx context.Context, r Range) error { return cov.mark(r, "local") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov.check(t, n)
+	if got := duringProbe.Load(); got != 1 {
+		t.Fatalf("%d concurrent attempts during the half-open probe, want 1", got)
+	}
+	if got := pk.top(w.Base); got != 2 {
+		t.Fatalf("worker peaked at %d concurrent attempts after the probe, want 2", got)
+	}
+	if w.BreakerState() != "closed" {
+		t.Fatalf("breaker %s after a successful probe, want closed", w.BreakerState())
+	}
+}
+
+// TestRunHedgeAvoidsPrimaryWorker: a hedge is a second opinion, so it
+// never goes to the worker already running the primary attempt — even
+// though that worker's second token sits idle. With one worker the hung
+// range waits out RangeTimeout and retries instead.
+func TestRunHedgeAvoidsPrimaryWorker(t *testing.T) {
+	o := fastOpts()
+	o.HedgeQuorum = 0.5
+	o.HedgeMultiple = 1
+	o.RangeTimeout = 300 * time.Millisecond
+	p := NewPoolWith([]string{"http://a"}, o)
+	cov := newCoverage()
+	const n = 60
+	var hung atomic.Bool
+	err := p.Run(context.Background(), Split(n, 6),
+		func(ctx context.Context, w *Worker, r Range, commit func() bool) error {
+			if r.Lo == 0 && hung.CompareAndSwap(false, true) {
+				<-ctx.Done() // the primary hangs until its attempt deadline
+				return ctx.Err()
+			}
+			time.Sleep(time.Millisecond)
+			if !commit() {
+				return nil
+			}
+			return cov.mark(r, w.Base)
+		},
+		func(ctx context.Context, r Range) error { return cov.mark(r, "local") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov.check(t, n)
+	if got := p.C.Hedges.Load(); got != 0 {
+		t.Fatalf("%d hedges launched onto the primary's own worker, want 0", got)
+	}
+	if got := cov.by("http://a"); got != n {
+		t.Fatalf("worker acknowledged %d samples, want all %d", got, n)
+	}
+}

@@ -10,7 +10,8 @@
 #   lint    contract analyzers (cmd/contractlint as a go vet -vettool):
 #           determinism, allocfree, ctxpass, errclass — see DESIGN.md
 #           "Static contracts"
-#   race    tier-1 tests under the race detector
+#   race    tier-1 tests under the race detector, plus 20 rounds of the
+#           shard dispatch tests
 #   fuzz    solver-equivalence fuzzing (implies CI_FUZZ=on)
 #   chaos   coordinator + 2 workers with one chaos-wrapped transport: the
 #           -check probe must stay byte-identical under a fixed fault seed
@@ -97,6 +98,10 @@ start_daemon() {
 if [ "$stage" = "race" ]; then
     echo "== tier-1 under the race detector =="
     go test -race ./...
+    echo "== shard dispatch tokens under the race detector, 20 rounds =="
+    # Token accounting (window, breaker withdrawal, hedges) is
+    # concurrency-heavy, and one pass rarely hits its interleavings.
+    go test -race -count 20 ./internal/shard/...
     echo "CI OK (race)"
     exit 0
 fi
