@@ -766,15 +766,15 @@ func BenchmarkSSTARepropagateCone(b *testing.B) {
 }
 
 // BenchmarkChipRealization measures virtual-chip sampling throughput
-// (one chip = one manufactured die's realized delays).
+// (one chip = one manufactured die's realized delays) through the engine's
+// per-chip path: one op re-seeds chip k's stream, fills its deviates and
+// runs the realization kernel, on a single worker.
 func BenchmarkChipRealization(b *testing.B) {
 	bench := prepared(b, "s9234")
-	rng := rand.New(rand.NewPCG(1, 2))
-	ch := bench.Graph.NewChip()
+	e := mc.New(bench.Graph, 1)
+	e.Workers = 1
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.Graph.RealizeInto(rng, ch)
-	}
+	e.ForEachBatch(b.N, func(int, *timing.Chip) {})
 }
 
 // wireBenchBatch builds a deterministic shard-pass payload of realistic

@@ -7,7 +7,6 @@
 package mc
 
 import (
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,13 +17,13 @@ import (
 
 // Engine streams chip samples from a timing graph.
 //
-// Ownership: the configuration fields (Seed, Workers, Antithetic,
-// OnRealize) are owner-set before streaming and must not be mutated while
-// a pass is running. With the fields frozen, the streaming methods
-// themselves are safe to call concurrently — each pass owns its worker
-// chips and claims samples through its own atomic counter, and the Graph
-// is only read — so several passes (even from different goroutines of a
-// serving layer) may stream from one Engine at once.
+// Ownership: the configuration fields (Seed, Workers, OnRealize, Stratify)
+// are owner-set before streaming and must not be mutated while a pass is
+// running. With the fields frozen, the streaming methods themselves are
+// safe to call concurrently — each pass owns its worker realizers and
+// claims samples through its own atomic counter, and the Graph is only
+// read — so several passes (even from different goroutines of a serving
+// layer) may stream from one Engine at once.
 type Engine struct {
 	G *timing.Graph
 	// Seed selects the sample universe; chip k is deterministic in
@@ -32,12 +31,6 @@ type Engine struct {
 	Seed uint64
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Antithetic pairs the sample universe: chip 2k+1 uses the negated
-	// random deviates of chip 2k. Die-level quantities (required period,
-	// yield indicators) become negatively correlated within a pair, which
-	// reduces the variance of population estimates at the same sample
-	// count — a classic Monte Carlo variance-reduction technique.
-	Antithetic bool
 	// OnRealize, when set, is called once per chip realization, possibly
 	// concurrently from worker goroutines. It is a diagnostic hook: tests
 	// use it to assert how many times a pass materializes chips (batched
@@ -45,18 +38,17 @@ type Engine struct {
 	OnRealize func(k int)
 	// Stratify, when > 1, stratifies the first global variation component
 	// (the die-level source every pair delay loads on) over this many
-	// equal-probability bands: chip k's base stream index b (b = k, or k/2
-	// under Antithetic) draws gvec[0] from the normal quantile band
-	// [(b mod L)/L, (b mod L+1)/L) instead of the full distribution —
-	// systematic (cycling) stratification, so any contiguous sample range
-	// whose length is a multiple of the stratification cycle covers every
-	// band exactly evenly. Chip k stays deterministic in (Seed, k,
-	// Antithetic, Stratify) alone, independent of worker scheduling or
-	// range tiling, which is what lets the adaptive wave sampler merge
-	// stratified waves from different processes. A stratified universe is
-	// a different universe from the unstratified one at the same seed:
-	// only the adaptive (eps > 0) evaluation paths set this, so every
-	// fixed-n result stays byte-identical.
+	// equal-probability bands: chip k draws gvec[0] from the normal
+	// quantile band [(k mod L)/L, (k mod L+1)/L) instead of the full
+	// distribution — systematic (cycling) stratification, so any
+	// contiguous sample range whose length is a multiple of the
+	// stratification cycle covers every band exactly evenly. Chip k stays
+	// deterministic in (Seed, k, Stratify) alone, independent of worker
+	// scheduling or range tiling, which is what lets the adaptive wave
+	// sampler merge stratified waves from different processes. A
+	// stratified universe is a different universe from the unstratified
+	// one at the same seed: only the adaptive (eps > 0) evaluation paths
+	// set this, so every fixed-n result stays byte-identical.
 	Stratify int
 }
 
@@ -80,42 +72,10 @@ func New(g *timing.Graph, seed uint64) *Engine {
 	return &Engine{G: g, Seed: seed}
 }
 
-// streamParams returns the PCG seed pair and antithetic sign of chip k.
-// Under Antithetic, chips 2k and 2k+1 share the base stream with opposite
-// signs. Chip k is deterministic in (Seed, k) by construction.
-func (e *Engine) streamParams(k int) (s1, s2 uint64, flip bool) {
-	base := k
-	if e.Antithetic {
-		base = k / 2
-		flip = k%2 == 1
-	}
-	return e.Seed, uint64(base)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03, flip
-}
-
-// rngFor returns the deterministic normal-deviate stream of chip k.
-func (e *Engine) rngFor(k int) timing.NormSource {
-	s1, s2, flip := e.streamParams(k)
-	rng := rand.New(rand.NewPCG(s1, s2))
-	if flip {
-		return negSource{rng}
-	}
-	return rng
-}
-
-// negSource mirrors a normal stream (antithetic pairing).
-type negSource struct{ r *rand.Rand }
-
-func (n negSource) NormFloat64() float64 { return -n.r.NormFloat64() }
-
-// stratumOf returns chip k's stratum index under Stratify (antithetic
-// pairs share the base stream, hence the stratum; the odd chip's mirrored
-// deviates land in the symmetric band, as with every other draw).
-func (e *Engine) stratumOf(k int) int {
-	base := k
-	if e.Antithetic {
-		base = k / 2
-	}
-	return base % e.Stratify
+// streamSeed is the second PCG seed word of chip k's stream; the first is
+// the engine Seed. Chip k is deterministic in (Seed, k) by construction.
+func streamSeed(k int) uint64 {
+	return uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 }
 
 // stratumNormal maps a uniform draw within stratum s of L onto the normal
@@ -129,41 +89,46 @@ func stratumNormal(s, L int, u float64) float64 {
 	return stat.NormalQuantile(p)
 }
 
-// realizeStratified samples chip k with the stratified global draw:
-// gvec[0] comes from the chip's stratum band (negated under an antithetic
-// flip, consistent with every other deviate of the mirrored stream), the
-// rest of the global vector and all local deviates stream from ns as
-// usual. rng must be the chip's raw (unflipped) stream — the uniform
-// stratum position is shared by an antithetic pair. gv is caller scratch
-// of length G.Dim().
-func (e *Engine) realizeStratified(k int, rng *rand.Rand, ns timing.NormSource, flip bool, gv []float64, ch *timing.Chip) {
-	z := stratumNormal(e.stratumOf(k), e.Stratify, rng.Float64())
-	if flip {
-		z = -z
+// realizer is one worker's realization state: a chip's deviate stream and
+// the chip it realizes into, reused from chip to chip.
+type realizer struct {
+	e  *Engine
+	s  timing.Stream
+	ch *timing.Chip
+}
+
+func (e *Engine) newRealizer() *realizer {
+	return &realizer{e: e, ch: e.G.NewChip()}
+}
+
+// realize samples chip k into r.ch. The stream is re-seeded from (Seed, k)
+// and fills the chip's whole deviate buffer in one call, in draw order:
+// the global vector, one deviate per pair, one per FF. Under Stratify the
+// stream's first draw is instead the uniform position within chip k's
+// stratum, which sets gvec[0]; the remaining deviates follow it. A warm
+// call allocates nothing.
+//
+//contract:allocfree
+func (r *realizer) realize(k int) {
+	e := r.e
+	r.s.Seed(e.Seed, streamSeed(k))
+	dev := r.ch.Deviates()
+	if e.Stratify > 1 && e.G.Dim() > 0 {
+		u := r.s.Float64()
+		r.s.Normals(dev[1:])
+		dev[0] = stratumNormal(k%e.Stratify, e.Stratify, u)
+	} else {
+		r.s.Normals(dev)
 	}
-	gv[0] = z
-	for i := 1; i < len(gv); i++ {
-		gv[i] = ns.NormFloat64()
-	}
-	e.G.RealizeWithGlobals(ns, gv, ch)
+	e.G.RealizeDeviates(r.ch)
 }
 
 // Chip materializes sample k (deterministic; mostly for tests and
 // debugging — bulk work should use ForEach).
 func (e *Engine) Chip(k int) *timing.Chip {
-	ch := e.G.NewChip()
-	if e.Stratify > 1 && e.G.Dim() > 0 {
-		s1, s2, flip := e.streamParams(k)
-		rng := rand.New(rand.NewPCG(s1, s2))
-		var ns timing.NormSource = rng
-		if flip {
-			ns = negSource{rng}
-		}
-		e.realizeStratified(k, rng, ns, flip, make([]float64, e.G.Dim()), ch)
-		return ch
-	}
-	e.G.RealizeInto(e.rngFor(k), ch)
-	return ch
+	r := e.newRealizer()
+	r.realize(k)
+	return r.ch
 }
 
 // chunk is the largest batch the work distributor hands out: large enough
@@ -196,50 +161,32 @@ func (e *Engine) ForEach(n int, fn func(k int, ch *timing.Chip)) {
 // population per query.
 //
 // Work is handed out lock-free in chunks of contiguous sample indices via a
-// single atomic counter, and each worker re-seeds one owned PCG per sample
-// instead of allocating a generator — so the steady-state sampling loop
-// performs no locking and no heap allocations. Chip k remains deterministic
-// in (Seed, k) regardless of worker count or scheduling.
+// single atomic counter, and each worker re-seeds one owned stream per
+// sample instead of allocating a generator — so the steady-state sampling
+// loop performs no locking and no heap allocations. Chip k remains
+// deterministic in (Seed, k) regardless of worker count or scheduling.
 func (e *Engine) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
 	e.ForEachRangeBatch(0, n, fns...)
 }
 
 // ForEachRangeBatch runs a multi-consumer pass over the sample sub-range
 // [lo, hi) with the same contract as ForEachBatch. Chip k is deterministic
-// in (Seed, k) alone — a worker process handed a k-range re-seeds its PCG
-// per sample exactly as the full pass would, so disjoint ranges covering
-// [0, n) reproduce ForEachBatch(n) bit for bit.
+// in (Seed, k) alone — a worker process handed a k-range re-seeds its
+// stream per sample exactly as the full pass would, so disjoint ranges
+// covering [0, n) reproduce ForEachBatch(n) bit for bit.
 func (e *Engine) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip)) {
 	if len(fns) == 0 {
 		return
 	}
-	stratified := e.Stratify > 1 && e.G.Dim() > 0
 	forEachChunked(lo, hi, e.Workers, func() func(k int) {
-		ch := e.G.NewChip()
-		src := rand.NewPCG(0, 0)
-		rng := rand.New(src)
-		neg := negSource{rng}
-		var gv []float64
-		if stratified {
-			gv = make([]float64, e.G.Dim())
-		}
+		r := e.newRealizer()
 		return func(k int) {
-			s1, s2, flip := e.streamParams(k)
-			src.Seed(s1, s2)
-			var ns timing.NormSource = rng
-			if flip {
-				ns = neg
-			}
-			if stratified {
-				e.realizeStratified(k, rng, ns, flip, gv, ch)
-			} else {
-				e.G.RealizeInto(ns, ch)
-			}
+			r.realize(k)
 			if e.OnRealize != nil {
 				e.OnRealize(k)
 			}
 			for _, fn := range fns {
-				fn(k, ch)
+				fn(k, r.ch)
 			}
 		}
 	})
@@ -303,9 +250,8 @@ func (e *Engine) PopulationBytes(n int) int64 {
 // may run at once, because replay only reads the chip slabs. The single
 // sharp edge: the *timing.Chip values handed to consumer fns (and returned
 // by Chip) alias the shared slabs, so consumers must treat them as
-// read-only; in particular, never pass a cached chip to
-// Graph.RealizeInto, which would overwrite the universe for every other
-// consumer.
+// read-only. A cached chip has no deviate buffer, so Graph.RealizeDeviates
+// panics on it instead of overwriting the universe of every other consumer.
 type Population struct {
 	workers int
 	chips   []timing.Chip

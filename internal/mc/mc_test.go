@@ -28,6 +28,32 @@ func buildEngine(t *testing.T, ffs, gates int, seed uint64) *Engine {
 	return New(g, 12345)
 }
 
+// sameChip reports whether a and b hold bit-identical DMax, DMin, Setup
+// and Hold vectors.
+func sameChip(a, b *timing.Chip) bool {
+	for _, v := range [][2][]float64{{a.DMax, b.DMax}, {a.DMin, b.DMin}, {a.Setup, b.Setup}, {a.Hold, b.Hold}} {
+		if len(v[0]) != len(v[1]) {
+			return false
+		}
+		for i := range v[0] {
+			if math.Float64bits(v[0][i]) != math.Float64bits(v[1][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cloneChip copies the realized vectors of ch.
+func cloneChip(ch *timing.Chip) *timing.Chip {
+	return &timing.Chip{
+		DMax:  append([]float64(nil), ch.DMax...),
+		DMin:  append([]float64(nil), ch.DMin...),
+		Setup: append([]float64(nil), ch.Setup...),
+		Hold:  append([]float64(nil), ch.Hold...),
+	}
+}
+
 func TestChipDeterministicAcrossScheduling(t *testing.T) {
 	e := buildEngine(t, 20, 100, 1)
 	// Chip k from the direct API.
@@ -35,16 +61,14 @@ func TestChipDeterministicAcrossScheduling(t *testing.T) {
 	// Same chip observed through ForEach with varying worker counts.
 	for _, workers := range []int{1, 4} {
 		e.Workers = workers
-		var got []float64
+		var got *timing.Chip
 		e.ForEach(10, func(k int, ch *timing.Chip) {
 			if k == 7 {
-				got = append([]float64(nil), ch.DMax...)
+				got = cloneChip(ch)
 			}
 		})
-		for p := range direct.DMax {
-			if got[p] != direct.DMax[p] {
-				t.Fatalf("workers=%d: chip 7 differs at pair %d", workers, p)
-			}
+		if !sameChip(got, direct) {
+			t.Fatalf("workers=%d: chip 7 differs from the direct API", workers)
 		}
 	}
 }
@@ -205,23 +229,6 @@ func TestForEachBatchRealizesOncePerChip(t *testing.T) {
 	}
 }
 
-func TestAntitheticDeviatesExactNegation(t *testing.T) {
-	// Chip 2k+1 must consume the exact negation of chip 2k's deviate
-	// stream — not merely a mirrored summary statistic.
-	e := buildEngine(t, 10, 40, 22)
-	e.Antithetic = true
-	for _, pair := range []int{0, 1, 7} {
-		even := e.rngFor(2 * pair)
-		odd := e.rngFor(2*pair + 1)
-		for i := 0; i < 200; i++ {
-			a, b := even.NormFloat64(), odd.NormFloat64()
-			if b != -a {
-				t.Fatalf("pair %d deviate %d: %v is not the exact negation of %v", pair, i, b, a)
-			}
-		}
-	}
-}
-
 func TestPopulationMatchesEngine(t *testing.T) {
 	e := buildEngine(t, 20, 100, 23)
 	n := 150
@@ -264,70 +271,23 @@ func TestPopulationMatchesEngine(t *testing.T) {
 	pop.ForEachBatch(n+1, func(k int, ch *timing.Chip) {})
 }
 
-func TestAntitheticPairsMirror(t *testing.T) {
-	e := buildEngine(t, 15, 80, 8)
-	e.Antithetic = true
-	g := e.G
-	// Chips 0 and 1 are an antithetic pair: a slow die pairs with a fast
-	// die — their required periods straddle the nominal one.
-	c0 := e.Chip(0)
-	c1 := e.Chip(1)
-	nominal := g.RequiredPeriod(g.NominalChip())
-	p0 := g.RequiredPeriod(c0)
-	p1 := g.RequiredPeriod(c1)
-	if (p0 > nominal) == (p1 > nominal) && math.Abs(p0-nominal) > 1 && math.Abs(p1-nominal) > 1 {
-		t.Fatalf("pair not mirrored: %v and %v around nominal %v", p0, p1, nominal)
-	}
-	// Deterministic.
-	c0b := e.Chip(0)
-	for p := range c0.DMax {
-		if c0.DMax[p] != c0b.DMax[p] {
-			t.Fatal("antithetic chips must stay deterministic")
-		}
-	}
-}
-
-func TestAntitheticReducesVariance(t *testing.T) {
-	// Estimate µT repeatedly with small budgets; the antithetic estimator
-	// must have a visibly smaller spread across replications.
-	e := buildEngine(t, 20, 120, 9)
-	variance := func(anti bool) float64 {
-		var means []float64
-		for rep := 0; rep < 30; rep++ {
-			e2 := New(e.G, uint64(1000+rep))
-			e2.Antithetic = anti
-			ps := e2.PeriodDistribution(64)
-			means = append(means, ps.Mu)
-		}
-		return stat.Variance(means)
-	}
-	vPlain := variance(false)
-	vAnti := variance(true)
-	if vAnti > vPlain {
-		t.Fatalf("antithetic variance %v above plain %v", vAnti, vPlain)
-	}
-}
-
 func TestStatsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// The chunked lock-free distributor must not change any population
 	// statistic: chip k is deterministic in (Seed, k), results land in
 	// k-indexed arrays, and reductions run sequentially — so yield and
 	// period statistics are byte-identical for any worker count.
-	for _, anti := range []bool{false, true} {
-		e := buildEngine(t, 25, 120, 11)
-		e.Antithetic = anti
-		e.Workers = 1
-		ref := e.PeriodDistribution(300)
-		refY := e.YieldAtZero(300, ref.Mu)
-		for _, workers := range []int{2, 3, 8} {
-			e.Workers = workers
-			ps := e.PeriodDistribution(300)
-			if ps != ref {
-				t.Fatalf("anti=%v workers=%d: period stats %+v != %+v", anti, workers, ps, ref)
-			}
-			if y := e.YieldAtZero(300, ref.Mu); y != refY {
-				t.Fatalf("anti=%v workers=%d: yield %+v != %+v", anti, workers, y, refY)
-			}
+	e := buildEngine(t, 25, 120, 11)
+	e.Workers = 1
+	ref := e.PeriodDistribution(300)
+	refY := e.YieldAtZero(300, ref.Mu)
+	for _, workers := range []int{2, 3, 8} {
+		e.Workers = workers
+		ps := e.PeriodDistribution(300)
+		if ps != ref {
+			t.Fatalf("workers=%d: period stats %+v != %+v", workers, ps, ref)
+		}
+		if y := e.YieldAtZero(300, ref.Mu); y != refY {
+			t.Fatalf("workers=%d: yield %+v != %+v", workers, y, refY)
 		}
 	}
 }
@@ -431,52 +391,47 @@ func TestRangeBatchTilesFullPass(t *testing.T) {
 	}
 }
 
-func TestRangeBatchEmptyAndAntithetic(t *testing.T) {
+func TestRangeBatchEmptyAndSingleChip(t *testing.T) {
 	e := buildEngine(t, 12, 50, 4)
-	e.Antithetic = true
 	// An empty range is a no-op.
 	e.ForEachRangeBatch(40, 40, func(k int, ch *timing.Chip) {
 		t.Fatalf("empty range called fn with k=%d", k)
 	})
-	// A range starting at an odd k (mid antithetic pair) still reproduces
-	// the full pass's chips: pairing is positional in k, not in the range.
+	// A one-chip range at an odd k reproduces the direct API's chip.
 	want := e.Chip(41)
+	calls := 0
 	e.ForEachRangeBatch(41, 42, func(k int, ch *timing.Chip) {
-		for p := range want.DMax {
-			if ch.DMax[p] != want.DMax[p] {
-				t.Fatalf("antithetic chip %d differs at pair %d", k, p)
-			}
+		calls++
+		if k != 41 || !sameChip(ch, want) {
+			t.Fatalf("range [41,42) handed out chip %d unlike Chip(41)", k)
 		}
 	})
+	if calls != 1 {
+		t.Fatalf("range [41,42) called fn %d times", calls)
+	}
 }
 
 // TestStratifiedDeterministicAcrossTiling: under stratification chip k must
-// stay a pure function of (Seed, k, Antithetic, Stratify) — identical from
-// the direct API, the full pass, and any range tiling at any worker count.
-// This is what lets the adaptive sampler merge stratified waves computed by
+// stay a pure function of (Seed, k, Stratify) — identical from the direct
+// API, the full pass, and any range tiling at any worker count. This is
+// what lets the adaptive sampler merge stratified waves computed by
 // different processes.
 func TestStratifiedDeterministicAcrossTiling(t *testing.T) {
-	for _, anti := range []bool{false, true} {
-		e := buildEngine(t, 12, 50, 5)
-		e.Antithetic = anti
-		e.Stratify = 8
-		const n = 96
-		direct := make([][]float64, n)
-		for k := 0; k < n; k++ {
-			direct[k] = append([]float64(nil), e.Chip(k).DMax...)
-		}
-		for _, workers := range []int{1, 4} {
-			e.Workers = workers
-			for _, r := range [][2]int{{0, n}, {0, 31}, {31, 32}, {32, n}} {
-				e.ForEachRangeBatch(r[0], r[1], func(k int, ch *timing.Chip) {
-					for p := range direct[k] {
-						if ch.DMax[p] != direct[k][p] {
-							t.Errorf("anti=%v workers=%d range %v: chip %d differs at pair %d",
-								anti, workers, r, k, p)
-						}
-					}
-				})
-			}
+	e := buildEngine(t, 12, 50, 5)
+	e.Stratify = 8
+	const n = 96
+	direct := make([]*timing.Chip, n)
+	for k := 0; k < n; k++ {
+		direct[k] = e.Chip(k)
+	}
+	for _, workers := range []int{1, 4} {
+		e.Workers = workers
+		for _, r := range [][2]int{{0, n}, {0, 31}, {31, 32}, {32, n}} {
+			e.ForEachRangeBatch(r[0], r[1], func(k int, ch *timing.Chip) {
+				if !sameChip(ch, direct[k]) {
+					t.Errorf("workers=%d range %v: chip %d differs from the direct API", workers, r, k)
+				}
+			})
 		}
 	}
 }
@@ -509,6 +464,22 @@ func TestStratifiedUniverseDiffers(t *testing.T) {
 			if a.DMax[p] != b.DMax[p] {
 				t.Fatalf("Stratify=1 changed chip %d at pair %d", k, p)
 			}
+		}
+	}
+}
+
+// TestRealizerZeroAllocs: a warm engine worker realizes each chip — the
+// per-chip re-seed, the one-call deviate fill and the kernel — without a
+// heap allocation, on the plain and the stratified universe.
+func TestRealizerZeroAllocs(t *testing.T) {
+	e := buildEngine(t, 20, 100, 23)
+	for _, strata := range []int{0, 8} {
+		e.Stratify = strata
+		r := e.newRealizer()
+		k := 0
+		r.realize(k) // warm
+		if avg := testing.AllocsPerRun(100, func() { k++; r.realize(k) }); avg != 0 {
+			t.Fatalf("Stratify=%d: warm realize allocates %v times per chip, want 0", strata, avg)
 		}
 	}
 }

@@ -153,62 +153,48 @@ type Chip struct {
 	Setup []float64 // per FF
 	Hold  []float64 // per FF
 
-	// gvec is the chip-owned scratch for the global source draw, so
-	// realizing into a reused chip performs no heap allocations.
-	gvec []float64
+	// dev is the chip-owned deviate buffer the realization kernels read,
+	// laid out [globals (Dim) | one per pair | one per FF] — the order in
+	// which a chip's stream draws them.
+	dev []float64
 }
 
-// NewChip allocates a chip buffer for the graph.
+// NewChip allocates a chip buffer for the graph, deviate buffer included.
 func (g *Graph) NewChip() *Chip {
 	return &Chip{
 		DMax:  make([]float64, len(g.Pairs)),
 		DMin:  make([]float64, len(g.Pairs)),
 		Setup: make([]float64, g.NS),
 		Hold:  make([]float64, g.NS),
-		gvec:  make([]float64, g.dim),
+		dev:   make([]float64, g.dim+len(g.Pairs)+g.NS),
 	}
 }
 
-// NormSource yields standard-normal deviates. *rand.Rand satisfies it; the
-// Monte Carlo engine also passes sign-flipped (antithetic) sources.
-type NormSource interface {
-	NormFloat64() float64
-}
+// Deviates returns the chip's deviate buffer, [globals (Dim) | one per
+// pair | one per FF]: fill it (Stream.Normals fills it in draw order) and
+// call RealizeDeviates. Chips not made by NewChip have none.
+func (ch *Chip) Deviates() []float64 { return ch.dev }
 
-// RealizeInto samples one chip into ch using rng: one shared global-source
-// vector (drawn into chip-owned scratch), one independent deviate per pair
-// (shared between its max and min, which are the same physical paths), and
-// one per FF timing pair. DMin is clamped to DMax. A warm call performs no
-// heap allocations.
+// RealizeDeviates evaluates chip ch from its filled deviate buffer: one
+// shared global-source vector, one independent deviate per pair (shared
+// between its max and min, which are the same physical paths), and one per
+// FF timing pair. DMin is clamped to DMax. Graphs assembled by Build
+// evaluate through realize3 or their precomputed sparse forms; hand-built
+// graphs use the dense canonical forms. All three kernels return
+// bit-identical chips, and none makes a call per record.
 //
 //contract:allocfree
-func (g *Graph) RealizeInto(rng NormSource, ch *Chip) {
-	if cap(ch.gvec) < g.dim {
-		//lint:ignore contract:allocfree first-use sizing of the chip-owned gvec (NewChip presizes it; only zero-value chips grow here)
-		ch.gvec = make([]float64, g.dim)
-	}
-	gvec := ch.gvec[:g.dim]
-	for i := range gvec {
-		gvec[i] = rng.NormFloat64()
-	}
-	g.RealizeWithGlobals(rng, gvec, ch)
-}
-
-// RealizeWithGlobals samples a chip with a caller-provided global vector
-// (used by tests that pin the die-level variation). Graphs assembled by
-// Build evaluate through realize3 or their precomputed sparse forms;
-// hand-built graphs use the dense canonical forms. All three kernels
-// return bit-identical chips.
-//
-//contract:allocfree
-func (g *Graph) RealizeWithGlobals(rng NormSource, gvec []float64, ch *Chip) {
+func (g *Graph) RealizeDeviates(ch *Chip) {
+	np := len(g.Pairs)
+	dev := ch.dev[:g.dim+np+g.NS]
+	gvec, rp, rf := dev[:g.dim], dev[g.dim:g.dim+np], dev[g.dim+np:]
 	if g.pairs3 != nil {
-		realize3(rng, gvec[0], gvec[1], gvec[2], g.pairs3, g.ffs3, ch)
+		realize3(gvec[0], gvec[1], gvec[2], g.pairs3, g.ffs3, rp, rf, ch)
 		return
 	}
 	sparse := g.maxSp != nil
 	for p := range g.Pairs {
-		r := rng.NormFloat64()
+		r := rp[p]
 		var mx, mn float64
 		if sparse {
 			mx = g.maxSp[p].Eval(gvec, r)
@@ -225,7 +211,7 @@ func (g *Graph) RealizeWithGlobals(rng NormSource, gvec []float64, ch *Chip) {
 		ch.DMin[p] = mn
 	}
 	for f := 0; f < g.NS; f++ {
-		r := rng.NormFloat64()
+		r := rf[f]
 		var s, h float64
 		if sparse {
 			s = g.setupSp[f].Eval(gvec, r)
@@ -247,18 +233,19 @@ func (g *Graph) RealizeWithGlobals(rng NormSource, gvec []float64, ch *Chip) {
 
 // realize3 is the realization kernel of single-region graphs: one pass
 // over each packed table with the three global deviates held in locals and
-// every form's evaluation unrolled. It performs exactly the IEEE operations
-// of Sparse.Eval on an index list [0 1 2], in the same order, followed by
-// the same clamps, so its chips are bit-identical to the sparse and dense
-// kernels'; dropping the index indirection and the per-form loop is what
-// makes it faster.
+// every form's evaluation unrolled; rp and rf are the per-pair and per-FF
+// deviates. It performs exactly the IEEE operations of Sparse.Eval on an
+// index list [0 1 2], in the same order, followed by the same clamps, so
+// its chips are bit-identical to the sparse and dense kernels'; dropping
+// the index indirection and the per-form loop is what makes it faster.
 //
 //contract:allocfree
-func realize3(rng NormSource, g0, g1, g2 float64, pairs, ffs []rec3, ch *Chip) {
+func realize3(g0, g1, g2 float64, pairs, ffs []rec3, rp, rf []float64, ch *Chip) {
 	dmax, dmin := ch.DMax[:len(pairs)], ch.DMin[:len(pairs)]
+	rp = rp[:len(pairs)]
 	for p := range pairs {
 		q := &pairs[p]
-		r := rng.NormFloat64()
+		r := rp[p]
 		mx := q.a.mean
 		mx += q.a.c0 * g0
 		mx += q.a.c1 * g1
@@ -276,9 +263,10 @@ func realize3(rng NormSource, g0, g1, g2 float64, pairs, ffs []rec3, ch *Chip) {
 		dmin[p] = mn
 	}
 	setup, hold := ch.Setup[:len(ffs)], ch.Hold[:len(ffs)]
+	rf = rf[:len(ffs)]
 	for f := range ffs {
 		q := &ffs[f]
-		r := rng.NormFloat64()
+		r := rf[f]
 		s := q.a.mean
 		s += q.a.c0 * g0
 		s += q.a.c1 * g1
@@ -298,13 +286,6 @@ func realize3(rng NormSource, g0, g1, g2 float64, pairs, ffs []rec3, ch *Chip) {
 		setup[f] = s
 		hold[f] = h
 	}
-}
-
-// Realize allocates and samples a fresh chip.
-func (g *Graph) Realize(rng *rand.Rand) *Chip {
-	ch := g.NewChip()
-	g.RealizeInto(rng, ch)
-	return ch
 }
 
 // SetupBound returns b in the constraint x_launch − x_capture ≤ b for pair

@@ -313,7 +313,7 @@ func TestSparseEvalMatchesDense(t *testing.T) {
 			if packed := g.pairs3 != nil; packed != tc.packed || packed == (g.maxSp != nil) {
 				t.Fatalf("kernel selection: packed=%v sparse=%v, want packed=%v", packed, g.maxSp != nil, tc.packed)
 			}
-			dense := &Graph{NS: g.NS, Skew: g.Skew, Pairs: g.Pairs, setup: g.setup, hold: g.hold, dim: g.dim}
+			dense := DenseOf(g)
 			chS := g.NewChip()
 			chD := dense.NewChip()
 			for k := 0; k < 10; k++ {

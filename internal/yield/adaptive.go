@@ -14,8 +14,8 @@ import (
 // the first time every queried threshold is known to the requested
 // half-width at the requested confidence. Peeking after every wave is kept
 // honest by the α-spending schedule in internal/stat. Two variance
-// reductions sharpen the estimates beyond the engine's antithetic pairing:
-// the wave sampler stratifies the first global variation component, and
+// reductions sharpen the estimates beyond plain Monte Carlo: the wave
+// sampler stratifies the first global variation component, and
 // cheap zero-only waves (step-1 search only, no rescue solver) extend the
 // step-1 tallies, which act as a control variate for step-2 (tuned) yield.
 //
@@ -25,8 +25,8 @@ import (
 // identical whether waves run in-process or are sharded across workers.
 
 // Default adaptive parameters. DefaultWave0 is a multiple of
-// 2·DefaultStrata so default waves keep antithetic pairs whole and cover
-// every stratum evenly.
+// 2·DefaultStrata, the wave alignment, so default waves cover every
+// stratum evenly.
 const (
 	// DefaultWave0 is the first wave's sample count.
 	DefaultWave0 = 256
@@ -122,7 +122,7 @@ type Adaptive struct {
 	Prec Precision
 
 	n      int // sample cap (the fixed-n budget adaptive must beat)
-	align  int // wave sizes are multiples of this (pairing + strata cycle)
+	align  int // wave sizes are multiples of this (2, or 2·Strata)
 	sweeps []*SweepEvaluator
 
 	cursor   int // samples consumed: next wave starts here
@@ -143,10 +143,12 @@ type Adaptive struct {
 
 // NewAdaptive prepares an adaptive evaluation of the sweeps, capped at n
 // samples (the nominal fixed-n budget; the rule stops earlier whenever the
-// requested precision is met). Wave sizes are floored to multiples of the
-// stratification cycle (2·Strata, covering every band evenly and keeping
-// antithetic pairs whole), so up to one cycle of the cap may go unused;
-// when n cannot fit even one cycle, stratification is disabled instead.
+// requested precision is met). Wave sizes are floored to multiples of
+// 2·Strata (two stratification cycles, covering every band evenly; 2
+// without strata), so up to one such alignment of the cap may go unused;
+// when n cannot fit even one, stratification is disabled instead. The
+// alignment sets the wave schedule, so changing it changes every adaptive
+// result.
 func NewAdaptive(prec Precision, n int, sweeps ...*SweepEvaluator) (*Adaptive, error) {
 	p, err := prec.norm()
 	if err != nil {

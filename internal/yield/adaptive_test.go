@@ -70,7 +70,6 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	mkEng := func(workers int) *mc.Engine {
 		e := mc.New(g, 616)
 		e.Workers = workers
-		e.Antithetic = true
 		return e
 	}
 	ref, err := EvaluateManyAdaptive(mkEng(1), 20000, prec, sw)

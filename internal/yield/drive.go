@@ -33,8 +33,8 @@ type TallyFunc func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) 
 // is non-nil on success.
 func Drive(ctx context.Context, n int, prec Precision, sweeps []*SweepEvaluator, tally TallyFunc) ([]SweepReport, []AdaptiveReport, error) {
 	if !prec.Active() {
-		// Not through Adaptive.Next: it floors waves to whole antithetic
-		// pairs, which would drop the last chip of an odd n.
+		// Not through Adaptive.Next: it floors waves to multiples of its
+		// alignment (at least 2), which would drop the last chip of an odd n.
 		ts, err := tally(ctx, 0, n, false, 0)
 		if err != nil {
 			return nil, nil, err

@@ -229,35 +229,31 @@ func TestSweepMonotoneInT(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkers: Evaluate and the sweep produce
-// byte-identical reports for Workers ∈ {1, 2, 8}, with and without
-// antithetic pairing.
+// byte-identical reports for Workers ∈ {1, 2, 8}.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	ev, g, Ts, _ := sweepFixture(t)
-	for _, anti := range []bool{false, true} {
-		mkEng := func(workers int) *mc.Engine {
-			e := mc.New(g, 911)
-			e.Workers = workers
-			e.Antithetic = anti
-			return e
-		}
-		refSweep, err := EvaluateSweep(ev, mkEng(1), 600, Ts)
+	mkEng := func(workers int) *mc.Engine {
+		e := mc.New(g, 911)
+		e.Workers = workers
+		return e
+	}
+	refSweep, err := EvaluateSweep(ev, mkEng(1), 600, Ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEval := Evaluate(ev, mkEng(1), 600, Ts[4])
+	for _, workers := range []int{2, 8} {
+		rep, err := EvaluateSweep(ev, mkEng(workers), 600, Ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refEval := Evaluate(ev, mkEng(1), 600, Ts[4])
-		for _, workers := range []int{2, 8} {
-			rep, err := EvaluateSweep(ev, mkEng(workers), 600, Ts)
-			if err != nil {
-				t.Fatal(err)
+		for i := range Ts {
+			if rep.At(i) != refSweep.At(i) {
+				t.Fatalf("workers=%d: sweep point %d differs", workers, i)
 			}
-			for i := range Ts {
-				if rep.At(i) != refSweep.At(i) {
-					t.Fatalf("anti=%v workers=%d: sweep point %d differs", anti, workers, i)
-				}
-			}
-			if got := Evaluate(ev, mkEng(workers), 600, Ts[4]); got != refEval {
-				t.Fatalf("anti=%v workers=%d: Evaluate %+v != %+v", anti, workers, got, refEval)
-			}
+		}
+		if got := Evaluate(ev, mkEng(workers), 600, Ts[4]); got != refEval {
+			t.Fatalf("workers=%d: Evaluate %+v != %+v", workers, got, refEval)
 		}
 	}
 }
