@@ -27,7 +27,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/binning"
 	"repro/internal/cells"
 	"repro/internal/ckt"
 	"repro/internal/diffcon"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/ssta"
 	"repro/internal/stat"
 	"repro/internal/timing"
-	"repro/internal/tuner"
 	"repro/internal/variation"
 	"repro/internal/yield"
 )
@@ -324,62 +322,6 @@ func BenchmarkAblationSpatialRegions(b *testing.B) {
 			b.ReportMetric(float64(nb), "Nb")
 			b.ReportMetric(yi, "Yi_points")
 		})
-	}
-}
-
-// BenchmarkSpeedBinning measures the speed-bin population shift from
-// tuning (the clock-binning scenario of the paper's conclusion).
-func BenchmarkSpeedBinning(b *testing.B) {
-	bench := prepared(b, "s9234")
-	T := bench.PeriodFor(expt.MuT)
-	res, err := insertion.Run(bench.Graph, bench.Placement, insertion.Config{T: T, Samples: 400, Seed: 0xF00D})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := yield.NewEvaluator(bench.Graph, res.Cfg.Spec, res.Groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bins := binning.MuSigmaBins(bench.Period)
-	var untuned, tuned binning.Result
-	for i := 0; i < b.N; i++ {
-		untuned, tuned, err = binning.Compare(bench.Graph, ev, bins, mc.New(bench.Graph, 0xB1B5), 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(untuned.MeanPeriod(), "untuned_mean_T_ps")
-	b.ReportMetric(tuned.MeanPeriod(), "tuned_mean_T_ps")
-	b.ReportMetric(100*untuned.ScrapRate(), "untuned_scrap_%")
-	b.ReportMetric(100*tuned.ScrapRate(), "tuned_scrap_%")
-}
-
-// BenchmarkTunerBudgetCurve measures rescued chips vs per-chip
-// configuration budget (test-cost / yield balance).
-func BenchmarkTunerBudgetCurve(b *testing.B) {
-	bench := prepared(b, "s9234")
-	T := bench.PeriodFor(expt.MuT)
-	res, err := insertion.Run(bench.Graph, bench.Placement, insertion.Config{T: T, Samples: 400, Seed: 0xF00D})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tn, err := tuner.New(bench.Graph, res.Cfg.Spec, res.Groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := mc.New(bench.Graph, 0xBADBED)
-	chips := make([]*timing.Chip, 300)
-	for k := range chips {
-		chips[k] = eng.Chip(k)
-	}
-	budgets := []int{1, 2, 4, 100}
-	var curve []tuner.CostReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		curve = tn.BudgetCurve(chips, T, budgets)
-	}
-	for i, budget := range budgets {
-		b.ReportMetric(float64(curve[i].Rescued), fmt.Sprintf("rescued_budget%d", budget))
 	}
 }
 

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -19,32 +21,42 @@ import (
 	"repro/internal/tabular"
 )
 
-// fatalf is the single failure path: message to stderr, non-zero exit.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bufins: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bufins: %v\n", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
+// run is the whole command: it parses args and writes the report to out,
+// so main_test drives it directly.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("bufins", flag.ContinueOnError)
 	var (
-		preset   = flag.String("preset", "", "paper benchmark circuit")
-		bench    = flag.String("bench", "", ".bench netlist file")
-		target   = flag.String("target", "mu", "period target: mu | mu+s | mu+2s (ignored with -period)")
-		period   = flag.Float64("period", 0, "explicit target clock period in ps")
-		samples  = flag.Int("samples", 2000, "insertion Monte Carlo samples (paper: 10000)")
-		seed     = flag.Uint64("seed", 0xF00D, "sampling seed")
-		maxBuf   = flag.Int("maxbuffers", 0, "cap on physical buffers (0 = none)")
-		evalN    = flag.Int("eval", 4000, "fresh chips for yield measurement (0 = skip)")
-		savePlan = flag.String("saveplan", "", "write the buffer plan as JSON to this file")
-		topCrit  = flag.Int("critical", 5, "print the k most failure-prone register pairs (0 = skip)")
+		preset   = fs.String("preset", "", "paper benchmark circuit")
+		bench    = fs.String("bench", "", ".bench netlist file")
+		target   = fs.String("target", "mu", "period target: mu | mu+s | mu+2s (ignored with -period)")
+		period   = fs.Float64("period", 0, "explicit target clock period in ps")
+		samples  = fs.Int("samples", 2000, "insertion Monte Carlo samples (paper: 10000)")
+		seed     = fs.Uint64("seed", 0xF00D, "sampling seed")
+		maxBuf   = fs.Int("maxbuffers", 0, "cap on physical buffers (0 = none)")
+		evalN    = fs.Int("eval", 4000, "fresh chips for yield measurement (0 = skip)")
+		savePlan = fs.String("saveplan", "", "write the buffer plan as JSON to this file")
+		topCrit  = fs.Int("critical", 5, "print the k most failure-prone register pairs (0 = skip)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sys, err := loadSystem(*preset, *bench)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Println(sys.Summary())
+	fmt.Fprintln(out, sys.Summary())
 
 	T := *period
 	if T == 0 {
@@ -56,10 +68,10 @@ func main() {
 		case "mu+2s":
 			T = sys.TargetPeriod(2)
 		default:
-			fatalf("unknown target %q", *target)
+			return fmt.Errorf("unknown target %q", *target)
 		}
 	}
-	fmt.Printf("target period: %.1f ps (buffer range %.1f ps, 20 steps)\n\n", T, T/8)
+	fmt.Fprintf(out, "target period: %.1f ps (buffer range %.1f ps, 20 steps)\n\n", T, T/8)
 
 	if *topCrit > 0 {
 		tc := tabular.New("launch FF", "capture FF", "mean slack", "sigma", "P(fail)")
@@ -67,24 +79,27 @@ func main() {
 		for _, r := range sys.Graph().CriticalPairs(T, *topCrit) {
 			tc.AddRowf(r.Launch, r.Capture, r.MeanSlack, r.StdSlack, fmt.Sprintf("%.4f", r.FailProb))
 		}
-		fmt.Println(tc)
+		fmt.Fprintln(out, tc)
 	}
 
 	res, err := sys.Insert(T, insertion.Config{Samples: *samples, Seed: *seed, MaxBuffers: *maxBuf})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *savePlan != "" {
 		f, err := os.Create(*savePlan)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		plan := res.Plan(sys.Name())
 		if err := plan.Save(f); err != nil {
-			fatalf("%v", err)
+			f.Close()
+			return err
 		}
-		f.Close()
-		fmt.Printf("plan written to %s\n\n", *savePlan)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "plan written to %s\n\n", *savePlan)
 	}
 
 	tb := tabular.New("FF", "window lo", "range lo", "range hi", "steps", "uses", "avg")
@@ -92,7 +107,7 @@ func main() {
 	for _, b := range res.Buffers {
 		tb.AddRowf(b.FF, b.Lower, b.Lo, b.Hi, b.RangeSteps, b.Uses, b.Avg)
 	}
-	fmt.Println(tb)
+	fmt.Fprintln(out, tb)
 
 	tg := tabular.New("group", "FFs", "lo", "hi", "steps", "uses")
 	tg.SetTitle(fmt.Sprintf("Physical buffers after grouping (Nb=%d, Ab=%.2f steps):",
@@ -100,22 +115,23 @@ func main() {
 	for i, g := range res.Groups {
 		tg.AddRowf(i, fmt.Sprint(g.FFs), g.Lo, g.Hi, g.RangeSteps(res.Cfg.Spec.Step()), g.Uses)
 	}
-	fmt.Println(tg)
+	fmt.Fprintln(out, tg)
 
 	st := res.Stats
-	fmt.Printf("flow: %d samples, %d clean, %d unfixable (step1), %d self-loop, missing=%.4f skippedB1=%v\n",
+	fmt.Fprintf(out, "flow: %d samples, %d clean, %d unfixable (step1), %d self-loop, missing=%.4f skippedB1=%v\n",
 		st.Samples, st.ZeroViolation, st.InfeasibleStep1, st.SelfLoopFailures, st.MissingFrac, st.SkippedB1)
 
 	if *evalN > 0 {
 		rep, err := sys.MeasureYield(res, T, *evalN, 0)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		lo, hi := rep.Tuned.WilsonCI(0.95)
-		fmt.Printf("\nyield at %.1f ps over %d fresh chips:\n", T, *evalN)
-		fmt.Printf("  Yo = %6.2f %%\n  Y  = %6.2f %%  (95%% CI %.2f–%.2f)\n  Yi = %+6.2f points\n",
+		fmt.Fprintf(out, "\nyield at %.1f ps over %d fresh chips:\n", T, *evalN)
+		fmt.Fprintf(out, "  Yo = %6.2f %%\n  Y  = %6.2f %%  (95%% CI %.2f–%.2f)\n  Yi = %+6.2f points\n",
 			rep.Original.Percent(), rep.Tuned.Percent(), 100*lo, 100*hi, rep.Improvement())
 	}
+	return nil
 }
 
 func loadSystem(preset, bench string) (*core.System, error) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/graphx"
 )
 
 // FaninCone returns the set of nodes in the combinational fan-in cone of a
@@ -74,99 +72,6 @@ func (c *Circuit) AllConeStats() ([]ConeStats, error) {
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// FanoutHistogram returns counts[k] = number of non-port nodes driving
-// exactly k sinks (k capped at the final bucket).
-func (c *Circuit) FanoutHistogram(maxBucket int) []int {
-	if maxBucket < 1 {
-		maxBucket = 1
-	}
-	counts := make([]int, maxBucket+1)
-	for _, n := range c.Nodes {
-		if n.Kind == Input || n.Kind == Output {
-			continue
-		}
-		k := len(n.Fanout)
-		if k > maxBucket {
-			k = maxBucket
-		}
-		counts[k]++
-	}
-	return counts
-}
-
-// LevelHistogram returns the number of gates at each combinational depth.
-func (c *Circuit) LevelHistogram() ([]int, error) {
-	lvl, err := c.CombGraph().Levels()
-	if err != nil {
-		return nil, err
-	}
-	maxL := 0
-	for i, n := range c.Nodes {
-		if n.Kind.IsGate() && lvl[i] > maxL {
-			maxL = lvl[i]
-		}
-	}
-	counts := make([]int, maxL+1)
-	for i, n := range c.Nodes {
-		if n.Kind.IsGate() {
-			counts[lvl[i]]++
-		}
-	}
-	return counts, nil
-}
-
-// SequentialGraph returns the FF-to-FF reachability digraph: an edge i→j
-// when a combinational path runs from FF i's Q to FF j's D. Vertices are
-// FF ids. This is the structural skeleton the timing pair graph realizes.
-func (c *Circuit) SequentialGraph() (*graphx.Digraph, error) {
-	order, err := c.CombGraph().TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	// reach[v] = set of launch FF ids reaching node v (bitset by slice of
-	// sorted ids; circuits here have few launches per cone, so small maps
-	// are fine).
-	reach := make([]map[int]struct{}, len(c.Nodes))
-	for id, ffNode := range c.FFs() {
-		if reach[ffNode] == nil {
-			reach[ffNode] = map[int]struct{}{}
-		}
-		reach[ffNode][id] = struct{}{}
-	}
-	for _, v := range order {
-		n := &c.Nodes[v]
-		if n.Kind == DFF || n.Kind == Input {
-			continue
-		}
-		var acc map[int]struct{}
-		for _, u := range n.Fanin {
-			for id := range reach[u] {
-				if acc == nil {
-					acc = map[int]struct{}{}
-				}
-				acc[id] = struct{}{}
-			}
-		}
-		reach[v] = acc
-	}
-	g := graphx.NewDigraph(c.NumFFs())
-	for capID, ffNode := range c.FFs() {
-		fi := c.Nodes[ffNode].Fanin
-		if len(fi) != 1 {
-			continue
-		}
-		ids := make([]int, 0, len(reach[fi[0]]))
-		for id := range reach[fi[0]] {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, launchID := range ids {
-			g.AddEdge(launchID, capID)
-		}
-	}
-	return g, nil
 }
 
 // WriteDOT renders the netlist in Graphviz DOT format: flip-flops as

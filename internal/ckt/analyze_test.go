@@ -73,64 +73,6 @@ func TestAllConeStats(t *testing.T) {
 	}
 }
 
-func TestFanoutHistogram(t *testing.T) {
-	c := pipeline(t)
-	h := c.FanoutHistogram(4)
-	// ff2 drives 2 sinks; ff0, ff1, a, b drive 1 each.
-	if h[1] != 4 || h[2] != 1 {
-		t.Fatalf("hist = %v", h)
-	}
-	// Bucket cap.
-	hc := c.FanoutHistogram(1)
-	if hc[1] != 5 {
-		t.Fatalf("capped hist = %v", hc)
-	}
-	if got := c.FanoutHistogram(0); len(got) != 2 {
-		t.Fatalf("min bucket: %v", got)
-	}
-}
-
-func TestLevelHistogram(t *testing.T) {
-	c := pipeline(t)
-	h, err := c.LevelHistogram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a at level 1 (after ff0 Q), b at level 2.
-	if h[1] != 1 || h[2] != 1 {
-		t.Fatalf("levels = %v", h)
-	}
-}
-
-func TestSequentialGraph(t *testing.T) {
-	c := pipeline(t)
-	g, err := c.SequentialGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 {
-		t.Fatalf("N = %d", g.N())
-	}
-	// Edges: ff0→ff2, ff1→ff2 (through b), ff2→ff0, ff2→ff1 (direct).
-	has := func(u, v int) bool {
-		for _, w := range g.Adj[u] {
-			if w == v {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(0, 2) || !has(1, 2) || !has(2, 0) || !has(2, 1) {
-		t.Fatalf("adj = %v", g.Adj)
-	}
-	if has(0, 1) || has(1, 0) {
-		t.Fatalf("phantom edges: %v", g.Adj)
-	}
-	if g.EdgeCount() != 4 {
-		t.Fatalf("edges = %d", g.EdgeCount())
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	c := pipeline(t)
 	var b strings.Builder

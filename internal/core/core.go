@@ -1,17 +1,16 @@
 // Package core is the top-level API of the library: it ties the substrates
 // together into the workflow a user actually runs —
 //
-//	load or generate a circuit
+//	load a circuit (preset, .bench netlist or in-memory netlist)
 //	→ characterize its clock-period distribution under process variation
 //	→ insert post-silicon tuning buffers for a target period (the paper's
 //	  sampling-based three-step flow)
-//	→ measure the yield improvement on fresh virtual chips
-//	→ configure individual chips post-silicon.
+//	→ measure the yield improvement on fresh virtual chips.
 //
-// Everything here delegates to the specialized packages (gen, ssta, timing,
-// mc, insertion, yield, tuner); core only owns the wiring and defaults, so
-// a downstream user needs a single import for the common path and can drop
-// to the underlying packages for research use.
+// Everything here delegates to the specialized packages (ssta, timing, mc,
+// insertion, yield); core only owns the wiring and defaults, so a
+// downstream user needs a single import for the common path and can drop to
+// the underlying packages for research use.
 package core
 
 import (
@@ -20,11 +19,9 @@ import (
 
 	"repro/internal/ckt"
 	"repro/internal/expt"
-	"repro/internal/gen"
 	"repro/internal/insertion"
 	"repro/internal/mc"
 	"repro/internal/timing"
-	"repro/internal/tuner"
 	"repro/internal/yield"
 )
 
@@ -70,15 +67,6 @@ func FromPreset(name string, opt Options) (*System, error) {
 		return nil, err
 	}
 	return &System{bench: b}, nil
-}
-
-// Generate synthesizes a circuit (see gen.Config) and prepares a System.
-func Generate(cfg gen.Config, opt Options) (*System, error) {
-	c, err := gen.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return FromCircuit(c, opt)
 }
 
 // Name returns the circuit name.
@@ -133,22 +121,6 @@ func (s *System) MeasureYield(res *insertion.Result, T float64, n int, seed uint
 		return yield.Report{}, err
 	}
 	return rep.At(0), nil
-}
-
-// NewTuner builds the post-silicon configurator for an insertion result.
-func (s *System) NewTuner(res *insertion.Result) (*tuner.Tuner, error) {
-	return tuner.New(s.bench.Graph, res.Cfg.Spec, res.Groups)
-}
-
-// SampleChips materializes n virtual manufactured chips (deterministic in
-// seed), for post-silicon configuration demos and tests.
-func (s *System) SampleChips(n int, seed uint64) []*timing.Chip {
-	eng := mc.New(s.bench.Graph, seed)
-	chips := make([]*timing.Chip, n)
-	for k := range chips {
-		chips[k] = eng.Chip(k)
-	}
-	return chips
 }
 
 // Bench exposes the underlying experiment bench for advanced use.

@@ -10,8 +10,11 @@ import (
 
 func smallSystem(t *testing.T) *System {
 	t.Helper()
-	s, err := Generate(gen.Config{NumFFs: 25, NumGates: 120, Seed: 5},
-		Options{PeriodSamples: 800})
+	c, err := gen.Generate(gen.Config{NumFFs: 25, NumGates: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromCircuit(c, Options{PeriodSamples: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +58,6 @@ func TestEndToEndViaFacade(t *testing.T) {
 	if rep.Improvement() < 0 {
 		t.Fatal("yield must not decrease")
 	}
-	tn, err := s.NewTuner(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chips := s.SampleChips(50, 314)
-	if len(chips) != 50 {
-		t.Fatal("chips")
-	}
-	costs := tn.Population(chips, T, false)
-	if costs.Chips != 50 || costs.PassOutright+costs.Rescued+costs.Unfixable != 50 {
-		t.Fatalf("population: %+v", costs)
-	}
 }
 
 func TestFromBench(t *testing.T) {
@@ -108,12 +99,6 @@ func TestFromPreset(t *testing.T) {
 	}
 	if _, err := FromPreset("nope", Options{}); err == nil {
 		t.Fatal("unknown preset must fail")
-	}
-}
-
-func TestGenerateError(t *testing.T) {
-	if _, err := Generate(gen.Config{NumFFs: 1, NumGates: 5}, Options{}); err == nil {
-		t.Fatal("bad generator config must fail")
 	}
 }
 

@@ -4,8 +4,7 @@
 // buffer range windows (3) when expressed against a fixed origin. Over a
 // uniform discrete tuning grid the floor-rounded integer system is *exactly*
 // equivalent to the discrete feasibility question, which makes the
-// 10⁴-sample yield evaluation and the post-silicon tuner cheap without any
-// ILP calls.
+// 10⁴-sample yield evaluation cheap without any ILP calls.
 package diffcon
 
 import (
@@ -13,151 +12,12 @@ import (
 	"math"
 )
 
-// Constraint is xᵢ − xⱼ ≤ B. Use j = Origin for single-variable bounds.
-type Constraint struct {
-	I, J int
-	B    float64
-}
-
-// Origin is the pseudo-variable fixed at 0; use it as J (or I) to express
-// upper (or lower) bounds on single variables.
+// Origin is the pseudo-variable fixed at 0; pass it as j (or i) to Add to
+// express upper (or lower) bounds on single variables.
 const Origin = -1
-
-// System is a set of difference constraints over variables 0..N-1 plus the
-// origin.
-type System struct {
-	n    int
-	cons []Constraint
-}
-
-// NewSystem creates a system over n variables.
-func NewSystem(n int) *System {
-	if n < 0 {
-		panic("diffcon: negative variable count")
-	}
-	return &System{n: n}
-}
-
-// N returns the number of variables (origin excluded).
-func (s *System) N() int { return s.n }
-
-// NumConstraints returns the number of constraints added.
-func (s *System) NumConstraints() int { return len(s.cons) }
-
-// Add appends xᵢ − xⱼ ≤ b. i and j may be Origin (but not both).
-func (s *System) Add(i, j int, b float64) {
-	if i == Origin && j == Origin {
-		panic("diffcon: constraint between origin and itself")
-	}
-	s.check(i)
-	s.check(j)
-	s.cons = append(s.cons, Constraint{I: i, J: j, B: b})
-}
-
-func (s *System) check(v int) {
-	if v != Origin && (v < 0 || v >= s.n) {
-		panic("diffcon: variable out of range")
-	}
-}
-
-// AddUpper appends xᵢ ≤ b.
-func (s *System) AddUpper(i int, b float64) { s.Add(i, Origin, b) }
-
-// AddLower appends xᵢ ≥ b.
-func (s *System) AddLower(i int, b float64) { s.Add(Origin, i, -b) }
-
-// Constraints returns the constraint list (aliased; do not modify).
-func (s *System) Constraints() []Constraint { return s.cons }
 
 // ErrInfeasible reports a negative cycle (no solution).
 var ErrInfeasible = errors.New("diffcon: system infeasible")
-
-// Solve returns a solution with x[Origin] = 0, or ErrInfeasible. The
-// assignment comes from shortest-path distances under a virtual source
-// with 0-weight edges to every node (so disconnected variables are handled
-// uniformly), shifted so the origin lands at 0. It is deterministic but
-// not extremal; callers needing specific solutions (e.g. the tuner's
-// minimal-touch configuration) post-process it.
-func (s *System) Solve() ([]float64, error) {
-	// Nodes: 0..n-1 variables, n = origin, n+1 = super source.
-	n := s.n
-	org := n
-	total := n + 1
-	dist := make([]float64, total)
-	// Super-source emulation: start all distances at 0 (equivalent to
-	// 0-weight edges from a virtual source to every node).
-	inQueue := make([]bool, total)
-	relaxCount := make([]int, total)
-	queue := make([]int, 0, total)
-	for v := 0; v < total; v++ {
-		queue = append(queue, v)
-		inQueue[v] = true
-	}
-	// Edge list: constraint xi − xj ≤ b is edge j → i with weight b.
-	type edge struct {
-		from, to int
-		w        float64
-	}
-	edges := make([][]edge, total)
-	node := func(v int) int {
-		if v == Origin {
-			return org
-		}
-		return v
-	}
-	for _, c := range s.cons {
-		f, t := node(c.J), node(c.I)
-		edges[f] = append(edges[f], edge{from: f, to: t, w: c.B})
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		du := dist[u]
-		for _, e := range edges[u] {
-			if nd := du + e.w; nd < dist[e.to]-1e-12 {
-				dist[e.to] = nd
-				relaxCount[e.to]++
-				if relaxCount[e.to] > total+1 {
-					return nil, ErrInfeasible
-				}
-				if !inQueue[e.to] {
-					queue = append(queue, e.to)
-					inQueue[e.to] = true
-				}
-			}
-		}
-	}
-	shift := dist[org]
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		out[v] = dist[v] - shift
-	}
-	return out, nil
-}
-
-// Feasible reports whether the system has a solution.
-func (s *System) Feasible() bool {
-	_, err := s.Solve()
-	return err == nil
-}
-
-// Check verifies that x (with the origin at 0) satisfies every constraint
-// within tol, returning the first violated constraint if any.
-func (s *System) Check(x []float64, tol float64) (Constraint, bool) {
-	val := func(v int) float64 {
-		if v == Origin {
-			return 0
-		}
-		return x[v]
-	}
-	for _, c := range s.cons {
-		if val(c.I)-val(c.J) > c.B+tol {
-			return c, false
-		}
-	}
-	return Constraint{}, true
-}
 
 // IntSystem is a difference-constraint system over integer variables —
 // the discrete tuning grid. Feasibility over the integers with floor-rounded

@@ -1,7 +1,6 @@
-// Package graphx provides the directed/undirected graph algorithms that the
-// netlist, timing and insertion packages share: topological ordering of the
-// combinational DAG, level assignment, reachability, and connected components
-// of the violation graph used to decompose per-sample ILPs.
+// Package graphx provides the graph algorithms that the netlist, timing and
+// placement packages share: topological ordering and level assignment of
+// the combinational DAG, and undirected adjacency for FF placement.
 package graphx
 
 import "errors"
@@ -26,15 +25,6 @@ func (g *Digraph) N() int { return len(g.Adj) }
 // AddEdge adds the directed edge u→v. It does not deduplicate.
 func (g *Digraph) AddEdge(u, v int) {
 	g.Adj[u] = append(g.Adj[u], v)
-}
-
-// EdgeCount returns the total number of directed edges.
-func (g *Digraph) EdgeCount() int {
-	m := 0
-	for _, a := range g.Adj {
-		m += len(a)
-	}
-	return m
 }
 
 // InDegrees returns the in-degree of every vertex.
@@ -95,50 +85,14 @@ func (g *Digraph) Levels() ([]int, error) {
 	return lvl, nil
 }
 
-// ReachableFrom returns the set of vertices reachable from any seed
-// (including the seeds themselves) as a boolean mask.
-func (g *Digraph) ReachableFrom(seeds ...int) []bool {
-	seen := make([]bool, g.N())
-	stack := make([]int, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// Reverse returns the graph with all edges reversed.
-func (g *Digraph) Reverse() *Digraph {
-	r := NewDigraph(g.N())
-	for u, a := range g.Adj {
-		for _, v := range a {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
-}
-
 // HasCycle reports whether the graph contains a directed cycle.
 func (g *Digraph) HasCycle() bool {
 	_, err := g.TopoSort()
 	return err != nil
 }
 
-// Ugraph is an undirected graph over vertices 0..N-1, used for the
-// buffer-violation graph whose connected components decompose the
-// per-sample ILP, and for pruning connectivity checks.
+// Ugraph is an undirected graph over vertices 0..N-1, used for the FF
+// adjacency that orders placement.
 type Ugraph struct {
 	Adj [][]int
 }
@@ -148,9 +102,6 @@ func NewUgraph(n int) *Ugraph {
 	return &Ugraph{Adj: make([][]int, n)}
 }
 
-// N returns the number of vertices.
-func (g *Ugraph) N() int { return len(g.Adj) }
-
 // AddEdge adds the undirected edge {u, v}. Self-loops are ignored.
 func (g *Ugraph) AddEdge(u, v int) {
 	if u == v {
@@ -158,139 +109,4 @@ func (g *Ugraph) AddEdge(u, v int) {
 	}
 	g.Adj[u] = append(g.Adj[u], v)
 	g.Adj[v] = append(g.Adj[v], u)
-}
-
-// Components returns the connected components as vertex lists, and a
-// vertex→component index map. Component order follows the smallest vertex
-// id they contain.
-func (g *Ugraph) Components() (comps [][]int, compOf []int) {
-	compOf = make([]int, g.N())
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	for v := 0; v < g.N(); v++ {
-		if compOf[v] != -1 {
-			continue
-		}
-		id := len(comps)
-		var comp []int
-		stack := []int{v}
-		compOf[v] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, w := range g.Adj[u] {
-				if compOf[w] == -1 {
-					compOf[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps, compOf
-}
-
-// ComponentsOf returns the connected components restricted to the vertices
-// where active[v] is true; inactive vertices belong to no component
-// (compOf = -1) and do not transmit connectivity.
-func (g *Ugraph) ComponentsOf(active []bool) (comps [][]int, compOf []int) {
-	compOf = make([]int, g.N())
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	for v := 0; v < g.N(); v++ {
-		if !active[v] || compOf[v] != -1 {
-			continue
-		}
-		id := len(comps)
-		var comp []int
-		stack := []int{v}
-		compOf[v] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, w := range g.Adj[u] {
-				if active[w] && compOf[w] == -1 {
-					compOf[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps, compOf
-}
-
-// Degree returns the degree of vertex v (counting parallel edges).
-func (g *Ugraph) Degree(v int) int { return len(g.Adj[v]) }
-
-// UnionFind is a disjoint-set forest with path compression and union by
-// rank, used for buffer grouping.
-type UnionFind struct {
-	parent []int
-	rank   []int
-	sets   int
-}
-
-// NewUnionFind creates n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &UnionFind{parent: p, rank: make([]int, n), sets: n}
-}
-
-// Find returns the representative of x's set.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b; it reports whether a merge happened.
-func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	u.sets--
-	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
-
-// Groups returns the members of every set keyed by representative, with
-// deterministic ordering (members ascending, groups by smallest member).
-func (u *UnionFind) Groups() [][]int {
-	byRep := make(map[int][]int)
-	for i := range u.parent {
-		r := u.Find(i)
-		byRep[r] = append(byRep[r], i)
-	}
-	// Deterministic order: groups by representative id, members ascending
-	// (members were appended in ascending order).
-	groups := make([][]int, 0, len(byRep))
-	for i := range u.parent {
-		if u.Find(i) == i {
-			groups = append(groups, byRep[i])
-		}
-	}
-	return groups
 }

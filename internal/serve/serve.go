@@ -134,6 +134,57 @@ func checkSamples(field string, n, limit int) error {
 	return nil
 }
 
+// Prepare size limits. gen.Generate and the prepare step allocate in
+// proportion to each of these fields, so an oversized (or negative) one
+// exhausts memory or panics inside the bench entry's once. Prepare, insert
+// and yield requests over a limit get 400 naming it before anything is
+// built or cached. Each limit sits far above the paper's largest circuits
+// (pci_bridge32: 3,321 FFs; s38584: 19,253 gates) and above the defaults.
+const (
+	// maxGenFFs bounds a generated circuit's NumFFs, NumPIs, NumPOs and
+	// LocalityWindow.
+	maxGenFFs = 1 << 16
+	// maxGenGates bounds a generated circuit's NumGates.
+	maxGenGates = 1 << 18
+	// maxGenSources bounds a generated circuit's MaxSources (default 5):
+	// the launch FFs per cone, so pairs grow as NumFFs × MaxSources.
+	maxGenSources = 1 << 5
+	// maxPeriodSamples bounds options.PeriodSamples (default 4000).
+	maxPeriodSamples = 1 << 20
+	// maxRegions bounds options.Regions: every gate delay carries one
+	// sensitivity per process parameter per region.
+	maxRegions = 1 << 6
+)
+
+// checkPrepare validates the size fields of a request's circuit spec and
+// prepare options against the prepare limits. Zero selects a default.
+func checkPrepare(spec CircuitSpec, opt expt.Options) error {
+	type field struct {
+		name     string
+		n, limit int
+	}
+	fields := []field{
+		{"options.PeriodSamples", opt.PeriodSamples, maxPeriodSamples},
+		{"options.Regions", opt.Regions, maxRegions},
+	}
+	if g := spec.Gen; g != nil {
+		fields = append(fields,
+			field{"gen.NumFFs", g.NumFFs, maxGenFFs},
+			field{"gen.NumGates", g.NumGates, maxGenGates},
+			field{"gen.NumPIs", g.NumPIs, maxGenFFs},
+			field{"gen.NumPOs", g.NumPOs, maxGenFFs},
+			field{"gen.MaxSources", g.MaxSources, maxGenSources},
+			field{"gen.LocalityWindow", g.LocalityWindow, maxGenFFs},
+		)
+	}
+	for _, f := range fields {
+		if f.n < 0 || f.n > f.limit {
+			return badRequest("%s %d outside the limits [0, %d]", f.name, f.n, f.limit)
+		}
+	}
+	return nil
+}
+
 // checkSweepSamples validates the chip count against the expanded sweep
 // count of a yield request.
 func checkSweepSamples(n, sweeps int) error {
@@ -387,6 +438,9 @@ func call[Req, Resp any](fn func(context.Context, Req) (Resp, error)) func(*http
 // circuit × options. The LRU lookup is brief; preparation itself runs
 // outside the server lock, once per entry.
 func (s *Server) getBench(spec CircuitSpec, opt expt.Options) (*benchEntry, bool, error) {
+	if err := checkPrepare(spec, opt); err != nil {
+		return nil, false, err
+	}
 	ck, err := spec.Key()
 	if err != nil {
 		return nil, false, badRequest("%v", err)

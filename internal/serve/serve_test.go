@@ -385,6 +385,71 @@ func TestOversizedRequests400(t *testing.T) {
 	}
 }
 
+// TestOversizedPrepare400: prepare size fields over the package limits are
+// rejected with 400 before anything is built, so no bench entry is cached
+// for them. A circuit of 2⁶² FFs used to panic inside the entry's
+// sync.Once, leaving a cached entry with neither a bench nor an error that
+// every later request on the key nil-dereferenced.
+func TestOversizedPrepare400(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const body = `{"circuit":{"gen":{"NumFFs":4611686018427387904,"NumGates":10}}}`
+	var first string
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/prepare", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("attempt %d: %v", i, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(maxGenFFs)) {
+			t.Fatalf("attempt %d: HTTP %d %s, want 400 naming the limit %d", i, resp.StatusCode, msg, maxGenFFs)
+		}
+		if i == 0 {
+			first = string(msg)
+		} else if string(msg) != first {
+			t.Fatalf("second rejection %q differs from the first %q", msg, first)
+		}
+	}
+	cl := NewClient(ts.URL)
+	gc := func(edit func(*gen.Config)) CircuitSpec {
+		c := *tinySpec().Gen
+		edit(&c)
+		return CircuitSpec{Gen: &c}
+	}
+	for _, tc := range []struct {
+		name  string
+		spec  CircuitSpec
+		opt   expt.Options
+		limit int
+	}{
+		{"NumFFs", gc(func(c *gen.Config) { c.NumFFs = 1 << 27 }), tinyOptions(), maxGenFFs},
+		{"NumGates", gc(func(c *gen.Config) { c.NumGates = maxGenGates + 1 }), tinyOptions(), maxGenGates},
+		{"NumPIs", gc(func(c *gen.Config) { c.NumPIs = -1 }), tinyOptions(), maxGenFFs},
+		{"NumPOs", gc(func(c *gen.Config) { c.NumPOs = maxGenFFs + 1 }), tinyOptions(), maxGenFFs},
+		{"MaxSources", gc(func(c *gen.Config) { c.MaxSources = maxGenSources + 1 }), tinyOptions(), maxGenSources},
+		{"LocalityWindow", gc(func(c *gen.Config) { c.LocalityWindow = 1 << 62 }), tinyOptions(), maxGenFFs},
+		{"PeriodSamples", tinySpec(), expt.Options{PeriodSamples: maxPeriodSamples + 1}, maxPeriodSamples},
+		{"negative PeriodSamples", tinySpec(), expt.Options{PeriodSamples: -1}, maxPeriodSamples},
+		{"Regions", CircuitSpec{Preset: "s9234"}, expt.Options{Regions: maxRegions + 1}, maxRegions},
+	} {
+		_, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tc.spec, Options: tc.opt})
+		if err == nil || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
+			t.Fatalf("%s: want HTTP 400 naming the limit %d, got %v", tc.name, tc.limit, err)
+		}
+	}
+	if n := s.benches.len(); n != 0 {
+		t.Fatalf("rejected prepares cached %d bench entries", n)
+	}
+	if _, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: tinySpec(), Options: tinyOptions()}); err != nil {
+		t.Fatalf("valid prepare after the rejections: %v", err)
+	}
+	if err := cl.Health(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInflightLimit: when the admission semaphore is full, requests are
 // rejected with 429 instead of queueing without bound.
 func TestInflightLimit(t *testing.T) {

@@ -603,19 +603,3 @@ func (a *Analyzer) ExactPairDelays(delays []float64) []ExactPairValue {
 	}
 	return out
 }
-
-// CriticalPair returns the pair with the largest mean max-delay, a cheap
-// indicator of the nominal critical path. Returns false when the circuit
-// has no register-to-register paths.
-func CriticalPair(pairs []Pair) (Pair, bool) {
-	if len(pairs) == 0 {
-		return Pair{}, false
-	}
-	best := pairs[0]
-	for _, p := range pairs[1:] {
-		if p.Max.Mean > best.Max.Mean {
-			best = p
-		}
-	}
-	return best, true
-}

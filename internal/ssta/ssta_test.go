@@ -202,9 +202,6 @@ func TestNoPairsForPortOnlyCircuit(t *testing.T) {
 	if pairs := a.PairDelays(); len(pairs) != 0 {
 		t.Fatalf("combinational circuit should have no pairs: %+v", pairs)
 	}
-	if _, ok := CriticalPair(nil); ok {
-		t.Fatal("CriticalPair of empty should be false")
-	}
 }
 
 func TestPIPathsExcluded(t *testing.T) {
@@ -222,18 +219,6 @@ func TestPIPathsExcluded(t *testing.T) {
 	}
 	if pairs := a.PairDelays(); len(pairs) != 0 {
 		t.Fatalf("PI-launched paths must not create pairs: %+v", pairs)
-	}
-}
-
-func TestCriticalPair(t *testing.T) {
-	pairs := []Pair{
-		{Launch: 0, Capture: 1, Max: variation.Const(0, 5)},
-		{Launch: 1, Capture: 2, Max: variation.Const(0, 9)},
-		{Launch: 2, Capture: 0, Max: variation.Const(0, 7)},
-	}
-	p, ok := CriticalPair(pairs)
-	if !ok || p.Launch != 1 {
-		t.Fatalf("critical = %+v", p)
 	}
 }
 

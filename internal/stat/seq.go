@@ -105,30 +105,3 @@ func (s SeqSchedule) AlphaAt(w int) float64 {
 	}
 	return s.Alpha / (float64(w) * float64(w+1))
 }
-
-// ControlVariate returns the regression control-variate estimate of
-// mean(y) given per-sample controls c with known mean muC:
-//
-//	est = ȳ − β̂(c̄ − muC),  β̂ = Ĉov(y,c) / V̂ar(c)
-//
-// When y and c are correlated, the estimator's variance shrinks by the
-// factor 1−ρ² relative to the plain mean (asymptotically — β̂ is
-// estimated from the same samples). A degenerate control (zero variance)
-// or mismatched inputs fall back to the plain mean with beta 0.
-func ControlVariate(y, c []float64, muC float64) (est, beta float64) {
-	if len(y) != len(c) || len(y) == 0 {
-		return Mean(y), 0
-	}
-	my, mcbar := Mean(y), Mean(c)
-	var syc, scc float64
-	for i := range y {
-		dc := c[i] - mcbar
-		syc += (y[i] - my) * dc
-		scc += dc * dc
-	}
-	if scc == 0 {
-		return my, 0
-	}
-	beta = syc / scc
-	return my - beta*(mcbar-muC), beta
-}

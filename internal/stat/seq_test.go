@@ -117,59 +117,3 @@ func TestSequentialCoverage(t *testing.T) {
 		})
 	}
 }
-
-// TestControlVariateShrinksVariance proves the estimator on the shape it
-// is used for: the step-1 (zero-tuning) pass indicator z is a control for
-// the step-2 (tuned) pass indicator y = z ∨ rescue — strongly correlated
-// tallies. Across seeded replications, the control-variate estimate must
-// have strictly smaller variance than the plain mean, and the same
-// expectation.
-func TestControlVariateShrinksVariance(t *testing.T) {
-	const (
-		reps = 3000
-		n    = 200
-		pz   = 0.7  // step-1 pass rate
-		pd   = 0.15 // rescue rate among all chips
-	)
-	rng := rand.New(rand.NewPCG(7, 42))
-	plain := make([]float64, reps)
-	cv := make([]float64, reps)
-	y := make([]float64, n)
-	c := make([]float64, n)
-	for r := 0; r < reps; r++ {
-		for i := 0; i < n; i++ {
-			z, d := 0.0, 0.0
-			if rng.Float64() < pz {
-				z = 1
-			}
-			if rng.Float64() < pd {
-				d = 1
-			}
-			c[i] = z
-			y[i] = math.Max(z, d) // tuned pass = zero pass OR rescued
-		}
-		plain[r] = Mean(y)
-		cv[r], _ = ControlVariate(y, c, pz)
-	}
-	vPlain, vCV := Variance(plain), Variance(cv)
-	if !(vCV < vPlain) {
-		t.Fatalf("control variate did not shrink variance: %v >= %v", vCV, vPlain)
-	}
-	if vCV > 0.5*vPlain {
-		t.Errorf("variance reduction weaker than expected on strongly correlated tallies: %v vs %v", vCV, vPlain)
-	}
-	if d := math.Abs(Mean(cv) - Mean(plain)); d > 0.01 {
-		t.Errorf("control variate shifted the mean: |%v - %v| = %v", Mean(cv), Mean(plain), d)
-	}
-}
-
-// TestControlVariateDegenerate pins the fallbacks.
-func TestControlVariateDegenerate(t *testing.T) {
-	y := []float64{1, 0, 1, 1}
-	if est, beta := ControlVariate(y, []float64{1, 1, 1, 1}, 1); beta != 0 || est != Mean(y) {
-		t.Errorf("constant control should fall back to the plain mean: est=%v beta=%v", est, beta)
-	}
-	if est, beta := ControlVariate(y, []float64{1}, 1); beta != 0 || est != Mean(y) {
-		t.Errorf("mismatched lengths should fall back: est=%v beta=%v", est, beta)
-	}
-}

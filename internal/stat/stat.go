@@ -1,19 +1,12 @@
-// Package stat provides the descriptive statistics, distribution functions
-// and covering utilities used throughout the buffer-insertion flow:
-// means/variances of tuning values, Pearson correlation for buffer grouping,
-// normal tail probabilities for yield sanity checks, empirical yield with
-// Wilson confidence intervals, and the sliding max-cover window used to
-// assign buffer range lower bounds (paper §III-A4).
+// Package stat provides the descriptive statistics and distribution
+// functions used throughout the buffer-insertion flow: means/variances of
+// tuning values, Pearson correlation for buffer grouping, normal tail
+// probabilities for yield sanity checks, empirical yield with Wilson
+// confidence intervals, and the sequential half-widths of adaptive yield
+// evaluation.
 package stat
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by reductions over empty slices.
-var ErrEmpty = errors.New("stat: empty input")
+import "math"
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -59,46 +52,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 		s += d * d
 	}
 	return m, math.Sqrt(s / float64(n-1))
-}
-
-// MinMax returns the smallest and largest element of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
-// Quantile returns the q-th empirical quantile (0 ≤ q ≤ 1) of xs using
-// linear interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stat: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1], nil
-	}
-	return s[i]*(1-frac) + s[i+1]*frac, nil
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.
@@ -262,86 +215,6 @@ func (h *Histogram) Total() int {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// MaxCoverWindow slides a closed window of the given width over the points
-// and returns the left edge that covers the most points, together with the
-// covered count. Ties prefer the window whose covered points have the
-// smallest spread around the window, matching the paper's range-window
-// assignment (§III-A4): the window is anchored at observed points, so the
-// optimal left edge is always one of the point values.
-func MaxCoverWindow(points []float64, width float64) (left float64, covered int, err error) {
-	if len(points) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if width < 0 {
-		return 0, 0, errors.New("stat: negative window width")
-	}
-	s := append([]float64(nil), points...)
-	sort.Float64s(s)
-	best, bestCount := s[0], 0
-	j := 0
-	for i := range s {
-		if j < i {
-			j = i
-		}
-		for j < len(s) && s[j] <= s[i]+width {
-			j++
-		}
-		if j-i > bestCount {
-			bestCount = j - i
-			best = s[i]
-		}
-	}
-	return best, bestCount, nil
-}
-
-// WeightedMaxCoverWindow is MaxCoverWindow over weighted points: value v with
-// weight w counts w times. Weights must be non-negative.
-func WeightedMaxCoverWindow(values []float64, weights []int, width float64) (left float64, covered int, err error) {
-	if len(values) != len(weights) {
-		return 0, 0, errors.New("stat: values/weights length mismatch")
-	}
-	if len(values) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	type vw struct {
-		v float64
-		w int
-	}
-	s := make([]vw, 0, len(values))
-	for i, v := range values {
-		if weights[i] < 0 {
-			return 0, 0, errors.New("stat: negative weight")
-		}
-		s = append(s, vw{v, weights[i]})
-	}
-	sort.Slice(s, func(a, b int) bool { return s[a].v < s[b].v })
-	best, bestCount := s[0].v, -1
-	j, sum := 0, 0
-	for i := range s {
-		if j < i {
-			j, sum = i, 0
-		}
-		if j == i && sum == 0 {
-			// (re)start accumulation at i
-			sum = 0
-			j = i
-		}
-		for j < len(s) && s[j].v <= s[i].v+width {
-			sum += s[j].w
-			j++
-		}
-		if sum > bestCount {
-			bestCount = sum
-			best = s[i].v
-		}
-		sum -= s[i].w
-	}
-	if bestCount < 0 {
-		bestCount = 0
-	}
-	return best, bestCount, nil
 }
 
 // CorrelationMatrix returns the symmetric Pearson correlation matrix of the

@@ -31,42 +31,6 @@ func TestMeanEmpty(t *testing.T) {
 	if Variance([]float64{3}) != 0 {
 		t.Fatal("variance of singleton should be 0")
 	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatal("MinMax on empty should error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v %v %v", lo, hi, err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	q, err := Quantile(xs, 0.5)
-	if err != nil || !almost(q, 3, 1e-12) {
-		t.Fatalf("median = %v, %v", q, err)
-	}
-	q, _ = Quantile(xs, 0)
-	if q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	q, _ = Quantile(xs, 1)
-	if q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	q, _ = Quantile(xs, 0.25)
-	if !almost(q, 2, 1e-12) {
-		t.Fatalf("q0.25 = %v", q)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("out-of-range quantile should error")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("empty quantile should error")
-	}
 }
 
 func TestPearsonPerfect(t *testing.T) {
@@ -191,114 +155,6 @@ func TestHistogramPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(0, 1, 0)
-}
-
-func TestMaxCoverWindow(t *testing.T) {
-	pts := []float64{0, 0.5, 1, 5, 5.2, 5.4, 9}
-	left, n, err := MaxCoverWindow(pts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("covered = %d, want 3", n)
-	}
-	if left != 0 && left != 5 {
-		t.Fatalf("left = %v", left)
-	}
-	// Width 0 still covers duplicate points.
-	left, n, _ = MaxCoverWindow([]float64{2, 2, 2, 3}, 0)
-	if left != 2 || n != 3 {
-		t.Fatalf("width-0 window: left=%v n=%d", left, n)
-	}
-	if _, _, err := MaxCoverWindow(nil, 1); err == nil {
-		t.Fatal("empty input should error")
-	}
-	if _, _, err := MaxCoverWindow(pts, -1); err == nil {
-		t.Fatal("negative width should error")
-	}
-}
-
-func TestMaxCoverWindowProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 7))
-		n := 1 + rng.IntN(40)
-		pts := make([]float64, n)
-		for i := range pts {
-			pts[i] = rng.Float64() * 20
-		}
-		w := rng.Float64() * 5
-		left, covered, err := MaxCoverWindow(pts, w)
-		if err != nil {
-			return false
-		}
-		// Recount and verify it matches, and no single-point shift beats it.
-		count := func(l float64) int {
-			c := 0
-			for _, p := range pts {
-				if p >= l && p <= l+w {
-					c++
-				}
-			}
-			return c
-		}
-		if count(left) != covered {
-			return false
-		}
-		for _, p := range pts {
-			if count(p) > covered {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedMaxCoverWindow(t *testing.T) {
-	values := []float64{0, 1, 2, 10}
-	weights := []int{1, 5, 1, 4}
-	left, covered, err := WeightedMaxCoverWindow(values, weights, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if left != 0 || covered != 7 {
-		t.Fatalf("left=%v covered=%d, want 0,7", left, covered)
-	}
-	if _, _, err := WeightedMaxCoverWindow(values, weights[:2], 2); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, _, err := WeightedMaxCoverWindow([]float64{1}, []int{-1}, 2); err == nil {
-		t.Fatal("negative weight should error")
-	}
-	if _, _, err := WeightedMaxCoverWindow(nil, nil, 2); err == nil {
-		t.Fatal("empty should error")
-	}
-}
-
-func TestWeightedMatchesUnweighted(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		n := 1 + rng.IntN(20)
-		values := make([]float64, n)
-		weights := make([]int, n)
-		var expanded []float64
-		for i := range values {
-			values[i] = math.Round(rng.Float64()*10) / 2
-			weights[i] = 1 + rng.IntN(3)
-			for k := 0; k < weights[i]; k++ {
-				expanded = append(expanded, values[i])
-			}
-		}
-		w := rng.Float64() * 4
-		_, cw, err1 := WeightedMaxCoverWindow(values, weights, w)
-		_, cu, err2 := MaxCoverWindow(expanded, w)
-		return err1 == nil && err2 == nil && cw == cu
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCorrelationMatrix(t *testing.T) {

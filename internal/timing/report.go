@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/stat"
@@ -82,47 +81,4 @@ func (g *Graph) CriticalPairs(T float64, topK int) []PairReport {
 		rep = rep[:topK]
 	}
 	return rep
-}
-
-// YieldLowerBoundAnalytic returns a quick analytic lower bound on the
-// zero-tuning yield at T assuming pair failures were independent:
-// Π (1 − FailProb). Real pairs are positively correlated through the
-// shared process parameters, so the true yield is at least this (a
-// union-bound-style screen that avoids Monte Carlo for early exploration).
-func (g *Graph) YieldLowerBoundAnalytic(T float64) float64 {
-	y := 1.0
-	for p := range g.Pairs {
-		r := g.PairReportAt(p, T)
-		y *= 1 - r.FailProb
-		if y == 0 {
-			return 0
-		}
-	}
-	return y
-}
-
-// PeriodForYieldAnalytic inverts the analytic bound: the smallest T (by
-// bisection) whose analytic yield lower bound reaches `target` ∈ (0,1).
-func (g *Graph) PeriodForYieldAnalytic(target float64) float64 {
-	if len(g.Pairs) == 0 {
-		return 0
-	}
-	lo, hi := 0.0, 0.0
-	for p := range g.Pairs {
-		pr := &g.Pairs[p]
-		worst := pr.Max.Mean + 8*pr.Max.Std() + g.setup[pr.Capture].Mean +
-			math.Abs(g.Skew[pr.Launch]) + math.Abs(g.Skew[pr.Capture])
-		if worst > hi {
-			hi = worst
-		}
-	}
-	for i := 0; i < 80 && hi-lo > 1e-9*hi; i++ {
-		mid := (lo + hi) / 2
-		if g.YieldLowerBoundAnalytic(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }

@@ -1,7 +1,6 @@
 package timing_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cells"
@@ -87,46 +86,5 @@ func TestCriticalPairs(t *testing.T) {
 	}
 	if top3[0].Pair != all[0].Pair {
 		t.Fatal("topK must be a prefix of the full report")
-	}
-}
-
-func TestYieldLowerBoundAnalytic(t *testing.T) {
-	g := reportGraph(t, 30, 150, 57)
-	ps := mc.New(g, 1).PeriodDistribution(2000)
-	// The analytic independent-pairs bound must lower-bound the MC yield
-	// (positive correlation between pairs raises the true joint pass
-	// probability).
-	for _, T := range []float64{ps.Mu, ps.Mu + ps.Sigma, ps.Mu + 2*ps.Sigma} {
-		bound := g.YieldLowerBoundAnalytic(T)
-		mcY := mc.New(g, 7).YieldAtZero(2000, T).Rate()
-		if bound > mcY+0.03 {
-			t.Fatalf("analytic bound %v above MC yield %v at T=%v", bound, mcY, T)
-		}
-	}
-	// Monotone in T.
-	if g.YieldLowerBoundAnalytic(ps.Mu) > g.YieldLowerBoundAnalytic(ps.Mu+ps.Sigma) {
-		t.Fatal("bound must grow with T")
-	}
-}
-
-func TestPeriodForYieldAnalytic(t *testing.T) {
-	g := reportGraph(t, 20, 100, 59)
-	for _, target := range []float64{0.5, 0.9, 0.99} {
-		T := g.PeriodForYieldAnalytic(target)
-		if T <= 0 {
-			t.Fatalf("period = %v", T)
-		}
-		got := g.YieldLowerBoundAnalytic(T)
-		if got < target-1e-6 {
-			t.Fatalf("bound at inverted period = %v, want ≥ %v", got, target)
-		}
-		// Slightly below T the bound must drop under the target.
-		if below := g.YieldLowerBoundAnalytic(T * 0.995); below >= target && math.Abs(below-target) > 0.02 {
-			t.Fatalf("inversion slack: bound(0.995·T) = %v still ≥ %v", below, target)
-		}
-	}
-	empty := &timing.Graph{}
-	if empty.PeriodForYieldAnalytic(0.9) != 0 {
-		t.Fatal("empty graph period")
 	}
 }

@@ -89,16 +89,6 @@ func (c Canonical) Covariance(d Canonical) float64 {
 	return s
 }
 
-// Correlation returns the correlation coefficient between the forms, zero
-// when either is deterministic.
-func (c Canonical) Correlation(d Canonical) float64 {
-	sc, sd := c.Std(), d.Std()
-	if sc == 0 || sd == 0 {
-		return 0
-	}
-	return c.Covariance(d) / (sc * sd)
-}
-
 // Add returns c + d. Independent parts add in quadrature (RSS) because the
 // two ΔR sources are distinct and a sum of independent normals is normal.
 func (c Canonical) Add(d Canonical) Canonical {
@@ -319,34 +309,4 @@ func (s *Sparse) Eval(g []float64, r float64) float64 {
 		v += s.Coef[k] * g[i]
 	}
 	return v + s.Rand*r
-}
-
-// MaxAll folds Max over a non-empty slice.
-func MaxAll(forms []Canonical) Canonical {
-	if len(forms) == 0 {
-		panic("variation: MaxAll of empty slice")
-	}
-	out := forms[0].Clone()
-	for _, f := range forms[1:] {
-		out = out.Max(f)
-	}
-	return out
-}
-
-// MinAll folds Min over a non-empty slice.
-func MinAll(forms []Canonical) Canonical {
-	if len(forms) == 0 {
-		panic("variation: MinAll of empty slice")
-	}
-	out := forms[0].Clone()
-	for _, f := range forms[1:] {
-		out = out.Min(f)
-	}
-	return out
-}
-
-// QuantileNormal returns the q-quantile of the form treating it as normal
-// (exact for a single canonical form).
-func (c Canonical) QuantileNormal(q float64) float64 {
-	return c.Mean + c.Std()*stat.NormalQuantile(q)
 }

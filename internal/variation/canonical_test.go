@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/ckt"
-	"repro/internal/stat"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -29,18 +28,19 @@ func TestVarianceStd(t *testing.T) {
 }
 
 func TestCovarianceCorrelation(t *testing.T) {
+	corr := func(c, d Canonical) float64 { return c.Covariance(d) / (c.Std() * d.Std()) }
 	a := form(0, []float64{1, 0}, 0)
 	b := form(0, []float64{1, 0}, 0)
-	if !almost(a.Correlation(b), 1, 1e-12) {
+	if !almost(corr(a, b), 1, 1e-12) {
 		t.Fatal("identical forms should correlate 1")
 	}
 	c := form(0, []float64{0, 1}, 0)
-	if !almost(a.Correlation(c), 0, 1e-12) {
+	if !almost(corr(a, c), 0, 1e-12) {
 		t.Fatal("orthogonal forms should correlate 0")
 	}
 	d := form(5, []float64{0, 0}, 0)
-	if a.Correlation(d) != 0 {
-		t.Fatal("deterministic form correlates 0")
+	if a.Covariance(d) != 0 {
+		t.Fatal("deterministic form has zero covariance")
 	}
 }
 
@@ -194,31 +194,6 @@ func TestEvalPanicsOnDim(t *testing.T) {
 	form(0, []float64{1}, 0).Eval([]float64{1, 2}, 0)
 }
 
-func TestMaxAllMinAll(t *testing.T) {
-	forms := []Canonical{
-		form(1, []float64{1}, 0),
-		form(9, []float64{1}, 0),
-		form(5, []float64{1}, 0),
-	}
-	if m := MaxAll(forms); !almost(m.Mean, 9, 1e-9) {
-		t.Fatalf("MaxAll mean = %v", m.Mean)
-	}
-	if m := MinAll(forms); !almost(m.Mean, 1, 1e-9) {
-		t.Fatalf("MinAll mean = %v", m.Mean)
-	}
-}
-
-func TestQuantileNormal(t *testing.T) {
-	c := form(10, []float64{3}, 4) // std 5
-	if q := c.QuantileNormal(0.5); !almost(q, 10, 1e-9) {
-		t.Fatalf("median = %v", q)
-	}
-	q := c.QuantileNormal(stat.NormalCDF(1))
-	if !almost(q, 15, 1e-6) {
-		t.Fatalf("q84 = %v", q)
-	}
-}
-
 func TestSpace(t *testing.T) {
 	s := Space{Params: 3, Regions: 2}
 	if s.Dim() != 6 {
@@ -319,7 +294,7 @@ func TestModelRegions(t *testing.T) {
 	d2, _ := m.GateDelay(c, g2)
 	// Different regions: global sensitivities land in different slots, so
 	// correlation comes only from... nothing shared here.
-	if r := d1.Correlation(d2); !almost(r, 0, 1e-12) {
-		t.Fatalf("cross-region correlation = %v", r)
+	if r := d1.Covariance(d2); !almost(r, 0, 1e-12) {
+		t.Fatalf("cross-region covariance = %v", r)
 	}
 }

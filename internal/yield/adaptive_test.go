@@ -154,6 +154,60 @@ func TestAdaptiveShardedWavesMatchInProcess(t *testing.T) {
 	}
 }
 
+// TestAdaptiveZeroOnlyWavesControlVariate pins the step-1 control variate
+// on the wave machine itself: at a mid-yield period the rule must spend
+// some waves zero-only (no rescue solver), meet the precision with fewer
+// joint chips than chips realized, and report a tuned interval that covers
+// the fixed-n estimate.
+func TestAdaptiveZeroOnlyWavesControlVariate(t *testing.T) {
+	ev, g, Ts, _ := sweepFixture(t)
+	const n, seed = 20000, 616
+	sw, err := NewSweepEvaluator(ev, Ts[5:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAdaptive(Precision{Eps: 0.02, Conf: 0.95}, n, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mc.New(g, seed)
+	eng.Stratify = a.Prec.Strata
+	zeroWaves, jointChips := 0, 0
+	for {
+		lo, hi, zeroOnly, ok := a.Next()
+		if !ok {
+			break
+		}
+		if zeroOnly {
+			zeroWaves++
+		} else {
+			jointChips += hi - lo
+		}
+		if err := a.Absorb(TallyRange(eng, lo, hi, zeroOnly, sw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := a.Reports()[0]
+	t.Logf("%d waves (%d zero-only), %d joint of %d chips", rep.Waves, zeroWaves, jointChips, rep.SamplesUsed)
+	if zeroWaves == 0 {
+		t.Fatal("no zero-only wave: the step-1 tallies never served as a control")
+	}
+	if !rep.Met {
+		t.Fatalf("stopping rule exhausted the cap: %+v", rep)
+	}
+	if jointChips >= rep.SamplesUsed || jointChips != rep.JointSamples {
+		t.Fatalf("joint chips %d (report %d) of %d realized", jointChips, rep.JointSamples, rep.SamplesUsed)
+	}
+	fixed, err := EvaluateSweep(ev, mc.New(g, seed), n, Ts[5:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := rep.Tuned[0]
+	if d := math.Abs(tn.Estimate - fixed.Tuned[0].Rate()); d > tn.HalfWidth {
+		t.Errorf("fixed-n tuned %v outside adaptive %v ± %v", fixed.Tuned[0].Rate(), tn.Estimate, tn.HalfWidth)
+	}
+}
+
 // TestAdaptiveValidation pins parameter and wave-shape errors.
 func TestAdaptiveValidation(t *testing.T) {
 	ev, _, Ts, _ := sweepFixture(t)

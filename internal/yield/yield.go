@@ -196,28 +196,6 @@ func (e *Evaluator) ChipFeasible(ch *timing.Chip, T float64) bool {
 	return sys.Feasible()
 }
 
-// Configure returns a legal tuning (per group variable, in ps) for the
-// chip at period T, or ErrUnfixable.
-func (e *Evaluator) Configure(ch *timing.Chip, T float64) ([]float64, error) {
-	sys, ok := e.system(ch, T)
-	if !ok {
-		return nil, ErrUnfixable
-	}
-	k, err := sys.Solve()
-	if err != nil {
-		return nil, ErrUnfixable
-	}
-	step := e.Spec.Step()
-	out := make([]float64, len(k))
-	for i, ki := range k {
-		out[i] = float64(ki) * step
-	}
-	return out, nil
-}
-
-// ErrUnfixable reports that no buffer configuration rescues the chip.
-var ErrUnfixable = fmt.Errorf("yield: chip not fixable with the inserted buffers")
-
 // TuningOf maps a group-variable assignment to the per-FF tuning delay
 // (0 for unbuffered FFs).
 func (e *Evaluator) TuningOf(groupVals []float64) []float64 {

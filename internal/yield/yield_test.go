@@ -127,60 +127,6 @@ func TestEvaluatorValidation(t *testing.T) {
 	}
 }
 
-func TestConfigureProducesLegalTuning(t *testing.T) {
-	g, ps, pl := buildBench(t, 30, 150, 109)
-	res, err := insertion.Run(g, pl, insertion.Config{T: ps.Mu, Samples: 300, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) == 0 {
-		t.Skip("no buffers inserted on this bench")
-	}
-	ev, err := NewEvaluator(g, res.Cfg.Spec, res.Groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := mc.New(g, 31337)
-	fixed, failed := 0, 0
-	for k := 0; k < 300; k++ {
-		ch := eng.Chip(k)
-		if g.FeasibleAtZero(ch, ps.Mu) {
-			continue
-		}
-		vals, err := ev.Configure(ch, ps.Mu)
-		if err != nil {
-			failed++
-			continue
-		}
-		fixed++
-		// The returned configuration must satisfy every constraint.
-		x := ev.TuningOf(vals)
-		for p := range g.Pairs {
-			pr := &g.Pairs[p]
-			if x[pr.Launch]-x[pr.Capture] > g.SetupBound(ch, p, ps.Mu)+1e-6 {
-				t.Fatalf("configure: setup violated on pair %d", p)
-			}
-			if x[pr.Capture]-x[pr.Launch] > g.HoldBound(ch, p)+1e-6 {
-				t.Fatalf("configure: hold violated on pair %d", p)
-			}
-		}
-		// Values on the grid and inside windows.
-		step := res.Cfg.Spec.Step()
-		for gi, v := range vals {
-			if k := v / step; math.Abs(k-math.Round(k)) > 1e-6 {
-				t.Fatalf("tuning %v off grid", v)
-			}
-			if v < res.Groups[gi].Lo-1e-9 || v > res.Groups[gi].Hi+1e-9 {
-				t.Fatalf("tuning %v outside window [%v,%v]", v, res.Groups[gi].Lo, res.Groups[gi].Hi)
-			}
-		}
-	}
-	if fixed == 0 {
-		t.Fatal("no failing chip could be configured")
-	}
-	t.Logf("configured %d chips, %d unfixable", fixed, failed)
-}
-
 func TestChipFeasibleAgainstBruteForce(t *testing.T) {
 	// Exactness of the grid difference system: compare against exhaustive
 	// enumeration of the buffer settings on a small bench with ≤2 groups.
@@ -239,13 +185,11 @@ func TestChipFeasibleAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestOracleFeasibleConfigureBruteForce is the oracle-grade exactness test:
-// on small generated circuits with hand-built groups (up to 4 groups, one
-// shared by two FFs, few grid steps) it enumerates every discrete buffer
-// setting per chip and asserts exact agreement with the Bellman-Ford
-// answer, and that Configure succeeds exactly when a setting exists and
-// returns a legal one.
-func TestOracleFeasibleConfigureBruteForce(t *testing.T) {
+// TestOracleFeasibleBruteForce is the oracle-grade exactness test: on small
+// generated circuits with hand-built groups (up to 4 groups, one shared by
+// two FFs, few grid steps) it enumerates every discrete buffer setting per
+// chip and asserts exact agreement with the Bellman-Ford answer.
+func TestOracleFeasibleBruteForce(t *testing.T) {
 	for _, seed := range []uint64{201, 202, 203} {
 		g, ps, _ := buildBench(t, 10, 45, seed)
 		spec := insertion.BufferSpec{MaxRange: ps.Mu / 10, Steps: 4}
@@ -277,7 +221,7 @@ func TestOracleFeasibleConfigureBruteForce(t *testing.T) {
 			return true
 		}
 		eng := mc.New(g, seed*7+1)
-		agreeFeasible, agreeConfigure := 0, 0
+		feasible := 0
 		for k := 0; k < 100; k++ {
 			ch := eng.Chip(k)
 			// Stress both sides of the curve: alternate a tight and a
@@ -306,32 +250,13 @@ func TestOracleFeasibleConfigureBruteForce(t *testing.T) {
 			if got := ev.ChipFeasible(ch, T); got != want {
 				t.Fatalf("seed %d chip %d: ChipFeasible=%v, brute force=%v", seed, k, got, want)
 			}
-			agreeFeasible++
-			vals, err := ev.Configure(ch, T)
-			if (err == nil) != want {
-				t.Fatalf("seed %d chip %d: Configure err=%v, brute force=%v", seed, k, err, want)
-			}
-			if err != nil {
-				continue
-			}
-			agreeConfigure++
-			// The returned configuration must be on-grid, inside its
-			// window, and satisfy every constraint.
-			for gi, v := range vals {
-				if kk := v / s; math.Abs(kk-math.Round(kk)) > 1e-9 {
-					t.Fatalf("seed %d chip %d: tuning %v off grid", seed, k, v)
-				}
-				if v < groups[gi].Lo-1e-9 || v > groups[gi].Hi+1e-9 {
-					t.Fatalf("seed %d chip %d: tuning %v outside [%v,%v]", seed, k, v, groups[gi].Lo, groups[gi].Hi)
-				}
-			}
-			if !check(ch, vals, T) {
-				t.Fatalf("seed %d chip %d: Configure returned a violating assignment", seed, k)
+			if want {
+				feasible++
 			}
 		}
-		if agreeConfigure == 0 || agreeConfigure == agreeFeasible {
-			t.Fatalf("seed %d: degenerate oracle coverage (%d/%d configurable) — adjust periods",
-				seed, agreeConfigure, agreeFeasible)
+		if feasible == 0 || feasible == 100 {
+			t.Fatalf("seed %d: degenerate oracle coverage (%d/100 feasible) — adjust periods",
+				seed, feasible)
 		}
 	}
 }

@@ -171,6 +171,25 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     single_pid=$!
     "$smokedir/bufinsd" -check "$daemon_url" -expect-waves
 
+    echo "== oversized prepare smoke =="
+    # A prepare over the size limits gets 400 every time (it must not
+    # poison the bench entry of its key), and the daemon stays healthy.
+    for attempt in 1 2; do
+        code=$(curl -s -o "$smokedir/oversized-$attempt.log" -w '%{http_code}' \
+            -H 'Content-Type: application/json' \
+            -d '{"circuit":{"gen":{"NumFFs":4611686018427387904,"NumGates":10}}}' \
+            "$daemon_url/v1/prepare") || code=000
+        if [ "$code" != 400 ]; then
+            cat "$smokedir/oversized-$attempt.log" >&2 || true
+            echo "oversized prepare attempt $attempt: HTTP $code, want 400" >&2
+            exit 1
+        fi
+    done
+    if ! curl -sf -o /dev/null "$daemon_url/healthz"; then
+        echo "daemon unhealthy after the oversized prepares" >&2
+        exit 1
+    fi
+
     echo "== interrupt smoke (yieldeval -server) =="
     # ^C must end a -server run promptly: the client abandons its in-flight
     # request (a multi-second s9234 insertion) and exits non-zero within 3 s
