@@ -436,7 +436,8 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 }
 
 // BenchmarkSampleSolve measures one full step-1 + step-2 per-sample solve —
-// component discovery plus the min-count and concentration ILP pairs — on a
+// component discovery, the support-enumeration tuning count and the
+// concentration ILPs (the count ILP only on fallback) — on a
 // prepared s9234 preset, i.e. the actual unit of work the Monte Carlo loop
 // repeats ~10⁴ times per Table-I row. nodes/op counts the branch-and-bound
 // node relaxations per solve, and hot/op, warm/op, cold/op and fallbacks/op

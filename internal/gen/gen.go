@@ -43,12 +43,34 @@ type Config struct {
 	Seed       uint64
 }
 
+// maxCount bounds every count field of a Config. Far beyond what fits in
+// memory as a circuit, it keeps the generator's index arithmetic (a
+// locality offset spans 2·LocalityWindow+1 ids past a capture id) clear of
+// integer overflow.
+const maxCount = 1 << 28
+
+// fill validates the config and resolves its defaults. A negative or
+// oversized field is an error, never a panic further in.
 func (cfg *Config) fill() error {
 	if cfg.NumFFs < 2 {
 		return fmt.Errorf("gen: need at least 2 FFs, got %d", cfg.NumFFs)
 	}
 	if cfg.NumGates < 0 {
 		return fmt.Errorf("gen: negative gate count")
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"NumFFs", cfg.NumFFs}, {"NumGates", cfg.NumGates}, {"NumPIs", cfg.NumPIs},
+		{"NumPOs", cfg.NumPOs}, {"MaxSources", cfg.MaxSources}, {"LocalityWindow", cfg.LocalityWindow},
+	} {
+		if f.n < 0 || f.n > maxCount {
+			return fmt.Errorf("gen: %s %d outside [0, %d]", f.name, f.n, maxCount)
+		}
+	}
+	if !(cfg.DeepConeFrac >= 0) || !(cfg.PILeafProb >= 0) {
+		return fmt.Errorf("gen: negative or NaN fraction (DeepConeFrac %v, PILeafProb %v)", cfg.DeepConeFrac, cfg.PILeafProb)
 	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("synth_%d_%d", cfg.NumFFs, cfg.NumGates)

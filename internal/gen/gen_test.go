@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,40 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := Generate(Config{NumFFs: 5, NumGates: -1}); err == nil {
 		t.Fatal("negative gates should error")
+	}
+}
+
+// TestGenerateRejectsBadFields: every negative or overflowing field is an
+// error from Generate, not a panic inside it (makeslice for NumPIs −1,
+// rand.IntN for MaxSources −1 and for the overflowing locality span).
+func TestGenerateRejectsBadFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"NumPIs -1", Config{NumPIs: -1}},
+		{"NumPOs -1", Config{NumPOs: -1}},
+		{"MaxSources -1", Config{MaxSources: -1}},
+		{"LocalityWindow -1", Config{LocalityWindow: -1}},
+		{"LocalityWindow 1<<62", Config{LocalityWindow: 1 << 62}},
+		{"NumGates 1<<62", Config{NumGates: 1 << 62}},
+		{"NumFFs 1<<62", Config{NumFFs: 1 << 62}},
+		{"MaxSources 1<<62", Config{MaxSources: 1 << 62}},
+		{"DeepConeFrac -0.5", Config{DeepConeFrac: -0.5}},
+		{"PILeafProb NaN", Config{PILeafProb: math.NaN()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if cfg.NumFFs == 0 {
+				cfg.NumFFs = 10
+			}
+			if cfg.NumGates == 0 {
+				cfg.NumGates = 30
+			}
+			if _, err := Generate(cfg); err == nil {
+				t.Fatalf("Generate(%+v) accepted a bad field", cfg)
+			}
+		})
 	}
 }
 

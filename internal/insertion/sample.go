@@ -3,6 +3,7 @@ package insertion
 import (
 	"math"
 
+	"repro/internal/diffcon"
 	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/timing"
@@ -16,11 +17,11 @@ type Tuning struct {
 	Val float64 `json:"val"`
 }
 
-// SampleOutcome is the per-sample result of the min-count + concentration
-// ILP pair — the unit the sharded sample loop ships between processes: a
-// pass over any k-range is a k-indexed SampleOutcome slice, and merging
-// ranges is pure placement, so the reduced statistics are byte-identical
-// no matter where samples were solved.
+// SampleOutcome is the per-sample result of the minimum tuning count and
+// the concentration ILP — the unit the sharded sample loop ships between
+// processes: a pass over any k-range is a k-indexed SampleOutcome slice,
+// and merging ranges is pure placement, so the reduced statistics are
+// byte-identical no matter where samples were solved.
 //
 // Inside a pass, Tuned aliases solver-owned scratch until the collecting
 // loop copies it; every SampleOutcome that escapes the package owns its
@@ -48,9 +49,10 @@ const (
 )
 
 // sampleSolver carries the per-pass configuration plus per-worker scratch:
-// a resettable MILP problem, a branch-and-bound arena, and epoch-stamped
-// index maps, so solving a component in steady state reuses worker-owned
-// memory and performs no heap allocations.
+// the support-enumeration systems, a resettable MILP problem, a
+// branch-and-bound arena, and epoch-stamped index maps, so solving a
+// component in steady state reuses worker-owned memory and performs no heap
+// allocations.
 //
 // Ownership: a solver is single-goroutine state. Workers obtain one through
 // Runner.checkout — which hands out exclusive ownership until release — and
@@ -93,6 +95,16 @@ type sampleSolver struct {
 	cVar  []int
 	csum  []lp.Term
 	xSol  []float64 // per-comp tuning values surviving across the 2nd solve
+
+	// per-component count scratch (walkRows, countMin): the component
+	// being solved, its rows, and the support systems' working memory.
+	comp   []int
+	rows   []compRow
+	node   []int
+	fEdges []fEdge
+	fDist  []float64
+	isys   diffcon.IntSystem
+	isv    diffcon.IntSolver
 
 	// epoch-stamped maps replacing per-build allocations: posIdx[ff] is the
 	// index of ff in the current component iff posEpoch[ff] == epoch, and a
@@ -162,8 +174,9 @@ func (s *sampleSolver) windowOf(ff int) (lo, hi float64) {
 	return s.lower[ff], s.lower[ff] + tau
 }
 
-// solve runs the two-ILP sequence for one chip. The returned outcome's
-// tuned slice aliases solver scratch (see SampleOutcome).
+// solve repairs one chip: it realizes the constraint bounds, grows
+// violation components, and solves each (solveComponent). The returned
+// outcome's tuned slice aliases solver scratch (see SampleOutcome).
 //
 //contract:allocfree
 func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
@@ -307,13 +320,40 @@ func (s *sampleSolver) expands(p int) bool {
 	return s.setupB[p] < s.spec.MaxRange || s.holdB[p] < 0
 }
 
-// solveComponent builds and solves the two ILPs for one component,
-// appending the resulting tunings to s.tuned. Returns the minimum count nk
-// and feasibility.
+// solveComponent repairs one component, appending the resulting tunings to
+// s.tuned, and returns the minimum count nk and feasibility. The count is
+// decided combinatorially (countMin); only the concentration ILP runs under
+// Σc ≤ nk. Every case countMin leaves open — an undecided or oversized
+// component, an infeasible full support, the NoConcentration ablation
+// (which keeps the count solve's tuning values), or a concentration solve
+// that fails — runs the two-ILP solveComponentMILP instead. The
+// concentration solve reads only the problem it is given, so both routes
+// return the same bits for the same nk. A decided nk is at least 1 (see
+// countMin); zero tunings come only from the MILP's hairline rule.
 func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
+	s.walkRows(comp)
+	if !s.concentration {
+		return s.solveComponentMILP(comp)
+	}
+	nk, decided := s.countMin(len(comp))
+	if !decided {
+		return s.solveComponentMILP(comp)
+	}
 	xVar, cVar := s.buildProblem(comp)
-	prob := s.prob
-	solA, err := prob.SolveArena(&s.arena, milp.Options{})
+	if !s.concentrate(comp, xVar, cVar, nk) {
+		return s.solveComponentMILP(comp)
+	}
+	s.emit(comp)
+	return nk, true
+}
+
+// solveComponentMILP builds and solves the two ILPs for one component: the
+// minimum-count ILP, then the concentration ILP under its count. It is the
+// fallback and oracle of solveComponent, with the same contract; s.rows
+// must hold comp's rows (walkRows).
+func (s *sampleSolver) solveComponentMILP(comp []int) (int, bool) {
+	xVar, cVar := s.buildProblem(comp)
+	solA, err := s.prob.SolveArena(&s.arena, milp.Options{})
 	if err != nil || solA.Status != lp.Optimal {
 		return 0, false
 	}
@@ -323,8 +363,9 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 		// contains an endpoint of a violated pair (components grow from
 		// violated-pair seeds through interacting edges), and that pair's
 		// row forces a non-zero tuning — yet when the violated bound is
-		// within the solver's feasibility tolerance of zero (|b| ≲ 1e-7),
-		// the LP accepts x = 0 and no usage binary is charged. Such a
+		// within the solver's tolerances of zero (the LP's feasibility
+		// tolerance, or a usage binary within the integrality tolerance of
+		// 0, which lets x reach τ·1e-6), no usage binary is charged. Such a
 		// sample needs no physically meaningful repair; accept it as zero
 		// tunings. See TestSolveComponentHairlineViolation.
 		return 0, true
@@ -335,27 +376,45 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 	for idx := range comp {
 		s.xSol = append(s.xSol, solA.X[xVar[idx]])
 	}
-	// Concentration ILP: same constraints + csum ≤ nk, minimize Σ|x−center|
-	// (skipped under the NoConcentration ablation). Rather than rebuilding,
-	// mutate the problem in place: the count objective moves into a row cap
-	// and |x − center| terms take over the objective.
+	// Skipped under the NoConcentration ablation; a failed concentration
+	// solve keeps the count solve's values.
 	if s.concentration {
-		s.csum = s.csum[:0]
-		for _, c := range cVar {
-			prob.LP.SetObj(c, 0)
-			s.csum = append(s.csum, lp.T(c, 1))
-		}
-		prob.AddRow(lp.LE, float64(nk), s.csum...)
-		for idx, ff := range comp {
-			prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
-		}
-		sol2, err := prob.SolveArena(&s.arena, milp.Options{})
-		if err == nil && sol2.Status == lp.Optimal {
-			for idx := range comp {
-				s.xSol[idx] = sol2.X[xVar[idx]]
-			}
-		}
+		s.concentrate(comp, xVar, cVar, nk)
 	}
+	s.emit(comp)
+	return nk, true
+}
+
+// concentrate solves the concentration ILP: the component's constraints
+// plus Σc ≤ nk, minimizing Σ|x − center|. Rather than rebuilding, it
+// mutates the count problem in place: the count objective moves into a row
+// cap and |x − center| terms take over the objective. On success the
+// tuning values land in s.xSol; on failure s.xSol is left as it was.
+func (s *sampleSolver) concentrate(comp, xVar, cVar []int, nk int) bool {
+	prob := s.prob
+	s.csum = s.csum[:0]
+	for _, c := range cVar {
+		prob.LP.SetObj(c, 0)
+		s.csum = append(s.csum, lp.T(c, 1))
+	}
+	prob.AddRow(lp.LE, float64(nk), s.csum...)
+	for idx, ff := range comp {
+		prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
+	}
+	sol, err := prob.SolveArena(&s.arena, milp.Options{})
+	if err != nil || sol.Status != lp.Optimal {
+		return false
+	}
+	s.xSol = s.xSol[:0]
+	for idx := range comp {
+		s.xSol = append(s.xSol, sol.X[xVar[idx]])
+	}
+	return true
+}
+
+// emit appends the component's non-zero tuning values in s.xSol to s.tuned,
+// snapped exactly to the grid in step 2.
+func (s *sampleSolver) emit(comp []int) {
 	for idx, ff := range comp {
 		v := s.xSol[idx]
 		if s.mode == modeFixed {
@@ -368,26 +427,65 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 			s.tuned = append(s.tuned, Tuning{FF: ff, Val: v})
 		}
 	}
-	return nk, true
+}
+
+// compRow is one interacting pair touching a component: setup
+// x_l − x_c ≤ setup and hold x_c − x_l ≤ hold, with l and c the endpoints'
+// indices in the component, or −1 for an endpoint outside it (fixed at 0).
+type compRow struct {
+	l, c        int
+	setup, hold float64
+}
+
+// walkRows lists into s.rows every interacting pair touching the
+// component, in adjacency order (the MILP's row order), and stamps each
+// component FF's index into posIdx for the current epoch. Self-loop pairs
+// are skipped: x cancels in them.
+func (s *sampleSolver) walkRows(comp []int) {
+	g := s.g
+	s.epoch++
+	ep := s.epoch
+	s.comp = comp
+	for idx, ff := range comp {
+		s.posIdx[ff] = idx
+		s.posEpoch[ff] = ep
+	}
+	s.rows = s.rows[:0]
+	for _, ff := range comp {
+		for _, p := range s.adj[ff] {
+			if s.seenEpoch[p] == ep {
+				continue
+			}
+			s.seenEpoch[p] = ep
+			pr := &g.Pairs[p]
+			if !s.interacting(p) || pr.Launch == pr.Capture {
+				continue
+			}
+			l, c := -1, -1
+			if s.posEpoch[pr.Launch] == ep {
+				l = s.posIdx[pr.Launch]
+			}
+			if s.posEpoch[pr.Capture] == ep {
+				c = s.posIdx[pr.Capture]
+			}
+			s.rows = append(s.rows, compRow{l: l, c: c, setup: s.setupB[p], hold: s.holdB[p]})
+		}
+	}
 }
 
 // buildProblem assembles the component MILP shared by both objectives into
 // the solver's resettable problem: variables x (tuning) and c (usage
 // binaries with the Γ=τ indicator), all setup/hold rows touching the
-// component, and — in step 2 — the discrete grid coupling x = lower + s·k.
-// The returned slices alias solver scratch.
+// component (s.rows, which walkRows must have listed for comp), and — in
+// step 2 — the discrete grid coupling x = lower + s·k. The returned slices
+// alias solver scratch.
 func (s *sampleSolver) buildProblem(comp []int) (xVar, cVar []int) {
-	g := s.g
 	tau := s.spec.MaxRange
 	prob := s.prob
 	prob.Reset()
-	s.epoch++
-	ep := s.epoch
 	s.xVar = s.xVar[:0]
 	s.cVar = s.cVar[:0]
-	for idx, ff := range comp {
-		s.posIdx[ff] = idx
-		s.posEpoch[ff] = ep
+	for _, ff := range comp {
 		lo, hi := s.windowOf(ff)
 		x := prob.AddVar(milp.Continuous, lo, hi, 0, "x")
 		c := prob.AddVar(milp.Binary, 0, 1, 1, "c")
@@ -401,36 +499,20 @@ func (s *sampleSolver) buildProblem(comp []int) (xVar, cVar []int) {
 		}
 	}
 	xVar, cVar = s.xVar, s.cVar
-	// Rows: every pair touching the component that can interact.
-	for _, ff := range comp {
-		for _, p := range s.adj[ff] {
-			if s.seenEpoch[p] == ep {
-				continue
-			}
-			s.seenEpoch[p] = ep
-			if !s.interacting(p) {
-				continue
-			}
-			pr := &g.Pairs[p]
-			lok := s.posEpoch[pr.Launch] == ep
-			cok := s.posEpoch[pr.Capture] == ep
-			switch {
-			case lok && cok && pr.Launch != pr.Capture:
-				li, ci := s.posIdx[pr.Launch], s.posIdx[pr.Capture]
-				// setup: x_l − x_c ≤ setupB; hold: x_c − x_l ≤ holdB.
-				prob.AddRow(lp.LE, s.setupB[p], lp.T(xVar[li], 1), lp.T(xVar[ci], -1))
-				prob.AddRow(lp.LE, s.holdB[p], lp.T(xVar[ci], 1), lp.T(xVar[li], -1))
-			case lok && !cok:
-				li := s.posIdx[pr.Launch]
-				// Capture fixed at 0.
-				prob.AddRow(lp.LE, s.setupB[p], lp.T(xVar[li], 1))
-				prob.AddRow(lp.LE, s.holdB[p], lp.T(xVar[li], -1))
-			case cok && !lok:
-				ci := s.posIdx[pr.Capture]
-				// Launch fixed at 0.
-				prob.AddRow(lp.LE, s.setupB[p], lp.T(xVar[ci], -1))
-				prob.AddRow(lp.LE, s.holdB[p], lp.T(xVar[ci], 1))
-			}
+	for _, r := range s.rows {
+		switch {
+		case r.l >= 0 && r.c >= 0:
+			// setup: x_l − x_c ≤ setupB; hold: x_c − x_l ≤ holdB.
+			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.l], 1), lp.T(xVar[r.c], -1))
+			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.c], 1), lp.T(xVar[r.l], -1))
+		case r.l >= 0:
+			// Capture fixed at 0.
+			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.l], 1))
+			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.l], -1))
+		default:
+			// Launch fixed at 0.
+			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.c], -1))
+			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.c], 1))
 		}
 	}
 	return xVar, cVar

@@ -288,12 +288,14 @@ func TestNoConcentrationStillFeasible(t *testing.T) {
 }
 
 func TestSolveComponentHairlineViolation(t *testing.T) {
-	// A pair violated by less than the LP feasibility tolerance (~1e-7):
-	// the solver counts it as a violation and builds a component, but the
-	// min-count ILP legitimately returns nk = 0 because x = 0 satisfies the
-	// row within tolerance. This is the one reachable path to the nk == 0
-	// branch of solveComponent — the sample must come back feasible with
-	// zero tunings, not be marked unfixable.
+	// A pair violated by less than the solver's tolerances: the solver
+	// counts it as a violation and builds a component, but the min-count
+	// ILP legitimately returns nk = 0 because x = 0 satisfies the row
+	// within tolerance. The combinatorial count cannot decide it (the
+	// empty support passes only with the bound loosened by δ), so the
+	// component takes the MILP route, whose nk == 0 branch is the one
+	// reachable path to zero tunings — the sample must come back feasible
+	// with zero tunings, not be marked unfixable.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},
 		{Launch: 1, Capture: 2},
@@ -308,12 +310,21 @@ func TestSolveComponentHairlineViolation(t *testing.T) {
 	if out.NK != 0 || len(out.Tuned) != 0 {
 		t.Fatalf("hairline violation needs no repair, got nk=%d tuned=%v", out.NK, out.Tuned)
 	}
+	comp := s.compBuf
+	s.walkRows(comp)
+	if nk, decided := s.countMin(len(comp)); decided {
+		t.Fatalf("countMin decided a hairline component (nk=%d); it must fall back to the MILP", nk)
+	}
+	if nk, ok := s.solveComponentMILP(comp); !ok || nk != 0 {
+		t.Fatalf("MILP route on the hairline: nk=%d ok=%v, want 0 true", nk, ok)
+	}
 }
 
 func TestSolveWarmZeroAllocs(t *testing.T) {
-	// A warm per-sample solve — including component discovery, both ILP
-	// builds and all branch-and-bound LP relaxations — must run entirely
-	// out of solver-owned scratch.
+	// A warm per-sample solve — including component discovery, the
+	// support enumeration, the ILP builds and all branch-and-bound LP
+	// relaxations — must run entirely out of solver-owned scratch, in both
+	// modes.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},
 		{Launch: 1, Capture: 2},
@@ -322,13 +333,27 @@ func TestSolveWarmZeroAllocs(t *testing.T) {
 	}
 	g := synthGraph(5, pairs)
 	ch := chipWith(g, []float64{230, 100, 225, 120}, 0, 0)
-	s := solverFor(g, 200, 50, 10, modeFloating, nil, nil, nil)
-	for i := 0; i < 3; i++ { // warm all scratch to steady-state capacity
-		if out := s.solve(ch); !out.Feasible || out.NK != 2 {
-			t.Fatalf("unexpected outcome: %+v", out)
-		}
+	cases := []struct {
+		mode    solverMode
+		allowed []bool
+		lower   []float64
+		nk      int
+	}{
+		{modeFloating, nil, nil, 2},
+		// Windows [−25, 25] cap each tuning at 25 ps, so the 30 ps setup
+		// violation needs two buffers (FF0 early, FF1 late) and the
+		// 25 ps one a third.
+		{modeFixed, []bool{true, true, true, true, true}, []float64{-25, -25, -25, -25, -25}, 3},
 	}
-	if avg := testing.AllocsPerRun(100, func() { s.solve(ch) }); avg != 0 {
-		t.Fatalf("warm solve allocates %v times per run, want 0", avg)
+	for _, tc := range cases {
+		s := solverFor(g, 200, 50, 10, tc.mode, tc.allowed, tc.lower, nil)
+		for i := 0; i < 3; i++ { // warm all scratch to steady-state capacity
+			if out := s.solve(ch); !out.Feasible || out.NK != tc.nk {
+				t.Fatalf("mode %d: unexpected outcome: %+v, want nk=%d", tc.mode, out, tc.nk)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, func() { s.solve(ch) }); avg != 0 {
+			t.Fatalf("mode %d: warm solve allocates %v times per run, want 0", tc.mode, avg)
+		}
 	}
 }

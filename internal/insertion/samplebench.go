@@ -8,7 +8,7 @@ import (
 	"repro/internal/timing"
 )
 
-// SampleBench exposes the per-sample two-ILP hot path for benchmarking: a
+// SampleBench exposes the per-sample hot path for benchmarking: a
 // prepared step-1 (floating-window) and step-2 (fixed discrete window)
 // solver pair plus one realized violation-bearing chip. The flow spends
 // essentially all of its time inside sampleSolver.solve, so timing

@@ -2,11 +2,12 @@
 // three-step flow that decides where to insert post-silicon clock tuning
 // buffers and what discrete range each needs (Fig. 3).
 //
-// Step 1 (§III-A): per Monte-Carlo sample, an ILP minimizes the number of
-// buffers needed to meet the target period with floating range windows,
-// then a second ILP concentrates tuning values toward zero; aggregated
-// counts prune unhelpful buffers and a sliding window fixes each survivor's
-// lower bound.
+// Step 1 (§III-A): per Monte-Carlo sample, the minimum number of buffers
+// needed to meet the target period with floating range windows is found
+// (by support enumeration over difference constraints, with the paper's
+// count ILP as fallback), then an ILP concentrates tuning values toward
+// zero under that count; aggregated counts prune unhelpful buffers and a
+// sliding window fixes each survivor's lower bound.
 //
 // Step 2 (§III-B): the sampling re-runs with fixed discrete windows (the
 // 0.1 % skip rule avoids the re-run when step 1's values already fit), a
@@ -123,8 +124,8 @@ type Config struct {
 }
 
 func (cfg *Config) fill() error {
-	if cfg.T <= 0 {
-		return fmt.Errorf("insertion: non-positive target period %v", cfg.T)
+	if !(cfg.T > 0) || math.IsInf(cfg.T, 1) {
+		return fmt.Errorf("insertion: target period %v is not a positive finite number", cfg.T)
 	}
 	if cfg.Spec == (BufferSpec{}) {
 		cfg.Spec = DefaultSpec(cfg.T)

@@ -7,10 +7,9 @@ import "container/list"
 // server guards each instance with the owning structure's mutex — the
 // cache itself stays single-threaded state.
 type lruCache struct {
-	cap     int
-	ll      *list.List // front = hottest
-	items   map[string]*list.Element
-	onEvict func(key string, val any)
+	cap   int
+	ll    *list.List // front = hottest
+	items map[string]*list.Element
 }
 
 type lruEntry struct {
@@ -46,20 +45,16 @@ func (c *lruCache) put(key string, val any) {
 	for c.ll.Len() > c.cap {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
-		e := cold.Value.(*lruEntry)
-		delete(c.items, e.key)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
-		}
+		delete(c.items, cold.Value.(*lruEntry).key)
 	}
 }
 
-// remove drops an entry without running onEvict (the caller is
-// invalidating a value it knows is unusable, e.g. a singleflight entry
-// poisoned by its first requester's cancellation).
-func (c *lruCache) remove(key string) {
+// removeIf drops key's entry, but only while it still holds val: the caller is invalidating a singleflight entry it knows
+// is unusable (its computation panicked, or its first requester cancelled),
+// and must not evict the fresh entry a later request put there.
+func (c *lruCache) removeIf(key string, val any) {
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || el.Value.(*lruEntry).val != val {
 		return
 	}
 	c.ll.Remove(el)

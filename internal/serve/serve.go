@@ -292,10 +292,12 @@ type benchEntry struct {
 	prep func() (*expt.Bench, error)
 	once sync.Once
 
-	// Set by the once; read-only afterwards.
+	// Set by the once; read-only afterwards. panicked holds a panic the
+	// once recovered; such an entry is evicted, never served.
 	sys       *core.System
 	runner    *insertion.Runner
 	err       error
+	panicked  error
 	elapsedMS int64
 
 	mu     sync.Mutex
@@ -373,6 +375,23 @@ func (e *httpError) Error() string { return e.err.Error() }
 
 func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
+}
+
+// recoverPanic runs f and returns a panic inside it as a 500 error. The
+// bench and plan singleflights run their computation through it, so a
+// panic fails the requests sharing that computation instead of leaving a
+// half-built entry that every later request on its key would trip over.
+// It sees only panics on the calling goroutine: one inside an mc.ForEach
+// worker (chip realization, the insertion sample passes) still ends the
+// process.
+func recoverPanic(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &httpError{status: http.StatusInternalServerError, err: fmt.Errorf("internal error: %v", r)}
+		}
+	}()
+	f()
+	return nil
 }
 
 // postHandler wraps one POST endpoint: inflight limiting, body capping,
@@ -485,15 +504,27 @@ func (s *Server) getBench(spec CircuitSpec, opt expt.Options) (*benchEntry, bool
 	s.mu.Unlock()
 	e.once.Do(func() {
 		start := time.Now()
-		b, err := e.prep()
+		e.panicked = recoverPanic(func() {
+			b, err := e.prep()
+			if err != nil {
+				e.err = fmt.Errorf("preparing %s: %w", key, err)
+				return
+			}
+			e.sys = core.NewSystem(b)
+			e.runner = insertion.NewRunner(b.Graph, b.Placement)
+		})
 		e.elapsedMS = time.Since(start).Milliseconds()
-		if err != nil {
-			e.err = fmt.Errorf("preparing %s: %w", key, err)
-			return
+		if e.panicked != nil {
+			// A panic says nothing about the spec: evict the entry so the
+			// next request prepares afresh.
+			s.mu.Lock()
+			s.benches.removeIf(key, e)
+			s.mu.Unlock()
 		}
-		e.sys = core.NewSystem(b)
-		e.runner = insertion.NewRunner(b.Graph, b.Placement)
 	})
+	if e.panicked != nil {
+		return nil, hit, e.panicked
+	}
 	if e.err != nil {
 		// A bad circuit spec is the client's error; keep the entry cached
 		// so repeated bad requests stay cheap.
@@ -523,7 +554,22 @@ func (s *Server) chipSource(e *benchEntry, seed uint64, n int) mc.Source {
 		s.m.popMiss.Add(1)
 	}
 	e.mu.Unlock()
-	pe.once.Do(func() { pe.pop = eng.Materialize(n) })
+	pe.once.Do(func() {
+		defer func() {
+			if pe.pop == nil {
+				// Materialize panicked; the panic goes on. Evict the entry
+				// so a retry materializes afresh instead of finding it empty.
+				e.mu.Lock()
+				e.pops.removeIf(key, pe)
+				e.mu.Unlock()
+			}
+		}()
+		pe.pop = eng.Materialize(n)
+	})
+	if pe.pop == nil {
+		// A concurrent requester's Materialize of this entry panicked.
+		panic("serve: materializing a shared population failed")
+	}
 	return pe.pop
 }
 
@@ -612,53 +658,17 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 	won := false
 	pe.once.Do(func() {
 		won = true
-		start := time.Now()
-		cfg := insertion.Config{
-			T:          T,
-			Samples:    req.Samples,
-			Seed:       req.Seed,
-			MaxBuffers: req.MaxBuffers,
-			Workers:    solveWorkers(req.Workers),
+		panicked := recoverPanic(func() { s.runPlan(ctx, req, e, T, pe) })
+		if panicked != nil {
+			pe.resp, pe.err = nil, panicked
 		}
-		if s.pool != nil {
-			// Shard the flow's sample passes across the worker pool. The
-			// executor is not part of the plan key: sharded and in-process
-			// runs are byte-identical, so any cached plan answers both.
-			cfg.Pass = s.coordinator(req.Circuit, req.Options, e).InsertPass(ctx, cfg)
-		}
-		res, err := e.runner.Run(cfg)
-		if err != nil {
-			if isCancellation(err) {
-				// The winning requester hung up mid-flow. That says nothing
-				// about the query, so the failure must not be cached: evict
-				// the entry so the next identical request recomputes.
-				pe.err = err
-				e.mu.Lock()
-				e.plans.remove(planKey)
-				e.mu.Unlock()
-				return
-			}
-			// Deterministic in the keyed inputs, so caching the failure is
-			// correct and keeps repeated bad queries cheap.
-			pe.err = badRequest("insertion: %v", err)
-			return
-		}
-		st := res.Stats
-		pe.resp = &InsertResponse{
-			Plan: res.Plan(e.sys.Name()),
-			T:    T,
-			Nb:   res.NumPhysicalBuffers(),
-			Ab:   res.AvgRangeSteps(),
-			Stats: InsertStats{
-				Samples:          st.Samples,
-				ZeroViolation:    st.ZeroViolation,
-				InfeasibleStep1:  st.InfeasibleStep1,
-				InfeasibleStep2:  st.InfeasibleStep2,
-				SelfLoopFailures: st.SelfLoopFailures,
-				MissingFrac:      st.MissingFrac,
-				SkippedB1:        st.SkippedB1,
-			},
-			ElapsedMS: time.Since(start).Milliseconds(),
+		// Neither a panic nor the winning requester hanging up mid-flow
+		// says anything about the query, so neither failure may be cached:
+		// evict the entry so the next identical request recomputes.
+		if panicked != nil || isCancellation(pe.err) {
+			e.mu.Lock()
+			e.plans.removeIf(planKey, pe)
+			e.mu.Unlock()
 		}
 	})
 	if !won && isCancellation(pe.err) && ctx.Err() == nil {
@@ -673,6 +683,53 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 	resp := *pe.resp
 	resp.Cached = hit
 	return &resp, nil
+}
+
+// runPlan runs one insert query's flow into its plan entry: pe.resp on
+// success, pe.err otherwise.
+func (s *Server) runPlan(ctx context.Context, req InsertRequest, e *benchEntry, T float64, pe *planEntry) {
+	start := time.Now()
+	cfg := insertion.Config{
+		T:          T,
+		Samples:    req.Samples,
+		Seed:       req.Seed,
+		MaxBuffers: req.MaxBuffers,
+		Workers:    solveWorkers(req.Workers),
+	}
+	if s.pool != nil {
+		// Shard the flow's sample passes across the worker pool. The
+		// executor is not part of the plan key: sharded and in-process
+		// runs are byte-identical, so any cached plan answers both.
+		cfg.Pass = s.coordinator(req.Circuit, req.Options, e).InsertPass(ctx, cfg)
+	}
+	res, err := e.runner.Run(cfg)
+	if err != nil {
+		if isCancellation(err) {
+			pe.err = err
+			return
+		}
+		// Deterministic in the keyed inputs, so caching the failure is
+		// correct and keeps repeated bad queries cheap.
+		pe.err = badRequest("insertion: %v", err)
+		return
+	}
+	st := res.Stats
+	pe.resp = &InsertResponse{
+		Plan: res.Plan(e.sys.Name()),
+		T:    T,
+		Nb:   res.NumPhysicalBuffers(),
+		Ab:   res.AvgRangeSteps(),
+		Stats: InsertStats{
+			Samples:          st.Samples,
+			ZeroViolation:    st.ZeroViolation,
+			InfeasibleStep1:  st.InfeasibleStep1,
+			InfeasibleStep2:  st.InfeasibleStep2,
+			SelfLoopFailures: st.SelfLoopFailures,
+			MissingFrac:      st.MissingFrac,
+			SkippedB1:        st.SkippedB1,
+		},
+		ElapsedMS: time.Since(start).Milliseconds(),
+	}
 }
 
 // isCancellation reports whether err comes from a cancelled or expired

@@ -663,3 +663,112 @@ func TestClientHonoursContext(t *testing.T) {
 		t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPreparePanicEvicts: a panic inside the bench singleflight fails the
+// request with a 500 instead of crashing the server, and evicts the entry
+// so a retry prepares afresh rather than tripping over a half-built entry.
+func TestPreparePanicEvicts(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec, opt := tinySpec(), tinyOptions()
+	ck, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ck + "|" + opt.Key()
+	s.benches.put(key, &benchEntry{
+		key:    key,
+		prep:   func() (*expt.Bench, error) { panic("planted prepare panic") },
+		plans:  newLRU(1),
+		pops:   newLRU(1),
+		sweeps: newLRU(1),
+	})
+	body, err := json.Marshal(PrepareRequest{Circuit: spec, Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/prepare", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(); code != http.StatusInternalServerError || !strings.Contains(msg, "planted prepare panic") {
+		t.Fatalf("panicking prepare: HTTP %d %s, want 500 naming the panic", code, msg)
+	}
+	if n := s.benches.len(); n != 0 {
+		t.Fatalf("the panicked entry stayed cached (%d entries)", n)
+	}
+	if code, msg := post(); code != http.StatusOK {
+		t.Fatalf("retry after the panic: HTTP %d %s, want 200", code, msg)
+	}
+	if err := NewClient(ts.URL).Health(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverPanic: the singleflight guard passes a clean run through and
+// turns a panic into a 500.
+func TestRecoverPanic(t *testing.T) {
+	ran := false
+	if err := recoverPanic(func() { ran = true }); err != nil || !ran {
+		t.Fatalf("clean run: ran=%v err=%v", ran, err)
+	}
+	err := recoverPanic(func() { panic("boom") })
+	var he *httpError
+	if !errors.As(err, &he) || he.status != http.StatusInternalServerError || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panic: got %v, want a 500 naming it", err)
+	}
+}
+
+// TestInsertPanicEvicts: a panic inside the plan singleflight fails the
+// insert with a 500, and evicts the plan entry so a retry runs the flow
+// afresh instead of finding it empty.
+func TestInsertPanicEvicts(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec, opt := tinySpec(), tinyOptions()
+	e, _, err := s.getBench(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run on a nil runner panics on the calling goroutine. The runner is
+	// swapped under e.mu, which Insert takes around its plan lookup and
+	// eviction, so the swap is ordered with the handler's reads.
+	e.mu.Lock()
+	runner := e.runner
+	e.runner = nil
+	e.mu.Unlock()
+	k := 0.0
+	body, err := json.Marshal(InsertRequest{Circuit: spec, Options: opt, TargetK: &k, Samples: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/insert", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(); code != http.StatusInternalServerError {
+		t.Fatalf("panicking flow: HTTP %d %s, want 500", code, msg)
+	}
+	e.mu.Lock()
+	n := e.plans.len()
+	e.runner = runner
+	e.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("the panicked plan entry stayed cached (%d entries)", n)
+	}
+	if code, msg := post(); code != http.StatusOK {
+		t.Fatalf("retry after the panic: HTTP %d %s, want 200", code, msg)
+	}
+}
