@@ -437,11 +437,12 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 
 // BenchmarkSampleSolve measures one full step-1 + step-2 per-sample solve —
 // component discovery, the support-enumeration tuning count and the
-// concentration ILPs (the count ILP only on fallback) — on a
-// prepared s9234 preset, i.e. the actual unit of work the Monte Carlo loop
-// repeats ~10⁴ times per Table-I row. nodes/op counts the branch-and-bound
-// node relaxations per solve, and hot/op, warm/op, cold/op and fallbacks/op
-// split them by solve path, so a simplex change shows it kept the search.
+// support projection (the two ILPs only on fallback) — on a prepared s9234
+// preset, i.e. the actual unit of work the Monte Carlo loop repeats ~10⁴
+// times per Table-I row. milp_components/op counts the components sent to
+// the two-ILP route; nodes/op counts their branch-and-bound node
+// relaxations, and hot/op, warm/op, cold/op and fallbacks/op split them by
+// solve path.
 func BenchmarkSampleSolve(b *testing.B) {
 	bench := prepared(b, "s9234")
 	sb, err := insertion.NewSampleBench(bench.Graph, insertion.Config{
@@ -453,13 +454,14 @@ func BenchmarkSampleSolve(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		sb.Solve() // warm all solver scratch and pools to steady state
 	}
-	before := sb.Stats()
+	before, milpBefore := sb.Stats(), sb.MILPComponents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.Solve()
 	}
 	after, n := sb.Stats(), float64(b.N)
+	b.ReportMetric(float64(sb.MILPComponents()-milpBefore)/n, "milp_components/op")
 	b.ReportMetric(float64(after.Nodes()-before.Nodes())/n, "nodes/op")
 	b.ReportMetric(float64(after.Hot-before.Hot)/n, "hot/op")
 	b.ReportMetric(float64(after.Warm-before.Warm)/n, "warm/op")

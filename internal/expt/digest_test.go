@@ -13,16 +13,19 @@ import (
 // 750 evaluation samples, all three targets. Solver speed-ups must be exact:
 // any change in a buffer plan, a per-sample value or a yield count moves a
 // digest. The digests were recorded before the integral-objective pruning,
-// sparse pivot rows and small-pass chunking landed, and hold on amd64, where
+// sparse pivot rows and small-pass chunking landed, and again when support
+// projection replaced the per-sample concentration ILP (plans move where
+// supports tie; insertion's TestPlanEquivalence bounds the move, and the
+// flow's Stats gained MILPComponents). They hold on amd64, where
 // the compiler never fuses multiply-adds (other architectures may round
 // differently, so the test only runs there).
 var rowDigests = map[uint64]string{
-	101: "90382ac8c111369bd66fc191b77260531102c584a0cc697a9f13256460f4c16d",
-	202: "6318a89e4b865cc83557c8754882cd24a50e5df5805c3a3c2e93d6b2efa19696",
-	303: "17e28ea35813f36e215c8236b944264a9394bad2f574d05405e69fa3492a24ea",
-	404: "f05f16a04415ed54ab7c0c26a9729e2dee30a109bc664852e80029251cc63b77",
-	505: "a06e59307d777b4e5fc5284bb747f9d3df5fed1c744970d3a7725945b09a0aef",
-	606: "98449fb3f86203b75d8d879cc71e72211aa53af82753c155357055788306dc42",
+	101: "0f2ec3e9b9c028968976bef8feb0c5203d754cec72f5185a2e1340315b56dd53",
+	202: "40272b912cee94bda6265d1e5d85c7869d14aee3f28ae28db7cddb077774b31e",
+	303: "2bfab12bf7e088621f61f181a988065357180a77e4b383eeb32c30641827e1a5",
+	404: "7ad1bf22a145eea1dabd5a3a3c1fcccdc47308f075824641df856b6b3f06d590",
+	505: "432a63cf45df6e012ffff0bec12271945c049046975c665dfd167fa2ecc736f2",
+	606: "d97d3c4d3f7ea43459d4f8dbf000dee2a77e2f110a1a370bf80ceb36b9047ceb",
 }
 
 func TestRunRowsDigests(t *testing.T) {
@@ -58,10 +61,10 @@ func TestRunRowsDigests(t *testing.T) {
 // adaptiveRowDigests pins RunRows under Eps 0.02 the same way: the rows then
 // carry adaptive reports from the shared wave loop. They were recorded
 // before fixed-n and adaptive evaluation were merged into one executor
-// (yield.Drive).
+// (yield.Drive), and again with rowDigests when support projection landed.
 var adaptiveRowDigests = map[uint64]string{
-	101: "67933ce261bdc1252df8eff4e7c3b96824a7e74e9c80d2620cff4a7c7260d4be",
-	202: "ae5a8e70a4eee50b24c3d4ab87865e79ff88d77187b0be5c14a024e312df03d1",
+	101: "3e4e34686b5bf1c8709af009b81203a3d5e013ca566f6394f00b1667d9c35580",
+	202: "611a0accc7e4c72ca6b884abb4e8be25c7cfdfc699b6a4cfd8670726b6371d47",
 }
 
 func TestRunRowsAdaptiveDigests(t *testing.T) {

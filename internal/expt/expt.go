@@ -380,8 +380,11 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 	rows := make([]Row, len(targets))
 	sweeps := make([]*yield.SweepEvaluator, len(targets))
 	// One Runner serves every target: the pair adjacency is built once and
-	// the later targets draw warm solvers from the first one's pool.
+	// the later targets draw warm solvers from the first one's pool. The
+	// targets share one insertion population too — chips do not depend on
+	// the period — which is realized once and dropped when RunRows returns.
 	runner := insertion.NewRunner(b.Graph, b.Placement)
+	var pop *insertion.Population
 	for i, target := range targets {
 		T := b.PeriodFor(target)
 		start := time.Now()
@@ -392,7 +395,13 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			MaxBuffers: rc.MaxBuffers,
 			Workers:    rc.Workers,
 		}
-		res, err := runner.Run(cfg)
+		if pop == nil {
+			var err error
+			if pop, err = runner.Realize(cfg); err != nil {
+				return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
+			}
+		}
+		res, err := runner.RunOn(pop, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
 		}

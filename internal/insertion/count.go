@@ -55,7 +55,9 @@ type fEdge struct {
 // walkRows just listed (n FFs). Supports are enumerated by size 0, 1, 2, …
 // and, within a size, in increasing bitmask order. It reports decided =
 // false for components over the caps, for an infeasible or undecided full
-// support, and when a size's only candidates are undecided.
+// support, and when a size's only candidates are undecided. On a decision
+// it records where the size-nk enumeration stopped (nkMask, nkOpen,
+// nkBudget), so project continues it instead of starting over.
 //
 // It never decides nk = 0: every component holds an endpoint of a violated
 // pair, whose row fails the empty support's tightened check. The size-0
@@ -81,6 +83,8 @@ func (s *sampleSolver) countMin(n int) (nk int, decided bool) {
 			}
 			switch s.supportVerdict(n, mask) {
 			case supportFeasible:
+				// project resumes the size-k enumeration here.
+				s.nkMask, s.nkOpen, s.nkBudget = mask, open, budget
 				return k, true
 			case supportUndecided:
 				open = true
@@ -107,18 +111,7 @@ func nextSupport(mask uint32) uint32 {
 // supportVerdict checks support mask of an n-FF component with every pair
 // bound loosened, then tightened, by δ.
 func (s *sampleSolver) supportVerdict(n int, mask uint32) verdict {
-	// node[v] is v's variable in the support's system, or diffcon.Origin
-	// when v is pinned at 0.
-	s.node = s.node[:0]
-	m := 0
-	for v := 0; v < n; v++ {
-		if mask&(1<<v) != 0 {
-			s.node = append(s.node, m)
-			m++
-		} else {
-			s.node = append(s.node, diffcon.Origin)
-		}
-	}
+	m := s.mapSupport(n, mask)
 	delta := countBand * s.spec.MaxRange
 	if !s.supportFits(m, delta) {
 		return supportInfeasible

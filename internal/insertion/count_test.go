@@ -108,11 +108,12 @@ func decodeFuzzComponent(data []byte) *fuzzComponent {
 	return fc
 }
 
-// FuzzComponentCount checks the combinatorial count against the count
-// MILP on random components of up to 6 FFs in both modes: whenever
-// countMin decides, its nk is the MILP's; a component whose only
-// violations are planted hairlines stays undecided; and solveComponent
-// returns solveComponentMILP's feasibility, count and tuning bits.
+// FuzzComponentCount checks the combinatorial repair against the MILP on
+// random components of up to 6 FFs in both modes: whenever countMin
+// decides, its nk is the count MILP's; a component whose only violations
+// are planted hairlines stays undecided; and solveComponent and
+// solveComponentMILP agree as compareComponent checks — feasibility, count
+// and, where both are exact, the concentration objective.
 func FuzzComponentCount(f *testing.F) {
 	// One violated setup row 0→1 (−20 ps) between two free FFs, floating.
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0xF4, 0x7F, 0})
@@ -132,10 +133,14 @@ func FuzzComponentCount(f *testing.F) {
 			return
 		}
 		s, comp := fc.s, fc.comp
+		// The cold branch-and-bound is the oracle: the warm one has
+		// returned a suboptimal count and a false infeasible on components
+		// with grid hairlines (testdata/fuzz).
+		s.milpOpts = milp.Options{NoWarm: true}
 		s.walkRows(comp)
 		nk, decided := s.countMin(len(comp))
 		s.buildProblem(comp)
-		sol, err := s.prob.SolveArena(&s.arena, milp.Options{})
+		sol, err := s.prob.SolveArena(&s.arena, s.milpOpts)
 		if decided {
 			if err != nil || sol.Status != lp.Optimal {
 				t.Fatalf("countMin decided nk=%d, MILP status %v err %v", nk, sol.Status, err)

@@ -34,6 +34,7 @@ type passResult struct {
 	selfLoop      int
 	zeroViolation int
 	truncated     int
+	milp          int
 }
 
 // runPass runs one full Monte Carlo ILP pass described by spec: in
@@ -82,6 +83,7 @@ func reducePass(g *timing.Graph, raw []SampleOutcome) *passResult {
 		out := &raw[k]
 		pr.nk[k] = out.NK
 		pr.truncated += out.Truncated
+		pr.milp += out.MILP
 		switch {
 		case out.SelfLoop:
 			pr.selfLoop++
@@ -111,6 +113,7 @@ type stepTwoState struct {
 	center       []float64
 	missingFrac  float64
 	skippedB1    bool
+	rerunMILP    int // MILP-routed components of the §III-B1 re-run
 }
 
 // deriveStepTwo turns a step-1 pass into the step-2 inputs: §III-A2 pruning
@@ -163,6 +166,7 @@ func (r *Runner) deriveStepTwo(src mc.Source, cfg Config, s1 *passResult) (stepT
 			return st, err
 		}
 		avgSource = b1.values
+		st.rerunMILP = b1.milp
 	}
 	st.center = gridCenters(g.NS, st.allowed, st.lower, avgSource, cfg.Spec)
 	return st, nil

@@ -82,6 +82,51 @@ func TestRunSharesRealizationAcrossPasses(t *testing.T) {
 	}
 }
 
+// TestRunOnSharesPopulation: flows at several periods over one realized
+// population realize each chip once in all, and each result is
+// byte-identical to its own Run; a population of another seed, sample
+// count or runner is refused.
+func TestRunOnSharesPopulation(t *testing.T) {
+	g, T, pl := buildBench(t, 25, 120, 31)
+	var realized atomic.Int64
+	cfg := Config{Samples: 200, Seed: 9, onRealize: func(k int) { realized.Add(1) }}
+	r := NewRunner(g, pl)
+	first := cfg
+	first.T = T
+	pop, err := r.Realize(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, period := range []float64{T, 1.05 * T, 1.1 * T} {
+		c := cfg
+		c.T = period
+		shared, err := r.RunOn(pop, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.onRealize = nil
+		solo, err := r.Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared.Cfg.onRealize = nil
+		if !reflect.DeepEqual(shared, solo) {
+			t.Fatalf("T=%v: the shared-population flow differs from Run", period)
+		}
+	}
+	if got := realized.Load(); got != 200 {
+		t.Fatalf("three flows on one population realized %d chips, want 200", got)
+	}
+	for _, bad := range []Config{{T: T, Samples: 200, Seed: 10}, {T: T, Samples: 100, Seed: 9}} {
+		if _, err := r.RunOn(pop, bad); err == nil {
+			t.Errorf("seed %d × %d samples ran on the seed 9 × 200 population", bad.Seed, bad.Samples)
+		}
+	}
+	if _, err := NewRunner(g, pl).RunOn(pop, first); err == nil {
+		t.Error("a population ran on another runner")
+	}
+}
+
 // TestChipCacheBudget: a budget smaller than the population falls back to
 // per-pass realization (still correct, just uncached).
 func TestChipCacheBudget(t *testing.T) {

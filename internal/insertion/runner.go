@@ -1,6 +1,7 @@
 package insertion
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -49,29 +50,65 @@ func (r *Runner) checkout(cfg Config, mode solverMode, allowed []bool, lower, ce
 // release returns a checked-out solver to the warm pool.
 func (r *Runner) release(sv *sampleSolver) { r.pool.Put(sv) }
 
-// Run executes the full three-step flow (paper Fig. 3) on the Runner's
-// circuit; see Run (package level) for the flow description. Results are
-// deterministic in cfg regardless of pool reuse or concurrent callers.
-func (r *Runner) Run(cfg Config) (*Result, error) {
+// Population is the insertion sample universe of one (Seed, Samples) pair
+// on one Runner's circuit: every pass of a flow iterates it, and so does
+// every flow that differs only in its target period. Realize builds one so
+// several RunOn calls share it; Run builds its own per call.
+type Population struct {
+	r       *Runner
+	seed    uint64
+	samples int
+	src     mc.Source
+}
+
+// Realize builds the population cfg's flow draws. When the realized chips
+// fit cfg.ChipCacheMB they are materialized once, and every pass of every
+// flow run on the population replays them — byte-identical results, one
+// realization per chip. Otherwise, or when cfg.Pass is set (a distributed
+// flow realizes chips wherever its passes run), the population streams
+// chips from the engine on each pass.
+func (r *Runner) Realize(cfg Config) (*Population, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	g := r.g
-	res := &Result{Cfg: cfg}
-	res.Stats.Samples = cfg.Samples
-	eng := mc.New(g, cfg.Seed)
+	return r.realize(cfg), nil
+}
+
+// realize is Realize for a filled cfg.
+func (r *Runner) realize(cfg Config) *Population {
+	eng := mc.New(r.g, cfg.Seed)
 	eng.Workers = cfg.Workers
 	eng.OnRealize = cfg.onRealize
-	// The step-1/step-2 passes iterate the same (Seed, k) sample stream, so
-	// when the realized population fits the configured budget it is
-	// materialized once and every pass replays the cache — byte-identical
-	// results, one realization per chip for the whole flow. A distributed
-	// flow (cfg.Pass set) realizes chips wherever the passes run, so the
-	// local cache is skipped.
 	var src mc.Source = eng
 	if cfg.Pass == nil && cfg.ChipCacheMB > 0 && eng.PopulationBytes(cfg.Samples) <= int64(cfg.ChipCacheMB)<<20 {
 		src = eng.Materialize(cfg.Samples)
 	}
+	return &Population{r: r, seed: cfg.Seed, samples: cfg.Samples, src: src}
+}
+
+// Run executes the full three-step flow (paper Fig. 3) on the Runner's
+// circuit; see Run (package level) for the flow description. Results are
+// deterministic in cfg regardless of pool reuse or concurrent callers.
+func (r *Runner) Run(cfg Config) (*Result, error) {
+	return r.RunOn(nil, cfg)
+}
+
+// RunOn is Run over a population from Realize, which must come from this
+// Runner with cfg's Seed and Samples; a nil pop realizes one for the call.
+// The result is byte-identical to Run(cfg).
+func (r *Runner) RunOn(pop *Population, cfg Config) (*Result, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	if pop == nil {
+		pop = r.realize(cfg)
+	} else if pop.r != r || pop.seed != cfg.Seed || pop.samples != cfg.Samples {
+		return nil, fmt.Errorf("insertion: population of seed %d × %d samples does not match the flow's seed %d × %d samples on this runner",
+			pop.seed, pop.samples, cfg.Seed, cfg.Samples)
+	}
+	src := pop.src
+	res := &Result{Cfg: cfg}
+	res.Stats.Samples = cfg.Samples
 
 	// ---------- Step 1: floating lower bounds (§III-A1, III-A3) ----------
 	s1, err := r.runPass(src, cfg, PassSpec{Kind: PassFloating})
@@ -103,6 +140,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Stats.InfeasibleStep2 = s2.infeasible + s2.selfLoop
+	res.Stats.MILPComponents = s1.milp + st2.rerunMILP + s2.milp
 	res.Stats.ValuesStep2 = s2.values
 
 	// ---------- Final ranges (§III-B2, Fig. 5c) ----------

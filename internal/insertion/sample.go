@@ -18,7 +18,7 @@ type Tuning struct {
 }
 
 // SampleOutcome is the per-sample result of the minimum tuning count and
-// the concentration ILP — the unit the sharded sample loop ships between
+// the concentration step — the unit the sharded sample loop ships between
 // processes: a pass over any k-range is a k-indexed SampleOutcome slice,
 // and merging ranges is pure placement, so the reduced statistics are
 // byte-identical no matter where samples were solved.
@@ -35,6 +35,10 @@ type SampleOutcome struct {
 	Truncated int `json:"truncated,omitempty"`
 	// NK is the minimum tuning count (summed over components).
 	NK int `json:"nk,omitempty"`
+	// MILP counts the components sent to the two-ILP fallback route
+	// (solveComponentMILP) instead of support enumeration and projection,
+	// repaired or not.
+	MILP int `json:"milp,omitempty"`
 	// Tuned lists the non-zero tuning assignments.
 	Tuned []Tuning `json:"tuned,omitempty"`
 }
@@ -49,10 +53,10 @@ const (
 )
 
 // sampleSolver carries the per-pass configuration plus per-worker scratch:
-// the support-enumeration systems, a resettable MILP problem, a
-// branch-and-bound arena, and epoch-stamped index maps, so solving a
-// component in steady state reuses worker-owned memory and performs no heap
-// allocations.
+// the support-enumeration systems, the projection LP and its workspace, a
+// resettable MILP problem and branch-and-bound arena for the fallback
+// route, and epoch-stamped index maps, so solving a component in steady
+// state reuses worker-owned memory and performs no heap allocations.
 //
 // Ownership: a solver is single-goroutine state. Workers obtain one through
 // Runner.checkout — which hands out exclusive ownership until release — and
@@ -70,11 +74,14 @@ type sampleSolver struct {
 	// lower[ff] is the fixed window lower bound (step 2 only; grid-aligned).
 	lower []float64
 	// center[ff] is the concentration target: 0 in step 1, the average
-	// tuning value in step 2 (paper (15) vs (19)).
+	// tuning value in step 2 (paper (15) vs (19)), grid-snapped.
 	center []float64
 
 	maxComp       int
 	concentration bool
+	// forceMILP sends every component down the two-ILP route (the
+	// reference flow of the equivalence tests; Config.forceMILP).
+	forceMILP bool
 
 	adj [][]int // FF id → pair indices (from Graph.PairAdjacency)
 
@@ -87,14 +94,18 @@ type sampleSolver struct {
 	compBuf []int // active FFs grouped by component (flattened)
 	compOff []int // start offset of each component in compBuf
 	tuned   []Tuning
+	milp    int // components of the current sample the MILP route took
 
-	// per-component scratch
+	// per-component scratch of the two-ILP route (solveComponentMILP)
 	prob  *milp.Problem // resettable; rebuilt for every component
 	arena milp.Arena
-	xVar  []int
-	cVar  []int
-	csum  []lp.Term
-	xSol  []float64 // per-comp tuning values surviving across the 2nd solve
+	// milpOpts are the two-ILP route's solve options: the zero value (warm
+	// branch-and-bound) except in tests that use the cold one as an oracle.
+	milpOpts milp.Options
+	xVar     []int
+	cVar     []int
+	csum     []lp.Term
+	xSol     []float64 // per-comp tuning values surviving across the 2nd solve
 
 	// per-component count scratch (walkRows, countMin): the component
 	// being solved, its rows, and the support systems' working memory.
@@ -105,6 +116,19 @@ type sampleSolver struct {
 	fDist  []float64
 	isys   diffcon.IntSystem
 	isv    diffcon.IntSolver
+
+	// per-component projection scratch (project): where countMin's size-nk
+	// enumeration stopped, the support's variables (supp: component
+	// indices), their boxes and centers, the current and best projections
+	// over the component, and the nk ≥ 2 LP.
+	nkMask             uint32
+	nkOpen             bool
+	nkBudget           int
+	supp               []int
+	boxLo, boxHi, boxC []float64
+	xCur, xBest        []float64
+	lpProb             lp.Problem
+	lpWS               lp.Workspace
 
 	// epoch-stamped maps replacing per-build allocations: posIdx[ff] is the
 	// index of ff in the current component iff posEpoch[ff] == epoch, and a
@@ -154,6 +178,7 @@ func (s *sampleSolver) configure(cfg Config, mode solverMode, allowed []bool, lo
 	s.mode = mode
 	s.maxComp = cfg.MaxComponent
 	s.concentration = !cfg.NoConcentration
+	s.forceMILP = cfg.forceMILP
 	if allowed == nil {
 		allowed = s.allTrue
 	}
@@ -290,6 +315,7 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 	}
 	// 5. Solve each component.
 	s.tuned = s.tuned[:0]
+	s.milp = 0
 	out := SampleOutcome{Feasible: true, Truncated: truncated}
 	for c := range s.compOff {
 		end := len(s.compBuf)
@@ -298,11 +324,12 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 		}
 		nk, ok := s.solveComponent(s.compBuf[s.compOff[c]:end])
 		if !ok {
-			return SampleOutcome{Truncated: truncated}
+			return SampleOutcome{Truncated: truncated, MILP: s.milp}
 		}
 		out.NK += nk
 	}
 	out.Tuned = s.tuned
+	out.MILP = s.milp
 	return out
 }
 
@@ -321,26 +348,24 @@ func (s *sampleSolver) expands(p int) bool {
 }
 
 // solveComponent repairs one component, appending the resulting tunings to
-// s.tuned, and returns the minimum count nk and feasibility. The count is
-// decided combinatorially (countMin); only the concentration ILP runs under
-// Σc ≤ nk. Every case countMin leaves open — an undecided or oversized
-// component, an infeasible full support, the NoConcentration ablation
-// (which keeps the count solve's tuning values), or a concentration solve
-// that fails — runs the two-ILP solveComponentMILP instead. The
-// concentration solve reads only the problem it is given, so both routes
-// return the same bits for the same nk. A decided nk is at least 1 (see
+// s.tuned, and returns the minimum count nk and feasibility. No ILP runs on
+// the common path: countMin decides the count by support enumeration, and
+// project replaces the concentration ILP by projecting the centers onto
+// every robustly feasible support of size nk. Every case either leaves
+// open — an undecided or oversized component, an infeasible full support,
+// the NoConcentration ablation (which keeps the count solve's tuning
+// values), an undecided size-nk support, a failed LP or a non-integral grid
+// index — runs the two-ILP solveComponentMILP instead. Both routes reach
+// the same objective; where supports tie they may emit different tunings
+// (DESIGN.md, "Combinatorial repair"). A decided nk is at least 1 (see
 // countMin); zero tunings come only from the MILP's hairline rule.
 func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 	s.walkRows(comp)
-	if !s.concentration {
+	if !s.concentration || s.forceMILP {
 		return s.solveComponentMILP(comp)
 	}
 	nk, decided := s.countMin(len(comp))
-	if !decided {
-		return s.solveComponentMILP(comp)
-	}
-	xVar, cVar := s.buildProblem(comp)
-	if !s.concentrate(comp, xVar, cVar, nk) {
+	if !decided || !s.project(len(comp)) {
 		return s.solveComponentMILP(comp)
 	}
 	s.emit(comp)
@@ -349,11 +374,12 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 
 // solveComponentMILP builds and solves the two ILPs for one component: the
 // minimum-count ILP, then the concentration ILP under its count. It is the
-// fallback and oracle of solveComponent, with the same contract; s.rows
-// must hold comp's rows (walkRows).
+// fallback and oracle of solveComponent, with the same contract, and counts
+// itself in s.milp; s.rows must hold comp's rows (walkRows).
 func (s *sampleSolver) solveComponentMILP(comp []int) (int, bool) {
+	s.milp++
 	xVar, cVar := s.buildProblem(comp)
-	solA, err := s.prob.SolveArena(&s.arena, milp.Options{})
+	solA, err := s.prob.SolveArena(&s.arena, s.milpOpts)
 	if err != nil || solA.Status != lp.Optimal {
 		return 0, false
 	}
@@ -401,7 +427,7 @@ func (s *sampleSolver) concentrate(comp, xVar, cVar []int, nk int) bool {
 	for idx, ff := range comp {
 		prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
 	}
-	sol, err := prob.SolveArena(&s.arena, milp.Options{})
+	sol, err := prob.SolveArena(&s.arena, s.milpOpts)
 	if err != nil || sol.Status != lp.Optimal {
 		return false
 	}

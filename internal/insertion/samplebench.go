@@ -17,6 +17,7 @@ import (
 type SampleBench struct {
 	s1, s2 *sampleSolver
 	chip   *timing.Chip
+	milp   int // MILP-routed components over every Solve
 }
 
 // NewSampleBench derives the flow state the step-2 solver needs through the
@@ -25,6 +26,18 @@ type SampleBench struct {
 // centers — then picks the sample with the most step-1 tunings so Solve
 // exercises a representative violating chip through both formulations.
 func NewSampleBench(g *timing.Graph, cfg Config) (*SampleBench, error) {
+	return newSampleBench(g, cfg)
+}
+
+// NewSampleBenchMILP is NewSampleBench with every component of the
+// derivation passes and of Solve sent through the two-ILP route, so the
+// branch-and-bound keeps a workload of its own (milp's solve digests).
+func NewSampleBenchMILP(g *timing.Graph, cfg Config) (*SampleBench, error) {
+	cfg.forceMILP = true
+	return newSampleBench(g, cfg)
+}
+
+func newSampleBench(g *timing.Graph, cfg Config) (*SampleBench, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -68,8 +81,13 @@ func NewSampleBench(g *timing.Graph, cfg Config) (*SampleBench, error) {
 func (sb *SampleBench) Solve() int {
 	o1 := sb.s1.solve(sb.chip)
 	o2 := sb.s2.solve(sb.chip)
+	sb.milp += o1.MILP + o2.MILP
 	return o1.NK + o2.NK
 }
+
+// MILPComponents returns the components Solve has sent to the two-ILP
+// route so far, over both solvers.
+func (sb *SampleBench) MILPComponents() int { return sb.milp }
 
 // Stats returns both solvers' cumulative node-solve counters (hot, warm,
 // cold, fallbacks), summed; Stats().Nodes() counts every node relaxation.

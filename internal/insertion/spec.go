@@ -3,16 +3,23 @@
 // buffers and what discrete range each needs (Fig. 3).
 //
 // Step 1 (§III-A): per Monte-Carlo sample, the minimum number of buffers
-// needed to meet the target period with floating range windows is found
-// (by support enumeration over difference constraints, with the paper's
-// count ILP as fallback), then an ILP concentrates tuning values toward
-// zero under that count; aggregated counts prune unhelpful buffers and a
-// sliding window fixes each survivor's lower bound.
+// needed to meet the target period with floating range windows is found,
+// then tuning values are concentrated toward zero under that count (the
+// paper's ILPs (15) and (19)); aggregated counts prune unhelpful buffers
+// and a sliding window fixes each survivor's lower bound.
 //
 // Step 2 (§III-B): the sampling re-runs with fixed discrete windows (the
-// 0.1 % skip rule avoids the re-run when step 1's values already fit), a
-// concentration ILP pulls values toward their average, and final ranges are
+// 0.1 % skip rule avoids the re-run when step 1's values already fit), the
+// concentration pulls values toward their average, and final ranges are
 // the observed min/max.
+//
+// Neither per-sample ILP runs on the common path. Each violation component
+// is repaired combinatorially: the count by support enumeration over
+// difference constraints, the concentration by projecting the centers onto
+// every feasible support of that size (an LP without binaries when more
+// than one FF moves). The paper's two ILPs remain as the fallback for the
+// cases enumeration leaves open and as the test oracle (DESIGN.md,
+// "Combinatorial repair").
 //
 // Step 3 (§III-C): buffers with mutually correlated tuning values within a
 // Manhattan-distance threshold merge into one physical buffer.
@@ -121,6 +128,10 @@ type Config struct {
 	// onRealize forwards to mc.Engine.OnRealize — a test hook for asserting
 	// how many chip realizations a flow run performs.
 	onRealize func(k int)
+	// forceMILP sends every component of every pass through the two-ILP
+	// route — the reference flow the equivalence tests and the MILP solve
+	// digests compare against. Never set on a serving path.
+	forceMILP bool
 }
 
 func (cfg *Config) fill() error {
@@ -210,6 +221,11 @@ type Stats struct {
 	SkippedB1   bool    // 0.1 % rule applied
 
 	InfeasibleStep2 int
+
+	// MILPComponents counts the components, over every pass, sent to the
+	// two-ILP fallback route instead of support enumeration and projection
+	// (see SampleOutcome.MILP).
+	MILPComponents int
 
 	// Step-1 and step-2 tuning value lists per kept FF (inputs of Fig. 5).
 	ValuesStep1 map[int][]float64

@@ -196,6 +196,11 @@ func (e *Engine) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chi
 // samples lo..hi-1 are claimed lock-free in chunks of contiguous indices
 // via one atomic counter. Each worker goroutine calls newWorker once for
 // its per-worker state and then runs the returned body per sample.
+//
+// A panic in newWorker or a body does not end the process from a worker
+// goroutine, where no caller can recover it: the worker recovers it, every
+// worker stops claiming chunks, and once all have returned the first panic
+// recovered is raised again on the calling goroutine.
 func forEachChunked(lo, hi, workers int, newWorker func() func(k int)) {
 	n := hi - lo
 	if workers <= 0 {
@@ -211,12 +216,24 @@ func forEachChunked(lo, hi, workers int, newWorker func() func(k int)) {
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	next.Store(int64(lo))
+	var (
+		stop      atomic.Bool
+		panicOnce sync.Once
+		panicked  any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				// recover() is non-nil even for panic(nil) (Go 1.21+).
+				if p := recover(); p != nil {
+					stop.Store(true)
+					panicOnce.Do(func() { panicked = p })
+				}
+			}()
 			body := newWorker()
-			for {
+			for !stop.Load() {
 				start := int(next.Add(int64(c))) - c
 				if start >= hi {
 					return
@@ -229,6 +246,9 @@ func forEachChunked(lo, hi, workers int, newWorker func() func(k int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // PopulationBytes estimates the memory Materialize(n) would retain: the

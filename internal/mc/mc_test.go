@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
 	"repro/internal/ssta"
 	"repro/internal/stat"
 	"repro/internal/timing"
@@ -102,6 +103,63 @@ func TestForEachCoversAllSamplesOnce(t *testing.T) {
 		if got := chunkFor(c.n, c.workers); got != c.want {
 			t.Errorf("chunkFor(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
 		}
+	}
+}
+
+// TestForEachPanicReachesCaller: a panic in a consumer on a worker
+// goroutine is re-raised on the caller once every worker has returned —
+// for a streamed pass, a replayed population and a sub-range.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	e := buildEngine(t, 20, 100, 5)
+	e.Workers = 4
+	pop := e.Materialize(2000)
+	type planted struct{ k int }
+	passes := map[string]func(fn func(k int, ch *timing.Chip)){
+		"engine":     func(fn func(k int, ch *timing.Chip)) { e.ForEach(2000, fn) },
+		"population": func(fn func(k int, ch *timing.Chip)) { pop.ForEachBatch(2000, fn) },
+		"range":      func(fn func(k int, ch *timing.Chip)) { e.ForEachRangeBatch(500, 2000, fn) },
+	}
+	for name, pass := range passes {
+		check := leakcheck.Guard(t)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			pass(func(k int, ch *timing.Chip) {
+				if k == 600 {
+					panic(planted{k})
+				}
+			})
+			return nil
+		}()
+		if got != (planted{600}) {
+			t.Errorf("%s: caller recovered %v, want the planted panic", name, got)
+		}
+		check()
+	}
+}
+
+// TestForEachChunkedStopsAfterPanic: once a worker panics, the others
+// finish the chunk in hand and claim no more, so a pass of 2²⁶ cheap
+// samples that panics on its first sample ends after a few chunks.
+func TestForEachChunkedStopsAfterPanic(t *testing.T) {
+	const n = 1 << 26
+	var calls atomic.Int64
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		forEachChunked(0, n, 4, func() func(k int) {
+			return func(k int) {
+				calls.Add(1)
+				if k == 0 {
+					panic("planted")
+				}
+			}
+		})
+		return nil
+	}()
+	if got != "planted" {
+		t.Fatalf("caller recovered %v, want the planted panic", got)
+	}
+	if c := calls.Load(); c > n/2 {
+		t.Fatalf("%d of %d samples ran after a panic on the first", c, n)
 	}
 }
 

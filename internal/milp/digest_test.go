@@ -23,19 +23,19 @@ import (
 // sequence that moves an objective bit, an argmin or a node count moves a
 // digest. Recorded on amd64, where the compiler never fuses multiply-adds,
 // before the simplex gained its compact artificial block and slack restore
-// rule. The s9234 parts were re-recorded when the per-sample count ILP left
-// the flow: insertion decides most components' counts by support
-// enumeration, so these parts now hash the concentration solves plus the
-// two-ILP fallbacks (insertion's TestComponentCountMatchesMILP checks that
-// both routes return the same plans).
+// rule. The per-sample ILPs have left the flow (insertion repairs
+// components by support enumeration and projection), so the s9234 parts
+// drive the flow with every component forced through the two-ILP route
+// (insertion.NewSampleBenchMILP): they hash the same solves as before the
+// ILPs left, and these digests are the ones recorded then.
 var solveDigests = map[string]string{
 	"integer":          "47d8d9a2a1c85122212e15f577d29f4b75d9c53a256ef5a7f6b6dc77f63a23a0",
 	"cover":            "7b4b6d5b933963463d531bec7f322a7f155ee24a9444ad0e06e26caa01986841",
 	"mixed":            "f0d2e0573bea449248d91df8b3492d1e01d6ac2538a57f897a65b70fb5c3f96b",
 	"mincount":         "8dddd5f5faee0a5a4f9ed47b90cd7990853725cecf473feba1528b811d1af8da",
-	"s9234/muT":        "548a7cc8617cc89882cbd18be1ef003f348fd5c3df614e7f47171f161d4b7100",
-	"s9234/muT+sigma":  "8d9a1cedc2be873f02685e20ab495d3d500723eac1e593c255e3ff19f2cda8b2",
-	"s9234/muT+2sigma": "d3ebde544648b65b524ee061fbce72121daee054204bdc66c655c6b9c6487734",
+	"s9234/muT":        "7abdf01910b2d3219a9e6285d45212818218b5c5bdf1ad56cd9d9ab02ef7a4a3",
+	"s9234/muT+sigma":  "95441a9e66c996985bfd313c498da753be51a53275da590235afa7c995eea985",
+	"s9234/muT+2sigma": "f07c03ed955ffa49b23da769d665efd4cf37d965105adefbf82df55dc1ec151a",
 }
 
 // solveDigester hashes SolveArena results through the test hook.
@@ -88,7 +88,7 @@ func minCountShape() *milp.Problem {
 
 // TestSolveDigests pins the solver's exact output: the seeded random
 // problems of the milp tests, the min-count benchmark shape, and every
-// per-sample ILP that insertion.NewSampleBench (step-1 pass, step-2
+// per-sample ILP that insertion.NewSampleBenchMILP (step-1 pass, step-2
 // derivation) and SampleBench.Solve (step 1 + step 2) solve on s9234 at the
 // three Table-I targets.
 func TestSolveDigests(t *testing.T) {
@@ -145,7 +145,7 @@ func TestSolveDigests(t *testing.T) {
 			part("s9234/"+target.String(), func() {
 				for _, seed := range []uint64{0xF00D, 101, 202} {
 					// One worker keeps the pass's solve order fixed.
-					sb, err := insertion.NewSampleBench(b.Graph, insertion.Config{
+					sb, err := insertion.NewSampleBenchMILP(b.Graph, insertion.Config{
 						T: b.PeriodFor(target), Samples: 400, Seed: seed, Workers: 1,
 					})
 					if err != nil {

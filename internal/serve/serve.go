@@ -248,6 +248,9 @@ type metrics struct {
 	popHit    atomic.Int64
 	popMiss   atomic.Int64
 	whatIf    atomic.Int64
+	// milpComps counts the per-sample components computed insert flows
+	// sent to the two-ILP fallback route (insertion.Stats.MILPComponents).
+	milpComps atomic.Int64
 
 	// Adaptive (eps > 0) yield accounting: nominal vs actually realized
 	// samples, dispatch waves, and how each adaptive request ended (the
@@ -714,6 +717,7 @@ func (s *Server) runPlan(ctx context.Context, req InsertRequest, e *benchEntry, 
 		return
 	}
 	st := res.Stats
+	s.m.milpComps.Add(int64(st.MILPComponents))
 	pe.resp = &InsertResponse{
 		Plan: res.Plan(e.sys.Name()),
 		T:    T,
@@ -897,6 +901,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "bufinsd_cache_hits_total{cache=\"plan\"} %d\n", s.m.planHit.Load())
 	fmt.Fprintf(&b, "bufinsd_cache_hits_total{cache=\"population\"} %d\n", s.m.popHit.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_whatif_total counter\nbufinsd_whatif_total %d\n", s.m.whatIf.Load())
+	fmt.Fprintf(&b, "# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total %d\n", s.m.milpComps.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_adaptive_samples_total counter\n")
 	fmt.Fprintf(&b, "bufinsd_adaptive_samples_total{kind=\"requested\"} %d\n", s.m.adSamplesReq.Load())
 	fmt.Fprintf(&b, "bufinsd_adaptive_samples_total{kind=\"used\"} %d\n", s.m.adSamplesUsed.Load())

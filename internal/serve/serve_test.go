@@ -489,6 +489,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`bufinsd_requests_total{endpoint="insert"} 1`,
 		`bufinsd_cache_misses_total{cache="bench"} 1`,
 		"bufinsd_benches 1",
+		"# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
@@ -722,6 +723,54 @@ func TestRecoverPanic(t *testing.T) {
 	var he *httpError
 	if !errors.As(err, &he) || he.status != http.StatusInternalServerError || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic: got %v, want a 500 naming it", err)
+	}
+}
+
+// TestInsertPassPanicIs500: a panic inside an insertion pass, on one of
+// the sample loop's worker goroutines, reaches the plan singleflight (the
+// mc work distributor re-raises it on the caller) instead of ending the
+// daemon: the insert fails with a 500, and a retry on the repaired runner
+// answers 200.
+func TestInsertPassPanicIs500(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec, opt := tinySpec(), tinyOptions()
+	e, _, err := s.getBench(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A graph without its skew vector realizes chips fine, but the first
+	// pair bound a pass's solver reads indexes past the end of it.
+	b := e.sys.Bench()
+	bad := *b.Graph
+	bad.Skew = nil
+	e.mu.Lock()
+	runner := e.runner
+	e.runner = insertion.NewRunner(&bad, b.Placement)
+	e.mu.Unlock()
+	k := 0.0
+	body, err := json.Marshal(InsertRequest{Circuit: spec, Options: opt, TargetK: &k, Samples: 50, Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/insert", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(); code != http.StatusInternalServerError || !strings.Contains(msg, "index out of range") {
+		t.Fatalf("panicking pass: HTTP %d %s, want 500 naming the panic", code, msg)
+	}
+	e.mu.Lock()
+	e.runner = runner
+	e.mu.Unlock()
+	if code, msg := post(); code != http.StatusOK {
+		t.Fatalf("retry after the panic: HTTP %d %s, want 200", code, msg)
 	}
 }
 

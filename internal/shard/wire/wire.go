@@ -27,8 +27,9 @@ import (
 // response: the binary frame is the shard plane's only framing.
 const ContentType = "application/x-bufins-shard"
 
-// Version is the frame version byte leading every binary payload.
-const Version = 1
+// Version is the frame version byte leading every binary payload. Version
+// 2 added the per-outcome MILP counter to insertion pass responses.
+const Version = 2
 
 // Decode sentinels. Static (errors.New, not fmt) so latching them in a
 // Reader stays allocation-free on the warm decode path.
