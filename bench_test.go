@@ -441,8 +441,7 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 // preset, i.e. the actual unit of work the Monte Carlo loop repeats ~10⁴
 // times per Table-I row. milp_components/op counts the components sent to
 // the two-ILP route; nodes/op counts their branch-and-bound node
-// relaxations, and hot/op, warm/op, cold/op and fallbacks/op split them by
-// solve path.
+// relaxations.
 func BenchmarkSampleSolve(b *testing.B) {
 	bench := prepared(b, "s9234")
 	sb, err := insertion.NewSampleBench(bench.Graph, insertion.Config{
@@ -454,19 +453,15 @@ func BenchmarkSampleSolve(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		sb.Solve() // warm all solver scratch and pools to steady state
 	}
-	before, milpBefore := sb.Stats(), sb.MILPComponents()
+	before, milpBefore := sb.Nodes(), sb.MILPComponents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.Solve()
 	}
-	after, n := sb.Stats(), float64(b.N)
+	n := float64(b.N)
 	b.ReportMetric(float64(sb.MILPComponents()-milpBefore)/n, "milp_components/op")
-	b.ReportMetric(float64(after.Nodes()-before.Nodes())/n, "nodes/op")
-	b.ReportMetric(float64(after.Hot-before.Hot)/n, "hot/op")
-	b.ReportMetric(float64(after.Warm-before.Warm)/n, "warm/op")
-	b.ReportMetric(float64(after.Cold-before.Cold)/n, "cold/op")
-	b.ReportMetric(float64(after.Fallbacks-before.Fallbacks)/n, "fallbacks/op")
+	b.ReportMetric(float64(sb.Nodes()-before)/n, "nodes/op")
 }
 
 // BenchmarkDiffconFeasibility measures the per-chip yield check.

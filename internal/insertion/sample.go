@@ -99,13 +99,10 @@ type sampleSolver struct {
 	// per-component scratch of the two-ILP route (solveComponentMILP)
 	prob  *milp.Problem // resettable; rebuilt for every component
 	arena milp.Arena
-	// milpOpts are the two-ILP route's solve options: the zero value (warm
-	// branch-and-bound) except in tests that use the cold one as an oracle.
-	milpOpts milp.Options
-	xVar     []int
-	cVar     []int
-	csum     []lp.Term
-	xSol     []float64 // per-comp tuning values surviving across the 2nd solve
+	xVar  []int
+	cVar  []int
+	csum  []lp.Term
+	xSol  []float64 // per-comp tuning values surviving across the 2nd solve
 
 	// per-component count scratch (walkRows, countMin): the component
 	// being solved, its rows, and the support systems' working memory.
@@ -379,7 +376,7 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 func (s *sampleSolver) solveComponentMILP(comp []int) (int, bool) {
 	s.milp++
 	xVar, cVar := s.buildProblem(comp)
-	solA, err := s.prob.SolveArena(&s.arena, s.milpOpts)
+	solA, err := s.prob.SolveArena(&s.arena, milp.Options{})
 	if err != nil || solA.Status != lp.Optimal {
 		return 0, false
 	}
@@ -427,7 +424,7 @@ func (s *sampleSolver) concentrate(comp, xVar, cVar []int, nk int) bool {
 	for idx, ff := range comp {
 		prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
 	}
-	sol, err := prob.SolveArena(&s.arena, s.milpOpts)
+	sol, err := prob.SolveArena(&s.arena, milp.Options{})
 	if err != nil || sol.Status != lp.Optimal {
 		return false
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/mc"
-	"repro/internal/milp"
 	"repro/internal/timing"
 )
 
@@ -89,14 +88,6 @@ func (sb *SampleBench) Solve() int {
 // route so far, over both solvers.
 func (sb *SampleBench) MILPComponents() int { return sb.milp }
 
-// Stats returns both solvers' cumulative node-solve counters (hot, warm,
-// cold, fallbacks), summed; Stats().Nodes() counts every node relaxation.
-func (sb *SampleBench) Stats() milp.SolveStats {
-	a, b := sb.s1.arena.Stats, sb.s2.arena.Stats
-	return milp.SolveStats{
-		Hot:       a.Hot + b.Hot,
-		Warm:      a.Warm + b.Warm,
-		Cold:      a.Cold + b.Cold,
-		Fallbacks: a.Fallbacks + b.Fallbacks,
-	}
-}
+// Nodes returns the branch-and-bound node relaxations both solvers have
+// solved so far.
+func (sb *SampleBench) Nodes() int { return sb.s1.arena.Nodes + sb.s2.arena.Nodes }

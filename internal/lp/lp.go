@@ -10,18 +10,11 @@
 // simplex (bounds live in the ratio test as bound flips, not as extra rows,
 // which roughly halves the tableau in both dimensions for the all-two-sided
 // problems of the buffer flow), the tableau is one flat, stride-indexed
-// []float64, and all solver memory comes from a reusable Workspace so a warm
-// SolveWS performs no heap allocations (see DESIGN.md, "Performance
-// architecture").
-//
-// Beyond the cold two-phase primal solve (SolveWS), the workspace supports
-// warm restarts for branch-and-bound: SaveBasis snapshots the optimal basis
-// of the last solve, SolveFromBasis refactorizes that basis under new
-// variable bounds, and ResolveBound continues directly from the live tableau
-// after a single bound tightening. Both warm paths reoptimize with a
-// bounded-variable dual simplex — the restored basis stays dual feasible
-// because the objective is unchanged, so a handful of dual pivots restore
-// primal feasibility (see DESIGN.md, "Warm-started branch-and-bound").
+// []float64, and all solver memory comes from a reusable Workspace so a
+// repeat SolveWS performs no heap allocations (see DESIGN.md, "Performance
+// architecture"). Every solve is a cold two-phase primal simplex from the
+// slack/artificial starting basis; nothing carries over from one solve to
+// the next but buffer capacity.
 package lp
 
 import (
@@ -144,16 +137,10 @@ func (p *Problem) SetObj(v int, c float64) { p.obj[v] = c }
 // Bounds returns the current bounds of variable v.
 func (p *Problem) Bounds(v int) (lo, hi float64) { return p.lo[v], p.hi[v] }
 
-// SetBounds replaces the bounds of variable v.
-func (p *Problem) SetBounds(v int, lo, hi float64) {
-	if lo > hi {
-		// Deliberately allowed: branch-and-bound creates empty boxes to
-		// signal infeasible children. The solver reports Infeasible.
-		p.lo[v], p.hi[v] = lo, hi
-		return
-	}
-	p.lo[v], p.hi[v] = lo, hi
-}
+// SetBounds replaces the bounds of variable v. Unlike AddVar it accepts
+// lo > hi: branch-and-bound creates such empty boxes for infeasible
+// children, and the solver reports them Infeasible.
+func (p *Problem) SetBounds(v int, lo, hi float64) { p.lo[v], p.hi[v] = lo, hi }
 
 // AddRow appends the constraint Σ terms {rel} rhs and returns its index.
 // Terms may repeat a variable; coefficients accumulate.
@@ -191,23 +178,6 @@ type Solution struct {
 // or an unexpectedly large problem.
 var ErrIterLimit = errors.New("lp: simplex iteration limit exceeded")
 
-// ErrBasisMismatch reports that a Basis snapshot does not fit the problem:
-// different variable/row counts, a bound-finiteness layout the snapshot's
-// column mapping cannot express (e.g. a free variable that has since gained
-// a finite bound), or a numerically singular restore. Callers fall back to
-// the cold SolveWS.
-var ErrBasisMismatch = errors.New("lp: basis snapshot does not match problem")
-
-// ErrNotWarm reports that ResolveBound was called on a workspace that holds
-// no reusable solved state (no prior optimal solve, or the problem shape
-// changed since). Callers fall back to SolveFromBasis or SolveWS.
-var ErrNotWarm = errors.New("lp: workspace holds no reusable solve state")
-
-// ErrWarmStall reports that the dual simplex exceeded its (deliberately
-// small) warm-restart budget — a degeneracy pathology. The workspace state
-// is unspecified; callers fall back to the cold SolveWS.
-var ErrWarmStall = errors.New("lp: warm reoptimization stalled")
-
 const (
 	eps       = 1e-9
 	iterScale = 200 // iteration budget multiplier (× rows+cols)
@@ -218,18 +188,10 @@ const (
 // layout, so the budget depends only on the problem shape.
 func primalCap(m, artStart int) int { return iterScale * (2*m + artStart + 1) }
 
-// dualCap bounds warm dual-simplex pivots: a legitimate reoptimization after
-// one bound tightening takes a handful of pivots, so anything past a few
-// multiples of the tableau dimensions is a degenerate stall and the cold
-// solve is cheaper than riding it out.
-func dualCap(m, width int) int { return 4*(m+width) + 64 }
-
 // mapping describes how one structural variable expands into standard-form
 // columns: x = shift + x⁺ − x⁻ (minus = −1 when unused), or x = shift − x⁺
-// when negate is set. Standard columns carry bounds [clo, ub] handled
-// implicitly by the simplex; the cold solve always lays columns out with
-// clo = 0, warm restarts re-express tightened child bounds in the snapshot's
-// frame, where clo may be any finite value.
+// when negate is set. Standard columns carry bounds [0, ub] handled
+// implicitly by the simplex.
 type mapping struct {
 	plus, minus int
 	shift       float64
@@ -240,17 +202,12 @@ type mapping struct {
 // values, bounds and state flags per standard column, cost/reduced-cost
 // vectors, column values, the solution vector, and the per-variable
 // expansion mappings. A zero Workspace is ready to use; buffers grow on
-// demand and are retained across solves, so a warm SolveWS performs no heap
-// allocations. A Workspace is not safe for concurrent use.
-//
-// After a successful optimal solve the workspace additionally retains the
-// solved state (dimensions, factorized tableau, basis, column bounds), which
-// SaveBasis snapshots and ResolveBound continues from.
+// demand and are retained across solves, so a repeat SolveWS performs no
+// heap allocations. A Workspace is not safe for concurrent use.
 type Workspace struct {
 	maps    []mapping
 	tab     []float64 // m × total flat tableau (basis inverse applied)
 	xB      []float64 // m: current values of the basic variables
-	clo     []float64 // total: lower bounds of standard columns (0 when cold)
 	ub      []float64 // total: upper bounds of standard columns (+Inf = none)
 	atUpper []bool    // total: non-basic column rests at its upper bound
 	inBasis []bool    // total
@@ -259,20 +216,7 @@ type Workspace struct {
 	red     []float64
 	colVal  []float64
 	x       []float64
-	rowUsed []bool  // m: refactorization scratch
 	pivNZ   []int32 // nonzero columns of the normalized pivot row
-	// slackRow holds the row of each slack column ncols+s, recorded by
-	// buildRaw. It is the tail of pivNZ's backing array, past the stride
-	// entries pivotTo can use, so it costs no allocation of its own.
-	slackRow []int32
-
-	// Solved-state metadata for warm restarts. live reports that the fields
-	// above describe a completed optimal solve of a problem with n vars and
-	// m rows; any new solve clears it until it completes.
-	live                bool
-	n, m, stride, total int
-	ncols, artStart     int
-	constShift          float64
 }
 
 // grow returns s resized to n, reusing capacity when possible. Contents are
@@ -323,12 +267,9 @@ func (p *Problem) layoutMaps(ws *Workspace) (ncols int) {
 // per-row sign normalization (rhs ≥ 0), and the artificial block. A row gets
 // an artificial column only when its slack is not +1 after normalization
 // (see needsArtificial); artificials are numbered in row order after the
-// slacks, and every other row starts with its own slack basic. The raw
-// right-hand sides land in ws.xB, each row's starting column in ws.basis and
-// each slack's row in ws.slackRow. Both the cold solve and basis restoration
-// build through here, so the sign-flip pattern — and with it the artificial
-// block — depends only on the rows and the mapping shifts and reproduces
-// bit-for-bit from a snapshot's mapping.
+// slacks, and every other row starts with its own slack basic. The
+// normalized right-hand sides land in ws.xB and each row's starting column
+// in ws.basis.
 func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart int) {
 	maps := ws.maps
 	m = len(p.rows)
@@ -360,8 +301,6 @@ func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart
 	tab := ws.tab
 	ws.basis = grow(ws.basis, m)
 	basis := ws.basis
-	buf := grow(ws.pivNZ, stride+nslack)
-	ws.pivNZ, ws.slackRow = buf[:0], buf[stride:]
 	slackIdx, artIdx := ncols, artStart
 	for i := range p.rows {
 		r := &p.rows[i]
@@ -382,7 +321,6 @@ func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart
 			if r.rel == GE {
 				tr[slackIdx] = -1
 			}
-			ws.slackRow[slackIdx-ncols] = int32(i)
 			basis[i] = slackIdx
 			slackIdx++
 		}
@@ -438,14 +376,13 @@ func (p *Problem) setPhase2Cost(ws *Workspace, total int) float64 {
 
 // recoverX translates the simplex state back to structural-variable values:
 // basic columns from xB, non-basic columns from the bound they rest at.
-func (ws *Workspace) recoverX(m, stride, total, n int) []float64 {
+func (ws *Workspace) recoverX(m, total, n int) []float64 {
 	ws.colVal = grow(ws.colVal, total)
 	colVal := ws.colVal
 	for j := 0; j < total; j++ {
+		colVal[j] = 0
 		if ws.atUpper[j] && !ws.inBasis[j] {
 			colVal[j] = ws.ub[j]
-		} else {
-			colVal[j] = ws.clo[j]
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -468,15 +405,6 @@ func (ws *Workspace) recoverX(m, stride, total, n int) []float64 {
 	return x
 }
 
-// markSolved records the solved-state metadata that SaveBasis and
-// ResolveBound rely on.
-func (ws *Workspace) markSolved(n, m, stride, total, ncols, artStart int, constShift float64) {
-	ws.n, ws.m, ws.stride, ws.total = n, m, stride, total
-	ws.ncols, ws.artStart = ncols, artStart
-	ws.constShift = constShift
-	ws.live = true
-}
-
 // SolveWS runs the two-phase simplex borrowing all memory from ws. The
 // problem is not modified. The returned Solution.X aliases ws and is only
 // valid until the next solve call on the same workspace; callers that
@@ -484,14 +412,13 @@ func (ws *Workspace) markSolved(n, m, stride, total, ncols, artStart int, constS
 //
 //contract:allocfree
 func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
-	ws.live = false
 	if p.emptyBox() {
 		return Solution{Status: Infeasible}, nil
 	}
 	// --- Normalize to standard form: columns y ∈ [0, u] ---
 	ncols := p.layoutMaps(ws)
 	m, stride, total, artStart := p.buildRaw(ws, ncols)
-	return p.solveTwoPhase(ws, ncols, m, stride, total, artStart)
+	return p.solveTwoPhase(ws, m, stride, total, artStart)
 }
 
 // emptyBox reports whether some variable has lo > hi: such a problem is
@@ -509,7 +436,7 @@ func (p *Problem) emptyBox() bool {
 // laid out, starting from its initial basis.
 //
 //contract:allocfree
-func (p *Problem) solveTwoPhase(ws *Workspace, ncols, m, stride, total, artStart int) (Solution, error) {
+func (p *Problem) solveTwoPhase(ws *Workspace, m, stride, total, artStart int) (Solution, error) {
 	n, maps := len(p.obj), ws.maps
 	ws.ub = grow(ws.ub, total)
 	ub := ws.ub
@@ -522,11 +449,6 @@ func (p *Problem) solveTwoPhase(ws *Workspace, ncols, m, stride, total, artStart
 			ub[maps[j].plus] = hi - lo
 		}
 	}
-	// Cold solves always rest non-basic columns at zero lower bounds; only
-	// warm restarts re-express bounds with non-zero clo.
-	ws.clo = grow(ws.clo, total)
-	clear(ws.clo)
-
 	tab, basis := ws.tab, ws.basis
 	ws.atUpper = grow(ws.atUpper, total)
 	clear(ws.atUpper)
@@ -601,8 +523,7 @@ func (p *Problem) solveTwoPhase(ws *Workspace, ncols, m, stride, total, artStart
 		return Solution{Status: Unbounded}, nil
 	}
 
-	x := ws.recoverX(m, stride, total, n)
-	ws.markSolved(n, m, stride, total, ncols, artStart, constShift)
+	x := ws.recoverX(m, total, n)
 	return Solution{Status: Optimal, Obj: obj + constShift, X: x}, nil
 }
 
@@ -616,7 +537,7 @@ func (p *Problem) solveTwoPhase(ws *Workspace, ncols, m, stride, total, artStart
 // passes the real-column width, excluding artificials). Returns the
 // objective value reached.
 func (ws *Workspace) runSimplex(m, stride, width, maxIter int) (float64, Status, error) {
-	tab, xB, clo, ub, basis := ws.tab, ws.xB, ws.clo, ws.ub, ws.basis
+	tab, xB, ub, basis := ws.tab, ws.xB, ws.ub, ws.basis
 	cost, red := ws.cost, ws.red
 	iter := 0
 	blandFrom := maxIter / 2
@@ -676,7 +597,7 @@ func (ws *Workspace) runSimplex(m, stride, width, maxIter int) (float64, Status,
 		}
 		if enter == -1 {
 			// Optimal: basic values plus the non-basic columns resting at
-			// a non-zero bound.
+			// their upper bound.
 			obj := 0.0
 			for i := 0; i < m; i++ {
 				if c := cost[basis[i]]; c != 0 {
@@ -689,17 +610,12 @@ func (ws *Workspace) runSimplex(m, stride, width, maxIter int) (float64, Status,
 				}
 				if ws.atUpper[j] {
 					obj += cost[j] * ub[j]
-				} else if cl := clo[j]; cl != 0 {
-					obj += cost[j] * cl
 				}
 			}
 			return obj, Optimal, nil
 		}
 		// Ratio test over the entering direction.
 		flipLimit := ub[enter]
-		if cl := clo[enter]; cl != 0 {
-			flipLimit -= cl
-		}
 		leave := -1
 		leaveToUpper := false
 		bestT := flipLimit
@@ -707,11 +623,7 @@ func (ws *Workspace) runSimplex(m, stride, width, maxIter int) (float64, Status,
 			a := dir * tab[i*stride+enter]
 			if a > eps {
 				// Basic variable decreases toward its lower bound.
-				num := xB[i]
-				if cl := clo[basis[i]]; cl != 0 {
-					num -= cl
-				}
-				t := num / a
+				t := xB[i] / a
 				if t < 0 {
 					t = 0
 				}
@@ -771,145 +683,12 @@ func (ws *Workspace) runSimplex(m, stride, width, maxIter int) (float64, Status,
 		enterVal := t
 		if dir < 0 {
 			enterVal = ub[enter] - t
-		} else if cl := clo[enter]; cl != 0 {
-			enterVal = cl + t
 		}
 		lv := basis[leave]
 		ws.inBasis[lv] = false
 		ws.atUpper[lv] = leaveToUpper
 		ws.pivotTo(m, stride, width, leave, enter)
 		xB[leave] = enterVal
-		ws.atUpper[enter] = false
-	}
-}
-
-// runDualSimplex reoptimizes a dual-feasible basis whose basic values may
-// violate their bounds — exactly the state a branch-and-bound child is in
-// after a single bound tightening of the parent's optimal basis. Each
-// iteration picks the most-violated basic variable as the leaving row,
-// chooses the entering column by the bounded-variable dual ratio test
-// (minimum |reduced cost / pivot|, which preserves the sign-feasibility of
-// every reduced cost), and pivots so the leaving variable lands exactly on
-// its violated bound. Terminates Optimal when all basic values are within
-// bounds (the caller's primal cleanup then confirms optimality), Infeasible
-// when a violated row admits no entering column (the dual is unbounded), or
-// ErrWarmStall past the iteration budget. Columns ≥ width (artificials)
-// never enter; a basic artificial is held to [0, 0].
-func (ws *Workspace) runDualSimplex(m, stride, width, maxIter int) (Status, error) {
-	tab, xB, clo, ub, basis := ws.tab, ws.xB, ws.clo, ws.ub, ws.basis
-	cost, red := ws.cost, ws.red
-	iter := 0
-	for {
-		iter++
-		if iter > maxIter {
-			return Optimal, ErrWarmStall
-		}
-		// Leaving row: the basic variable with the largest bound violation.
-		leave := -1
-		toLower := false
-		worst := eps
-		for i := 0; i < m; i++ {
-			b := basis[i]
-			lo, u := clo[b], ub[b]
-			if b >= width {
-				lo, u = 0, 0
-			}
-			if d := lo - xB[i]; d > worst {
-				worst, leave, toLower = d, i, true
-			} else if d := xB[i] - u; d > worst {
-				worst, leave, toLower = d, i, false
-			}
-		}
-		if leave == -1 {
-			return Optimal, nil // primal feasible; dual feasibility was maintained
-		}
-		// Reduced costs (row-wise accumulation, as in the primal).
-		copy(red[:width], cost[:width])
-		for i := 0; i < m; i++ {
-			cb := cost[basis[i]]
-			if cb == 0 {
-				continue
-			}
-			row := tab[i*stride : i*stride+width]
-			for j, a := range row {
-				red[j] -= cb * a
-			}
-		}
-		// Dual ratio test. With σ = +1 when the leaving variable exits at
-		// its lower bound (basic value below it) and −1 for the upper side,
-		// an at-lower column j is eligible when σ·α_j < 0 with ratio
-		// red_j/(−σ·α_j), an at-upper column when σ·α_j > 0 with ratio
-		// (−red_j)/(σ·α_j); both ratios are ≥ 0 at a dual-feasible basis and
-		// the minimum keeps every reduced cost sign-feasible after the
-		// pivot. Ties prefer the largest pivot magnitude for stability.
-		row := tab[leave*stride : leave*stride+width]
-		sigma := 1.0
-		if !toLower {
-			sigma = -1
-		}
-		enter := -1
-		bestRatio := math.Inf(1)
-		bestAbs := 0.0
-		for j := 0; j < width; j++ {
-			if ws.inBasis[j] {
-				continue
-			}
-			var ratio float64
-			if ws.atUpper[j] {
-				sa := sigma * row[j]
-				if sa <= eps {
-					continue
-				}
-				ratio = -red[j] / sa
-			} else {
-				sa := -sigma * row[j]
-				if sa <= eps {
-					continue
-				}
-				ratio = red[j] / sa
-			}
-			if ratio < 0 {
-				ratio = 0 // tolerance drift on a dual-degenerate column
-			}
-			a := math.Abs(row[j])
-			if ratio < bestRatio-eps || (ratio < bestRatio+eps && a > bestAbs) {
-				bestRatio = ratio
-				bestAbs = a
-				enter = j
-			}
-		}
-		if enter == -1 {
-			// The violated row cannot be repaired by any non-basic move:
-			// the primal is infeasible.
-			return Infeasible, nil
-		}
-		// Pivot: move the entering value by δ so the leaving basic variable
-		// lands exactly on its violated bound, then exchange them.
-		lv := basis[leave]
-		var target float64
-		if lv < width {
-			if toLower {
-				target = clo[lv]
-			} else {
-				target = ub[lv]
-			}
-		} // basic artificials land on 0
-		delta := (xB[leave] - target) / row[enter]
-		if delta != 0 {
-			for i := 0; i < m; i++ {
-				if i != leave {
-					xB[i] -= tab[i*stride+enter] * delta
-				}
-			}
-		}
-		base := clo[enter]
-		if ws.atUpper[enter] {
-			base = ub[enter]
-		}
-		ws.inBasis[lv] = false
-		ws.atUpper[lv] = !toLower
-		ws.pivotTo(m, stride, width, leave, enter)
-		xB[leave] = base + delta
 		ws.atUpper[enter] = false
 	}
 }
@@ -951,293 +730,4 @@ func (ws *Workspace) pivotTo(m, stride, width, row, col int) {
 	}
 	ws.basis[row] = col
 	ws.inBasis[col] = true
-}
-
-// Basis is a compact snapshot of an optimal simplex basis: the basic column
-// set, the resting side of every non-basic column, and the variable→column
-// mapping it was built under. Snapshots are three short copies, live
-// entirely in caller-owned storage (branch-and-bound pools them), and are
-// restored by SolveFromBasis.
-type Basis struct {
-	n, m, ncols, total int
-	basis              []int
-	atUpper            []bool
-	maps               []mapping
-}
-
-// SaveBasis copies the workspace's last solved basis into b, reusing b's
-// storage. It reports false — leaving b unspecified — when the workspace
-// holds no completed optimal solve to snapshot.
-func (ws *Workspace) SaveBasis(b *Basis) bool {
-	if !ws.live {
-		return false
-	}
-	b.n, b.m, b.ncols, b.total = ws.n, ws.m, ws.ncols, ws.total
-	b.basis = grow(b.basis, ws.m)
-	copy(b.basis, ws.basis[:ws.m])
-	b.atUpper = grow(b.atUpper, ws.total)
-	copy(b.atUpper, ws.atUpper[:ws.total])
-	b.maps = grow(b.maps, ws.n)
-	copy(b.maps, ws.maps[:ws.n])
-	return true
-}
-
-// columnBounds re-expresses the problem's current variable bounds as column
-// bounds in the frame of ws.maps (shifts frozen at snapshot time), filling
-// ws.clo/ws.ub. Slacks get [0, ∞), artificials [0, 0]. Returns false when a
-// mapping cannot express the bounds (a free variable that has since gained a
-// finite bound).
-func (p *Problem) columnBounds(ws *Workspace, ncols, artStart, total int) bool {
-	ws.clo = grow(ws.clo, total)
-	ws.ub = grow(ws.ub, total)
-	clo, ub := ws.clo, ws.ub
-	for j := ncols; j < total; j++ {
-		if j < artStart {
-			clo[j], ub[j] = 0, Inf
-		} else {
-			clo[j], ub[j] = 0, 0
-		}
-	}
-	for v := 0; v < len(p.obj); v++ {
-		mp := &ws.maps[v]
-		lo, hi := p.lo[v], p.hi[v]
-		switch {
-		case mp.minus >= 0:
-			if !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
-				return false
-			}
-			clo[mp.plus], ub[mp.plus] = 0, Inf
-			clo[mp.minus], ub[mp.minus] = 0, Inf
-		case mp.negate:
-			clo[mp.plus], ub[mp.plus] = mp.shift-hi, mp.shift-lo
-		default:
-			clo[mp.plus], ub[mp.plus] = lo-mp.shift, hi-mp.shift
-		}
-	}
-	return true
-}
-
-// SolveFromBasis reoptimizes the problem starting from a previously saved
-// basis instead of from scratch. The snapshot must come from a solve of the
-// same problem shape — same variables, rows, and bound-finiteness layout —
-// under possibly different variable bounds: the branch-and-bound child
-// situation, where a child differs from its parent in exactly one tightened
-// bound. The restored basis is refactorized (m pivots), stays dual feasible
-// because the objective is unchanged, and a bounded-variable dual simplex
-// walks it back to primal feasibility — typically a handful of pivots,
-// against the dozens a cold two-phase solve needs. On ErrBasisMismatch or
-// ErrWarmStall the problem is untouched and callers fall back to SolveWS.
-// The returned Solution.X aliases ws, as with SolveWS.
-func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
-	ws.live = false
-	n := len(p.obj)
-	if b == nil || b.n != n || b.m != len(p.rows) {
-		return Solution{}, ErrBasisMismatch
-	}
-	if p.emptyBox() {
-		return Solution{Status: Infeasible}, nil
-	}
-	ws.maps = grow(ws.maps, n)
-	copy(ws.maps, b.maps)
-	m, stride, total, artStart := p.buildRaw(ws, b.ncols)
-	if !p.loadBasis(ws, b, m, stride, total, artStart) ||
-		!ws.refactor(m, stride, b.ncols, b.basis) {
-		return Solution{}, ErrBasisMismatch
-	}
-	return p.finishRestore(ws, m, stride, total, b.ncols, artStart)
-}
-
-// loadBasis installs snapshot b's column bounds and basis flags over the raw
-// tableau buildRaw laid out, and folds the non-basic resting values into the
-// right-hand side. It reports false when b does not fit the layout.
-func (p *Problem) loadBasis(ws *Workspace, b *Basis, m, stride, total, artStart int) bool {
-	if total != b.total || !p.columnBounds(ws, b.ncols, artStart, total) {
-		return false
-	}
-	clo, ub := ws.clo, ws.ub
-
-	// Restore flags.
-	ws.atUpper = grow(ws.atUpper, total)
-	copy(ws.atUpper, b.atUpper)
-	ws.inBasis = grow(ws.inBasis, total)
-	clear(ws.inBasis)
-	for _, c := range b.basis {
-		if c < 0 || c >= total || ws.inBasis[c] {
-			return false
-		}
-		ws.inBasis[c] = true
-	}
-
-	// Fold the non-basic resting values into the right-hand side: the basic
-	// values solve B·xB = b − Σ_{non-basic j} A_j·val_j.
-	tab, xB := ws.tab, ws.xB
-	for j := 0; j < total; j++ {
-		if ws.inBasis[j] {
-			continue
-		}
-		v := clo[j]
-		if ws.atUpper[j] {
-			v = ub[j]
-		}
-		if v == 0 {
-			continue
-		}
-		if math.IsInf(v, 0) {
-			return false
-		}
-		for i := 0; i < m; i++ {
-			xB[i] -= tab[i*stride+j] * v
-		}
-	}
-	return true
-}
-
-// finishRestore loads the objective and reoptimizes a refactorized basis.
-func (p *Problem) finishRestore(ws *Workspace, m, stride, total, ncols, artStart int) (Solution, error) {
-	ws.cost = grow(ws.cost, total)
-	ws.red = grow(ws.red, total)
-	constShift := p.setPhase2Cost(ws, total)
-	return p.finishWarm(ws, m, stride, total, ncols, artStart, constShift)
-}
-
-// refactor pivots each column of cols back into the basis of the raw
-// tableau, choosing the largest remaining pivot row (partial pivoting) and
-// carrying the right-hand side in ws.xB along. The matrix depends only on
-// the rows and the snapshot's mapping, so a basis that was nonsingular when
-// saved can only hit a near-zero pivot — reported as false — if the
-// snapshot doesn't match the problem.
-//
-// A slack column (ncols+s, row ws.slackRow[s]) whose row r no earlier pivot
-// used is still ±e_r: pivotTo leaves a column untouched wherever the pivot
-// row's entry is zero, and every earlier pivot row had a zero there. Partial
-// pivoting then picks r, no other row has a nonzero in the column to
-// eliminate, and the Gauss-Jordan step reduces to scaling row r and xB[r] by
-// the pivot's reciprocal — 1, a no-op, or −1. That is the same arithmetic
-// the general step performs, so the result is bit-identical without its
-// three strided scans.
-func (ws *Workspace) refactor(m, stride, ncols int, cols []int) bool {
-	tab, xB := ws.tab, ws.xB
-	ws.rowUsed = grow(ws.rowUsed, m)
-	clear(ws.rowUsed)
-	for _, c := range cols {
-		if s := c - ncols; s >= 0 && s < len(ws.slackRow) {
-			if r := int(ws.slackRow[s]); !ws.rowUsed[r] {
-				ws.rowUsed[r] = true
-				if pr := tab[r*stride : r*stride+stride]; pr[c] < 0 {
-					for k := range pr {
-						pr[k] *= -1
-					}
-					xB[r] *= -1
-				}
-				ws.basis[r] = c
-				ws.inBasis[c] = true
-				continue
-			}
-		}
-		r, bestA := -1, 1e-8
-		for i := 0; i < m; i++ {
-			if ws.rowUsed[i] {
-				continue
-			}
-			if a := math.Abs(tab[i*stride+c]); a > bestA {
-				bestA, r = a, i
-			}
-		}
-		if r == -1 {
-			return false
-		}
-		ws.rowUsed[r] = true
-		// Carry the right-hand side first (it reads column c before the
-		// pivot clears it), then pivot over the full stride.
-		xB[r] *= 1 / tab[r*stride+c]
-		for i := 0; i < m; i++ {
-			if f := tab[i*stride+c]; i != r && f != 0 {
-				xB[i] -= f * xB[r]
-			}
-		}
-		ws.pivotTo(m, stride, stride, r, c)
-	}
-	return true
-}
-
-// finishWarm runs the dual reoptimization, the primal cleanup, and the
-// solution recovery shared by SolveFromBasis and ResolveBound.
-func (p *Problem) finishWarm(ws *Workspace, m, stride, total, ncols, artStart int, constShift float64) (Solution, error) {
-	st, err := ws.runDualSimplex(m, stride, artStart, dualCap(m, artStart))
-	if err != nil {
-		return Solution{}, err
-	}
-	if st == Infeasible {
-		return Solution{Status: Infeasible}, nil
-	}
-	// Primal cleanup: at a dual-feasible basis this is one pricing pass
-	// confirming optimality; it also mops up any tolerance drift.
-	obj, st2, err := ws.runSimplex(m, stride, artStart, primalCap(m, artStart))
-	if err != nil {
-		return Solution{}, err
-	}
-	if st2 == Unbounded {
-		return Solution{Status: Unbounded}, nil
-	}
-	x := ws.recoverX(m, stride, total, len(p.obj))
-	ws.markSolved(len(p.obj), m, stride, total, ncols, artStart, constShift)
-	return Solution{Status: Optimal, Obj: obj + constShift, X: x}, nil
-}
-
-// ResolveBound reoptimizes the workspace's live solved state after variable
-// v's bounds change to [lo, hi] — the hot path for a branch-and-bound dive,
-// where the child is solved immediately after its parent on the same
-// workspace. No tableau rebuild or refactorization happens: the column's
-// bounds are updated in place (shifting the basic values if the column rests
-// on the moved bound) and the dual simplex reoptimizes directly. All other
-// bounds must be unchanged since the solve that produced the live state.
-// Returns ErrNotWarm when no live state exists, ErrBasisMismatch when the
-// column layout cannot express the new bounds, ErrWarmStall on a dual
-// stall; callers then fall back to SolveFromBasis or SolveWS.
-func (p *Problem) ResolveBound(ws *Workspace, v int, lo, hi float64) (Solution, error) {
-	if !ws.live || ws.n != len(p.obj) || ws.m != len(p.rows) || v < 0 || v >= ws.n {
-		return Solution{}, ErrNotWarm
-	}
-	ws.live = false
-	if lo > hi {
-		return Solution{Status: Infeasible}, nil
-	}
-	mp := &ws.maps[v]
-	if mp.minus >= 0 {
-		return Solution{}, ErrBasisMismatch // free-variable column pair
-	}
-	col := mp.plus
-	var nlo, nub float64
-	if mp.negate {
-		nlo, nub = mp.shift-hi, mp.shift-lo
-	} else {
-		nlo, nub = lo-mp.shift, hi-mp.shift
-	}
-	m, stride := ws.m, ws.stride
-	if !ws.inBasis[col] {
-		// The resting value tracks the moved bound; basic values absorb the
-		// shift through the column of B⁻¹A already in the tableau.
-		var delta float64
-		if ws.atUpper[col] {
-			if math.IsInf(nub, 1) {
-				return Solution{}, ErrBasisMismatch // cannot rest at +∞
-			}
-			delta = nub - ws.ub[col]
-		} else {
-			if math.IsInf(nlo, -1) {
-				return Solution{}, ErrBasisMismatch // cannot rest at −∞
-			}
-			if nlo != ws.clo[col] {
-				delta = nlo - ws.clo[col]
-			}
-		}
-		if delta != 0 {
-			tab, xB := ws.tab, ws.xB
-			for i := 0; i < m; i++ {
-				xB[i] -= tab[i*stride+col] * delta
-			}
-		}
-	}
-	ws.clo[col], ws.ub[col] = nlo, nub
-	return p.finishWarm(ws, m, stride, ws.total, ws.ncols, ws.artStart, ws.constShift)
 }

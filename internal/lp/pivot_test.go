@@ -35,58 +35,9 @@ func densePivotTo(ws *Workspace, m, stride, width, row, col int) {
 	ws.inBasis[col] = true
 }
 
-// denseRefactor is the reference refactorization over dense row updates,
-// carrying the right-hand side inside the elimination loop. refactor must
-// match it element for element.
-func denseRefactor(ws *Workspace, m, stride int, cols []int) bool {
-	tab, xB := ws.tab, ws.xB
-	used := make([]bool, m)
-	for _, c := range cols {
-		r, bestA := -1, 1e-8
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			if a := math.Abs(tab[i*stride+c]); a > bestA {
-				bestA, r = a, i
-			}
-		}
-		if r == -1 {
-			return false
-		}
-		used[r] = true
-		ws.basis[r] = c
-		pr := tab[r*stride : r*stride+stride]
-		inv := 1 / pr[c]
-		for k := range pr {
-			pr[k] *= inv
-		}
-		pr[c] = 1
-		xB[r] *= inv
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			ri := tab[i*stride : i*stride+stride]
-			f := ri[c]
-			if f == 0 {
-				continue
-			}
-			for k, v := range pr {
-				ri[k] -= f * v
-			}
-			ri[c] = 0
-			xB[i] -= f * xB[r]
-		}
-	}
-	return true
-}
-
 // fullArtificialBuildRaw is the reference layout the compact artificial
 // block replaced: every row gets an artificial column artStart+i and starts
-// with it basic. Only the cold solve then swaps in usable slacks
-// (fullArtificialSlackScan); a basis restore keeps the whole identity
-// block.
+// with it basic; fullArtificialSlackScan then swaps in usable slacks.
 func fullArtificialBuildRaw(p *Problem, ws *Workspace, ncols int) (m, stride, total, artStart int) {
 	maps := ws.maps
 	m = len(p.rows)
@@ -169,66 +120,15 @@ func fullArtificialSlackScan(ws *Workspace, m, stride, ncols, artStart int) {
 	}
 }
 
-// fullRefactor is refactor without the slack rule: every column, slacks
-// included, takes the general partial-pivoting Gauss-Jordan step.
-func fullRefactor(ws *Workspace, m, stride int, cols []int) bool {
-	tab, xB := ws.tab, ws.xB
-	used := make([]bool, m)
-	for _, c := range cols {
-		r, bestA := -1, 1e-8
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			if a := math.Abs(tab[i*stride+c]); a > bestA {
-				bestA, r = a, i
-			}
-		}
-		if r == -1 {
-			return false
-		}
-		used[r] = true
-		xB[r] *= 1 / tab[r*stride+c]
-		for i := 0; i < m; i++ {
-			if f := tab[i*stride+c]; i != r && f != 0 {
-				xB[i] -= f * xB[r]
-			}
-		}
-		ws.pivotTo(m, stride, stride, r, c)
-	}
-	return true
-}
-
 // fullArtificialSolveWS is SolveWS over the full-artificial layout.
 func fullArtificialSolveWS(p *Problem, ws *Workspace) (Solution, error) {
-	ws.live = false
 	if p.emptyBox() {
 		return Solution{Status: Infeasible}, nil
 	}
 	ncols := p.layoutMaps(ws)
 	m, stride, total, artStart := fullArtificialBuildRaw(p, ws, ncols)
 	fullArtificialSlackScan(ws, m, stride, ncols, artStart)
-	return p.solveTwoPhase(ws, ncols, m, stride, total, artStart)
-}
-
-// fullArtificialSolveFromBasis is SolveFromBasis over the full-artificial
-// layout, refactorized without the slack rule.
-func fullArtificialSolveFromBasis(p *Problem, ws *Workspace, b *Basis) (Solution, error) {
-	ws.live = false
-	n := len(p.obj)
-	if b == nil || b.n != n || b.m != len(p.rows) {
-		return Solution{}, ErrBasisMismatch
-	}
-	if p.emptyBox() {
-		return Solution{Status: Infeasible}, nil
-	}
-	ws.maps = grow(ws.maps, n)
-	copy(ws.maps, b.maps)
-	m, stride, total, artStart := fullArtificialBuildRaw(p, ws, b.ncols)
-	if !p.loadBasis(ws, b, m, stride, total, artStart) || !fullRefactor(ws, m, stride, b.basis) {
-		return Solution{}, ErrBasisMismatch
-	}
-	return p.finishRestore(ws, m, stride, total, b.ncols, artStart)
+	return p.solveTwoPhase(ws, m, stride, total, artStart)
 }
 
 // solveResult is one retained solve outcome: the Solution with X copied out
@@ -238,13 +138,12 @@ type solveResult struct {
 	err error
 }
 
-// layoutResults runs warmChain on the problem and tightenings that seed
-// and tweak generate, through the given entry points.
-func layoutResults(seed, tweak uint64, solveWS func(*Problem, *Workspace) (Solution, error),
-	fromBasis func(*Problem, *Workspace, *Basis) (Solution, error)) []solveResult {
+// layoutResults runs solveChain on the problem and tightenings that seed
+// and tweak generate, through the given solve.
+func layoutResults(seed, tweak uint64, solve func(*Problem, *Workspace) (Solution, error)) []solveResult {
 	rng := rand.New(rand.NewPCG(seed, tweak))
 	var out []solveResult
-	warmChain(buildRandomLayout(rng), rng, solveWS, fromBasis, func(s Solution, err error) {
+	solveChain(buildRandomLayout(rng), rng, solve, func(s Solution, err error) {
 		s.X = slices.Clone(s.X)
 		out = append(out, solveResult{s, err})
 	})
@@ -253,11 +152,11 @@ func layoutResults(seed, tweak uint64, solveWS func(*Problem, *Workspace) (Solut
 
 // checkCompactLayout requires the production layout and the full-artificial
 // reference to return bit-identical results — status, objective bits, X
-// bits and errors — on every solve of one warm chain.
+// bits and errors — on every solve of one chain.
 func checkCompactLayout(t *testing.T, seed, tweak uint64) {
 	t.Helper()
-	got := layoutResults(seed, tweak, (*Problem).SolveWS, (*Problem).SolveFromBasis)
-	want := layoutResults(seed, tweak, fullArtificialSolveWS, fullArtificialSolveFromBasis)
+	got := layoutResults(seed, tweak, (*Problem).SolveWS)
+	want := layoutResults(seed, tweak, fullArtificialSolveWS)
 	if len(got) != len(want) {
 		t.Fatalf("seed %d/%d: %d solves, full-artificial reference %d", seed, tweak, len(got), len(want))
 	}
@@ -278,8 +177,8 @@ func checkCompactLayout(t *testing.T, seed, tweak uint64) {
 	}
 }
 
-// TestCompactLayoutMatchesFullArtificial: the compact artificial block and
-// the slack restore rule change no bit of any cold, restored or hot result.
+// TestCompactLayoutMatchesFullArtificial: the compact artificial block
+// changes no bit of any SolveWS result.
 func TestCompactLayoutMatchesFullArtificial(t *testing.T) {
 	for seed := uint64(0); seed < 3000; seed++ {
 		checkCompactLayout(t, seed, 331)
@@ -295,16 +194,11 @@ func FuzzCompactLayout(f *testing.F) {
 	f.Fuzz(checkCompactLayout)
 }
 
-// rawWorkspace lays out p's standard-form tableau in a fresh workspace
-// (under mapping maps when non-nil) with the initial basis marked.
-func rawWorkspace(p *Problem, maps []mapping, ncols int) (ws *Workspace, m, stride, artStart int) {
+// rawWorkspace lays out p's standard-form tableau in a fresh workspace with
+// the initial basis marked.
+func rawWorkspace(p *Problem) (ws *Workspace, m, stride, artStart int) {
 	ws = new(Workspace)
-	if maps == nil {
-		ncols = p.layoutMaps(ws)
-	} else {
-		ws.maps = slices.Clone(maps)
-	}
-	m, stride, total, artStart := p.buildRaw(ws, ncols)
+	m, stride, total, artStart := p.buildRaw(ws, p.layoutMaps(ws))
 	ws.inBasis = make([]bool, total)
 	for _, c := range ws.basis[:m] {
 		ws.inBasis[c] = true
@@ -336,7 +230,7 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 	for seed := uint64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 211))
 		p := buildRandomBounded(rng)
-		ws, m, stride, artStart := rawWorkspace(p, nil, 0)
+		ws, m, stride, artStart := rawWorkspace(p)
 		ref := cloneWorkspace(ws)
 		width := stride
 		if seed%2 == 1 {
@@ -369,43 +263,5 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 	}
 	if pivots < 1000 {
 		t.Fatalf("only %d pivots exercised", pivots)
-	}
-}
-
-// TestSparseRefactorMatchesDense: restoring a saved optimal basis into the
-// raw tableau gives the same tableau and basic values under the sparse and
-// the dense refactorization.
-func TestSparseRefactorMatchesDense(t *testing.T) {
-	restored := 0
-	for seed := uint64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 223))
-		p := buildRandomBounded(rng)
-		var solved Workspace
-		s, err := p.SolveWS(&solved)
-		if err != nil || s.Status != Optimal {
-			continue
-		}
-		var b Basis
-		if !solved.SaveBasis(&b) {
-			t.Fatalf("seed %d: optimal solve not saved", seed)
-		}
-		tightenRandom(p, rng)
-		ws, m, stride, _ := rawWorkspace(p, b.maps, b.ncols)
-		clear(ws.inBasis)
-		for _, c := range b.basis {
-			ws.inBasis[c] = true
-		}
-		ref := cloneWorkspace(ws)
-		ok := ws.refactor(m, stride, b.ncols, b.basis)
-		if okRef := denseRefactor(ref, m, stride, b.basis); ok != okRef {
-			t.Fatalf("seed %d: refactor reported %v, dense reference %v", seed, ok, okRef)
-		}
-		if !sameState(ws, ref) {
-			t.Fatalf("seed %d: sparse and dense refactorizations differ", seed)
-		}
-		restored++
-	}
-	if restored < 100 {
-		t.Fatalf("only %d bases restored", restored)
 	}
 }

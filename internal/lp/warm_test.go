@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 // buildRandomBounded constructs a random LP where every variable has finite
@@ -58,178 +57,9 @@ func tightenRandom(p *Problem, rng *rand.Rand) int {
 	return v
 }
 
-func solutionsAgree(a, b Solution, tol float64) bool {
-	if a.Status != b.Status {
-		return false
-	}
-	if a.Status != Optimal {
-		return true
-	}
-	return math.Abs(a.Obj-b.Obj) <= tol
-}
-
-// TestSolveFromBasisMatchesCold: solve, snapshot, tighten one bound, and the
-// warm restore must reach the same status and optimum as a cold solve.
-func TestSolveFromBasisMatchesCold(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 41))
-		p := buildRandomBounded(rng)
-		var ws Workspace
-		s0, err := p.SolveWS(&ws)
-		if err != nil || s0.Status != Optimal {
-			return true // nothing to warm-start from; not this test's concern
-		}
-		var b Basis
-		if !ws.SaveBasis(&b) {
-			t.Log("SaveBasis refused after an optimal solve")
-			return false
-		}
-		for k := 0; k < 3; k++ { // a short dive: repeated tightenings
-			tightenRandom(p, rng)
-			warm, err := p.SolveFromBasis(&ws, &b)
-			if err != nil {
-				return true // stall: callers fall back to cold, allowed
-			}
-			cold, err := p.Solve()
-			if err != nil {
-				return false
-			}
-			if !solutionsAgree(warm, cold, 1e-6) {
-				t.Logf("seed %d step %d: warm %+v cold %+v", seed, k, warm, cold)
-				return false
-			}
-			if warm.Status != Optimal {
-				return true
-			}
-			if !ws.SaveBasis(&b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResolveBoundMatchesCold: the hot continuation after one bound change
-// must agree with a cold solve of the modified problem.
-func TestResolveBoundMatchesCold(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 43))
-		p := buildRandomBounded(rng)
-		var ws Workspace
-		s0, err := p.SolveWS(&ws)
-		if err != nil || s0.Status != Optimal {
-			return true
-		}
-		for k := 0; k < 3; k++ { // chain hot resolves like a dive does
-			v := tightenRandom(p, rng)
-			lo, hi := p.Bounds(v)
-			warm, err := p.ResolveBound(&ws, v, lo, hi)
-			if err != nil {
-				return true // stall/mismatch: cold fallback territory
-			}
-			cold, err := p.Solve()
-			if err != nil {
-				return false
-			}
-			if !solutionsAgree(warm, cold, 1e-6) {
-				t.Logf("seed %d step %d: warm %+v cold %+v", seed, k, warm, cold)
-				return false
-			}
-			if warm.Status != Optimal {
-				return true
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResolveBoundEmptyBox: a lo > hi child box must come back Infeasible.
-func TestResolveBoundEmptyBox(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(0, 5, 1, "x")
-	p.AddRow(GE, 1, T(x, 1))
-	var ws Workspace
-	if _, err := p.SolveWS(&ws); err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.ResolveBound(&ws, x, 3, 2)
-	if err != nil || s.Status != Infeasible {
-		t.Fatalf("s=%+v err=%v, want Infeasible", s, err)
-	}
-}
-
-// TestResolveBoundDetectsInfeasibleChild: tightening past the rows must
-// report Infeasible, matching the cold solve.
-func TestResolveBoundDetectsInfeasibleChild(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(0, 10, 1, "x")
-	p.AddRow(LE, 4, T(x, 1)) // x ≤ 4
-	var ws Workspace
-	if _, err := p.SolveWS(&ws); err != nil {
-		t.Fatal(err)
-	}
-	p.SetBounds(x, 6, 10) // child forces x ≥ 6: empty against the row
-	s, err := p.ResolveBound(&ws, x, 6, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Infeasible {
-		t.Fatalf("status = %v, want Infeasible", s.Status)
-	}
-}
-
-// TestResolveBoundRequiresLiveState: a fresh workspace must refuse.
-func TestResolveBoundRequiresLiveState(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(0, 5, 1, "x")
-	var ws Workspace
-	if _, err := p.ResolveBound(&ws, x, 0, 3); err != ErrNotWarm {
-		t.Fatalf("err = %v, want ErrNotWarm", err)
-	}
-}
-
-// TestSaveBasisRequiresSolvedState documents the false return.
-func TestSaveBasisRequiresSolvedState(t *testing.T) {
-	var ws Workspace
-	var b Basis
-	if ws.SaveBasis(&b) {
-		t.Fatal("SaveBasis on a fresh workspace must report false")
-	}
-}
-
-// TestSolveFromBasisMismatch: snapshots from a different problem shape must
-// be rejected, not mis-solved.
-func TestSolveFromBasisMismatch(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVar(0, 5, 1, "x")
-	p.AddRow(GE, 1, T(x, 1))
-	var ws Workspace
-	if _, err := p.SolveWS(&ws); err != nil {
-		t.Fatal(err)
-	}
-	var b Basis
-	if !ws.SaveBasis(&b) {
-		t.Fatal("SaveBasis failed")
-	}
-	q := NewProblem()
-	q.AddVar(0, 5, 1, "x")
-	q.AddVar(0, 5, 1, "y")
-	if _, err := q.SolveFromBasis(&ws, &b); err != ErrBasisMismatch {
-		t.Fatalf("err = %v, want ErrBasisMismatch", err)
-	}
-	if _, err := q.SolveFromBasis(&ws, nil); err != ErrBasisMismatch {
-		t.Fatalf("nil basis: err = %v, want ErrBasisMismatch", err)
-	}
-}
-
-// TestWarmSolveZeroAllocs: the warm-restart cycle (snapshot, tighten,
-// restore, hot resolve) must run entirely out of retained storage.
+// TestWarmSolveZeroAllocs: repeat solves on a reused workspace, with the
+// bound changes a branch-and-bound dive makes between them, must run
+// entirely out of retained storage.
 func TestWarmSolveZeroAllocs(t *testing.T) {
 	p := NewProblem()
 	n := 8
@@ -241,19 +71,16 @@ func TestWarmSolveZeroAllocs(t *testing.T) {
 		p.AddRow(LE, float64(30-v), T(v+1, 1), T(v, -1))
 	}
 	var ws Workspace
-	var b Basis
 	cycle := func() {
 		if _, err := p.SolveWS(&ws); err != nil {
 			t.Fatal(err)
 		}
-		if !ws.SaveBasis(&b) {
-			t.Fatal("SaveBasis failed")
-		}
-		if _, err := p.ResolveBound(&ws, 2, -10, 50); err != nil {
+		p.SetBounds(2, -10, 50)
+		if _, err := p.SolveWS(&ws); err != nil {
 			t.Fatal(err)
 		}
 		p.SetBounds(3, -50, 10)
-		if _, err := p.SolveFromBasis(&ws, &b); err != nil {
+		if _, err := p.SolveWS(&ws); err != nil {
 			t.Fatal(err)
 		}
 		p.SetBounds(2, -50, 50)
@@ -261,39 +88,6 @@ func TestWarmSolveZeroAllocs(t *testing.T) {
 	}
 	cycle() // warm all buffers
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Fatalf("warm restart cycle allocates %v times per run, want 0", avg)
+		t.Fatalf("repeat SolveWS on a reused workspace allocates %v times per run, want 0", avg)
 	}
-}
-
-// FuzzSolveFromBasis cross-checks the warm restore against the cold solve on
-// fuzzer-shaped problems: restored basis ⇒ same status and optimum.
-func FuzzSolveFromBasis(f *testing.F) {
-	f.Add(uint64(1), uint64(2))
-	f.Add(uint64(0xF00D), uint64(7))
-	f.Add(uint64(42), uint64(0xBEEF))
-	f.Fuzz(func(t *testing.T, seed, tweak uint64) {
-		rng := rand.New(rand.NewPCG(seed, tweak))
-		p := buildRandomBounded(rng)
-		var ws Workspace
-		s0, err := p.SolveWS(&ws)
-		if err != nil || s0.Status != Optimal {
-			return
-		}
-		var b Basis
-		if !ws.SaveBasis(&b) {
-			t.Fatal("SaveBasis refused after optimal solve")
-		}
-		v := tightenRandom(p, rng)
-		warm, err := p.SolveFromBasis(&ws, &b)
-		if err != nil {
-			return // documented fallback path
-		}
-		cold, err := p.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !solutionsAgree(warm, cold, 1e-6) {
-			t.Fatalf("var %d: warm %+v, cold %+v", v, warm, cold)
-		}
-	})
 }

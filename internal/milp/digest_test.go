@@ -17,25 +17,24 @@ import (
 )
 
 // solveDigests pins the SHA-256 of every SolveArena result in each corpus
-// part, in solve order: status, objective bits, the X bits, the node count
-// and the arena's hot/warm/cold/fallback deltas for the call. Simplex
-// speed-ups must be exact down to the search path, so any change in a pivot
-// sequence that moves an objective bit, an argmin or a node count moves a
-// digest. Recorded on amd64, where the compiler never fuses multiply-adds,
-// before the simplex gained its compact artificial block and slack restore
-// rule. The per-sample ILPs have left the flow (insertion repairs
-// components by support enumeration and projection), so the s9234 parts
-// drive the flow with every component forced through the two-ILP route
-// (insertion.NewSampleBenchMILP): they hash the same solves as before the
-// ILPs left, and these digests are the ones recorded then.
+// part, in solve order: status, objective bits, the X bits and the node
+// count. Simplex speed-ups must be exact down to the search path, so any
+// change in a pivot sequence that moves an objective bit, an argmin or a
+// node count moves a digest. Recorded on amd64, where the compiler never
+// fuses multiply-adds, from the cold search (every node a two-phase SolveWS)
+// of the solver that still carried warm restarts, so they also show that
+// removing them changed no bit of that search. The per-sample ILPs have left
+// the flow (insertion repairs components by support enumeration and
+// projection), so the s9234 parts drive the flow with every component
+// forced through the two-ILP route (insertion.NewSampleBenchMILP).
 var solveDigests = map[string]string{
-	"integer":          "47d8d9a2a1c85122212e15f577d29f4b75d9c53a256ef5a7f6b6dc77f63a23a0",
-	"cover":            "7b4b6d5b933963463d531bec7f322a7f155ee24a9444ad0e06e26caa01986841",
-	"mixed":            "f0d2e0573bea449248d91df8b3492d1e01d6ac2538a57f897a65b70fb5c3f96b",
-	"mincount":         "8dddd5f5faee0a5a4f9ed47b90cd7990853725cecf473feba1528b811d1af8da",
-	"s9234/muT":        "7abdf01910b2d3219a9e6285d45212818218b5c5bdf1ad56cd9d9ab02ef7a4a3",
-	"s9234/muT+sigma":  "95441a9e66c996985bfd313c498da753be51a53275da590235afa7c995eea985",
-	"s9234/muT+2sigma": "f07c03ed955ffa49b23da769d665efd4cf37d965105adefbf82df55dc1ec151a",
+	"integer":          "3c9ad9fe391fa385fc4087f710b9e381688e8f6a5879f86edd92d5c6b2c08f12",
+	"cover":            "7edd1d1e6bac9647a7b81a7d1b7f41275d74351b429421b73ede4174a149e922",
+	"mixed":            "28cf20b6573e573b72d77d617604c1c729aacc53949da8233083af449b7b3a58",
+	"mincount":         "155e9704a1936023c3ee15f05f9f11f873a79671c81f7b82e00cb828fdc819d4",
+	"s9234/muT":        "3e261251b472b5cb8ac79151d99bf84439c28e8b96dd86f05976cf8d2619fd3f",
+	"s9234/muT+sigma":  "30f62ea1f8a87199e7897f2ae4d910d806509fd656f046797466f09d6b9eb571",
+	"s9234/muT+2sigma": "f74269fa45a3effd578bc99486b6ebd3c9763caa7adf10465d931329dcd1a5ee",
 }
 
 // solveDigester hashes SolveArena results through the test hook.
@@ -43,10 +42,9 @@ type solveDigester struct {
 	h      hash.Hash
 	buf    []byte
 	solves int
-	prev   map[*milp.Arena]milp.SolveStats
 }
 
-func (d *solveDigester) observe(a *milp.Arena, s milp.Solution, err error) {
+func (d *solveDigester) observe(_ *milp.Arena, s milp.Solution, err error) {
 	put := func(v uint64) { d.buf = binary.LittleEndian.AppendUint64(d.buf, v) }
 	d.buf = d.buf[:0]
 	put(uint64(s.Status))
@@ -56,12 +54,6 @@ func (d *solveDigester) observe(a *milp.Arena, s milp.Solution, err error) {
 		put(math.Float64bits(x))
 	}
 	put(uint64(s.Nodes))
-	st, p := a.Stats, d.prev[a]
-	d.prev[a] = st
-	put(uint64(st.Hot - p.Hot))
-	put(uint64(st.Warm - p.Warm))
-	put(uint64(st.Cold - p.Cold))
-	put(uint64(st.Fallbacks - p.Fallbacks))
 	if err != nil {
 		d.buf = append(d.buf, err.Error()...)
 	}
@@ -95,7 +87,7 @@ func TestSolveDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded with amd64 floating-point rounding")
 	}
-	d := &solveDigester{prev: map[*milp.Arena]milp.SolveStats{}}
+	d := &solveDigester{}
 	milp.SetTestHookSolved(d.observe)
 	defer milp.SetTestHookSolved(nil)
 
@@ -106,34 +98,30 @@ func TestSolveDigests(t *testing.T) {
 		got[name] = hex.EncodeToString(d.h.Sum(nil))
 		t.Logf("%s: %d solves", name, d.solves)
 	}
-	solveBoth := func(p *milp.Problem, a *milp.Arena) {
-		p.SolveArena(a, milp.Options{})
-		p.SolveArena(a, milp.Options{NoWarm: true})
-	}
 	part("integer", func() {
 		var a milp.Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			solveBoth(milp.RandomIntegerMILP(rand.New(rand.NewPCG(seed, 71))), &a)
+			milp.RandomIntegerMILP(rand.New(rand.NewPCG(seed, 71))).SolveArena(&a, milp.Options{})
 		}
 	})
 	part("cover", func() {
 		var a milp.Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			solveBoth(milp.RandomCoverMILP(rand.New(rand.NewPCG(seed, 83))), &a)
+			milp.RandomCoverMILP(rand.New(rand.NewPCG(seed, 83))).SolveArena(&a, milp.Options{})
 		}
 	})
 	part("mixed", func() {
 		var a milp.Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			solveBoth(milp.RandomMixedMILP(seed), &a)
+			milp.RandomMixedMILP(seed).SolveArena(&a, milp.Options{})
 		}
 	})
 	part("mincount", func() {
 		var a milp.Arena
 		p := minCountShape()
 		p.Solve(milp.Options{})
-		solveBoth(p, &a)
-		p.SolveArena(&a, milp.Options{}) // warm pools
+		p.SolveArena(&a, milp.Options{})
+		p.SolveArena(&a, milp.Options{}) // again on the reused arena
 	})
 
 	if !testing.Short() {

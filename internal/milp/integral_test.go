@@ -120,11 +120,11 @@ func TestIntegralPruningFixture(t *testing.T) {
 
 // TestIntegralPruningMatchesBruteForce: on random covering problems with an
 // integral objective the pruned search lands on the brute-force optimum
-// (status and bit-identical objective), agrees with the cold reference path,
-// and, summed over all problems, solves fewer nodes than the same problems
-// under the ε rule (objective scaled by 1.5).
+// (status and bit-identical objective) and, summed over all problems,
+// solves fewer nodes than the same problems under the ε rule (objective
+// scaled by 1.5).
 func TestIntegralPruningMatchesBruteForce(t *testing.T) {
-	var arena, coldArena, scaledArena Arena
+	var arena, scaledArena Arena
 	pruned, general := 0, 0
 	for seed := uint64(0); seed < 300; seed++ {
 		p := randomCoverMILP(rand.New(rand.NewPCG(seed, 83)))
@@ -142,13 +142,6 @@ func TestIntegralPruningMatchesBruteForce(t *testing.T) {
 		}
 		if bb.Status != bf.Status || (bb.Status == lp.Optimal && bb.Obj != bf.Obj) {
 			t.Fatalf("seed %d: pruned search %v/%v, brute force %v/%v", seed, bb.Status, bb.Obj, bf.Status, bf.Obj)
-		}
-		cold, err := p.SolveArena(&coldArena, Options{NoWarm: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != bb.Status || (bb.Status == lp.Optimal && cold.Obj != bb.Obj) {
-			t.Fatalf("seed %d: warm %v/%v, cold %v/%v", seed, bb.Status, bb.Obj, cold.Status, cold.Obj)
 		}
 		sc, err := scaledCopy(p, 1.5).SolveArena(&scaledArena, Options{})
 		if err != nil {

@@ -6,14 +6,10 @@
 // violation-component decomposition, so branch-and-bound with
 // most-fractional branching solves them exactly.
 //
-// The search is warm-started end to end (see DESIGN.md, "Warm-started
-// branch-and-bound"): after branching, one child is dived into immediately
-// through lp.ResolveBound — the parent's factorized tableau is still loaded,
-// so the child costs a few dual-simplex pivots — while the sibling is queued
-// with a pooled snapshot of the parent basis and later reoptimized through
-// lp.SolveFromBasis. The cold two-phase solve remains the fallback whenever
-// a warm path stalls, and results are identical either way (the incumbent
-// objective is recomputed exactly from the snapped integral point).
+// Every node relaxation is a cold two-phase lp.SolveWS on one reused
+// workspace. The search dives toward the nearer integer and then pops the
+// best queued node (see DESIGN.md, "Branch-and-bound"); the incumbent
+// objective is recomputed exactly from the snapped integral point.
 package milp
 
 import (
@@ -93,13 +89,6 @@ type Options struct {
 	IntTol float64
 	// Gap is the relative optimality gap at which search stops; 0 = exact.
 	Gap float64
-	// NoWarm disables the warm-start machinery and solves every node with
-	// the cold two-phase simplex — the reference path for equivalence tests
-	// and ablations. Statuses and optimal objectives are identical with or
-	// without it; on problems with alternate optima the returned X may be a
-	// different (equally optimal) argmin, because the exploration order
-	// decides which incumbent is found first.
-	NoWarm bool
 }
 
 // DefaultMaxNodes bounds the B&B tree for callers that pass Options{}.
@@ -116,38 +105,23 @@ type node struct {
 	bound  float64 // LP relaxation value (lower bound for minimization)
 	lo, hi []float64
 	depth  int
-	basis  *lp.Basis // parent's optimal basis (pooled; nil → cold solve)
 }
-
-// SolveStats counts how branch-and-bound nodes were solved, cumulatively
-// per Arena: Hot nodes continued the live parent factorization
-// (lp.ResolveBound), Warm nodes refactorized a pooled parent basis
-// (lp.SolveFromBasis), Cold nodes ran the two-phase simplex, and Fallbacks
-// counts warm attempts that bailed to cold (stall or mismatch).
-type SolveStats struct {
-	Hot, Warm, Cold, Fallbacks int
-}
-
-// Nodes returns the node relaxations solved, by any path.
-func (s SolveStats) Nodes() int { return s.Hot + s.Warm + s.Cold }
 
 // Arena holds all reusable branch-and-bound memory: the simplex workspace
-// shared by every node's LP relaxation, freelists for the per-node bound
-// copies and parent-basis snapshots, the node queue, and the incumbent
-// buffers. A zero Arena is ready to use; buffers grow on demand and are
-// retained, so warm solves on the same arena perform no heap allocations.
-// Not safe for concurrent use.
+// shared by every node's LP relaxation, a freelist for the per-node bound
+// copies, the node queue, and the incumbent buffers. A zero Arena is ready
+// to use; buffers grow on demand and are retained, so repeat solves on the
+// same arena perform no heap allocations. Not safe for concurrent use.
 type Arena struct {
 	ws             lp.Workspace
 	rootLo, rootHi []float64
 	origLo, origHi []float64
 	pool           [][]float64 // freelist of bound vectors
-	basisPool      []*lp.Basis // freelist of basis snapshots
 	queue          []node
 	bestX          []float64
 	candX          []float64
-	// Stats accumulates node-solve counters across SolveArena calls.
-	Stats SolveStats
+	// Nodes accumulates the node relaxations solved across SolveArena calls.
+	Nodes int
 }
 
 // grow returns s resized to n, reusing capacity when possible. Contents are
@@ -179,23 +153,6 @@ func (a *Arena) putBounds(s []float64) {
 	}
 }
 
-// getBasis returns a pooled basis snapshot.
-func (a *Arena) getBasis() *lp.Basis {
-	if k := len(a.basisPool); k > 0 {
-		b := a.basisPool[k-1]
-		a.basisPool = a.basisPool[:k-1]
-		return b
-	}
-	return new(lp.Basis)
-}
-
-// putBasis returns a basis snapshot to the freelist.
-func (a *Arena) putBasis(b *lp.Basis) {
-	if b != nil {
-		a.basisPool = append(a.basisPool, b)
-	}
-}
-
 // Solve runs branch-and-bound with a throwaway arena and returns an optimal
 // solution, Infeasible when no integral point exists, or Unbounded when the
 // relaxation is unbounded (treated as unbounded MILP; our formulations are
@@ -208,13 +165,10 @@ func (p *Problem) Solve(opt Options) (Solution, error) {
 // returned Solution.X aliases the arena and is only valid until the next
 // SolveArena call on the same arena; callers that retain it must copy.
 //
-// Exploration is dive-then-best-first, organized to maximize basis reuse:
-// after branching, the child nearer the fractional LP value is solved
-// immediately on the still-loaded parent factorization (hot), its sibling
-// is queued with a snapshot of the parent basis; when a dive bottoms out
-// (integral, pruned, or infeasible), the smallest-bound queued node is
-// restored from its snapshot (warm). Any warm failure falls back to the
-// cold two-phase solve, so the search is exact regardless of path.
+// Exploration is dive-then-best-first: after branching, the child nearer
+// the fractional LP value is solved next and its sibling is queued; when a
+// dive bottoms out (integral, pruned, or infeasible), the smallest-bound
+// queued node is popped, deeper first on ties.
 //
 //contract:allocfree
 func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
@@ -264,49 +218,30 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 	// incumbent (see dominated).
 	intObj := p.integralObjective()
 
-	// solveCold temporarily installs bounds, solves, and restores.
+	// solve installs a node's bounds on the problem and solves it; the
+	// problem's own bounds are put back when the search returns.
 	a.origLo = grow(a.origLo, n)
 	a.origHi = grow(a.origHi, n)
 	origLo, origHi := a.origLo, a.origHi
 	for v := 0; v < n; v++ {
 		origLo[v], origHi[v] = p.LP.Bounds(v)
 	}
-	//lint:ignore contract:allocfree non-escaping closure, stack-allocated: the warm-path AllocsPerRun test pins the cycle at zero
-	restore := func() {
+	//lint:ignore contract:allocfree non-escaping deferred cleanup, stack-allocated
+	defer func() {
 		for v := 0; v < n; v++ {
 			p.LP.SetBounds(v, origLo[v], origHi[v])
 		}
-	}
-	//lint:ignore contract:allocfree non-escaping closure, stack-allocated: the warm-path AllocsPerRun test pins the cycle at zero
-	solveCold := func(lo, hi []float64) (lp.Solution, error) {
+	}()
+	//lint:ignore contract:allocfree non-escaping closure, stack-allocated: the reused-arena AllocsPerRun test pins a repeat solve at zero
+	solve := func(lo, hi []float64) (lp.Solution, error) {
 		for v := 0; v < n; v++ {
 			p.LP.SetBounds(v, lo[v], hi[v])
 		}
-		s, err := p.LP.SolveWS(&a.ws)
-		restore()
-		a.Stats.Cold++
-		return s, err
-	}
-	// solveNode reoptimizes a queued node from its parent basis, falling
-	// back to the cold solve on any warm failure.
-	//lint:ignore contract:allocfree non-escaping closure, stack-allocated: the warm-path AllocsPerRun test pins the cycle at zero
-	solveNode := func(nd node) (lp.Solution, error) {
-		if nd.basis != nil && !opt.NoWarm {
-			for v := 0; v < n; v++ {
-				p.LP.SetBounds(v, nd.lo[v], nd.hi[v])
-			}
-			s, err := p.LP.SolveFromBasis(&a.ws, nd.basis)
-			restore()
-			if err == nil {
-				a.Stats.Warm++
-				return s, nil
-			}
-			a.Stats.Fallbacks++
-		}
-		return solveCold(nd.lo, nd.hi)
+		a.Nodes++
+		return p.LP.SolveWS(&a.ws)
 	}
 
-	rel, err := solveCold(rootLo, rootHi)
+	rel, err := solve(rootLo, rootHi)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -330,7 +265,6 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 		for i := range a.queue {
 			a.putBounds(a.queue[i].lo)
 			a.putBounds(a.queue[i].hi)
-			a.putBasis(a.queue[i].basis)
 			a.queue[i] = node{}
 		}
 		a.queue = a.queue[:0]
@@ -356,10 +290,8 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 		if branchVar != -1 {
 			fv := rel.X[branchVar]
 			floorV, ceilV := math.Floor(fv), math.Ceil(fv)
-			// Dive toward the nearer integer: the smaller the bound move,
-			// the fewer dual pivots the hot child needs.
+			// Dive toward the nearer integer and queue the sibling.
 			diveDown := fv-floorV < 0.5
-			// Queue the sibling with a snapshot of this (parent) basis.
 			qlo := a.getBounds(curLo)
 			qhi := a.getBounds(curHi)
 			if diveDown {
@@ -367,17 +299,8 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 			} else {
 				qhi[branchVar] = floorV
 			}
-			var qb *lp.Basis
-			if !opt.NoWarm {
-				qb = a.getBasis()
-				if !a.ws.SaveBasis(qb) {
-					a.putBasis(qb)
-					qb = nil
-				}
-			}
-			a.queue = append(a.queue, node{bound: rel.Obj, lo: qlo, hi: qhi, depth: depth + 1, basis: qb})
-			// Dive: tighten the box in place and continue from the parent
-			// factorization still loaded in the workspace.
+			a.queue = append(a.queue, node{bound: rel.Obj, lo: qlo, hi: qhi, depth: depth + 1})
+			// Dive: tighten the box in place.
 			if diveDown {
 				curHi[branchVar] = floorV
 			} else {
@@ -389,19 +312,7 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 				best.Nodes = nodes - 1 // this node's LP never ran
 				return best, ErrNodeLimit
 			}
-			var crel lp.Solution
-			var cerr error
-			if opt.NoWarm {
-				crel, cerr = solveCold(curLo, curHi)
-			} else {
-				crel, cerr = p.LP.ResolveBound(&a.ws, branchVar, curLo[branchVar], curHi[branchVar])
-				if cerr == nil {
-					a.Stats.Hot++
-				} else {
-					a.Stats.Fallbacks++
-					crel, cerr = solveCold(curLo, curHi)
-				}
-			}
+			crel, cerr := solve(curLo, curHi)
 			if cerr != nil {
 				best.Nodes = nodes
 				return best, cerr
@@ -445,19 +356,16 @@ func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 			if dominated(nd.bound, best.Obj, intObj) {
 				a.putBounds(nd.lo)
 				a.putBounds(nd.hi)
-				a.putBasis(nd.basis)
 				continue
 			}
 			nodes++
 			if nodes > maxNodes {
 				a.putBounds(nd.lo)
 				a.putBounds(nd.hi)
-				a.putBasis(nd.basis)
 				best.Nodes = nodes - 1 // this node's LP never ran
 				return best, ErrNodeLimit
 			}
-			r2, err := solveNode(nd)
-			a.putBasis(nd.basis)
+			r2, err := solve(nd.lo, nd.hi)
 			if err != nil {
 				a.putBounds(nd.lo)
 				a.putBounds(nd.hi)

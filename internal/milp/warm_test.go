@@ -39,11 +39,11 @@ func randomIntegerMILP(rng *rand.Rand) *Problem {
 }
 
 // TestWarmMatchesBruteForceBitForBit: on random integer-data MILPs the
-// warm-started search must land on the exact brute-force optimum — same
-// status, and a bit-identical objective (both sides accumulate integer
+// search on a reused arena must land on the exact brute-force optimum —
+// same status, and a bit-identical objective (both sides accumulate integer
 // terms in variable order).
 func TestWarmMatchesBruteForceBitForBit(t *testing.T) {
-	var arena Arena // shared across cases: exercises basis/bound pooling
+	var arena Arena // shared across cases: exercises bound pooling
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 71))
 		p := randomIntegerMILP(rng)
@@ -56,11 +56,11 @@ func TestWarmMatchesBruteForceBitForBit(t *testing.T) {
 			return false
 		}
 		if bb.Status != bf.Status {
-			t.Logf("seed %d: warm status %v, brute force %v", seed, bb.Status, bf.Status)
+			t.Logf("seed %d: status %v, brute force %v", seed, bb.Status, bf.Status)
 			return false
 		}
 		if bb.Status == lp.Optimal && bb.Obj != bf.Obj {
-			t.Logf("seed %d: warm obj %v (%x), brute force %v (%x)",
+			t.Logf("seed %d: obj %v (%x), brute force %v (%x)",
 				seed, bb.Obj, math.Float64bits(bb.Obj), bf.Obj, math.Float64bits(bf.Obj))
 			return false
 		}
@@ -68,41 +68,6 @@ func TestWarmMatchesBruteForceBitForBit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWarmMatchesColdBitForBit: warm starts on vs off must be observation-
-// ally identical on integer-data problems — same status and bit-identical
-// objective (the incumbent objective is recomputed from the snapped point
-// on both paths).
-func TestWarmMatchesColdBitForBit(t *testing.T) {
-	var warmArena, coldArena Arena
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 73))
-		p := randomIntegerMILP(rng)
-		warm, err1 := p.SolveArena(&warmArena, Options{})
-		cold, err2 := p.SolveArena(&coldArena, Options{NoWarm: true})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if warm.Status != cold.Status {
-			t.Logf("seed %d: warm status %v, cold %v", seed, warm.Status, cold.Status)
-			return false
-		}
-		if warm.Status == lp.Optimal && warm.Obj != cold.Obj {
-			t.Logf("seed %d: warm obj %v, cold %v", seed, warm.Obj, cold.Obj)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-	if coldArena.Stats.Hot != 0 || coldArena.Stats.Warm != 0 {
-		t.Fatalf("NoWarm arena took warm paths: %+v", coldArena.Stats)
-	}
-	if warmArena.Stats.Hot == 0 {
-		t.Fatalf("warm arena never dived hot: %+v", warmArena.Stats)
 	}
 }
 
@@ -134,21 +99,31 @@ func randomMixedMILP(seed uint64) *Problem {
 	return p
 }
 
-// TestWarmMatchesColdMixed covers mixed integer/continuous problems, where
-// alternate optima can differ in the continuous part: statuses must agree
-// and objectives match within LP tolerance.
+// TestWarmMatchesColdMixed: on mixed integer/continuous problems, where
+// alternate optima can differ in the continuous part, a solve on a reused
+// arena (its bound pool, queue and workspace holding the previous
+// problems' leftovers) must return exactly what a fresh arena returns:
+// status, objective and X bits, and node count.
 func TestWarmMatchesColdMixed(t *testing.T) {
-	var warmArena, coldArena Arena
+	var warmArena Arena
 	f := func(seed uint64) bool {
 		warm, err1 := randomMixedMILP(seed).SolveArena(&warmArena, Options{})
-		cold, err2 := randomMixedMILP(seed).SolveArena(&coldArena, Options{NoWarm: true})
+		cold, err2 := randomMixedMILP(seed).Solve(Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if warm.Status != cold.Status {
+		if warm.Status != cold.Status || warm.Nodes != cold.Nodes ||
+			math.Float64bits(warm.Obj) != math.Float64bits(cold.Obj) || len(warm.X) != len(cold.X) {
+			t.Logf("seed %d: reused arena %+v, fresh arena %+v", seed, warm, cold)
 			return false
 		}
-		return warm.Status != lp.Optimal || math.Abs(warm.Obj-cold.Obj) <= 1e-6
+		for i := range warm.X {
+			if math.Float64bits(warm.X[i]) != math.Float64bits(cold.X[i]) {
+				t.Logf("seed %d: x[%d] reused arena %v, fresh arena %v", seed, i, warm.X[i], cold.X[i])
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -199,8 +174,9 @@ func TestNodeLimitNoIncumbent(t *testing.T) {
 	}
 }
 
-// TestSolveArenaWarmZeroAllocs: a warm repeat solve on a reused arena —
-// including basis snapshots and restores — must not touch the heap.
+// TestSolveArenaWarmZeroAllocs: a repeat solve on a reused arena — a
+// multi-node search through the bound pool and the queue — must not touch
+// the heap.
 func TestSolveArenaWarmZeroAllocs(t *testing.T) {
 	p := NewProblem()
 	var arena Arena
@@ -219,8 +195,12 @@ func TestSolveArenaWarmZeroAllocs(t *testing.T) {
 	}
 	solve := func() {
 		build()
-		if _, err := p.SolveArena(&arena, Options{}); err != nil {
+		s, err := p.SolveArena(&arena, Options{})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if s.Nodes < 2 {
+			t.Fatalf("solved in %d node(s): the test needs a branching search", s.Nodes)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -231,35 +211,35 @@ func TestSolveArenaWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzSolveArenaWarm cross-checks warm-started branch-and-bound against the
-// cold path and the brute-force oracle on fuzzer-driven integer problems.
+// FuzzSolveArenaWarm cross-checks branch-and-bound on a reused arena
+// against a fresh arena and the brute-force oracle on fuzzer-driven integer
+// problems.
 func FuzzSolveArenaWarm(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(0xF00D), uint64(7))
 	f.Add(uint64(42), uint64(0xBEEF))
 	f.Fuzz(func(t *testing.T, seed, tweak uint64) {
-		rng := rand.New(rand.NewPCG(seed, tweak))
-		p := randomIntegerMILP(rng)
-		warm, err1 := p.Solve(Options{})
-		cold, err2 := p.Solve(Options{NoWarm: true})
-		if err1 != nil || err2 != nil {
+		var arena Arena
+		// Leave another problem's search behind in the arena first.
+		randomIntegerMILP(rand.New(rand.NewPCG(tweak, seed))).SolveArena(&arena, Options{})
+		p := randomIntegerMILP(rand.New(rand.NewPCG(seed, tweak)))
+		warm, err1 := p.SolveArena(&arena, Options{})
+		if err1 != nil {
 			return // node-limit pathologies are not equivalence failures
 		}
-		if warm.Status != cold.Status {
-			t.Fatalf("status warm %v vs cold %v", warm.Status, cold.Status)
-		}
-		if warm.Status == lp.Optimal && warm.Obj != cold.Obj {
-			t.Fatalf("obj warm %v vs cold %v", warm.Obj, cold.Obj)
+		cold, err2 := p.Solve(Options{})
+		if err2 != nil || cold.Status != warm.Status || math.Float64bits(cold.Obj) != math.Float64bits(warm.Obj) {
+			t.Fatalf("reused arena %v/%v, fresh arena %v/%v (err %v)", warm.Status, warm.Obj, cold.Status, cold.Obj, err2)
 		}
 		bf, err := p.BruteForce(1 << 18)
 		if err != nil {
 			return // oversized spaces are fine to skip
 		}
 		if warm.Status != bf.Status {
-			t.Fatalf("status warm %v vs brute force %v", warm.Status, bf.Status)
+			t.Fatalf("status %v vs brute force %v", warm.Status, bf.Status)
 		}
 		if warm.Status == lp.Optimal && warm.Obj != bf.Obj {
-			t.Fatalf("obj warm %v vs brute force %v", warm.Obj, bf.Obj)
+			t.Fatalf("obj %v vs brute force %v", warm.Obj, bf.Obj)
 		}
 	})
 }

@@ -320,18 +320,18 @@ fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     echo "== fuzz (solver equivalence, chip stream, wire and .bench round-trip, short budget) =="
-    # Cross-check the warm-start solver paths against cold solves and the
-    # brute-force oracle, the compact simplex layout bit for bit against
-    # the full-artificial reference, and the combinatorial per-component
-    # tuning count against the count MILP; pin the chip realization stream
-    # (timing.Stream) bit for bit to math/rand/v2 over fuzzed seeds and call
-    # patterns; hammer the shard wire decoders with arbitrary frames, and
-    # feed the .bench parser arbitrary netlist text (each must reject or
-    # round-trip, never panic). Off by default (it adds ~8x CI_FUZZ_TIME of
-    # wall time); the CI workflow enables it.
+    # Cross-check the compact simplex layout bit for bit against the
+    # full-artificial reference, branch-and-bound on a reused arena against
+    # a fresh arena and the brute-force oracle, and the combinatorial
+    # per-component tuning count and projection against the MILP route; pin
+    # the chip realization stream (timing.Stream) bit for bit to
+    # math/rand/v2 over fuzzed seeds and call patterns; hammer the shard
+    # wire decoders with arbitrary frames, and feed the .bench parser
+    # arbitrary netlist text (each must reject or round-trip, never panic).
+    # Off by default (it adds ~7x CI_FUZZ_TIME of wall time); the CI
+    # workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
-        go test -run '^$' -fuzz 'FuzzSolveFromBasis' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzCompactLayout' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzComponentCount' -fuzztime "$fuzztime" ./internal/insertion
