@@ -71,7 +71,7 @@ func CheckComponentCounts(g *timing.Graph, cfg Config) (CountCheck, error) {
 				}
 				comp := sv.compBuf[sv.compOff[c]:end]
 				if err := compareComponent(sv, comp, &cc); err != nil {
-					return cc, fmt.Errorf("mode %d sample %d component %v: %w", sv.mode, k, comp, err)
+					return cc, fmt.Errorf("mode %d sample %d: %w", sv.mode, k, err)
 				}
 			}
 		}
@@ -79,15 +79,25 @@ func CheckComponentCounts(g *timing.Graph, cfg Config) (CountCheck, error) {
 	return cc, nil
 }
 
-// compareComponent solves comp both ways and compares the results: equal
-// feasibility and count; when solveComponent repaired comp without the
-// MILP, tunings that pass checkTunings and, against MILP tunings that pass
-// it too, a concentration objective no worse than the MILP's by more than
-// tieTol·(1+|obj|) (a better one is counted).
+// compareComponent solves comp both ways and compares the results: no
+// failed concentration solve on either route (the MILP route would keep
+// the count solve's values, and its objective would then bound nothing);
+// equal feasibility and count; when solveComponent repaired comp without
+// the MILP, tunings that pass checkTunings and, against MILP tunings that
+// pass it too, a concentration objective no worse than the MILP's by more
+// than tieTol·(1+|obj|) (a better one is counted). Errors name comp.
 func compareComponent(sv *sampleSolver, comp []int, cc *CountCheck) error {
+	if err := compareRoutes(sv, comp, cc); err != nil {
+		return fmt.Errorf("component %v: %w", comp, err)
+	}
+	return nil
+}
+
+// compareRoutes is compareComponent's body.
+func compareRoutes(sv *sampleSolver, comp []int, cc *CountCheck) error {
 	cc.Components++
 	sv.tuned = sv.tuned[:0]
-	milp0 := sv.milp
+	milp0, fails0 := sv.milp, sv.concFails
 	nk1, ok1 := sv.solveComponent(comp)
 	routed := sv.milp != milp0
 	obj1 := sv.objective(comp)
@@ -97,6 +107,9 @@ func compareComponent(sv *sampleSolver, comp []int, cc *CountCheck) error {
 	nk2, ok2 := sv.solveComponentMILP(comp)
 	obj2 := sv.objective(comp)
 	t2 := append([]Tuning(nil), sv.tuned...)
+	if sv.concFails != fails0 {
+		return fmt.Errorf("%d concentration solve(s) failed on the MILP route", sv.concFails-fails0)
+	}
 	sv.walkRows(comp)
 	if _, decided := sv.countMin(len(comp)); !decided {
 		if ok2 {

@@ -83,7 +83,8 @@ type sampleSolver struct {
 	// reference flow of the equivalence tests; Config.forceMILP).
 	forceMILP bool
 
-	adj [][]int // FF id → pair indices (from Graph.PairAdjacency)
+	adj  [][]int       // FF id → pair indices (from Graph.PairAdjacency)
+	ends []timing.Ends // pair endpoints (from Graph.PairEnds)
 
 	// per-sample scratch
 	setupB  []float64
@@ -95,6 +96,10 @@ type sampleSolver struct {
 	compOff []int // start offset of each component in compBuf
 	tuned   []Tuning
 	milp    int // components of the current sample the MILP route took
+	// concFails counts failed concentration solves over the solver's
+	// lifetime (the MILP route then keeps the count solve's values); the
+	// equivalence harness fails on any.
+	concFails int
 
 	// per-component scratch of the two-ILP route (solveComponentMILP)
 	prob  *milp.Problem // resettable; rebuilt for every component
@@ -148,6 +153,7 @@ func newSolverScratch(g *timing.Graph, adj [][]int) *sampleSolver {
 	s := &sampleSolver{
 		g:          g,
 		adj:        adj,
+		ends:       g.PairEnds(),
 		setupB:     make([]float64, len(g.Pairs)),
 		holdB:      make([]float64, len(g.Pairs)),
 		active:     make([]bool, g.NS),
@@ -197,20 +203,30 @@ func (s *sampleSolver) windowOf(ff int) (lo, hi float64) {
 }
 
 // solve repairs one chip: it realizes the constraint bounds, grows
-// violation components, and solves each (solveComponent). The returned
-// outcome's tuned slice aliases solver scratch (see SampleOutcome).
+// violation components, and solves each (solveComponent). A chip whose
+// certificate shows it meets T with zero tuning (a materialized
+// population's chips carry one) is feasible at once, with no bound loop.
+// The returned outcome's tuned slice aliases solver scratch (see
+// SampleOutcome).
 //
 //contract:allocfree
 func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 	g := s.g
-	// 1. Realize constraint bounds; find violations.
+	if pass, decided := g.ZeroAt(ch, s.T); decided && pass {
+		return SampleOutcome{Feasible: true}
+	}
+	// 1. Realize constraint bounds; find violations. The expressions are
+	// Graph.SetupBound's and HoldBound's, operation for operation.
 	violated := false
-	for p := range g.Pairs {
-		s.setupB[p] = g.SetupBound(ch, p, s.T)
-		s.holdB[p] = g.HoldBound(ch, p)
-		if s.setupB[p] < 0 || s.holdB[p] < 0 {
-			pr := &g.Pairs[p]
-			if pr.Launch == pr.Capture {
+	skew := g.Skew
+	setupB, holdB := s.setupB[:len(s.ends)], s.holdB[:len(s.ends)]
+	dmax, dmin := ch.DMax[:len(s.ends)], ch.DMin[:len(s.ends)]
+	for p, e := range s.ends {
+		skl, skc := skew[e.Launch], skew[e.Capture]
+		setupB[p] = s.T - ch.Setup[e.Capture] - dmax[p] + skc - skl
+		holdB[p] = dmin[p] - ch.Hold[e.Capture] + skl - skc
+		if setupB[p] < 0 || holdB[p] < 0 {
+			if e.Launch == e.Capture {
 				// Self-loop: x cancels; unfixable by clock tuning.
 				return SampleOutcome{SelfLoop: true}
 			}
@@ -233,14 +249,14 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 			s.queue = append(s.queue, ff)
 		}
 	}
-	for p := range g.Pairs {
-		if s.setupB[p] < 0 || s.holdB[p] < 0 {
-			pr := &g.Pairs[p]
-			if !s.allowed[pr.Launch] && !s.allowed[pr.Capture] {
+	for p, e := range s.ends {
+		if setupB[p] < 0 || holdB[p] < 0 {
+			l, c := int(e.Launch), int(e.Capture)
+			if !s.allowed[l] && !s.allowed[c] {
 				return SampleOutcome{}
 			}
-			mark(pr.Launch)
-			mark(pr.Capture)
+			mark(l)
+			mark(c)
 		}
 	}
 	// 3. Closure: pull in neighbor FFs that may need to move when the seed
@@ -261,11 +277,11 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 			if !s.expands(p) {
 				continue
 			}
-			pr := &g.Pairs[p]
-			v := pr.Launch + pr.Capture - u
-			if pr.Launch == pr.Capture {
+			e := s.ends[p]
+			if e.Launch == e.Capture {
 				continue
 			}
+			v := int(e.Launch+e.Capture) - u
 			if !s.allowed[v] || s.active[v] {
 				continue
 			}
@@ -300,8 +316,8 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 				if !s.interacting(p) {
 					continue
 				}
-				pr := &g.Pairs[p]
-				v := pr.Launch + pr.Capture - u
+				e := s.ends[p]
+				v := int(e.Launch+e.Capture) - u
 				if v == u || !s.active[v] || s.compID[v] != -1 {
 					continue
 				}
@@ -401,8 +417,8 @@ func (s *sampleSolver) solveComponentMILP(comp []int) (int, bool) {
 	}
 	// Skipped under the NoConcentration ablation; a failed concentration
 	// solve keeps the count solve's values.
-	if s.concentration {
-		s.concentrate(comp, xVar, cVar, nk)
+	if s.concentration && !s.concentrate(comp, xVar, cVar, nk) {
+		s.concFails++
 	}
 	s.emit(comp)
 	return nk, true
@@ -465,7 +481,6 @@ type compRow struct {
 // component FF's index into posIdx for the current epoch. Self-loop pairs
 // are skipped: x cancels in them.
 func (s *sampleSolver) walkRows(comp []int) {
-	g := s.g
 	s.epoch++
 	ep := s.epoch
 	s.comp = comp
@@ -480,16 +495,16 @@ func (s *sampleSolver) walkRows(comp []int) {
 				continue
 			}
 			s.seenEpoch[p] = ep
-			pr := &g.Pairs[p]
-			if !s.interacting(p) || pr.Launch == pr.Capture {
+			e := s.ends[p]
+			if !s.interacting(p) || e.Launch == e.Capture {
 				continue
 			}
 			l, c := -1, -1
-			if s.posEpoch[pr.Launch] == ep {
-				l = s.posIdx[pr.Launch]
+			if s.posEpoch[e.Launch] == ep {
+				l = s.posIdx[e.Launch]
 			}
-			if s.posEpoch[pr.Capture] == ep {
-				c = s.posIdx[pr.Capture]
+			if s.posEpoch[e.Capture] == ep {
+				c = s.posIdx[e.Capture]
 			}
 			s.rows = append(s.rows, compRow{l: l, c: c, setup: s.setupB[p], hold: s.holdB[p]})
 		}

@@ -174,14 +174,24 @@ func (e *Engine) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
 // in (Seed, k) alone — a worker process handed a k-range re-seeds its
 // stream per sample exactly as the full pass would, so disjoint ranges
 // covering [0, n) reproduce ForEachBatch(n) bit for bit.
+//
+// A pass with two or more consumers certifies each chip once
+// (timing.Graph.Certify) before handing it on, so every consumer decides
+// "meets T with zero tuning" from the certificate instead of its own scan
+// over the pairs. A single-consumer pass does not: the certificate's scan
+// would be one more than the consumer's own.
 func (e *Engine) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip)) {
 	if len(fns) == 0 {
 		return
 	}
+	certify := len(fns) >= 2
 	forEachChunked(lo, hi, e.Workers, func() func(k int) {
 		r := e.newRealizer()
 		return func(k int) {
 			r.realize(k)
+			if certify {
+				e.G.Certify(r.ch)
+			}
 			if e.OnRealize != nil {
 				e.OnRealize(k)
 			}
@@ -277,7 +287,9 @@ type Population struct {
 	chips   []timing.Chip
 }
 
-// Materialize realizes chips 0..n-1 in parallel and retains them. The
+// Materialize realizes chips 0..n-1 in parallel and retains them, each
+// with its zero-tuning certificate (timing.Graph.Certify): a population
+// exists to be replayed, so every chip is read more than once. The
 // realized vectors live in four flat slabs (one per field) so replay walks
 // memory contiguously.
 func (e *Engine) Materialize(n int) *Population {
@@ -300,6 +312,7 @@ func (e *Engine) Materialize(n int) *Population {
 		copy(p.chips[k].DMin, ch.DMin)
 		copy(p.chips[k].Setup, ch.Setup)
 		copy(p.chips[k].Hold, ch.Hold)
+		e.G.Certify(&p.chips[k])
 	})
 	return p
 }
@@ -348,12 +361,18 @@ type PeriodStats struct {
 
 // PeriodDistribution estimates µT and σT of the required clock period over
 // n samples (the quantities Table I's three target periods are built from).
+// Each chip's certificate yields both its required period and its hold
+// verdict in one pass over the pairs; a hand-built graph, which cannot
+// certify, scans for them.
 func (e *Engine) PeriodDistribution(n int) PeriodStats {
 	periods := make([]float64, n)
 	holds := make([]bool, n)
 	e.ForEach(n, func(k int, ch *timing.Chip) {
-		periods[k] = e.G.RequiredPeriod(ch)
-		holds[k] = e.G.HoldViolationsAtZero(ch) > 0
+		req, holdOK, ok := e.G.Certify(ch)
+		if !ok {
+			req, holdOK = e.G.RequiredPeriod(ch), e.G.HoldViolationsAtZero(ch) == 0
+		}
+		periods[k], holds[k] = req, !holdOK
 	})
 	mu, sigma := stat.MeanStd(periods)
 	hv := 0

@@ -251,6 +251,10 @@ type metrics struct {
 	// milpComps counts the per-sample components computed insert flows
 	// sent to the two-ILP fallback route (insertion.Stats.MILPComponents).
 	milpComps atomic.Int64
+	// benchPanic and planPanic count panics recoverPanic turned into a 500
+	// in the bench and plan singleflights.
+	benchPanic atomic.Int64
+	planPanic  atomic.Int64
 
 	// Adaptive (eps > 0) yield accounting: nominal vs actually realized
 	// samples, dispatch waves, and how each adaptive request ended (the
@@ -520,6 +524,7 @@ func (s *Server) getBench(spec CircuitSpec, opt expt.Options) (*benchEntry, bool
 		if e.panicked != nil {
 			// A panic says nothing about the spec: evict the entry so the
 			// next request prepares afresh.
+			s.m.benchPanic.Add(1)
 			s.mu.Lock()
 			s.benches.removeIf(key, e)
 			s.mu.Unlock()
@@ -663,6 +668,7 @@ func (s *Server) Insert(ctx context.Context, req InsertRequest) (*InsertResponse
 		won = true
 		panicked := recoverPanic(func() { s.runPlan(ctx, req, e, T, pe) })
 		if panicked != nil {
+			s.m.planPanic.Add(1)
 			pe.resp, pe.err = nil, panicked
 		}
 		// Neither a panic nor the winning requester hanging up mid-flow
@@ -902,6 +908,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "bufinsd_cache_hits_total{cache=\"population\"} %d\n", s.m.popHit.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_whatif_total counter\nbufinsd_whatif_total %d\n", s.m.whatIf.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total %d\n", s.m.milpComps.Load())
+	fmt.Fprintf(&b, "# TYPE bufinsd_panics_total counter\n")
+	fmt.Fprintf(&b, "bufinsd_panics_total{cache=\"bench\"} %d\n", s.m.benchPanic.Load())
+	fmt.Fprintf(&b, "bufinsd_panics_total{cache=\"plan\"} %d\n", s.m.planPanic.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_adaptive_samples_total counter\n")
 	fmt.Fprintf(&b, "bufinsd_adaptive_samples_total{kind=\"requested\"} %d\n", s.m.adSamplesReq.Load())
 	fmt.Fprintf(&b, "bufinsd_adaptive_samples_total{kind=\"used\"} %d\n", s.m.adSamplesUsed.Load())

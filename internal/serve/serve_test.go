@@ -490,12 +490,25 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`bufinsd_cache_misses_total{cache="bench"} 1`,
 		"bufinsd_benches 1",
 		"# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total ",
+		"# TYPE bufinsd_panics_total counter\n" +
+			`bufinsd_panics_total{cache="bench"} 0` + "\n" +
+			`bufinsd_panics_total{cache="plan"} 0` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
 	}
 	_ = s
+}
+
+// checkPanics asserts the bench and plan panic counters on /metrics.
+func checkPanics(t *testing.T, base string, bench, plan int64) {
+	t.Helper()
+	b := metricCounter(t, base, `bufinsd_panics_total{cache="bench"}`)
+	p := metricCounter(t, base, `bufinsd_panics_total{cache="plan"}`)
+	if b != bench || p != plan {
+		t.Fatalf("panic counters bench=%d plan=%d, want %d and %d", b, p, bench, plan)
+	}
 }
 
 // TestBenchEviction: the bench LRU stays within its cap.
@@ -698,15 +711,18 @@ func TestPreparePanicEvicts(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(msg)
 	}
+	checkPanics(t, ts.URL, 0, 0)
 	if code, msg := post(); code != http.StatusInternalServerError || !strings.Contains(msg, "planted prepare panic") {
 		t.Fatalf("panicking prepare: HTTP %d %s, want 500 naming the panic", code, msg)
 	}
+	checkPanics(t, ts.URL, 1, 0)
 	if n := s.benches.len(); n != 0 {
 		t.Fatalf("the panicked entry stayed cached (%d entries)", n)
 	}
 	if code, msg := post(); code != http.StatusOK {
 		t.Fatalf("retry after the panic: HTTP %d %s, want 200", code, msg)
 	}
+	checkPanics(t, ts.URL, 1, 0)
 	if err := NewClient(ts.URL).Health(); err != nil {
 		t.Fatal(err)
 	}
@@ -807,9 +823,11 @@ func TestInsertPanicEvicts(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(msg)
 	}
+	checkPanics(t, ts.URL, 0, 0)
 	if code, msg := post(); code != http.StatusInternalServerError {
 		t.Fatalf("panicking flow: HTTP %d %s, want 500", code, msg)
 	}
+	checkPanics(t, ts.URL, 0, 1)
 	e.mu.Lock()
 	n := e.plans.len()
 	e.runner = runner
@@ -820,4 +838,5 @@ func TestInsertPanicEvicts(t *testing.T) {
 	if code, msg := post(); code != http.StatusOK {
 		t.Fatalf("retry after the panic: HTTP %d %s, want 200", code, msg)
 	}
+	checkPanics(t, ts.URL, 0, 1)
 }

@@ -9,6 +9,18 @@
 //
 // A Chip is one Monte-Carlo realization of all random quantities; the
 // Graph provides the constraint bounds for any chip and period.
+//
+// A chip may also carry a zero-tuning certificate (Certify): its required
+// period, hold verdict, critical pair and a magnitude bound, from which
+// ZeroAt and ZeroThreshold decide "meets T with zero tuning" without a scan
+// over the pairs. The certificate belongs to the chip and names the graph
+// that computed it; only that graph's queries read it. Realization
+// (RealizeDeviates) clears it, so a reused chip buffer never carries the
+// previous chip's certificate, and chips built as literals have none. The
+// party that realizes a chip decides whether to certify it: mc certifies
+// chips it hands to two or more consumers, every materialized population
+// and the period distribution's chips. A certified chip must not be edited
+// afterwards; an edited copy is a new literal and has no certificate.
 package timing
 
 import (
@@ -30,6 +42,11 @@ type Graph struct {
 	NS    int       // number of flip-flops
 	Skew  []float64 // deterministic per-FF clock skew (ps)
 	Pairs []Pair
+
+	// ends packs each pair's endpoints for the per-chip scans (Certify,
+	// PairEnds): eight bytes a pair where the Pair struct is 96. Build sets
+	// it; hand-built graphs have none, and their chips never certify.
+	ends []Ends
 
 	setup []variation.Canonical // per FF
 	hold  []variation.Canonical // per FF
@@ -119,6 +136,7 @@ func BuildPairs(a *ssta.Analyzer, pairs []ssta.Pair, skew []float64) *Graph {
 	for _, p := range pairs {
 		g.Pairs = append(g.Pairs, Pair{Launch: p.Launch, Capture: p.Capture, Max: p.Max, Min: p.Min})
 	}
+	g.ends = endsOf(g.Pairs)
 	g.setup = make([]variation.Canonical, ns)
 	g.hold = make([]variation.Canonical, ns)
 	for id := 0; id < ns; id++ {
@@ -157,6 +175,10 @@ type Chip struct {
 	// laid out [globals (Dim) | one per pair | one per FF] — the order in
 	// which a chip's stream draws them.
 	dev []float64
+
+	// cert is the chip's zero-tuning certificate (Certify); its zero value
+	// is "none".
+	cert zeroCert
 }
 
 // NewChip allocates a chip buffer for the graph, deviate buffer included.
@@ -185,6 +207,7 @@ func (ch *Chip) Deviates() []float64 { return ch.dev }
 //
 //contract:allocfree
 func (g *Graph) RealizeDeviates(ch *Chip) {
+	ch.cert = zeroCert{}
 	np := len(g.Pairs)
 	dev := ch.dev[:g.dim+np+g.NS]
 	gvec, rp, rf := dev[:g.dim], dev[g.dim:g.dim+np], dev[g.dim+np:]
@@ -317,6 +340,8 @@ func (g *Graph) RequiredPeriod(ch *Chip) float64 {
 }
 
 // HoldViolationsAtZero counts hold constraints violated with zero tuning.
+// Like FeasibleAtZero and RequiredPeriod it ignores the chip's certificate:
+// the three are the oracles the certificate is tested against.
 func (g *Graph) HoldViolationsAtZero(ch *Chip) int {
 	n := 0
 	for p := range g.Pairs {

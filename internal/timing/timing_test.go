@@ -12,7 +12,7 @@ import (
 	"repro/internal/variation"
 )
 
-func buildGraph(t *testing.T, ffs, gates int, seed uint64, skewFrac float64) *Graph {
+func buildGraph(t testing.TB, ffs, gates int, seed uint64, skewFrac float64) *Graph {
 	t.Helper()
 	c, err := gen.Generate(gen.Config{NumFFs: ffs, NumGates: gates, Seed: seed})
 	if err != nil {

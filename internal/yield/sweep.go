@@ -165,6 +165,9 @@ func (s *SweepEvaluator) ChipSweep(ch *timing.Chip, sc *SweepScratch) (firstZero
 //
 //contract:allocfree
 func (s *SweepEvaluator) firstZeroIndex(ch *timing.Chip) int {
+	if z, _, ok := s.ev.G.ZeroThreshold(ch, s.Ts); ok {
+		return z
+	}
 	_, firstZero := s.scan(ch)
 	return firstZero
 }
@@ -184,8 +187,17 @@ func (s *SweepEvaluator) firstZeroIndex(ch *timing.Chip) int {
 // sweep among the self pairs. A rescue pair failing hold only rules out
 // the zero pass: firstZero = len(Ts), selfFirst intact.
 //
+// A certified chip (timing.Graph.ZeroThreshold) skips the pass when its
+// certificate settles the answer: firstZero = 0 needs nothing more, and a
+// critical pair that no tuning moves (a self pair) fails every period
+// below firstZero, so selfFirst = firstZero. Only chips whose critical
+// pair touches a buffer, or whose certificate defers, still scan.
+//
 //contract:allocfree
 func (s *SweepEvaluator) scan(ch *timing.Chip) (selfFirst, firstZero int) {
+	if z, crit, ok := s.ev.G.ZeroThreshold(ch, s.Ts); ok && (z == 0 || crit >= 0 && s.ev.self(crit)) {
+		return z, z
+	}
 	nT := len(s.Ts)
 	i, ok := s.advance(ch, s.ev.selfs, 0)
 	if !ok || i == nT {

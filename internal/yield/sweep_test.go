@@ -101,6 +101,20 @@ func TestSweepMatchesPerPeriodEvaluate(t *testing.T) {
 				FirstZero:  TallyRange(mc.New(g, seed), 0, n, true, sw)[0].FirstZero,
 				FirstTuned: make([]int, len(Ts)+1),
 			})
+			// Two consumers of one pass, and a population's replay, decide
+			// from chip certificates.
+			for _, src := range []mc.Source{mc.New(g, seed), mc.New(g, seed).Materialize(n)} {
+				for _, r := range EvaluateMany(src, n, sw, sw) {
+					if !reflect.DeepEqual(r, rep) {
+						t.Fatalf("certified pass %+v != uncertified %+v", r, rep)
+					}
+				}
+				for _, tl := range TallyRange(src, 0, n, true, sw, sw) {
+					if !slices.Equal(tl.FirstZero, TallyRange(mc.New(g, seed), 0, n, true, sw)[0].FirstZero) {
+						t.Fatal("certified zero-only tally differs from the uncertified one")
+					}
+				}
+			}
 			for i, T := range Ts {
 				want := Evaluate(cev, mc.New(g, seed), n, T)
 				if got := rep.At(i); got != want {
@@ -146,6 +160,9 @@ func cloneChip(ch *timing.Chip) *timing.Chip {
 // per-period oracles on every one: a self pair failing hold (never passes,
 // tuned or not), a self pair failing setup at every period, and a rescue
 // pair failing hold (never a zero pass, yet the buffers can still rescue).
+// The base chips come certified from a materialized population; each
+// edited clone is checked without a certificate and again certified, so
+// both the scan and the certificate shortcuts meet the oracles.
 func TestChipSweepForcedBranches(t *testing.T) {
 	ev, g, Ts, plan := sweepFixture(t)
 	cev, err := NewEvaluator(g, ev.Spec, sharedGroup(t, g, plan, ev.Spec))
@@ -158,16 +175,20 @@ func TestChipSweepForcedBranches(t *testing.T) {
 	}
 	sc := sw.NewScratch()
 	nT := len(Ts)
-	eng := mc.New(g, 915)
+	pop := mc.New(g, 915).Materialize(40)
 	check := func(name string, ch *timing.Chip) (firstZero, firstTuned int) {
 		t.Helper()
 		wz, wt := oracleThresholds(cev, ch, Ts)
-		z, tn := sw.ChipSweep(ch, sc)
-		if z != wz || tn != wt {
-			t.Fatalf("%s: ChipSweep = (%d, %d), per-period oracle (%d, %d)", name, z, tn, wz, wt)
-		}
-		if z := sw.firstZeroIndex(ch); z != wz {
-			t.Fatalf("%s: firstZeroIndex = %d, oracle %d", name, z, wz)
+		certified := cloneChip(ch)
+		g.Certify(certified)
+		for _, c := range []*timing.Chip{ch, certified} {
+			z, tn := sw.ChipSweep(c, sc)
+			if z != wz || tn != wt {
+				t.Fatalf("%s: ChipSweep = (%d, %d), per-period oracle (%d, %d)", name, z, tn, wz, wt)
+			}
+			if z := sw.firstZeroIndex(c); z != wz {
+				t.Fatalf("%s: firstZeroIndex = %d, oracle %d", name, z, wz)
+			}
 		}
 		return wz, wt
 	}
@@ -176,7 +197,7 @@ func TestChipSweepForcedBranches(t *testing.T) {
 	}
 	rescued := false
 	for k := 0; k < 40; k++ {
-		base := eng.Chip(k)
+		base := pop.Chip(k)
 		check("unedited", base)
 
 		ch := cloneChip(base)
@@ -186,9 +207,14 @@ func TestChipSweepForcedBranches(t *testing.T) {
 		}
 
 		ch = cloneChip(base)
-		ch.DMax[cev.selfs[k%len(cev.selfs)].p] = 1e9
+		self := cev.selfs[k%len(cev.selfs)].p
+		ch.DMax[self] = 1e9
 		if z, tn := check("self setup failure", ch); z != nT || tn != nT {
 			t.Fatalf("self setup failure passed at (%d, %d)", z, tn)
+		}
+		g.Certify(ch)
+		if _, crit, ok := g.ZeroThreshold(ch, Ts); !ok || crit != int(self) {
+			t.Fatalf("self setup failure: certificate threshold ok=%v crit=%d, want the self pair %d", ok, crit, self)
 		}
 
 		// Push one rescue pair half a grid step past its hold bound: no

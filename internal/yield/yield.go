@@ -138,6 +138,13 @@ func (e *Evaluator) classify() {
 	}
 }
 
+// self reports whether no tuning moves pair p's constraints: its endpoints
+// share one group variable, or are both unbuffered.
+func (e *Evaluator) self(p int) bool {
+	pr := &e.G.Pairs[p]
+	return e.varOf[pr.Launch] == e.varOf[pr.Capture]
+}
+
 // NumVars returns the number of shared buffer variables.
 func (e *Evaluator) NumVars() int { return len(e.kLo) }
 

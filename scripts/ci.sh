@@ -323,20 +323,25 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     # Cross-check the compact simplex layout bit for bit against the
     # full-artificial reference, branch-and-bound on a reused arena against
     # a fresh arena and the brute-force oracle, and the combinatorial
-    # per-component tuning count and projection against the MILP route; pin
-    # the chip realization stream (timing.Stream) bit for bit to
-    # math/rand/v2 over fuzzed seeds and call patterns; hammer the shard
-    # wire decoders with arbitrary frames, and feed the .bench parser
-    # arbitrary netlist text (each must reject or round-trip, never panic).
-    # Off by default (it adds ~7x CI_FUZZ_TIME of wall time); the CI
-    # workflow enables it.
+    # per-component tuning count and projection against the MILP route, and
+    # the integer difference-constraint solver (diffcon.IntSystem, which the
+    # sweep's rescue probes and countMin run on) on its own invariants;
+    # pin the chip realization stream (timing.Stream) bit for bit to
+    # math/rand/v2 over fuzzed seeds and call patterns, and the chips'
+    # zero-tuning certificates to the exact scans on fuzzed chips; hammer
+    # the shard wire decoders with arbitrary frames, and feed the .bench
+    # parser arbitrary netlist text (each must reject or round-trip, never
+    # panic). Off by default (it adds ~9x CI_FUZZ_TIME of wall time); the
+    # CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzCompactLayout' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzComponentCount' -fuzztime "$fuzztime" ./internal/insertion
         go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
+        go test -run '^$' -fuzz 'FuzzIntSystem' -fuzztime "$fuzztime" ./internal/diffcon
         go test -run '^$' -fuzz 'FuzzStream' -fuzztime "$fuzztime" ./internal/timing
+        go test -run '^$' -fuzz 'FuzzZeroCert' -fuzztime "$fuzztime" ./internal/timing
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
         go test -run '^$' -fuzz 'FuzzParseBench' -fuzztime "$fuzztime" ./internal/ckt
     else
