@@ -717,6 +717,80 @@ func BenchmarkChipRealization(b *testing.B) {
 	e.ForEachBatch(b.N, func(int, *timing.Chip) {})
 }
 
+// BenchmarkWhatIfPeriod measures one what-if (expt.Bench.WhatIf: fork,
+// cone repropagation, graph build and period distribution) on a generated
+// circuit of perfbench's serve_prepare_insert size, cycling through 20
+// fixed edit sets of 1–3 gates each. "record" runs on the prepared bench,
+// which revises the period from its record; "full" runs on the same bench
+// restored from its snapshot, which has no record and realizes every chip.
+func BenchmarkWhatIfPeriod(b *testing.B) {
+	c, err := gen.Generate(gen.Config{NumFFs: 150, NumGates: 2000, Seed: 77})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := expt.Prepare(c, expt.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := prep.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	restored, err := expt.RestoreBench(c, expt.Options{}, snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var gates []string
+	for _, nd := range c.Nodes {
+		if nd.Kind.IsGate() {
+			gates = append(gates, nd.Name)
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 8))
+	sets := make([][]expt.Edit, 20)
+	for i := range sets {
+		for e := 0; e < 1+rng.IntN(3); e++ {
+			sets[i] = append(sets[i], expt.Edit{Node: gates[rng.IntN(len(gates))], DeltaPS: float64(10+rng.IntN(50)) / 2})
+		}
+	}
+	for _, v := range []struct {
+		name  string
+		bench *expt.Bench
+	}{{"record", prep}, {"full", restored}} {
+		b.Run(v.name, func(b *testing.B) {
+			full := 0
+			for i := 0; i < b.N; i++ {
+				wr, err := v.bench.WhatIf(sets[i%len(sets)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				full += wr.Chips.Full
+			}
+			b.ReportMetric(float64(full)/float64(b.N), "fullchips/op")
+		})
+	}
+}
+
+// BenchmarkPeriodRecord measures what keeping a period record costs: the
+// period Monte Carlo on s9234 (2 000 chips, one worker) as
+// PeriodDistribution runs it ("plain") and as RecordPeriod runs it while
+// recording ("record").
+func BenchmarkPeriodRecord(b *testing.B) {
+	bench := prepared(b, "s9234")
+	e := mc.New(bench.Graph, 1)
+	e.Workers = 1
+	b.Run("plain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.PeriodDistribution(2000)
+		}
+	})
+	b.Run("record", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.RecordPeriod(2000)
+		}
+	})
+}
+
 // wireBenchBatch builds a deterministic shard-pass payload of realistic
 // shape for the wire-codec benchmarks: 512 sample outcomes (about one
 // dispatched range of a 2000-sample pass) with a mixed tuning profile,

@@ -44,6 +44,12 @@ type Bench struct {
 	// Opt records the resolved preparation options, so derived analyses
 	// (WhatIf) can reuse the same sampling universes.
 	Opt Options
+
+	// periodRec records the period Monte Carlo behind Period, from which
+	// WhatIf revises the distribution chip by chip instead of realizing
+	// every chip again. Only Prepare keeps one: restored benches, and
+	// graphs with spatial regions, have none and take the full pass.
+	periodRec *mc.PeriodRecord
 }
 
 // Options configure benchmark preparation.
@@ -130,9 +136,9 @@ func Prepare(c *ckt.Circuit, opt Options) (*Bench, error) {
 		g = g.WithSkew(sk)
 	}
 	pl := placement.Grid(g.NS, placement.AdjFromPairs(g.NS, g.FFPairIDs()))
-	ps := mc.New(g, opt.Seed+2).PeriodDistribution(opt.PeriodSamples)
+	ps, rec := mc.New(g, opt.Seed+2).RecordPeriod(opt.PeriodSamples)
 	return &Bench{Name: c.Name, Circuit: c, Graph: g, Placement: pl, Period: ps,
-		Analyzer: a, Opt: opt}, nil
+		Analyzer: a, Opt: opt, periodRec: rec}, nil
 }
 
 // Edit is one what-if delay perturbation: DeltaPS is added to the nominal
@@ -148,6 +154,9 @@ type Edit struct {
 type WhatIfResult struct {
 	Graph  *timing.Graph
 	Period mc.PeriodStats
+	// Chips says how many period chips the bench's record decided and how
+	// many were realized in full (all of them when the bench has none).
+	Chips mc.Revision
 }
 
 // WhatIf re-analyzes the bench with the given delay edits applied, using
@@ -160,6 +169,12 @@ type WhatIfResult struct {
 // itself is never mutated; concurrent WhatIf calls on a shared bench are
 // safe. Edits at nodes no register-to-register path can observe (ports,
 // output-only cones) are valid and leave the timing unchanged.
+//
+// The period distribution is revised from the bench's record of its
+// period Monte Carlo (mc.Engine.RevisePeriod): each chip evaluates again
+// only the pairs the edits changed, and is realized in full only when the
+// record cannot decide it. The result equals a full PeriodDistribution on
+// the edited graph bit for bit; benches without a record run that pass.
 func (b *Bench) WhatIf(edits []Edit) (*WhatIfResult, error) {
 	if len(edits) == 0 {
 		return nil, fmt.Errorf("expt: what-if needs at least one edit")
@@ -176,8 +191,8 @@ func (b *Bench) WhatIf(edits []Edit) (*WhatIfResult, error) {
 	}
 	pairs := a.RepropagateCone(nodes...)
 	g := timing.BuildPairs(a, pairs, b.Graph.Skew)
-	ps := mc.New(g, b.Opt.Seed+2).PeriodDistribution(b.Opt.PeriodSamples)
-	return &WhatIfResult{Graph: g, Period: ps}, nil
+	ps, rv := mc.New(g, b.Opt.Seed+2).RevisePeriod(b.periodRec, b.Opt.PeriodSamples)
+	return &WhatIfResult{Graph: g, Period: ps, Chips: rv}, nil
 }
 
 // RegionAssigner maps every netlist node to one of `regions` spatial

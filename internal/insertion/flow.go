@@ -131,7 +131,7 @@ func (r *Runner) deriveStepTwo(src mc.Source, cfg Config, s1 *passResult) (stepT
 			}
 		}
 	} else {
-		st.kept, st.pruned = prune(g, s1.counts, cfg)
+		st.kept, st.pruned = prune(g, r.adj, s1.counts, cfg)
 	}
 	st.lower = assignWindows(g.NS, st.kept, s1.values, cfg.Spec)
 	st.allowed = make([]bool, g.NS)
@@ -195,9 +195,9 @@ func gridCenters(ns int, allowed []bool, lower []float64, values map[int][]float
 
 // prune implements §III-A2: drop FFs tuned in at most PruneMax samples
 // unless adjacent (in the FF pair graph) to a critical FF tuned at least
-// CriticalMin times.
-func prune(g *timing.Graph, counts []int, cfg Config) (kept, pruned []int) {
-	adjPairs := g.PairAdjacency()
+// CriticalMin times. adjPairs is g.PairAdjacency(), which the Runner
+// builds once.
+func prune(g *timing.Graph, adjPairs [][]int, counts []int, cfg Config) (kept, pruned []int) {
 	isCritical := func(ff int) bool { return counts[ff] >= cfg.CriticalMin }
 	for ff := 0; ff < g.NS; ff++ {
 		if counts[ff] == 0 {

@@ -123,6 +123,18 @@ func (r *realizer) realize(k int) {
 	e.G.RealizeDeviates(r.ch)
 }
 
+// realizeMarked samples chip k like realize on an unstratified engine,
+// recording the stream's step marks (timing.Stream.NormalsMarked); ok is
+// false when a mark overflowed.
+//
+//contract:allocfree
+func (r *realizer) realizeMarked(k int, marks []uint8) (ok bool) {
+	r.s.Seed(r.e.Seed, streamSeed(k))
+	ok = r.s.NormalsMarked(r.ch.Deviates(), marks)
+	r.e.G.RealizeDeviates(r.ch)
+	return ok
+}
+
 // Chip materializes sample k (deterministic; mostly for tests and
 // debugging — bulk work should use ForEach).
 func (e *Engine) Chip(k int) *timing.Chip {
@@ -348,40 +360,6 @@ func (p *Population) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing
 			}
 		}
 	})
-}
-
-// PeriodStats is the clock-period distribution of the unmodified circuit.
-type PeriodStats struct {
-	Mu, Sigma float64
-	// HoldViolRate is the fraction of chips with at least one hold
-	// violation at zero tuning (period independent).
-	HoldViolRate float64
-	Samples      int
-}
-
-// PeriodDistribution estimates µT and σT of the required clock period over
-// n samples (the quantities Table I's three target periods are built from).
-// Each chip's certificate yields both its required period and its hold
-// verdict in one pass over the pairs; a hand-built graph, which cannot
-// certify, scans for them.
-func (e *Engine) PeriodDistribution(n int) PeriodStats {
-	periods := make([]float64, n)
-	holds := make([]bool, n)
-	e.ForEach(n, func(k int, ch *timing.Chip) {
-		req, holdOK, ok := e.G.Certify(ch)
-		if !ok {
-			req, holdOK = e.G.RequiredPeriod(ch), e.G.HoldViolationsAtZero(ch) == 0
-		}
-		periods[k], holds[k] = req, !holdOK
-	})
-	mu, sigma := stat.MeanStd(periods)
-	hv := 0
-	for _, h := range holds {
-		if h {
-			hv++
-		}
-	}
-	return PeriodStats{Mu: mu, Sigma: sigma, HoldViolRate: float64(hv) / float64(max(1, n)), Samples: n}
 }
 
 // YieldAtZero returns the fraction of chips meeting period T with no

@@ -248,6 +248,11 @@ type metrics struct {
 	popHit    atomic.Int64
 	popMiss   atomic.Int64
 	whatIf    atomic.Int64
+	// whatIfRecord and whatIfFull count the period chips of what-ifs that
+	// the bench's period record decided and that were realized in full
+	// (expt.WhatIfResult.Chips).
+	whatIfRecord atomic.Int64
+	whatIfFull   atomic.Int64
 	// milpComps counts the per-sample components computed insert flows
 	// sent to the two-ILP fallback route (insertion.Stats.MILPComponents).
 	milpComps atomic.Int64
@@ -610,6 +615,8 @@ func (s *Server) Prepare(_ context.Context, req PrepareRequest) (*PrepareRespons
 			return nil, badRequest("%v", err)
 		}
 		s.m.whatIf.Add(1)
+		s.m.whatIfRecord.Add(int64(wr.Chips.Record))
+		s.m.whatIfFull.Add(int64(wr.Chips.Full))
 		resp.Mu = wr.Period.Mu
 		resp.Sigma = wr.Period.Sigma
 		resp.HoldViolRate = wr.Period.HoldViolRate
@@ -907,6 +914,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "bufinsd_cache_hits_total{cache=\"plan\"} %d\n", s.m.planHit.Load())
 	fmt.Fprintf(&b, "bufinsd_cache_hits_total{cache=\"population\"} %d\n", s.m.popHit.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_whatif_total counter\nbufinsd_whatif_total %d\n", s.m.whatIf.Load())
+	fmt.Fprintf(&b, "# TYPE bufinsd_whatif_chips_total counter\n")
+	fmt.Fprintf(&b, "bufinsd_whatif_chips_total{path=\"record\"} %d\n", s.m.whatIfRecord.Load())
+	fmt.Fprintf(&b, "bufinsd_whatif_chips_total{path=\"full\"} %d\n", s.m.whatIfFull.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total %d\n", s.m.milpComps.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_panics_total counter\n")
 	fmt.Fprintf(&b, "bufinsd_panics_total{cache=\"bench\"} %d\n", s.m.benchPanic.Load())

@@ -493,6 +493,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"# TYPE bufinsd_panics_total counter\n" +
 			`bufinsd_panics_total{cache="bench"} 0` + "\n" +
 			`bufinsd_panics_total{cache="plan"} 0` + "\n",
+		"bufinsd_whatif_total 0\n# TYPE bufinsd_whatif_chips_total counter\n" +
+			`bufinsd_whatif_chips_total{path="record"} 0` + "\n" +
+			`bufinsd_whatif_chips_total{path="full"} 0` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
@@ -575,6 +578,7 @@ func TestPrepareWhatIf(t *testing.T) {
 	if got.Mu <= base.Mu {
 		t.Fatalf("edit on the critical cone should raise µT: %v vs base %v", got.Mu, base.Mu)
 	}
+	checkWhatIfChips(t, cl.Base, want.Chips, want.Period.Samples)
 	// The probe must not have created a second bench entry, and the base
 	// answer must be unchanged by the probe.
 	s.mu.Lock()
@@ -590,6 +594,61 @@ func TestPrepareWhatIf(t *testing.T) {
 	if again.Mu != base.Mu || again.Sigma != base.Sigma || again.WhatIf {
 		t.Fatal("base bench answer changed after a what-if probe")
 	}
+}
+
+// checkWhatIfChips asserts the what-if chip counters on /metrics: the
+// chips split between the period record and full realizations as want
+// does, and add up to the period sample count.
+func checkWhatIfChips(t *testing.T, base string, want mc.Revision, samples int) {
+	t.Helper()
+	rec := metricCounter(t, base, `bufinsd_whatif_chips_total{path="record"}`)
+	full := metricCounter(t, base, `bufinsd_whatif_chips_total{path="full"}`)
+	if rec != int64(want.Record) || full != int64(want.Full) || rec+full != int64(samples) {
+		t.Fatalf("what-if chips record=%d full=%d, want %+v of %d", rec, full, want, samples)
+	}
+}
+
+// TestPrepareWhatIfRecordChips: on a bench the server prepared, a narrow
+// what-if is decided from the bench's period record, chip by chip, and
+// /metrics counts those chips on the record path.
+func TestPrepareWhatIfRecordChips(t *testing.T) {
+	_, cl := newTestServer(t)
+	spec := CircuitSpec{Gen: &gen.Config{NumFFs: 60, NumGates: 500, Seed: 11}}
+	if _, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: spec, Options: tinyOptions()}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := expt.Prepare(c, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One gate driving a capture's D pin: a narrow edit.
+	edit := ""
+	for _, f := range c.FFs() {
+		if d := c.Nodes[f].Fanin[0]; c.Nodes[d].Kind.IsGate() {
+			edit = c.Nodes[d].Name
+			break
+		}
+	}
+	edits := []expt.Edit{{Node: edit, DeltaPS: 20}}
+	got, err := cl.Prepare(context.Background(), PrepareRequest{Circuit: spec, Options: tinyOptions(), WhatIf: edits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := b.WhatIf(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mu != want.Period.Mu || got.Sigma != want.Period.Sigma || got.HoldViolRate != want.Period.HoldViolRate {
+		t.Fatalf("service what-if %+v != in-process %+v", got, want.Period)
+	}
+	if want.Chips.Record == 0 {
+		t.Fatalf("no chip decided from the period record: %+v", want.Chips)
+	}
+	checkWhatIfChips(t, cl.Base, want.Chips, want.Period.Samples)
 }
 
 func TestPrepareWhatIfBadNode(t *testing.T) {

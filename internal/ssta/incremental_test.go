@@ -1,9 +1,11 @@
 package ssta
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cells"
@@ -236,6 +238,51 @@ func TestForkIsolation(t *testing.T) {
 	requireSamePairs(t, "parent re-propagation after fork edit", a.PairDelays(), before)
 	if sameBits(f.GateDelay(gate), a.GateDelay(gate)) {
 		t.Fatal("fork delay edit leaked into parent (or never applied)")
+	}
+}
+
+// TestScratchSharedAcrossAnalyzers: the scratch free list is shared by
+// every analyzer, so forks of a small and of a large circuit repropagating
+// at once, from several goroutines, trade scratches sized for either. Each
+// must still get the pairs a fresh analyzer computes for its edit.
+func TestScratchSharedAcrossAnalyzers(t *testing.T) {
+	type job struct {
+		a    *Analyzer
+		gate int
+		want []Pair
+	}
+	var jobs []job
+	for _, cfg := range []gen.Config{{NumFFs: 12, NumGates: 60, Seed: 3}, {NumFFs: 40, NumGates: 400, Seed: 4}} {
+		c, a := analyzerFor(t, cfg)
+		a.PairDelays()
+		gate, _ := editTargets(c)
+		_, ref := analyzerFor(t, cfg)
+		ref.AddDelay(gate, 7)
+		jobs = append(jobs, job{a, gate, clonePairs(ref.PairDelays())})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(j job) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				f := j.a.Fork()
+				f.AddDelay(j.gate, 7)
+				got := f.RepropagateCone(j.gate)
+				for p := range got {
+					if !sameBits(got[p].Max, j.want[p].Max) || !sameBits(got[p].Min, j.want[p].Min) {
+						errs <- fmt.Sprintf("pair %d differs after a shared-scratch repropagation", p)
+						return
+					}
+				}
+			}
+		}(jobs[w%len(jobs)])
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

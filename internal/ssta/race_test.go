@@ -2,7 +2,6 @@
 
 package ssta
 
-// raceEnabled reports a -race build, where sync.Pool drops entries at random
-// and goroutines carry detector state, so allocation counts are not the
-// program's own.
+// raceEnabled reports a -race build, where goroutines carry detector
+// state, so allocation counts are not the program's own.
 const raceEnabled = true

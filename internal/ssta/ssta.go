@@ -89,8 +89,8 @@ type Analyzer struct {
 	arcs     []capArc
 	arcOff   []int32 // FF id → [arcOff[id], arcOff[id+1]) into arcs/pairs
 
-	pool *sync.Pool // *scratch, shared across forks (sized, not valued)
-	fan  *fanout    // multi-worker propagate state, per analyzer (nil until first use)
+	nff int     // flip-flop count, sizing the scratch (getScratch)
+	fan *fanout // multi-worker propagate state, per analyzer (nil until first use)
 }
 
 // New builds an analyzer, precomputing per-node canonical delays, the
@@ -142,8 +142,7 @@ func New(c *ckt.Circuit, m *variation.Model) (*Analyzer, error) {
 	}
 	a.buildOnPath()
 	a.buildSkeleton()
-	nff := len(ffs)
-	a.pool = &sync.Pool{New: func() any { return newScratch(n, dim, nff) }}
+	a.nff = len(ffs)
 	return a, nil
 }
 
@@ -258,10 +257,13 @@ func (a *Analyzer) AddDelay(node int, deltaPS float64) {
 	a.gateDelay[node].Mean += deltaPS
 }
 
-// scratch holds per-worker propagation state, pooled and reused across
-// launches, calls, and forks. Arrival forms live in one slab; reached
-// marks are epoch-stamped so a new launch costs one counter bump instead
-// of an O(n) clear.
+// scratch holds per-worker propagation state, kept on the process's free
+// list (scratchFree) and reused across launches, calls, analyzers and
+// forks. Arrival forms live in one slab; reached marks are epoch-stamped so
+// a new launch costs one counter bump instead of an O(n) clear. A scratch
+// sized for n nodes serves any circuit of at most n nodes and as many
+// flip-flops: its epoch only grows, so a mark left by another circuit
+// never equals the current epoch.
 type scratch struct {
 	slab   []float64
 	arrMax []variation.Canonical
@@ -301,7 +303,55 @@ func (sc *scratch) bump() {
 	}
 }
 
-func (a *Analyzer) getScratch() *scratch { return a.pool.Get().(*scratch) }
+// scratchFree is the process's free list of propagation scratch, one list
+// per source dimension, shared by every analyzer and fork. Unlike a
+// sync.Pool, which every garbage collection empties, it keeps each scratch
+// it is given back, so warm propagations never allocate one again. Being
+// shared, it holds only as many scratches as warm propagations ever ran at
+// once, each sized for the largest circuit it served, however many
+// analyzers are alive. An analyzer's first, cold PairDelays — its prepare
+// — does not use it: it runs on fresh scratch and leaves it to the garbage
+// collector, so a process that prepares and never propagates again keeps
+// none.
+var scratchFree struct {
+	mu    sync.Mutex
+	byDim map[int][]*scratch
+}
+
+// getScratch takes a scratch from the free list, or makes one. A scratch
+// too small for this analyzer is replaced by one large enough for both. A
+// cold pass gets a fresh scratch, which it does not put back.
+func (a *Analyzer) getScratch(cold bool) *scratch {
+	n, nff := len(a.C.Nodes), a.nff
+	if cold {
+		return newScratch(n, a.dim, nff)
+	}
+	scratchFree.mu.Lock()
+	free := scratchFree.byDim[a.dim]
+	var sc *scratch
+	if k := len(free); k > 0 {
+		sc = free[k-1]
+		scratchFree.byDim[a.dim] = free[:k-1]
+	}
+	scratchFree.mu.Unlock()
+	if sc != nil && len(sc.mark) >= n && len(sc.ffMark) >= nff {
+		return sc
+	}
+	if sc != nil {
+		n, nff = max(n, len(sc.mark)), max(nff, len(sc.ffMark))
+	}
+	return newScratch(n, a.dim, nff)
+}
+
+// putScratch returns a scratch to the free list.
+func (a *Analyzer) putScratch(sc *scratch) {
+	scratchFree.mu.Lock()
+	if scratchFree.byDim == nil {
+		scratchFree.byDim = map[int][]*scratch{}
+	}
+	scratchFree.byDim[a.dim] = append(scratchFree.byDim[a.dim], sc)
+	scratchFree.mu.Unlock()
+}
 
 // launchPass recomputes the pairs of one launch FF into the result arena:
 // collect the on-path fanout cone (epoch-marked BFS), order it by
@@ -376,13 +426,22 @@ type fanout struct {
 	next atomic.Int64
 	wg   sync.WaitGroup
 	work func() // f.run, bound when the fanout is made
+	cold bool   // the pass is cold: its workers' scratch is fresh (getScratch)
 }
 
-// run is one propagate worker: it claims worklist entries until none remain.
+// run is one spawned propagate worker: it claims worklist entries with a
+// scratch of its own until none remain.
 func (f *fanout) run() {
 	defer f.wg.Done()
-	sc := f.a.getScratch()
-	defer f.a.pool.Put(sc)
+	sc := f.a.getScratch(f.cold)
+	f.drain(sc)
+	if !f.cold {
+		f.a.putScratch(sc)
+	}
+}
+
+// drain claims worklist entries until none remain.
+func (f *fanout) drain(sc *scratch) {
 	for {
 		i := int(f.next.Add(1)) - 1
 		if i >= len(f.ids) {
@@ -394,21 +453,19 @@ func (f *fanout) run() {
 
 // propagate runs launchPass over the given FF ids, fanning out across CPU
 // cores for larger worklists and staying inline (goroutine-free) for
-// single-launch repropagations.
-func (a *Analyzer) propagate(ids []int32) {
-	if len(ids) == 0 {
-		return
-	}
+// single-launch repropagations. The calling goroutine is one of the
+// workers and propagates with the caller's scratch sc, so a call holds
+// only as many scratches as it runs workers; cold says whether theirs are
+// fresh (getScratch).
+func (a *Analyzer) propagate(ids []int32, sc *scratch, cold bool) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
 		workers = len(ids)
 	}
 	if workers <= 1 {
-		sc := a.getScratch()
 		for _, id := range ids {
 			a.launchPass(id, sc)
 		}
-		a.pool.Put(sc)
 		return
 	}
 	f := a.fan
@@ -417,12 +474,13 @@ func (a *Analyzer) propagate(ids []int32) {
 		f.work = f.run
 		a.fan = f
 	}
-	f.ids = ids
+	f.ids, f.cold = ids, cold
 	f.next.Store(0)
-	f.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	f.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go f.work()
 	}
+	f.drain(sc)
 	f.wg.Wait()
 	f.ids = nil
 }
@@ -430,11 +488,17 @@ func (a *Analyzer) propagate(ids []int32) {
 // PairDelays computes canonical pair delays for every launch FF, in
 // parallel across CPU cores. The result is ordered by (launch, capture)
 // and is a view into the analyzer's arena — see the package ownership
-// contract.
+// contract. The first call is cold and runs on fresh scratch; later calls
+// reuse the free list's (scratchFree).
 //
 //contract:allocfree
 func (a *Analyzer) PairDelays() []Pair {
-	a.propagate(a.launches)
+	cold := !a.prepared
+	sc := a.getScratch(cold)
+	a.propagate(a.launches, sc, cold)
+	if !cold {
+		a.putScratch(sc)
+	}
 	a.prepared = true
 	return a.pairs
 }
@@ -456,7 +520,7 @@ func (a *Analyzer) RepropagateCone(nodes ...int) []Pair {
 		return a.PairDelays()
 	}
 	c := a.C
-	sc := a.getScratch()
+	sc := a.getScratch(false)
 	sc.bump()
 	epoch := sc.epoch
 	stack, aff := sc.stack[:0], sc.aff[:0]
@@ -503,14 +567,14 @@ func (a *Analyzer) RepropagateCone(nodes ...int) []Pair {
 	}
 	slices.Sort(aff)
 	sc.stack = stack[:0]
-	a.propagate(aff)
+	a.propagate(aff, sc, false)
 	sc.aff = aff[:0]
-	a.pool.Put(sc)
+	a.putScratch(sc)
 	return a.pairs
 }
 
 // Fork returns an analyzer sharing this one's immutable structure (order,
-// skeleton, on-path set, setup/hold, scratch pool) with an independent
+// skeleton, on-path set, setup/hold) with an independent
 // copy of the mutable delay and pair arenas. Edits and repropagations on
 // the fork never disturb the parent — the mechanism behind concurrent
 // what-if queries against a shared prepared benchmark.

@@ -15,28 +15,82 @@ import (
 // with the generator state in locals and no call per draw.
 //
 // A zero Stream is seeded with (0, 0).
+//
+// The stream also counts its generator steps since Seed (Steps). Every
+// draw is one step except the ziggurat's slow path, which takes more, so
+// the step offset of a chip's i-th deviate is i plus the slow-path steps
+// before it. Advance jumps to any offset in O(log n): with the offsets of
+// a few deviates recorded, any deviate can be drawn again without
+// replaying the ones before it.
 type Stream struct {
 	hi, lo uint64
+	steps  uint64
 }
 
 // Seed resets the stream to behave like rand.NewPCG(s1, s2).
 func (s *Stream) Seed(s1, s2 uint64) {
-	s.hi, s.lo = s1, s2
+	s.hi, s.lo, s.steps = s1, s2, 0
 }
+
+// Steps returns the number of generator steps taken since Seed.
+func (s *Stream) Steps() uint64 { return s.steps }
+
+// The 128-bit LCG's multiplier and increment.
+const (
+	mulHi = 2549297995355413924
+	mulLo = 4865540595714422341
+	incHi = 6364136223846793005
+	incLo = 1442695040888963407
+)
 
 // pcgStep advances the 128-bit LCG state: state = state·mul + inc.
 func pcgStep(hi, lo uint64) (uint64, uint64) {
-	const (
-		mulHi = 2549297995355413924
-		mulLo = 4865540595714422341
-		incHi = 6364136223846793005
-		incLo = 1442695040888963407
-	)
 	h, l := bits.Mul64(lo, mulLo)
 	h += hi*mulLo + lo*mulHi
 	l, c := bits.Add64(l, incLo, 0)
 	h, _ = bits.Add64(h, incHi, c)
 	return h, l
+}
+
+// mul128 returns the low 128 bits of a·b.
+func mul128(aHi, aLo, bHi, bLo uint64) (uint64, uint64) {
+	h, l := bits.Mul64(aLo, bLo)
+	return h + aHi*bLo + aLo*bHi, l
+}
+
+// add128 returns a + b modulo 2¹²⁸.
+func add128(aHi, aLo, bHi, bLo uint64) (uint64, uint64) {
+	l, c := bits.Add64(aLo, bLo, 0)
+	h, _ := bits.Add64(aHi, bHi, c)
+	return h, l
+}
+
+// Advance moves the stream n generator steps ahead, to the state n calls
+// of pcgStep would reach, in O(log n) 128-bit multiplications: n steps of
+// state·mul + inc compose to state·mulⁿ + inc·(mulⁿ⁻¹ + … + 1), and both
+// factors are built by squaring (Brown, "Random number generation with
+// arbitrary strides", 1994).
+//
+//contract:allocfree
+func (s *Stream) Advance(n uint64) {
+	s.steps += n
+	accMH, accML := uint64(0), uint64(1) // mulⁿ so far
+	accPH, accPL := uint64(0), uint64(0) // the increment sum so far
+	curMH, curML := uint64(mulHi), uint64(mulLo)
+	curPH, curPL := uint64(incHi), uint64(incLo)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accMH, accML = mul128(accMH, accML, curMH, curML)
+			accPH, accPL = mul128(accPH, accPL, curMH, curML)
+			accPH, accPL = add128(accPH, accPL, curPH, curPL)
+		}
+		// cur advances 2^i steps; doubling it: plus·(mul + 1), mul².
+		h, l := add128(curMH, curML, 0, 1)
+		curPH, curPL = mul128(curPH, curPL, h, l)
+		curMH, curML = mul128(curMH, curML, curMH, curML)
+	}
+	h, l := mul128(accMH, accML, s.hi, s.lo)
+	s.hi, s.lo = add128(h, l, accPH, accPL)
 }
 
 // dxsm is PCG's "double xorshift multiply" output permutation of the
@@ -52,6 +106,7 @@ func dxsm(hi, lo uint64) uint64 {
 
 // uint64 advances the stream by one step and returns its output.
 func (s *Stream) uint64() uint64 {
+	s.steps++
 	s.hi, s.lo = pcgStep(s.hi, s.lo)
 	return dxsm(s.hi, s.lo)
 }
@@ -84,6 +139,50 @@ func (s *Stream) Normals(dst []float64) {
 		hi, lo = s.hi, s.lo
 	}
 	s.hi, s.lo = hi, lo
+	s.steps += uint64(len(dst))
+}
+
+// MarkStride is the block length, in draws, of NormalsMarked's marks.
+const MarkStride = 16
+
+// MarkCount is the number of mark bytes NormalsMarked records for n draws:
+// a nibble per block of MarkStride draws, except the last block.
+func MarkCount(n int) int { return (max(0, (n-1)/MarkStride) + 1) / 2 }
+
+// NormalsMarked fills dst as Normals does and records where each block of
+// MarkStride draws starts in the generator: block b's mark (MarkExtra) is
+// how many steps it took beyond one per draw, its slow-path extras, so
+// block b starts b·MarkStride + MarkExtra(0) + … + MarkExtra(b−1) steps
+// after the fill began. marks must hold MarkCount(len(dst)) bytes. ok is
+// false when some block's extras exceed 15; that mark is then
+// meaningless. Slow-path draws are about 1 % of all draws and take one or
+// two extra steps, so a block of 16 rarely has more than 2.
+//
+//contract:allocfree
+func (s *Stream) NormalsMarked(dst []float64, marks []uint8) (ok bool) {
+	ok = true
+	nb := max(0, (len(dst)-1)/MarkStride)
+	for b := 0; b < nb; b++ {
+		start := s.steps
+		s.Normals(dst[b*MarkStride : (b+1)*MarkStride])
+		extra := s.steps - start - MarkStride
+		if extra > 15 {
+			ok = false
+		}
+		if b&1 == 0 {
+			marks[b/2] = uint8(extra & 15)
+		} else {
+			marks[b/2] |= uint8(extra&15) << 4
+		}
+	}
+	s.Normals(dst[nb*MarkStride:])
+	return ok
+}
+
+// MarkExtra returns block b's mark from NormalsMarked's marks: the steps
+// the block took beyond one per draw.
+func MarkExtra(marks []uint8, b int) uint64 {
+	return uint64(marks[b/2]>>(4*(b&1))) & 15
 }
 
 // normSlow finishes a normal draw whose first ziggurat test failed: the

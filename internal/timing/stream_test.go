@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -146,6 +147,131 @@ func FuzzStream(f *testing.F) {
 		s.Seed(s1, s2)
 		checkAgainst(t, &s, rand.New(rand.NewPCG(s1, s2)), calls, buf)
 	})
+}
+
+// stepN advances s by n single generator steps, the reference Advance
+// must equal.
+func stepN(s *Stream, n uint64) {
+	for ; n > 0; n-- {
+		s.uint64()
+	}
+}
+
+// TestStreamAdvance: Advance(n) reaches the state n single steps reach,
+// for every n up to 10⁵ from one seed (stepping once between checks) and
+// at random n from random seeds and random starting points, with the step
+// count following; Advance(0) is a no-op.
+func TestStreamAdvance(t *testing.T) {
+	var ref, s Stream
+	ref.Seed(7, 11)
+	for n := uint64(0); n <= 100_000; n++ {
+		s.Seed(7, 11)
+		s.Advance(n)
+		if s != ref {
+			t.Fatalf("Advance(%d) = %+v, %d steps reach %+v", n, s, n, ref)
+		}
+		ref.uint64()
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	for i := 0; i < 200; i++ {
+		s1, s2 := rng.Uint64(), rng.Uint64()
+		var a, b Stream
+		a.Seed(s1, s2)
+		b.Seed(s1, s2)
+		skip := rng.Uint64N(1000)
+		stepN(&a, skip)
+		stepN(&b, skip)
+		n := rng.Uint64N(50_000)
+		a.Advance(n)
+		stepN(&b, n)
+		if a != b {
+			t.Fatalf("seed (%d, %d) at %d: Advance(%d) = %+v, steps reach %+v", s1, s2, skip, n, a, b)
+		}
+		if a.Steps() != skip+n {
+			t.Fatalf("Steps() = %d after %d steps and Advance(%d)", a.Steps(), skip, n)
+		}
+	}
+}
+
+// FuzzStreamAdvance: from any seed, Advance(n) then draws equal n single
+// steps then the same draws, and Advance composes: Advance(m) then
+// Advance(n) equals Advance(m+n) for any m < 2⁶³.
+func FuzzStreamAdvance(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint16(0), uint64(0))
+	f.Add(uint64(1), uint64(2), uint16(777), uint64(1)<<63)
+	f.Add(uint64(0xdead), uint64(0xbeef), uint16(65535), ^uint64(0))
+	f.Fuzz(func(t *testing.T, s1, s2 uint64, n uint16, m uint64) {
+		var a, b Stream
+		a.Seed(s1, s2)
+		b.Seed(s1, s2)
+		a.Advance(uint64(n))
+		stepN(&b, uint64(n))
+		if a.Float64() != b.Float64() || a != b {
+			t.Fatalf("Advance(%d) drifts from %d single steps", n, n)
+		}
+		m >>= 1 // keep m+n below 2⁶⁴
+		var c, d Stream
+		c.Seed(s1, s2)
+		d.Seed(s1, s2)
+		c.Advance(m)
+		c.Advance(uint64(n))
+		d.Advance(m + uint64(n))
+		if c != d {
+			t.Fatalf("Advance(%d) then Advance(%d) differs from Advance(%d)", m, n, m+uint64(n))
+		}
+	})
+}
+
+// TestNormalsMarkedSeeks: NormalsMarked fills exactly what Normals fills,
+// and from its marks every draw is reached again by seeding, jumping to
+// its block's first step and drawing up to it — the way a period record
+// regenerates a chip's deviates. Long fills cross many slow-path draws.
+func TestNormalsMarkedSeeks(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 33, 775, 4736} {
+		for seed := uint64(0); seed < 20; seed++ {
+			var s, ref Stream
+			s.Seed(seed, 99)
+			ref.Seed(seed, 99)
+			got, want := make([]float64, n), make([]float64, n)
+			marks := make([]uint8, MarkCount(n))
+			if !s.NormalsMarked(got, marks) {
+				t.Fatalf("n=%d seed %d: a mark overflowed", n, seed)
+			}
+			ref.Normals(want)
+			if !slices.Equal(got, want) || s != ref {
+				t.Fatalf("n=%d seed %d: NormalsMarked differs from Normals", n, seed)
+			}
+			buf := make([]float64, MarkStride)
+			off := uint64(0)
+			for b := 0; b*MarkStride < n; b++ {
+				if b > 0 {
+					off += MarkStride + MarkExtra(marks, b-1)
+				}
+				var r Stream
+				r.Seed(seed, 99)
+				r.Advance(off)
+				m := min(MarkStride, n-b*MarkStride)
+				r.Normals(buf[:m])
+				if !slices.Equal(buf[:m], want[b*MarkStride:b*MarkStride+m]) {
+					t.Fatalf("n=%d seed %d: block %d drawn again differs", n, seed, b)
+				}
+			}
+		}
+	}
+}
+
+// TestAdvanceZeroAllocs: the seek kernels allocate nothing.
+func TestAdvanceZeroAllocs(t *testing.T) {
+	var s Stream
+	buf := make([]float64, 40)
+	marks := make([]uint8, MarkCount(len(buf)))
+	if avg := testing.AllocsPerRun(100, func() {
+		s.Seed(1, 2)
+		s.NormalsMarked(buf, marks)
+		s.Advance(12345)
+	}); avg != 0 {
+		t.Fatalf("seek kernels allocate %v times per run, want 0", avg)
+	}
 }
 
 // BenchmarkNormalStream compares one chip's worth of normal draws (775,

@@ -18,9 +18,10 @@
 // (RealizeDeviates) clears it, so a reused chip buffer never carries the
 // previous chip's certificate, and chips built as literals have none. The
 // party that realizes a chip decides whether to certify it: mc certifies
-// chips it hands to two or more consumers, every materialized population
-// and the period distribution's chips. A certified chip must not be edited
-// afterwards; an edited copy is a new literal and has no certificate.
+// chips it hands to two or more consumers and every materialized
+// population. The period distribution reads each chip once and scans it
+// with ScanNeeds instead. A certified chip must not be edited afterwards;
+// an edited copy is a new literal and has no certificate.
 package timing
 
 import (
@@ -269,16 +270,8 @@ func realize3(g0, g1, g2 float64, pairs, ffs []rec3, rp, rf []float64, ch *Chip)
 	for p := range pairs {
 		q := &pairs[p]
 		r := rp[p]
-		mx := q.a.mean
-		mx += q.a.c0 * g0
-		mx += q.a.c1 * g1
-		mx += q.a.c2 * g2
-		mx = mx + q.a.rand*r
-		mn := q.b.mean
-		mn += q.b.c0 * g0
-		mn += q.b.c1 * g1
-		mn += q.b.c2 * g2
-		mn = mn + q.b.rand*r
+		mx := q.a.eval(g0, g1, g2, r)
+		mn := q.b.eval(g0, g1, g2, r)
 		if mn > mx {
 			mn = mx
 		}
@@ -290,16 +283,8 @@ func realize3(g0, g1, g2 float64, pairs, ffs []rec3, rp, rf []float64, ch *Chip)
 	for f := range ffs {
 		q := &ffs[f]
 		r := rf[f]
-		s := q.a.mean
-		s += q.a.c0 * g0
-		s += q.a.c1 * g1
-		s += q.a.c2 * g2
-		s = s + q.a.rand*r
-		h := q.b.mean
-		h += q.b.c0 * g0
-		h += q.b.c1 * g1
-		h += q.b.c2 * g2
-		h = h + q.b.rand*r
+		s := q.a.eval(g0, g1, g2, r)
+		h := q.b.eval(g0, g1, g2, r)
 		if s < 0 {
 			s = 0
 		}
@@ -309,6 +294,17 @@ func realize3(g0, g1, g2 float64, pairs, ffs []rec3, rp, rf []float64, ch *Chip)
 		setup[f] = s
 		hold[f] = h
 	}
+}
+
+// eval realizes a packed form under the global deviates g0…g2 and its
+// own deviate r. realize3 and Graph.PairNeedAt both evaluate through it,
+// so their values agree bit for bit.
+func (f *form3) eval(g0, g1, g2, r float64) float64 {
+	x := f.mean
+	x += f.c0 * g0
+	x += f.c1 * g1
+	x += f.c2 * g2
+	return x + f.rand*r
 }
 
 // SetupBound returns b in the constraint x_launch − x_capture ≤ b for pair

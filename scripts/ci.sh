@@ -327,11 +327,13 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     # the integer difference-constraint solver (diffcon.IntSystem, which the
     # sweep's rescue probes and countMin run on) on its own invariants;
     # pin the chip realization stream (timing.Stream) bit for bit to
-    # math/rand/v2 over fuzzed seeds and call patterns, and the chips'
-    # zero-tuning certificates to the exact scans on fuzzed chips; hammer
+    # math/rand/v2 over fuzzed seeds and call patterns, its jump-ahead
+    # (Stream.Advance) to single steps, the chips' zero-tuning certificates
+    # to the exact scans on fuzzed chips, and the incremental what-if
+    # period to the full Monte Carlo on fuzzed edit sets; hammer
     # the shard wire decoders with arbitrary frames, and feed the .bench
     # parser arbitrary netlist text (each must reject or round-trip, never
-    # panic). Off by default (it adds ~9x CI_FUZZ_TIME of wall time); the
+    # panic). Off by default (it adds ~11x CI_FUZZ_TIME of wall time); the
     # CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
@@ -340,8 +342,10 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
         go test -run '^$' -fuzz 'FuzzComponentCount' -fuzztime "$fuzztime" ./internal/insertion
         go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzIntSystem' -fuzztime "$fuzztime" ./internal/diffcon
-        go test -run '^$' -fuzz 'FuzzStream' -fuzztime "$fuzztime" ./internal/timing
+        go test -run '^$' -fuzz '^FuzzStream$' -fuzztime "$fuzztime" ./internal/timing
+        go test -run '^$' -fuzz 'FuzzStreamAdvance' -fuzztime "$fuzztime" ./internal/timing
         go test -run '^$' -fuzz 'FuzzZeroCert' -fuzztime "$fuzztime" ./internal/timing
+        go test -run '^$' -fuzz 'FuzzWhatIfPeriod' -fuzztime "$fuzztime" ./internal/expt
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
         go test -run '^$' -fuzz 'FuzzParseBench' -fuzztime "$fuzztime" ./internal/ckt
     else
