@@ -175,7 +175,7 @@ func runAblation(b *testing.B, bench *expt.Bench, mutate func(*insertion.Config)
 }
 
 // BenchmarkAblationConcentration compares the flow with and without the
-// concentration ILPs (paper objectives (15)/(19)).
+// concentration step (paper objective (19)).
 func BenchmarkAblationConcentration(b *testing.B) {
 	for _, off := range []bool{false, true} {
 		name := "on"
@@ -403,8 +403,8 @@ func BenchmarkMILPMinCount(b *testing.B) {
 }
 
 // BenchmarkMILPMinCountWarm measures the same ILP rebuilt into a resettable
-// problem and solved through a reused arena — exactly how sampleSolver
-// treats each violation component in steady state.
+// problem and solved through a reused arena — as the insertion tests'
+// two-ILP oracle treats each violation component.
 func BenchmarkMILPMinCountWarm(b *testing.B) {
 	p := milp.NewProblem()
 	var arena milp.Arena
@@ -437,11 +437,8 @@ func BenchmarkMILPMinCountWarm(b *testing.B) {
 
 // BenchmarkSampleSolve measures one full step-1 + step-2 per-sample solve —
 // component discovery, the support-enumeration tuning count and the
-// support projection (the two ILPs only on fallback) — on a prepared s9234
-// preset, i.e. the actual unit of work the Monte Carlo loop repeats ~10⁴
-// times per Table-I row. milp_components/op counts the components sent to
-// the two-ILP route; nodes/op counts their branch-and-bound node
-// relaxations.
+// support projection — on a prepared s9234 preset, i.e. the actual unit of
+// work the Monte Carlo loop repeats ~10⁴ times per Table-I row.
 func BenchmarkSampleSolve(b *testing.B) {
 	bench := prepared(b, "s9234")
 	sb, err := insertion.NewSampleBench(bench.Graph, insertion.Config{
@@ -453,15 +450,11 @@ func BenchmarkSampleSolve(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		sb.Solve() // warm all solver scratch and pools to steady state
 	}
-	before, milpBefore := sb.Nodes(), sb.MILPComponents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.Solve()
 	}
-	n := float64(b.N)
-	b.ReportMetric(float64(sb.MILPComponents()-milpBefore)/n, "milp_components/op")
-	b.ReportMetric(float64(sb.Nodes()-before)/n, "nodes/op")
 }
 
 // BenchmarkDiffconFeasibility measures the per-chip yield check.

@@ -13,19 +13,20 @@ import (
 // 750 evaluation samples, all three targets. Solver speed-ups must be exact:
 // any change in a buffer plan, a per-sample value or a yield count moves a
 // digest. The digests were recorded before the integral-objective pruning,
-// sparse pivot rows and small-pass chunking landed, and again when support
+// sparse pivot rows and small-pass chunking landed, again when support
 // projection replaced the per-sample concentration ILP (plans move where
-// supports tie; insertion's TestPlanEquivalence bounds the move, and the
-// flow's Stats gained MILPComponents). They hold on amd64, where
-// the compiler never fuses multiply-adds (other architectures may round
-// differently, so the test only runs there).
+// supports tie; insertion's TestPlanEquivalence bounds the move), and once
+// more when the flow's Stats lost its count of two-ILP components: each is
+// the previous encoding's hash with that field cut out. They hold on amd64,
+// where the compiler never fuses multiply-adds (other architectures may
+// round differently, so the test only runs there).
 var rowDigests = map[uint64]string{
-	101: "0f2ec3e9b9c028968976bef8feb0c5203d754cec72f5185a2e1340315b56dd53",
-	202: "40272b912cee94bda6265d1e5d85c7869d14aee3f28ae28db7cddb077774b31e",
-	303: "2bfab12bf7e088621f61f181a988065357180a77e4b383eeb32c30641827e1a5",
-	404: "7ad1bf22a145eea1dabd5a3a3c1fcccdc47308f075824641df856b6b3f06d590",
-	505: "432a63cf45df6e012ffff0bec12271945c049046975c665dfd167fa2ecc736f2",
-	606: "d97d3c4d3f7ea43459d4f8dbf000dee2a77e2f110a1a370bf80ceb36b9047ceb",
+	101: "b544b88cd8b6c8204dadef83fcf427cb7431602d11fb12d6d1166c2378d03124",
+	202: "48b1d402e0e5d2c59581bbfb508e0e777fcbb6f909f4bb5f19b787633aa89c21",
+	303: "9fca928061b373c0e382589197291afa43bfa496220d115224761f2b50d2667f",
+	404: "8025f3d2f4a4c8b728429698a6bb7cbcdef65bea11f23f7f629b711ea1064b81",
+	505: "9273ee5d14ce22ae30ddfe053981ce6192db4c7defabc5b64fd1e0171d6d2d0b",
+	606: "7dedd4bf4b8646fd9783b996fe916d65741c760f08441ae3d87b1f48788fa4f2",
 }
 
 func TestRunRowsDigests(t *testing.T) {
@@ -61,10 +62,11 @@ func TestRunRowsDigests(t *testing.T) {
 // adaptiveRowDigests pins RunRows under Eps 0.02 the same way: the rows then
 // carry adaptive reports from the shared wave loop. They were recorded
 // before fixed-n and adaptive evaluation were merged into one executor
-// (yield.Drive), and again with rowDigests when support projection landed.
+// (yield.Drive), and again with rowDigests when support projection landed
+// and when Stats lost its two-ILP component count.
 var adaptiveRowDigests = map[uint64]string{
-	101: "3e4e34686b5bf1c8709af009b81203a3d5e013ca566f6394f00b1667d9c35580",
-	202: "611a0accc7e4c72ca6b884abb4e8be25c7cfdfc699b6a4cfd8670726b6371d47",
+	101: "e63518eb996bd9ac92c293c629d52c95896d65907a12cdea583698127a6f8114",
+	202: "6975292267ced220df0bb7bfb6e57187126d839379b46cea2f6df44789865455",
 }
 
 func TestRunRowsAdaptiveDigests(t *testing.T) {

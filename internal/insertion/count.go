@@ -13,36 +13,17 @@ import (
 // repair the sample is a Bellman-Ford question, and the minimum count nk —
 // the first support size with a feasible support — needs no ILP.
 //
-// The count ILP accepts points within its tolerances: a usage binary within
-// the integrality tolerance (1e-6) of 0 counts as unused although it lets
-// |x| reach τ·1e-6, and a grid index within 1e-6 of an integer counts as
-// integral (an s·1e-6 ≤ τ·1e-6 shift in x). With two endpoints per row, the
-// ILP can call a support feasible that misses a row by up to 2τ·1e-6 plus
-// the LP tolerance. So each check runs twice, with every pair bound shifted
-// by ∓δ, δ = countBand·τ: a support whose tightened system is feasible is
-// feasible to the ILP too, one whose loosened system is infeasible is
-// infeasible to it, and anything between is undecided. nk is decided only
-// when every smaller support is robustly infeasible and some support of
-// size nk is robustly feasible; otherwise solveComponent asks the ILP.
+// Every check is exact: the realized bounds, with no tolerance band. A
+// hairline violation (a bound a hair below zero) therefore costs a buffer
+// like any other; emit drops its vanishing tuning under its 1e-7 ps floor.
 
 const (
-	// countBand is δ/τ: twice the ILP's worst tolerance slack per row.
-	countBand = 4e-6
 	// maxCountFFs caps the components countMin enumerates (the support is
-	// a bitmask); larger ones go to the ILP. The presets' components have
-	// at most 8 FFs.
+	// a bitmask); a larger one is left unrepaired and counted as
+	// truncated. The presets' components have at most 8 FFs.
 	maxCountFFs = 16
 	// maxCountSupports caps the supports one countMin call checks.
 	maxCountSupports = 1 << 12
-)
-
-// verdict classifies one support.
-type verdict int8
-
-const (
-	supportInfeasible verdict = iota // loosened system infeasible
-	supportUndecided                 // only the loosened system is feasible
-	supportFeasible                  // tightened system feasible
 )
 
 // fEdge is one edge of the float constraint graph: x_to − x_from ≤ w.
@@ -53,51 +34,44 @@ type fEdge struct {
 
 // countMin decides the minimum tuning count of the component whose rows
 // walkRows just listed (n FFs). Supports are enumerated by size 0, 1, 2, …
-// and, within a size, in increasing bitmask order. It reports decided =
-// false for components over the caps, for an infeasible or undecided full
-// support, and when a size's only candidates are undecided. On a decision
-// it records where the size-nk enumeration stopped (nkMask, nkOpen,
-// nkBudget), so project continues it instead of starting over.
+// and, within a size, in increasing bitmask order; nk is the size of the
+// first feasible one. It reports ok = false when the full support is
+// infeasible (no tuning repairs the component), and capped = true, with ok
+// = false, for a component over maxCountFFs or one whose count
+// maxCountSupports checks leave open. On a decision it records where the
+// size-nk enumeration stopped (nkMask, nkBudget), so project continues it
+// instead of starting over.
 //
-// It never decides nk = 0: every component holds an endpoint of a violated
-// pair, whose row fails the empty support's tightened check. The size-0
-// pass still matters — a hairline row passes the loosened check, which
-// leaves the count undecided rather than 1.
+// It decides nk = 0 only on a component with no violated row, which solve
+// never builds: every component holds an endpoint of a violated pair.
 //
 //contract:allocfree
-func (s *sampleSolver) countMin(n int) (nk int, decided bool) {
+func (s *sampleSolver) countMin(n int) (nk int, ok, capped bool) {
 	if n > maxCountFFs {
-		return 0, false
+		return 0, false, true
 	}
 	full := uint32(1)<<n - 1
 	// The full support first: when it fails, no smaller one can pass.
-	if s.supportVerdict(n, full) != supportFeasible {
-		return 0, false
+	if !s.supportFeasible(n, full) {
+		return 0, false, false
 	}
 	budget := maxCountSupports
 	for k := 0; k <= n; k++ {
-		open := false
 		for mask := uint32(1)<<k - 1; mask <= full; mask = nextSupport(mask) {
 			if budget--; budget < 0 {
-				return 0, false
+				return 0, false, true
 			}
-			switch s.supportVerdict(n, mask) {
-			case supportFeasible:
+			if s.supportFeasible(n, mask) {
 				// project resumes the size-k enumeration here.
-				s.nkMask, s.nkOpen, s.nkBudget = mask, open, budget
-				return k, true
-			case supportUndecided:
-				open = true
+				s.nkMask, s.nkBudget = mask, budget
+				return k, true, false
 			}
 			if mask == 0 {
 				break
 			}
 		}
-		if open {
-			return 0, false
-		}
 	}
-	return 0, false // unreachable: the full support is feasible
+	return 0, false, false // unreachable: the full support is feasible
 }
 
 // nextSupport returns the next larger bitmask with the same number of set
@@ -108,35 +82,47 @@ func nextSupport(mask uint32) uint32 {
 	return (((r ^ mask) >> 2) / low) | r
 }
 
-// supportVerdict checks support mask of an n-FF component with every pair
-// bound loosened, then tightened, by δ.
-func (s *sampleSolver) supportVerdict(n int, mask uint32) verdict {
+// supportFeasible reports whether support mask of an n-FF component can
+// repair it: the support's FFs move within their windows, every other FF
+// stays at 0, and every row holds. The check leaves its Bellman-Ford state
+// behind (fDist in step 1, isys in step 2) for supportPoint.
+func (s *sampleSolver) supportFeasible(n int, mask uint32) bool {
 	m := s.mapSupport(n, mask)
-	delta := countBand * s.spec.MaxRange
-	if !s.supportFits(m, delta) {
-		return supportInfeasible
-	}
-	if s.supportFits(m, -delta) {
-		return supportFeasible
-	}
-	return supportUndecided
-}
-
-// supportFits reports whether the system of the support s.node maps onto
-// m variables, with every pair bound shifted by shift, is feasible: the
-// support's FFs move within their windows, every other FF stays at 0.
-func (s *sampleSolver) supportFits(m int, shift float64) bool {
-	// Rows between pinned endpoints are constants: 0 ≤ b + shift.
+	// Rows between pinned endpoints are constants: 0 ≤ b.
 	for _, r := range s.rows {
 		if s.nodeOf(r.l) == diffcon.Origin && s.nodeOf(r.c) == diffcon.Origin &&
-			(r.setup+shift < 0 || r.hold+shift < 0) {
+			(r.setup < 0 || r.hold < 0) {
 			return false
 		}
 	}
 	if s.mode == modeFloating {
-		return s.floatFits(m, shift)
+		return s.floatFits(m)
 	}
-	return s.gridFits(m, shift)
+	return s.gridFits(m)
+}
+
+// supportPoint writes to s.xSol the Bellman-Ford point of support mask of
+// an n-FF component, which must be feasible: each support FF at its
+// shortest-path distance from the virtual source less the origin's (in x
+// in step 1, in grid indices mapped to x in step 2), pinned FFs at 0.
+func (s *sampleSolver) supportPoint(n int, mask uint32) {
+	s.supportFeasible(n, mask)
+	m := len(s.supp)
+	if s.mode == modeFixed {
+		s.kSol, _ = s.isv.SolveInto(s.kSol, &s.isys)
+	}
+	s.xSol = s.xSol[:0]
+	for v, node := range s.node {
+		x := 0.0
+		switch {
+		case node == diffcon.Origin:
+		case s.mode == modeFloating:
+			x = s.fDist[node] - s.fDist[m]
+		default:
+			x = s.lower[s.comp[v]] + float64(s.kSol[node])*s.spec.Step()
+		}
+		s.xSol = append(s.xSol, x)
+	}
 }
 
 // nodeOf maps a row endpoint (component index, or −1 outside) to its
@@ -150,13 +136,13 @@ func (s *sampleSolver) nodeOf(v int) int {
 
 // floatFits checks the step-1 system over continuous x ∈ [−τ, τ] with
 // Bellman-Ford from a virtual source; node m is the origin.
-func (s *sampleSolver) floatFits(m int, shift float64) bool {
+func (s *sampleSolver) floatFits(m int) bool {
 	tau := s.spec.MaxRange
 	s.fEdges = s.fEdges[:0]
 	for _, r := range s.rows {
 		l, c := s.nodeOf(r.l), s.nodeOf(r.c)
 		if l == diffcon.Origin && c == diffcon.Origin {
-			continue // checked by supportFits
+			continue // checked by supportFeasible
 		}
 		if l == diffcon.Origin {
 			l = m
@@ -166,8 +152,8 @@ func (s *sampleSolver) floatFits(m int, shift float64) bool {
 		}
 		// x_l − x_c ≤ setup is edge c → l; x_c − x_l ≤ hold is l → c.
 		s.fEdges = append(s.fEdges,
-			fEdge{from: c, to: l, w: r.setup + shift},
-			fEdge{from: l, to: c, w: r.hold + shift})
+			fEdge{from: c, to: l, w: r.setup},
+			fEdge{from: l, to: c, w: r.hold})
 	}
 	for v := 0; v < m; v++ {
 		s.fEdges = append(s.fEdges, fEdge{from: m, to: v, w: tau}, fEdge{from: v, to: m, w: tau})
@@ -197,17 +183,17 @@ func (s *sampleSolver) floatFits(m int, shift float64) bool {
 // gridFits checks the step-2 system over grid indices k ∈ [0, Steps], with
 // x = lower + s·k for the support's FFs and x = 0 for pinned ones:
 // x_i − x_j ≤ b becomes k_i − k_j ≤ floor((b − lowerᵢ + lowerⱼ)/s).
-func (s *sampleSolver) gridFits(m int, shift float64) bool {
+func (s *sampleSolver) gridFits(m int) bool {
 	sys := &s.isys
 	sys.Reset(m)
 	for _, r := range s.rows {
 		l, c := s.nodeOf(r.l), s.nodeOf(r.c)
 		if l == diffcon.Origin && c == diffcon.Origin {
-			continue // checked by supportFits
+			continue // checked by supportFeasible
 		}
 		lowL, lowC := s.supportLower(r.l, l), s.supportLower(r.c, c)
-		sys.Add(l, c, s.gridBound(r.setup+shift-lowL+lowC))
-		sys.Add(c, l, s.gridBound(r.hold+shift-lowC+lowL))
+		sys.Add(l, c, s.gridBound(r.setup-lowL+lowC))
+		sys.Add(c, l, s.gridBound(r.hold-lowC+lowL))
 	}
 	for v := 0; v < m; v++ {
 		sys.AddUpper(v, int64(s.spec.Steps))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/lp"
-	"repro/internal/milp"
 	"repro/internal/timing"
 )
 
@@ -109,11 +108,12 @@ func decodeFuzzComponent(data []byte) *fuzzComponent {
 }
 
 // FuzzComponentCount checks the combinatorial repair against the MILP on
-// random components of up to 6 FFs in both modes: whenever countMin
-// decides, its nk is the count MILP's; a component whose only violations
-// are planted hairlines stays undecided; and solveComponent and
-// solveComponentMILP agree as compareComponent checks — feasibility, count
-// and, where both are exact, the concentration objective.
+// random components of up to 6 FFs in both modes: wherever the δ band
+// decides the count, it is the count MILP's; a component whose only
+// violations are planted hairlines is never decided by the band; and
+// solveComponent and the two-ILP oracle agree as compareComponent checks —
+// feasibility, count and, where both are exact, the concentration
+// objective.
 func FuzzComponentCount(f *testing.F) {
 	// One violated setup row 0→1 (−20 ps) between two free FFs, floating.
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0xF4, 0x7F, 0})
@@ -134,19 +134,21 @@ func FuzzComponentCount(f *testing.F) {
 		}
 		s, comp := fc.s, fc.comp
 		s.walkRows(comp)
-		nk, decided := s.countMin(len(comp))
-		s.buildProblem(comp)
-		sol, err := s.prob.SolveArena(&s.arena, milp.Options{})
+		class, nk := s.bandClassify(len(comp))
+		decided := class == bandCount || class == bandClean
+		route := newMILPRoute(nil)
+		route.buildProblem(s, comp)
+		sol, err := route.solveArena()
 		if decided {
 			if err != nil || sol.Status != lp.Optimal {
-				t.Fatalf("countMin decided nk=%d, MILP status %v err %v", nk, sol.Status, err)
+				t.Fatalf("the band decided nk=%d, MILP status %v err %v", nk, sol.Status, err)
 			}
 			if got := int(math.Round(sol.Obj)); got != nk {
-				t.Fatalf("countMin decided nk=%d, MILP nk=%d", nk, got)
+				t.Fatalf("the band decided nk=%d, MILP nk=%d", nk, got)
 			}
 		}
 		if fc.hairlineOnly && decided {
-			t.Fatalf("only hairline violations, but countMin decided nk=%d", nk)
+			t.Fatalf("only hairline violations, but the band decided nk=%d", nk)
 		}
 		var cc CountCheck
 		if err := compareComponent(s, comp, &cc); err != nil {
@@ -155,11 +157,12 @@ func FuzzComponentCount(f *testing.F) {
 	})
 }
 
-// TestCountBandCoversMILPTolerance pins why the robustness band scales with
-// τ: the count MILP calls a row violated by up to τ·1e-6 repaired with no
-// buffer (a usage binary that small rounds to 0), so a fixed 1e-6 ps band
-// would decide nk = 1 where the MILP says 0. countMin must leave every such
-// component undecided, in both modes.
+// TestCountBandCoversMILPTolerance pins why the band scales with τ: the
+// count MILP calls a row violated by up to τ·1e-6 repaired with no buffer
+// (a usage binary that small rounds to 0), so a fixed 1e-6 ps band would
+// decide nk = 1 where the MILP says 0. The band must leave every such
+// component undecided, in both modes, while the exact count charges it
+// one buffer.
 func TestCountBandCoversMILPTolerance(t *testing.T) {
 	pairs := []timing.Pair{{Launch: 0, Capture: 1}, {Launch: 1, Capture: 2}}
 	g := synthGraph(3, pairs)
@@ -172,15 +175,20 @@ func TestCountBandCoversMILPTolerance(t *testing.T) {
 			s.solve(ch) // realizes the bounds and the component
 			comp := s.compBuf
 			s.walkRows(comp)
-			nk, decided := s.countMin(len(comp))
-			s.buildProblem(comp)
-			sol, err := s.prob.SolveArena(&s.arena, milp.Options{})
+			if nk, ok, _ := s.countMin(len(comp)); !ok || nk != 1 {
+				t.Errorf("mode %d viol %g: exact count nk=%d ok=%v, want 1", mode, viol, nk, ok)
+			}
+			class, nk := s.bandClassify(len(comp))
+			decided := class == bandCount || class == bandClean
+			route := newMILPRoute(nil)
+			route.buildProblem(s, comp)
+			sol, err := route.solveArena()
 			if err != nil || sol.Status != lp.Optimal {
 				t.Fatalf("mode %d viol %g: MILP status %v err %v", mode, viol, sol.Status, err)
 			}
 			milpNK := int(math.Round(sol.Obj))
 			if decided && nk != milpNK {
-				t.Errorf("mode %d viol %g: countMin nk=%d, MILP nk=%d", mode, viol, nk, milpNK)
+				t.Errorf("mode %d viol %g: band nk=%d, MILP nk=%d", mode, viol, nk, milpNK)
 			}
 			if viol >= 1e-3 && !decided {
 				t.Errorf("mode %d viol %g: a clear violation stays undecided", mode, viol)
@@ -189,35 +197,80 @@ func TestCountBandCoversMILPTolerance(t *testing.T) {
 	}
 }
 
-// TestCountMinCapFallsBack: a component over maxCountFFs is never
-// enumerated; it takes the MILP route and keeps the MILP's result.
+// TestCountMinCapFallsBack: a component countMin cannot enumerate — over
+// maxCountFFs, or one whose count maxCountSupports checks leave open — is
+// left unrepaired and counted in Truncated.
 func TestCountMinCapFallsBack(t *testing.T) {
-	const n = maxCountFFs + 2
+	for _, tc := range []struct {
+		name     string
+		n        int
+		violated func(stage int) bool
+		slack    float64 // dmax of the unviolated stages
+	}{
+		// Setup-tight stages (bound 20 < τ) pull a 17-FF chain into one
+		// component; every eighth stage is violated by 30 ps.
+		{"over maxCountFFs", maxCountFFs + 1, func(i int) bool { return i%8 == 0 }, 180},
+		// 16 FFs, every even stage violated by 30 ps and the others
+		// interacting (bound 90 < 2τ): the count is 8, and the supports of
+		// sizes 0–4 plus part of 5 exhaust the budget first.
+		{"over maxCountSupports", maxCountFFs, func(i int) bool { return i%2 == 0 }, 110},
+	} {
+		pairs := make([]timing.Pair, tc.n-1)
+		dmax := make([]float64, tc.n-1)
+		for i := range pairs {
+			pairs[i] = timing.Pair{Launch: i, Capture: i + 1}
+			dmax[i] = tc.slack
+			if tc.violated(i) {
+				dmax[i] = 230
+			}
+		}
+		g := synthGraph(tc.n, pairs)
+		s := solverFor(g, 200, 50, 10, modeFloating, nil, nil, nil)
+		out := s.solve(chipWith(g, dmax, 0, 0))
+		if out.Feasible || out.Truncated != 1 || len(s.compOff) != 1 || len(s.compBuf) != tc.n {
+			t.Fatalf("%s: want one unrepaired %d-FF component counted in Truncated, got %+v over %d FFs in %d components",
+				tc.name, tc.n, out, len(s.compBuf), len(s.compOff))
+		}
+		s.walkRows(s.compBuf)
+		if nk, ok, capped := s.countMin(tc.n); ok || !capped {
+			t.Fatalf("%s: countMin nk=%d ok=%v capped=%v, want capped", tc.name, nk, ok, capped)
+		}
+	}
+}
+
+// TestProjectKeepsBestOnBudget: a 16-FF chain with five violated stages
+// has nk = 5, decided early among the 4,368 size-5 supports, so project
+// runs out of support budget before it has seen them all. It keeps the
+// best projection found so far, a valid repair.
+func TestProjectKeepsBestOnBudget(t *testing.T) {
+	const n = maxCountFFs
 	pairs := make([]timing.Pair, n-1)
 	dmax := make([]float64, n-1)
 	for i := range pairs {
 		pairs[i] = timing.Pair{Launch: i, Capture: i + 1}
-		// Setup-tight stages (bound 20 < τ) pull the whole chain into one
-		// component; every eighth stage is violated by 30 ps.
-		dmax[i] = 180
-		if i%8 == 0 {
-			dmax[i] = 230
+		dmax[i] = 160 // setup-tight (bound 40 < τ): the closure spans the chain
+		if i%2 == 0 && i < 10 {
+			dmax[i] = 230 // violated by 30 ps
 		}
 	}
 	g := synthGraph(n, pairs)
 	s := solverFor(g, 200, 50, 10, modeFloating, nil, nil, nil)
-	out := s.solve(chipWith(g, dmax, 0, 0))
-	if !out.Feasible || len(s.compOff) != 1 || len(s.compBuf) != n {
-		t.Fatalf("want one feasible %d-FF component, got %+v over %d FFs in %d components", n, out, len(s.compBuf), len(s.compOff))
+	ch := chipWith(g, dmax, 0, 0)
+	out := s.solve(ch)
+	if !out.Feasible || out.NK != 5 || out.Truncated != 0 || len(s.compBuf) != n {
+		t.Fatalf("want a feasible nk=5 repair of one %d-FF component, got %+v over %d FFs", n, out, len(s.compBuf))
 	}
-	comp := s.compBuf
-	s.walkRows(comp)
-	if _, decided := s.countMin(len(comp)); decided {
-		t.Fatal("countMin enumerated a component over the cap")
+	if err := s.checkTunings(s.compBuf, out.NK, out.Tuned, 1e-9); err != nil {
+		t.Fatalf("tuned %v: %v", out.Tuned, err)
 	}
-	var cc CountCheck
-	if err := compareComponent(s, comp, &cc); err != nil {
-		t.Fatal(err)
+	s.walkRows(s.compBuf)
+	s.countMin(n)
+	left := 0
+	for mask := s.nkMask; mask <= 1<<n-1; mask = nextSupport(mask) {
+		left++
+	}
+	if left-1 <= s.nkBudget {
+		t.Fatalf("%d size-5 supports after the first feasible one within a budget of %d: project never runs out", left-1, s.nkBudget)
 	}
 }
 
@@ -225,13 +278,13 @@ func TestCountMinCapFallsBack(t *testing.T) {
 // below 2τ, so its other bound can be arbitrarily large. A 1e20 ps setup
 // bound next to a real hold violation must read as non-binding in both
 // modes (the step-2 grid bound is clamped, not overflowed), and a −1e20
-// one as unrepairable; either way the count route keeps the MILP's result.
+// one as unrepairable; either way the MILP agrees.
 func TestCountMinHugeBound(t *testing.T) {
 	g := synthGraph(2, []timing.Pair{{Launch: 0, Capture: 1}})
 	for _, mode := range []solverMode{modeFloating, modeFixed} {
 		for _, tc := range []struct {
 			setup, hold float64
-			decided     bool
+			ok          bool
 			nk          int
 		}{
 			{1e20, -20, true, 1},
@@ -241,10 +294,10 @@ func TestCountMinHugeBound(t *testing.T) {
 			s.setupB[0], s.holdB[0] = tc.setup, tc.hold
 			comp := []int{0, 1}
 			s.walkRows(comp)
-			nk, decided := s.countMin(len(comp))
-			if decided != tc.decided || nk != tc.nk {
-				t.Errorf("mode %d setup %g: countMin nk=%d decided=%v, want nk=%d decided=%v",
-					mode, tc.setup, nk, decided, tc.nk, tc.decided)
+			nk, ok, capped := s.countMin(len(comp))
+			if ok != tc.ok || nk != tc.nk || capped {
+				t.Errorf("mode %d setup %g: countMin nk=%d ok=%v capped=%v, want nk=%d ok=%v",
+					mode, tc.setup, nk, ok, capped, tc.nk, tc.ok)
 			}
 			var cc CountCheck
 			if err := compareComponent(s, comp, &cc); err != nil {

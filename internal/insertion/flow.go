@@ -10,7 +10,7 @@ import (
 )
 
 // Run executes the full three-step flow (paper Fig. 3) on a timing graph:
-// step 1 locates buffers and window lower bounds with floating-bound ILPs,
+// step 1 locates buffers and window lower bounds with floating windows,
 // step 2 re-simulates with fixed discrete windows and concentrates values
 // toward their averages, step 3 groups correlated nearby buffers. pl may be
 // nil, in which case grouping uses correlation only (infinite distances are
@@ -34,10 +34,9 @@ type passResult struct {
 	selfLoop      int
 	zeroViolation int
 	truncated     int
-	milp          int
 }
 
-// runPass runs one full Monte Carlo ILP pass described by spec: in
+// runPass runs one full Monte Carlo repair pass described by spec: in
 // parallel in this process, or — when cfg.Pass is set — through the
 // distributed executor, which returns the same k-indexed outcome slice
 // assembled from worker ranges. Either way the outcomes are reduced
@@ -83,7 +82,6 @@ func reducePass(g *timing.Graph, raw []SampleOutcome) *passResult {
 		out := &raw[k]
 		pr.nk[k] = out.NK
 		pr.truncated += out.Truncated
-		pr.milp += out.MILP
 		switch {
 		case out.SelfLoop:
 			pr.selfLoop++
@@ -113,7 +111,6 @@ type stepTwoState struct {
 	center       []float64
 	missingFrac  float64
 	skippedB1    bool
-	rerunMILP    int // MILP-routed components of the §III-B1 re-run
 }
 
 // deriveStepTwo turns a step-1 pass into the step-2 inputs: §III-A2 pruning
@@ -166,7 +163,6 @@ func (r *Runner) deriveStepTwo(src mc.Source, cfg Config, s1 *passResult) (stepT
 			return st, err
 		}
 		avgSource = b1.values
-		st.rerunMILP = b1.milp
 	}
 	st.center = gridCenters(g.NS, st.allowed, st.lower, avgSource, cfg.Spec)
 	return st, nil

@@ -15,9 +15,8 @@ import (
 // projections: for one support S, the L1-nearest point to the centers of
 // the system with S free in its windows and every other FF at x = 0.
 //
-// The projection runs on the unshifted system; the δ band only classifies
-// supports. A pinned FF contributes the constant |center| to the objective.
-// Rows with one endpoint in S become bounds on it, so with nk = 1 the
+// A pinned FF contributes the constant |center| to the objective. Rows
+// with one endpoint in S become bounds on it, so with nk = 1 the
 // projection is a clamp: the center into the window intersected with those
 // bounds (step 1), or the grid index nearest the center's index within the
 // intersected index range (step 2). With nk ≥ 2 it is an LP with 2·nk
@@ -36,17 +35,13 @@ const tieTol = 1e-9
 // project replaces the concentration ILP for the component whose rows
 // walkRows listed (n FFs) and whose count nk countMin just decided: it
 // enumerates the remaining size-nk supports in countMin's order, projects
-// the centers onto each robustly feasible one, and leaves the least-
-// objective projection in s.xSol. It reports false, and the caller asks the
-// MILP, when a size-nk support is undecided, the support budget runs out,
-// or a projection fails: an LP that is not optimal, or a step-2 grid index
-// more than 1e-9 from an integer.
+// the centers onto each feasible one, and leaves the least-objective
+// projection in s.xSol. When the support budget runs out it keeps the best
+// projection so far. It reports false when a projection fails: an LP that
+// is not optimal, or a step-2 grid index more than 1e-9 from an integer.
 //
 //contract:allocfree
 func (s *sampleSolver) project(n int) bool {
-	if s.nkOpen {
-		return false // an undecided support precedes the first feasible one
-	}
 	full := uint32(1)<<n - 1
 	budget := s.nkBudget
 	found := false
@@ -54,13 +49,10 @@ func (s *sampleSolver) project(n int) bool {
 	for mask := s.nkMask; mask <= full; mask = nextSupport(mask) {
 		if mask != s.nkMask {
 			if budget--; budget < 0 {
-				return false
+				break
 			}
-			switch s.supportVerdict(n, mask) {
-			case supportInfeasible:
+			if !s.supportFeasible(n, mask) {
 				continue
-			case supportUndecided:
-				return false
 			}
 		}
 		if !s.projectSupport(n, mask) {
@@ -78,11 +70,11 @@ func (s *sampleSolver) project(n int) bool {
 			s.xBest = append(s.xBest[:0], s.xCur...)
 		}
 		if mask == 0 {
-			break // nk = 0 has one support (only on synthetic components)
+			break // nk = 0 has one support (a component with no violated row)
 		}
 	}
 	s.xSol = append(s.xSol[:0], s.xBest...)
-	return found
+	return true
 }
 
 // projectSupport projects the centers onto support mask and writes the
@@ -146,11 +138,11 @@ func (s *sampleSolver) projectSupport(n int, mask uint32) bool {
 }
 
 // projectLP solves the nk ≥ 2 projection over the support mapSupport laid
-// out, in the MILP's own linearization: x_v in its box and t_v ≥ |x_v − c_v|
-// (two rows, c the unclamped center), minimizing Σt under every row between
-// two support FFs. Sharing the MILP's shape lets the simplex choose among a
-// support's equally good points much as the MILP's relaxations do. On
-// success boxC holds the solution.
+// out, in the concentration ILP's own linearization: x_v in its box and
+// t_v ≥ |x_v − c_v| (two rows, c the unclamped center), minimizing Σt under
+// every row between two support FFs. Sharing the ILP's shape lets the
+// simplex choose among a support's equally good points much as the
+// branch-and-bound's relaxations do. On success boxC holds the solution.
 func (s *sampleSolver) projectLP() bool {
 	prob := &s.lpProb
 	prob.Reset()
@@ -161,7 +153,7 @@ func (s *sampleSolver) projectLP() bool {
 	for _, r := range s.rows {
 		l, c := s.nodeOf(r.l), s.nodeOf(r.c)
 		if l == diffcon.Origin || c == diffcon.Origin {
-			continue // a bound (projectSupport) or a constant (supportFits)
+			continue // a bound (projectSupport) or a constant (supportFeasible)
 		}
 		prob.AddRow(lp.LE, s.rowBound(r.setup, r.l, r.c, l, c), lp.T(2*l, 1), lp.T(2*c, -1))
 		prob.AddRow(lp.LE, s.rowBound(r.hold, r.c, r.l, c, l), lp.T(2*c, 1), lp.T(2*l, -1))
@@ -199,7 +191,7 @@ func (s *sampleSolver) mapSupport(n int, mask uint32) int {
 
 // rowBound is the bound b of a row x_i − x_j ≤ b in the projection's
 // variables: b itself in step 1, and the grid bound on k_i − k_j in step 2
-// (unshifted gridFits; a pinned endpoint counts as lower 0). i and j are
+// (gridFits' bound; a pinned endpoint counts as lower 0). i and j are
 // the endpoints' component indices, ni and nj their variables.
 func (s *sampleSolver) rowBound(b float64, i, j, ni, nj int) float64 {
 	if s.mode == modeFloating {

@@ -140,7 +140,6 @@ func (r *Runner) RunOn(pop *Population, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Stats.InfeasibleStep2 = s2.infeasible + s2.selfLoop
-	res.Stats.MILPComponents = s1.milp + st2.rerunMILP + s2.milp
 	res.Stats.ValuesStep2 = s2.values
 
 	// ---------- Final ranges (§III-B2, Fig. 5c) ----------

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/diffcon"
 	"repro/internal/lp"
-	"repro/internal/milp"
 	"repro/internal/timing"
 )
 
@@ -31,14 +30,11 @@ type SampleOutcome struct {
 	Feasible bool `json:"feasible,omitempty"`
 	// SelfLoop marks a violated self-loop pair (unfixable by tuning).
 	SelfLoop bool `json:"self_loop,omitempty"`
-	// Truncated counts closure components cut at MaxComponent.
+	// Truncated counts closures cut at MaxComponent and components left
+	// unrepaired because they are too large to enumerate (countMin).
 	Truncated int `json:"truncated,omitempty"`
 	// NK is the minimum tuning count (summed over components).
 	NK int `json:"nk,omitempty"`
-	// MILP counts the components sent to the two-ILP fallback route
-	// (solveComponentMILP) instead of support enumeration and projection,
-	// repaired or not.
-	MILP int `json:"milp,omitempty"`
 	// Tuned lists the non-zero tuning assignments.
 	Tuned []Tuning `json:"tuned,omitempty"`
 }
@@ -53,10 +49,9 @@ const (
 )
 
 // sampleSolver carries the per-pass configuration plus per-worker scratch:
-// the support-enumeration systems, the projection LP and its workspace, a
-// resettable MILP problem and branch-and-bound arena for the fallback
-// route, and epoch-stamped index maps, so solving a component in steady
-// state reuses worker-owned memory and performs no heap allocations.
+// the support-enumeration systems, the projection LP and its workspace,
+// and epoch-stamped index maps, so solving a component in steady state
+// reuses worker-owned memory and performs no heap allocations.
 //
 // Ownership: a solver is single-goroutine state. Workers obtain one through
 // Runner.checkout — which hands out exclusive ownership until release — and
@@ -79,9 +74,9 @@ type sampleSolver struct {
 
 	maxComp       int
 	concentration bool
-	// forceMILP sends every component down the two-ILP route (the
-	// reference flow of the equivalence tests; Config.forceMILP).
-	forceMILP bool
+	// repair, when set, replaces solveComponent's combinatorial repair
+	// (Config.repair).
+	repair repairFunc
 
 	adj  [][]int       // FF id → pair indices (from Graph.PairAdjacency)
 	ends []timing.Ends // pair endpoints (from Graph.PairEnds)
@@ -95,22 +90,11 @@ type sampleSolver struct {
 	compBuf []int // active FFs grouped by component (flattened)
 	compOff []int // start offset of each component in compBuf
 	tuned   []Tuning
-	milp    int // components of the current sample the MILP route took
-	// concFails counts failed concentration solves over the solver's
-	// lifetime (the MILP route then keeps the count solve's values); the
-	// equivalence harness fails on any.
-	concFails int
+	xSol    []float64 // the component's tuning values, for emit
 
-	// per-component scratch of the two-ILP route (solveComponentMILP)
-	prob  *milp.Problem // resettable; rebuilt for every component
-	arena milp.Arena
-	xVar  []int
-	cVar  []int
-	csum  []lp.Term
-	xSol  []float64 // per-comp tuning values surviving across the 2nd solve
-
-	// per-component count scratch (walkRows, countMin): the component
-	// being solved, its rows, and the support systems' working memory.
+	// per-component count scratch (walkRows, countMin, supportPoint): the
+	// component being solved, its rows, and the support systems' working
+	// memory.
 	comp   []int
 	rows   []compRow
 	node   []int
@@ -118,13 +102,13 @@ type sampleSolver struct {
 	fDist  []float64
 	isys   diffcon.IntSystem
 	isv    diffcon.IntSolver
+	kSol   []int64
 
 	// per-component projection scratch (project): where countMin's size-nk
 	// enumeration stopped, the support's variables (supp: component
 	// indices), their boxes and centers, the current and best projections
 	// over the component, and the nk ≥ 2 LP.
 	nkMask             uint32
-	nkOpen             bool
 	nkBudget           int
 	supp               []int
 	boxLo, boxHi, boxC []float64
@@ -158,7 +142,6 @@ func newSolverScratch(g *timing.Graph, adj [][]int) *sampleSolver {
 		holdB:      make([]float64, len(g.Pairs)),
 		active:     make([]bool, g.NS),
 		compID:     make([]int, g.NS),
-		prob:       milp.NewProblem(),
 		posIdx:     make([]int, g.NS),
 		posEpoch:   make([]uint64, g.NS),
 		seenEpoch:  make([]uint64, len(g.Pairs)),
@@ -181,7 +164,7 @@ func (s *sampleSolver) configure(cfg Config, mode solverMode, allowed []bool, lo
 	s.mode = mode
 	s.maxComp = cfg.MaxComponent
 	s.concentration = !cfg.NoConcentration
-	s.forceMILP = cfg.forceMILP
+	s.repair = cfg.repair
 	if allowed == nil {
 		allowed = s.allTrue
 	}
@@ -189,17 +172,6 @@ func (s *sampleSolver) configure(cfg Config, mode solverMode, allowed []bool, lo
 		center = s.zeroCenter
 	}
 	s.allowed, s.lower, s.center = allowed, lower, center
-}
-
-// windowOf returns the tuning window [lo, hi] of a buffer at ff.
-func (s *sampleSolver) windowOf(ff int) (lo, hi float64) {
-	tau := s.spec.MaxRange
-	if s.mode == modeFloating {
-		// Floating lower bound r with r ≤ 0 ≤ r+τ and x ∈ [r, r+τ]
-		// collapses to x ∈ [−τ, τ] (see DESIGN.md).
-		return -tau, tau
-	}
-	return s.lower[ff], s.lower[ff] + tau
 }
 
 // solve repairs one chip: it realizes the constraint bounds, grows
@@ -264,8 +236,8 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 	// across a *setup-tight* edge (bound < τ): a single moving endpoint
 	// cannot violate a bound ≥ τ because |x| ≤ τ, and hold-repair chains
 	// do not propagate at hold-safe skews. Constraints with larger bounds
-	// still enter the ILP as rows (with the passive side fixed at 0), so
-	// the restriction is conservative — it can cost an extra buffer in
+	// still enter the component's rows (with the passive side fixed at 0),
+	// so the restriction is conservative — it can cost an extra buffer in
 	// rare cascades but never produces an infeasible-marked sample that a
 	// wider closure could fix... except through the MaxComponent cap,
 	// which is counted in Stats.TruncatedComps.
@@ -328,21 +300,22 @@ func (s *sampleSolver) solve(ch *timing.Chip) SampleOutcome {
 	}
 	// 5. Solve each component.
 	s.tuned = s.tuned[:0]
-	s.milp = 0
 	out := SampleOutcome{Feasible: true, Truncated: truncated}
 	for c := range s.compOff {
 		end := len(s.compBuf)
 		if c+1 < len(s.compOff) {
 			end = s.compOff[c+1]
 		}
-		nk, ok := s.solveComponent(s.compBuf[s.compOff[c]:end])
+		nk, ok, capped := s.solveComponent(s.compBuf[s.compOff[c]:end])
 		if !ok {
-			return SampleOutcome{Truncated: truncated, MILP: s.milp}
+			if capped {
+				truncated++
+			}
+			return SampleOutcome{Truncated: truncated}
 		}
 		out.NK += nk
 	}
 	out.Tuned = s.tuned
-	out.MILP = s.milp
 	return out
 }
 
@@ -360,95 +333,37 @@ func (s *sampleSolver) expands(p int) bool {
 	return s.setupB[p] < s.spec.MaxRange || s.holdB[p] < 0
 }
 
-// solveComponent repairs one component, appending the resulting tunings to
-// s.tuned, and returns the minimum count nk and feasibility. No ILP runs on
-// the common path: countMin decides the count by support enumeration, and
-// project replaces the concentration ILP by projecting the centers onto
-// every robustly feasible support of size nk. Every case either leaves
-// open — an undecided or oversized component, an infeasible full support,
-// the NoConcentration ablation (which keeps the count solve's tuning
-// values), an undecided size-nk support, a failed LP or a non-integral grid
-// index — runs the two-ILP solveComponentMILP instead. Both routes reach
-// the same objective; where supports tie they may emit different tunings
-// (DESIGN.md, "Combinatorial repair"). A decided nk is at least 1 (see
-// countMin); zero tunings come only from the MILP's hairline rule.
-func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
+// repairFunc repairs one component in place of solveComponent's
+// combinatorial repair: s.rows holds comp's rows (walkRows), the tunings
+// go to s.tuned, and it returns the count and whether comp was repaired.
+type repairFunc func(s *sampleSolver, comp []int) (nk int, ok bool)
+
+// solveComponent repairs one component without an ILP, appending the
+// resulting tunings to s.tuned, and returns the minimum count nk and
+// whether comp was repaired; capped marks a component left unrepaired
+// because it is too large to enumerate. countMin decides the count by
+// support enumeration, and project replaces the concentration ILP by
+// projecting the centers onto every feasible support of size nk. The
+// NoConcentration ablation, and a component whose projection fails, emit
+// the first feasible size-nk support's Bellman-Ford point instead
+// (DESIGN.md, "Combinatorial repair").
+//
+//contract:allocfree
+func (s *sampleSolver) solveComponent(comp []int) (nk int, ok, capped bool) {
 	s.walkRows(comp)
-	if !s.concentration || s.forceMILP {
-		return s.solveComponentMILP(comp)
+	if s.repair != nil {
+		nk, ok = s.repair(s, comp)
+		return nk, ok, false
 	}
-	nk, decided := s.countMin(len(comp))
-	if !decided || !s.project(len(comp)) {
-		return s.solveComponentMILP(comp)
+	n := len(comp)
+	if nk, ok, capped = s.countMin(n); !ok {
+		return 0, false, capped
 	}
-	s.emit(comp)
-	return nk, true
-}
-
-// solveComponentMILP builds and solves the two ILPs for one component: the
-// minimum-count ILP, then the concentration ILP under its count. It is the
-// fallback and oracle of solveComponent, with the same contract, and counts
-// itself in s.milp; s.rows must hold comp's rows (walkRows).
-func (s *sampleSolver) solveComponentMILP(comp []int) (int, bool) {
-	s.milp++
-	xVar, cVar := s.buildProblem(comp)
-	solA, err := s.prob.SolveArena(&s.arena, milp.Options{})
-	if err != nil || solA.Status != lp.Optimal {
-		return 0, false
-	}
-	nk := int(math.Round(solA.Obj))
-	if nk == 0 {
-		// Reachable, but only for hairline violations: every component
-		// contains an endpoint of a violated pair (components grow from
-		// violated-pair seeds through interacting edges), and that pair's
-		// row forces a non-zero tuning — yet when the violated bound is
-		// within the solver's tolerances of zero (the LP's feasibility
-		// tolerance, or a usage binary within the integrality tolerance of
-		// 0, which lets x reach τ·1e-6), no usage binary is charged. Such a
-		// sample needs no physically meaningful repair; accept it as zero
-		// tunings. See TestSolveComponentHairlineViolation.
-		return 0, true
-	}
-	// Keep step-A tuning values: solA.X aliases arena memory that the
-	// concentration solve below reuses.
-	s.xSol = s.xSol[:0]
-	for idx := range comp {
-		s.xSol = append(s.xSol, solA.X[xVar[idx]])
-	}
-	// Skipped under the NoConcentration ablation; a failed concentration
-	// solve keeps the count solve's values.
-	if s.concentration && !s.concentrate(comp, xVar, cVar, nk) {
-		s.concFails++
+	if !s.concentration || !s.project(n) {
+		s.supportPoint(n, s.nkMask)
 	}
 	s.emit(comp)
-	return nk, true
-}
-
-// concentrate solves the concentration ILP: the component's constraints
-// plus Σc ≤ nk, minimizing Σ|x − center|. Rather than rebuilding, it
-// mutates the count problem in place: the count objective moves into a row
-// cap and |x − center| terms take over the objective. On success the
-// tuning values land in s.xSol; on failure s.xSol is left as it was.
-func (s *sampleSolver) concentrate(comp, xVar, cVar []int, nk int) bool {
-	prob := s.prob
-	s.csum = s.csum[:0]
-	for _, c := range cVar {
-		prob.LP.SetObj(c, 0)
-		s.csum = append(s.csum, lp.T(c, 1))
-	}
-	prob.AddRow(lp.LE, float64(nk), s.csum...)
-	for idx, ff := range comp {
-		prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
-	}
-	sol, err := prob.SolveArena(&s.arena, milp.Options{})
-	if err != nil || sol.Status != lp.Optimal {
-		return false
-	}
-	s.xSol = s.xSol[:0]
-	for idx := range comp {
-		s.xSol = append(s.xSol, sol.X[xVar[idx]])
-	}
-	return true
+	return nk, true, false
 }
 
 // emit appends the component's non-zero tuning values in s.xSol to s.tuned,
@@ -477,7 +392,7 @@ type compRow struct {
 }
 
 // walkRows lists into s.rows every interacting pair touching the
-// component, in adjacency order (the MILP's row order), and stamps each
+// component, in adjacency order, and stamps each
 // component FF's index into posIdx for the current epoch. Self-loop pairs
 // are skipped: x cancels in them.
 func (s *sampleSolver) walkRows(comp []int) {
@@ -509,49 +424,4 @@ func (s *sampleSolver) walkRows(comp []int) {
 			s.rows = append(s.rows, compRow{l: l, c: c, setup: s.setupB[p], hold: s.holdB[p]})
 		}
 	}
-}
-
-// buildProblem assembles the component MILP shared by both objectives into
-// the solver's resettable problem: variables x (tuning) and c (usage
-// binaries with the Γ=τ indicator), all setup/hold rows touching the
-// component (s.rows, which walkRows must have listed for comp), and — in
-// step 2 — the discrete grid coupling x = lower + s·k. The returned slices
-// alias solver scratch.
-func (s *sampleSolver) buildProblem(comp []int) (xVar, cVar []int) {
-	tau := s.spec.MaxRange
-	prob := s.prob
-	prob.Reset()
-	s.xVar = s.xVar[:0]
-	s.cVar = s.cVar[:0]
-	for _, ff := range comp {
-		lo, hi := s.windowOf(ff)
-		x := prob.AddVar(milp.Continuous, lo, hi, 0, "x")
-		c := prob.AddVar(milp.Binary, 0, 1, 1, "c")
-		s.xVar = append(s.xVar, x)
-		s.cVar = append(s.cVar, c)
-		prob.Indicator(x, c, tau)
-		if s.mode == modeFixed {
-			// x − s·k = lower, k ∈ [0, Steps] integer.
-			k := prob.AddVar(milp.Integer, 0, float64(s.spec.Steps), 0, "k")
-			prob.AddRow(lp.EQ, s.lower[ff], lp.T(x, 1), lp.T(k, -s.spec.Step()))
-		}
-	}
-	xVar, cVar = s.xVar, s.cVar
-	for _, r := range s.rows {
-		switch {
-		case r.l >= 0 && r.c >= 0:
-			// setup: x_l − x_c ≤ setupB; hold: x_c − x_l ≤ holdB.
-			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.l], 1), lp.T(xVar[r.c], -1))
-			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.c], 1), lp.T(xVar[r.l], -1))
-		case r.l >= 0:
-			// Capture fixed at 0.
-			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.l], 1))
-			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.l], -1))
-		default:
-			// Launch fixed at 0.
-			prob.AddRow(lp.LE, r.setup, lp.T(xVar[r.c], -1))
-			prob.AddRow(lp.LE, r.hold, lp.T(xVar[r.c], 1))
-		}
-	}
-	return xVar, cVar
 }

@@ -74,7 +74,7 @@ func TestSolveSingleViolation(t *testing.T) {
 	}
 	// Either endpoint repairs it: delay FF1's capture clock (x1 = +30) or
 	// advance FF0's launch clock (x0 = −30); both are single-buffer optima
-	// and the branch-and-bound may surface either argmin.
+	// and the repair may take either.
 	tn := out.Tuned[0]
 	switch tn.FF {
 	case 0:
@@ -189,7 +189,7 @@ func TestSolveTwoIndependentComponents(t *testing.T) {
 
 func TestSolveSharedFFMinimizesCount(t *testing.T) {
 	// FF1 captures two violated pairs (0→1 and 2→1): one buffer at FF1
-	// fixes both; the ILP must find nk = 1, not 2.
+	// fixes both; the count must be nk = 1, not 2.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},
 		{Launch: 2, Capture: 1},
@@ -271,31 +271,32 @@ func TestNoConcentrationStillFeasible(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewRunner(g, nil).checkout(cfg, modeFloating, nil, nil, nil)
-	out := s.solve(ch)
-	if !out.Feasible || out.NK != 1 {
-		t.Fatalf("out = %+v", out)
-	}
-	// The count-optimal value still repairs the violation, from either
-	// endpoint (x1 ≥ +30 delays the capture, x0 ≤ −30 advances the launch).
-	if len(out.Tuned) != 1 {
-		t.Fatalf("tuned = %+v, want one buffer", out.Tuned)
-	}
-	tn := out.Tuned[0]
-	if !(tn.FF == 1 && tn.Val >= 30-1e-6) && !(tn.FF == 0 && tn.Val <= -(30-1e-6)) {
-		t.Fatalf("tuned = %+v, does not repair the violation", out.Tuned)
+	lower := []float64{0, 0, 0}
+	for _, mode := range []solverMode{modeFloating, modeFixed} {
+		s := NewRunner(g, nil).checkout(cfg, mode, []bool{true, true, true}, lower, nil)
+		out := s.solve(ch)
+		if !out.Feasible || out.NK != 1 {
+			t.Fatalf("mode %d: out = %+v", mode, out)
+		}
+		// The first feasible support's Bellman-Ford point still repairs
+		// the violation: x1 ≥ +30 delays the capture, or, in step 1,
+		// x0 ≤ −30 advances the launch (step 2's windows [0, 50] rule
+		// that out).
+		if len(out.Tuned) != 1 {
+			t.Fatalf("mode %d: tuned = %+v, want one buffer", mode, out.Tuned)
+		}
+		if err := s.checkTunings(s.compBuf, out.NK, out.Tuned, 1e-9); err != nil {
+			t.Fatalf("mode %d: tuned = %+v: %v", mode, out.Tuned, err)
+		}
 	}
 }
 
 func TestSolveComponentHairlineViolation(t *testing.T) {
-	// A pair violated by less than the solver's tolerances: the solver
-	// counts it as a violation and builds a component, but the min-count
-	// ILP legitimately returns nk = 0 because x = 0 satisfies the row
-	// within tolerance. The combinatorial count cannot decide it (the
-	// empty support passes only with the bound loosened by δ), so the
-	// component takes the MILP route, whose nk == 0 branch is the one
-	// reachable path to zero tunings — the sample must come back feasible
-	// with zero tunings, not be marked unfixable.
+	// A pair violated by 1e-9 ps, far below the ILP's tolerances (where
+	// the count MILP returns nk = 0 because x = 0 satisfies the row within
+	// tolerance). The exact repair counts it like any violation — the
+	// sample stays feasible with nk = 1 — and emit's 1e-7 ps floor drops
+	// the vanishing 1e-9 tuning, so no buffer is used.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},
 		{Launch: 1, Capture: 2},
@@ -307,24 +308,23 @@ func TestSolveComponentHairlineViolation(t *testing.T) {
 	if !out.Feasible {
 		t.Fatalf("hairline violation must stay feasible: %+v", out)
 	}
-	if out.NK != 0 || len(out.Tuned) != 0 {
-		t.Fatalf("hairline violation needs no repair, got nk=%d tuned=%v", out.NK, out.Tuned)
+	if out.NK != 1 || len(out.Tuned) != 0 {
+		t.Fatalf("hairline violation: nk=%d tuned=%v, want nk=1 and no tuning", out.NK, out.Tuned)
 	}
 	comp := s.compBuf
 	s.walkRows(comp)
-	if nk, decided := s.countMin(len(comp)); decided {
-		t.Fatalf("countMin decided a hairline component (nk=%d); it must fall back to the MILP", nk)
+	if class, _ := s.bandClassify(len(comp)); class != bandHairline {
+		t.Fatalf("the δ band classifies the hairline as %d, want bandHairline", class)
 	}
-	if nk, ok := s.solveComponentMILP(comp); !ok || nk != 0 {
-		t.Fatalf("MILP route on the hairline: nk=%d ok=%v, want 0 true", nk, ok)
+	if nk, ok := newMILPRoute(nil).solveComponent(s, comp); !ok || nk != 0 {
+		t.Fatalf("MILP oracle on the hairline: nk=%d ok=%v, want 0 true", nk, ok)
 	}
 }
 
 func TestSolveWarmZeroAllocs(t *testing.T) {
 	// A warm per-sample solve — including component discovery, the
-	// support enumeration, the ILP builds and all branch-and-bound LP
-	// relaxations — must run entirely out of solver-owned scratch, in both
-	// modes.
+	// support enumeration and the projection LP — must run entirely out of
+	// solver-owned scratch, in both modes.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},
 		{Launch: 1, Capture: 2},

@@ -13,13 +13,13 @@
 // concentration pulls values toward their average, and final ranges are
 // the observed min/max.
 //
-// Neither per-sample ILP runs on the common path. Each violation component
-// is repaired combinatorially: the count by support enumeration over
-// difference constraints, the concentration by projecting the centers onto
-// every feasible support of that size (an LP without binaries when more
-// than one FF moves). The paper's two ILPs remain as the fallback for the
-// cases enumeration leaves open and as the test oracle (DESIGN.md,
-// "Combinatorial repair").
+// Neither per-sample ILP runs. Each violation component is repaired
+// exactly and combinatorially: the count (15) by support enumeration over
+// difference constraints, the concentration (19) by projecting the centers
+// onto every feasible support of that size (an LP without binaries when
+// more than one FF moves). The paper's two ILPs survive only as the test
+// oracle the repair is checked against (DESIGN.md, "Combinatorial repair"
+// and "Oracles").
 //
 // Step 3 (§III-C): buffers with mutually correlated tuning values within a
 // Manhattan-distance threshold merge into one physical buffer.
@@ -89,7 +89,7 @@ type Config struct {
 	// (0 = no cap); excess groups with the fewest tunings are dropped.
 	MaxBuffers int
 
-	// MaxComponent caps the tight-constraint closure per sub-ILP; larger
+	// MaxComponent caps the tight-constraint closure per sample; larger
 	// components are truncated (a documented acceleration; see DESIGN.md).
 	// 0 means 64.
 	MaxComponent int
@@ -104,9 +104,10 @@ type Config struct {
 
 	// Ablation switches (all false = the paper's flow).
 
-	// NoConcentration skips the second ILP of each pass (objectives (15)
-	// and (19)): tuning values are whatever the count-minimal solve
-	// returns, as scattered as Fig. 5a.
+	// NoConcentration skips the concentration step of each pass
+	// (objective (19)): each component takes the Bellman-Ford point of its
+	// first feasible minimum-count support instead of the point nearest
+	// the centers.
 	NoConcentration bool
 	// NoPruning skips §III-A2: every FF tuned at least once keeps its
 	// buffer candidate into step 2.
@@ -128,10 +129,10 @@ type Config struct {
 	// onRealize forwards to mc.Engine.OnRealize — a test hook for asserting
 	// how many chip realizations a flow run performs.
 	onRealize func(k int)
-	// forceMILP sends every component of every pass through the two-ILP
-	// route — the reference flow the equivalence tests and the MILP solve
-	// digests compare against. Never set on a serving path.
-	forceMILP bool
+	// repair, when set, repairs every component of every pass in place of
+	// the combinatorial repair — the test seam through which the two-ILP
+	// oracle runs whole flows. Never set on a serving path.
+	repair repairFunc
 }
 
 func (cfg *Config) fill() error {
@@ -209,7 +210,7 @@ type Stats struct {
 	InfeasibleStep1  int // samples no tuning assignment can fix
 	SelfLoopFailures int // samples with violated self-loop pairs
 	ZeroViolation    int // samples needing no tuning at all
-	TruncatedComps   int // closures cut at MaxComponent
+	TruncatedComps   int // step-1 closures cut at MaxComponent, or too large to enumerate
 
 	// TuneCountStep1[ff] is the number of samples tuning ff in step 1
 	// (the node weights of Fig. 4).
@@ -221,11 +222,6 @@ type Stats struct {
 	SkippedB1   bool    // 0.1 % rule applied
 
 	InfeasibleStep2 int
-
-	// MILPComponents counts the components, over every pass, sent to the
-	// two-ILP fallback route instead of support enumeration and projection
-	// (see SampleOutcome.MILP).
-	MILPComponents int
 
 	// Step-1 and step-2 tuning value lists per kept FF (inputs of Fig. 5).
 	ValuesStep1 map[int][]float64

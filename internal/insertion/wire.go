@@ -8,7 +8,7 @@ import (
 // the sharded sample loop ships between processes. The frame is flat
 // little-endian (see internal/shard/wire): a u32 outcome count, then per
 // outcome a flag byte (feasible, self-loop, tuned-present), the
-// truncated, NK and MILP counters, and the Tuning list as (ff, val) pairs.
+// truncated and NK counters, and the Tuning list as (ff, val) pairs.
 // float64 values travel by bit pattern, so a decoded batch merges into
 // byte-identical statistics exactly like its JSON twin.
 
@@ -41,7 +41,6 @@ func AppendOutcomes(buf []byte, outs []SampleOutcome) []byte {
 		buf = wire.AppendU8(buf, flags)
 		buf = wire.AppendInt(buf, o.Truncated)
 		buf = wire.AppendInt(buf, o.NK)
-		buf = wire.AppendInt(buf, o.MILP)
 		buf = wire.AppendU32(buf, uint32(len(o.Tuned)))
 		for _, tn := range o.Tuned {
 			buf = wire.AppendInt(buf, tn.FF)
@@ -71,8 +70,8 @@ type OutcomeBuf struct {
 func (b *OutcomeBuf) Decode(r *wire.Reader) []SampleOutcome {
 	b.outs = b.outs[:0]
 	b.tunings = b.tunings[:0]
-	// Flag byte + truncated + NK + MILP + tuned count: 29 bytes minimum.
-	n := r.Count(29)
+	// Flag byte + truncated + NK + tuned count: 21 bytes minimum.
+	n := r.Count(21)
 	for i := 0; i < n; i++ {
 		flags := r.U8()
 		if flags&^(outcomeFeasible|outcomeSelfLoop|outcomeTuned) != 0 {
@@ -86,7 +85,6 @@ func (b *OutcomeBuf) Decode(r *wire.Reader) []SampleOutcome {
 			SelfLoop:  flags&outcomeSelfLoop != 0,
 			Truncated: r.Int(),
 			NK:        r.Int(),
-			MILP:      r.Int(),
 		}
 		nt := r.Count(16)
 		if r.Err() != nil {

@@ -16,8 +16,7 @@ func sampleOutcomes() []SampleOutcome {
 		{Feasible: true, NK: 2, Tuned: []Tuning{{FF: 3, Val: 1.25}, {FF: 9, Val: -0.5}}},
 		{SelfLoop: true},
 		{Feasible: true, Truncated: 1, NK: 5, Tuned: []Tuning{{FF: 0, Val: 0.1}}},
-		{Feasible: true, NK: 3, MILP: 2, Tuned: []Tuning{{FF: 4, Val: -2.5}}},
-		{MILP: 1},
+		{Truncated: 2},
 	}
 }
 
@@ -62,7 +61,6 @@ func TestOutcomesRejectsUnknownFlags(t *testing.T) {
 	buf = wire.AppendU8(buf, 0x80) // flag bit from a future layout
 	buf = wire.AppendInt(buf, 0)   // truncated
 	buf = wire.AppendInt(buf, 0)   // NK
-	buf = wire.AppendInt(buf, 0)   // MILP
 	buf = wire.AppendU32(buf, 0)
 	var ob OutcomeBuf
 	r := wire.NewReader(buf)

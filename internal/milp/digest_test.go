@@ -1,4 +1,4 @@
-package milp_test
+package milp
 
 import (
 	"crypto/sha256"
@@ -10,10 +10,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/expt"
-	"repro/internal/insertion"
 	"repro/internal/lp"
-	"repro/internal/milp"
 )
 
 // solveDigests pins the SHA-256 of every SolveArena result in each corpus
@@ -23,28 +20,23 @@ import (
 // node count moves a digest. Recorded on amd64, where the compiler never
 // fuses multiply-adds, from the cold search (every node a two-phase SolveWS)
 // of the solver that still carried warm restarts, so they also show that
-// removing them changed no bit of that search. The per-sample ILPs have left
-// the flow (insertion repairs components by support enumeration and
-// projection), so the s9234 parts drive the flow with every component
-// forced through the two-ILP route (insertion.NewSampleBenchMILP).
+// removing them changed no bit of that search. The flow's own ILPs are
+// hashed the same way by insertion's TestOracleSolveDigests.
 var solveDigests = map[string]string{
-	"integer":          "3c9ad9fe391fa385fc4087f710b9e381688e8f6a5879f86edd92d5c6b2c08f12",
-	"cover":            "7edd1d1e6bac9647a7b81a7d1b7f41275d74351b429421b73ede4174a149e922",
-	"mixed":            "28cf20b6573e573b72d77d617604c1c729aacc53949da8233083af449b7b3a58",
-	"mincount":         "155e9704a1936023c3ee15f05f9f11f873a79671c81f7b82e00cb828fdc819d4",
-	"s9234/muT":        "3e261251b472b5cb8ac79151d99bf84439c28e8b96dd86f05976cf8d2619fd3f",
-	"s9234/muT+sigma":  "30f62ea1f8a87199e7897f2ae4d910d806509fd656f046797466f09d6b9eb571",
-	"s9234/muT+2sigma": "f74269fa45a3effd578bc99486b6ebd3c9763caa7adf10465d931329dcd1a5ee",
+	"integer":  "3c9ad9fe391fa385fc4087f710b9e381688e8f6a5879f86edd92d5c6b2c08f12",
+	"cover":    "7edd1d1e6bac9647a7b81a7d1b7f41275d74351b429421b73ede4174a149e922",
+	"mixed":    "28cf20b6573e573b72d77d617604c1c729aacc53949da8233083af449b7b3a58",
+	"mincount": "155e9704a1936023c3ee15f05f9f11f873a79671c81f7b82e00cb828fdc819d4",
 }
 
-// solveDigester hashes SolveArena results through the test hook.
+// solveDigester hashes solve results at their call sites.
 type solveDigester struct {
 	h      hash.Hash
 	buf    []byte
 	solves int
 }
 
-func (d *solveDigester) observe(_ *milp.Arena, s milp.Solution, err error) {
+func (d *solveDigester) observe(s Solution, err error) {
 	put := func(v uint64) { d.buf = binary.LittleEndian.AppendUint64(d.buf, v) }
 	d.buf = d.buf[:0]
 	put(uint64(s.Status))
@@ -63,13 +55,13 @@ func (d *solveDigester) observe(_ *milp.Arena, s milp.Solution, err error) {
 }
 
 // minCountShape is BenchmarkMILPMinCount's per-sample min-buffer ILP.
-func minCountShape() *milp.Problem {
-	p := milp.NewProblem()
+func minCountShape() *Problem {
+	p := NewProblem()
 	const n = 8
 	var xs, cs [n]int
 	for v := 0; v < n; v++ {
-		xs[v] = p.AddVar(milp.Continuous, -50, 50, 0, "x")
-		cs[v] = p.AddVar(milp.Binary, 0, 1, 1, "c")
+		xs[v] = p.AddVar(Continuous, -50, 50, 0, "x")
+		cs[v] = p.AddVar(Binary, 0, 1, 1, "c")
 		p.Indicator(xs[v], cs[v], 50)
 	}
 	for v := 0; v < n-1; v++ {
@@ -78,19 +70,13 @@ func minCountShape() *milp.Problem {
 	return p
 }
 
-// TestSolveDigests pins the solver's exact output: the seeded random
-// problems of the milp tests, the min-count benchmark shape, and every
-// per-sample ILP that insertion.NewSampleBenchMILP (step-1 pass, step-2
-// derivation) and SampleBench.Solve (step 1 + step 2) solve on s9234 at the
-// three Table-I targets.
+// TestSolveDigests pins the solver's exact output on the seeded random
+// problems of the milp tests and the min-count benchmark shape.
 func TestSolveDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded with amd64 floating-point rounding")
 	}
 	d := &solveDigester{}
-	milp.SetTestHookSolved(d.observe)
-	defer milp.SetTestHookSolved(nil)
-
 	got := map[string]string{}
 	part := func(name string, run func()) {
 		d.h, d.solves = sha256.New(), 0
@@ -99,56 +85,33 @@ func TestSolveDigests(t *testing.T) {
 		t.Logf("%s: %d solves", name, d.solves)
 	}
 	part("integer", func() {
-		var a milp.Arena
+		var a Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			milp.RandomIntegerMILP(rand.New(rand.NewPCG(seed, 71))).SolveArena(&a, milp.Options{})
+			d.observe(randomIntegerMILP(rand.New(rand.NewPCG(seed, 71))).SolveArena(&a, Options{}))
 		}
 	})
 	part("cover", func() {
-		var a milp.Arena
+		var a Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			milp.RandomCoverMILP(rand.New(rand.NewPCG(seed, 83))).SolveArena(&a, milp.Options{})
+			d.observe(randomCoverMILP(rand.New(rand.NewPCG(seed, 83))).SolveArena(&a, Options{}))
 		}
 	})
 	part("mixed", func() {
-		var a milp.Arena
+		var a Arena
 		for seed := uint64(0); seed < 300; seed++ {
-			milp.RandomMixedMILP(seed).SolveArena(&a, milp.Options{})
+			d.observe(randomMixedMILP(seed).SolveArena(&a, Options{}))
 		}
 	})
 	part("mincount", func() {
-		var a milp.Arena
+		var a Arena
 		p := minCountShape()
-		p.Solve(milp.Options{})
-		p.SolveArena(&a, milp.Options{})
-		p.SolveArena(&a, milp.Options{}) // again on the reused arena
+		d.observe(p.Solve(Options{}))
+		d.observe(p.SolveArena(&a, Options{}))
+		d.observe(p.SolveArena(&a, Options{})) // again on the reused arena
 	})
 
-	if !testing.Short() {
-		b, err := expt.PreparePreset("s9234", expt.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, target := range expt.Targets {
-			part("s9234/"+target.String(), func() {
-				for _, seed := range []uint64{0xF00D, 101, 202} {
-					// One worker keeps the pass's solve order fixed.
-					sb, err := insertion.NewSampleBenchMILP(b.Graph, insertion.Config{
-						T: b.PeriodFor(target), Samples: 400, Seed: seed, Workers: 1,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 3; i++ {
-						sb.Solve()
-					}
-				}
-			})
-		}
-	}
-
 	for name, want := range solveDigests {
-		if g, ok := got[name]; ok && g != want {
+		if g := got[name]; g != want {
 			t.Errorf("%s: solve digest %s, want %s", name, g, want)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package milp implements a branch-and-bound mixed-integer linear solver on
-// top of the simplex in internal/lp. It is the engine behind the per-sample
-// ILPs of the buffer-insertion flow: binary buffer-usage indicators cᵢ with
+// top of the simplex in internal/lp. It solves the paper's per-sample ILPs
+// of the buffer-insertion flow — binary buffer-usage indicators cᵢ with
 // big-M coupling to tuning values, and (in step 2) integer grid positions
-// kᵢ of the discrete tuning delays. Sub-problems are small after the
-// violation-component decomposition, so branch-and-bound with
+// kᵢ of the discrete tuning delays — as the test oracle of the flow's
+// exact combinatorial repair: only tests import it. Sub-problems are small
+// after the violation-component decomposition, so branch-and-bound with
 // most-fractional branching solves them exactly.
 //
 // Every node relaxation is a cold two-phase lp.SolveWS on one reused
@@ -172,21 +173,6 @@ func (p *Problem) Solve(opt Options) (Solution, error) {
 //
 //contract:allocfree
 func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
-	s, err := p.solveArena(a, opt)
-	if testHookSolved != nil {
-		testHookSolved(a, s, err)
-	}
-	return s, err
-}
-
-// testHookSolved, when non-nil, observes every SolveArena result. Only tests
-// set it, to digest the solver's exact output on the flow's own ILPs.
-var testHookSolved func(a *Arena, s Solution, err error)
-
-// solveArena is SolveArena's branch-and-bound search.
-//
-//contract:allocfree
-func (p *Problem) solveArena(a *Arena, opt Options) (Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes

@@ -239,7 +239,7 @@ type InsertPassRequest struct {
 	Spec insertion.BufferSpec `json:"spec,omitempty"`
 	// MaxComponent caps the per-sample closure (0 = default 64).
 	MaxComponent int `json:"max_component,omitempty"`
-	// NoConcentration skips the concentration ILPs (ablation).
+	// NoConcentration skips the concentration step (ablation).
 	NoConcentration bool               `json:"no_concentration,omitempty"`
 	Pass            insertion.PassSpec `json:"pass"`
 	Range           shard.Range        `json:"range"`

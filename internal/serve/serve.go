@@ -195,7 +195,8 @@ func checkSweepSamples(n, sweeps int) error {
 }
 
 // Service is the paper's flow as three calls: prepare the SSTA model, run
-// the per-sample insertion ILPs, count Monte Carlo yield. A Server answers
+// the sampling insertion flow (a per-sample repair of every chip), count
+// Monte Carlo yield. A Server answers
 // them in this process, a Client forwards them to a bufinsd daemon; both
 // run the same deterministic code on the same seeds, so a caller holding
 // a Service gets byte-identical answers from either.
@@ -253,9 +254,6 @@ type metrics struct {
 	// (expt.WhatIfResult.Chips).
 	whatIfRecord atomic.Int64
 	whatIfFull   atomic.Int64
-	// milpComps counts the per-sample components computed insert flows
-	// sent to the two-ILP fallback route (insertion.Stats.MILPComponents).
-	milpComps atomic.Int64
 	// benchPanic and planPanic count panics recoverPanic turned into a 500
 	// in the bench and plan singleflights.
 	benchPanic atomic.Int64
@@ -393,9 +391,10 @@ func badRequest(format string, args ...any) error {
 // bench and plan singleflights run their computation through it, so a
 // panic fails the requests sharing that computation instead of leaving a
 // half-built entry that every later request on its key would trip over.
-// It sees only panics on the calling goroutine: one inside an mc.ForEach
-// worker (chip realization, the insertion sample passes) still ends the
-// process.
+// A panic inside an mc worker goroutine (chip realization, the insertion
+// sample passes) reaches it too: mc's chunked loop recovers the worker's
+// panic and raises it again on the calling goroutine, so an in-process
+// insert pass that panics becomes a 500 and evicts its plan entry.
 func recoverPanic(f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -730,7 +729,6 @@ func (s *Server) runPlan(ctx context.Context, req InsertRequest, e *benchEntry, 
 		return
 	}
 	st := res.Stats
-	s.m.milpComps.Add(int64(st.MILPComponents))
 	pe.resp = &InsertResponse{
 		Plan: res.Plan(e.sys.Name()),
 		T:    T,
@@ -917,7 +915,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE bufinsd_whatif_chips_total counter\n")
 	fmt.Fprintf(&b, "bufinsd_whatif_chips_total{path=\"record\"} %d\n", s.m.whatIfRecord.Load())
 	fmt.Fprintf(&b, "bufinsd_whatif_chips_total{path=\"full\"} %d\n", s.m.whatIfFull.Load())
-	fmt.Fprintf(&b, "# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total %d\n", s.m.milpComps.Load())
 	fmt.Fprintf(&b, "# TYPE bufinsd_panics_total counter\n")
 	fmt.Fprintf(&b, "bufinsd_panics_total{cache=\"bench\"} %d\n", s.m.benchPanic.Load())
 	fmt.Fprintf(&b, "bufinsd_panics_total{cache=\"plan\"} %d\n", s.m.planPanic.Load())

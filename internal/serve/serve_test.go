@@ -489,7 +489,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`bufinsd_requests_total{endpoint="insert"} 1`,
 		`bufinsd_cache_misses_total{cache="bench"} 1`,
 		"bufinsd_benches 1",
-		"# TYPE bufinsd_milp_components_total counter\nbufinsd_milp_components_total ",
 		"# TYPE bufinsd_panics_total counter\n" +
 			`bufinsd_panics_total{cache="bench"} 0` + "\n" +
 			`bufinsd_panics_total{cache="plan"} 0` + "\n",

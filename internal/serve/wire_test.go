@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -103,6 +104,28 @@ func TestInsertPassResponseRoundTrip(t *testing.T) {
 	}
 	if reqJSON(t, got) != reqJSON(t, resp) {
 		t.Fatalf("round trip diverges:\n got  %s\n want %s", reqJSON(t, got), reqJSON(t, resp))
+	}
+}
+
+// TestInsertPassResponseRejectsVersion2: a version-2 worker framed each
+// outcome with a fourth counter (components repaired by the two-ILP
+// route). Its frames must be refused by version, not misread as the
+// current layout.
+func TestInsertPassResponseRejectsVersion2(t *testing.T) {
+	frame := wire.AppendU8(nil, 2)
+	frame = wire.AppendU32(frame, 1)
+	frame = wire.AppendU8(frame, 1)  // feasible
+	frame = wire.AppendInt(frame, 0) // truncated
+	frame = wire.AppendInt(frame, 1) // NK
+	frame = wire.AppendInt(frame, 1) // two-ILP components
+	frame = wire.AppendU32(frame, 0)
+	frame = wire.AppendInt(frame, 42) // elapsed ms
+	if _, err := decodeInsertPassResponse(frame); !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("version-2 frame: err = %v, want ErrVersion", err)
+	}
+	frame[0] = wire.Version
+	if _, err := decodeInsertPassResponse(frame); err == nil {
+		t.Fatal("version-2 layout decoded cleanly under the current version")
 	}
 }
 

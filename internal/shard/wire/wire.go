@@ -28,8 +28,9 @@ import (
 const ContentType = "application/x-bufins-shard"
 
 // Version is the frame version byte leading every binary payload. Version
-// 2 added the per-outcome MILP counter to insertion pass responses.
-const Version = 2
+// 2 added a per-outcome counter of two-ILP repairs to insertion pass
+// responses; version 3 dropped it again with the two-ILP route.
+const Version = 3
 
 // Decode sentinels. Static (errors.New, not fmt) so latching them in a
 // Reader stays allocation-free on the warm decode path.

@@ -127,6 +127,14 @@ if [ "$stage" = "all" ] || [ "$stage" = "lint" ]; then
         echo "contract lint failed" >&2
         exit "$lint_status"
     fi
+
+    echo "== oracle packages stay out of the binaries =="
+    # internal/milp is the test-only oracle of the per-sample repair: no
+    # command may link it (DESIGN.md "Oracles").
+    if go list -deps ./cmd/... | grep -x 'repro/internal/milp' >/dev/null; then
+        echo "a command links repro/internal/milp, the test-only oracle" >&2
+        exit 1
+    fi
 fi
 
 if [ "$stage" = "lint" ]; then
@@ -322,8 +330,9 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     echo "== fuzz (solver equivalence, chip stream, wire and .bench round-trip, short budget) =="
     # Cross-check the compact simplex layout bit for bit against the
     # full-artificial reference, branch-and-bound on a reused arena against
-    # a fresh arena and the brute-force oracle, and the combinatorial
-    # per-component tuning count and projection against the MILP route, and
+    # a fresh arena and the brute-force oracle, and the exact per-component
+    # tuning count and projection against the test-only two-ILP oracle
+    # (milp's branch-and-bound, which no binary links), and
     # the integer difference-constraint solver (diffcon.IntSystem, which the
     # sweep's rescue probes and countMin run on) on its own invariants;
     # pin the chip realization stream (timing.Stream) bit for bit to
