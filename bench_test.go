@@ -707,7 +707,7 @@ func BenchmarkChipRealization(b *testing.B) {
 	e := mc.New(bench.Graph, 1)
 	e.Workers = 1
 	b.ResetTimer()
-	e.ForEachBatch(b.N, func(int, *timing.Chip) {})
+	e.ForEachRangeBatch(0, b.N, func(int, *timing.Chip) {})
 }
 
 // BenchmarkWhatIfPeriod measures one what-if (expt.Bench.WhatIf: fork,

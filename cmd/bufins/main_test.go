@@ -11,9 +11,11 @@ import (
 // insertion, grouping and yield) to a digest recorded from the command's
 // output before its main body moved into run, and re-recorded when support
 // projection replaced the per-sample concentration ILP (plans move where
-// supports tie; insertion's TestPlanEquivalence bounds the move).
+// supports tie; insertion's TestPlanEquivalence bounds the move) and when
+// the projection took the componentwise-least optimum (two step-1 tuning
+// averages moved).
 func TestRunDigest(t *testing.T) {
-	const want = "d98d9ce4178f619d02ef19ad431f39de2977a419c68d5601f27e1477bd0a29cc"
+	const want = "0c2d2d1da6e9bb080c3fac796a96c716031e0052d8a2df0371c7a8cea1009860"
 	var out bytes.Buffer
 	if err := run([]string{"-preset", "s9234", "-samples", "200", "-eval", "1000"}, &out); err != nil {
 		t.Fatal(err)

@@ -223,7 +223,8 @@ func savePlan(t *testing.T, bench string) string {
 // TestRunDigests pins run()'s stdout for the classic, sweep, plan and
 // adaptive option sets to digests recorded before the CLI moved onto the
 // service surface; sweep was re-recorded when support projection replaced
-// the per-sample concentration ILP (its plan moved where supports tie). The
+// the per-sample concentration ILP (its plan moved where supports tie), and
+// again when the projection took the componentwise-least optimum. The
 // plan file's temp path is printed, so it is replaced by a fixed token
 // before hashing.
 func TestRunDigests(t *testing.T) {
@@ -235,7 +236,7 @@ func TestRunDigests(t *testing.T) {
 		want string
 	}{
 		{"classic", options{bench: bench, samples: 120, evalN: 300, seed: 5}, "3aa05301c9e7eca7b5a2aa0a6a4a874b776c62e2a7c3be98862ef2427ac82618"},
-		{"sweep", options{bench: bench, samples: 120, evalN: 300, seed: 5, periods: 4}, "36c65b39d4695a6e4f6e035684df540a843c3d1b2962702eba4a7ef2d69cceee"},
+		{"sweep", options{bench: bench, samples: 120, evalN: 300, seed: 5, periods: 4}, "e9bebdee89c05a33ebf9846ed6c784f8f93b5bb863c9e932b0816a6683750b33"},
 		{"plan", options{bench: bench, evalN: 300, seed: 5, planFile: plan}, "5ab834e2d4e2d7cb53538001ba7306d5d4e1ef6bf1f2ce56f26d25a3f79b28d7"},
 		{"adaptive", options{bench: bench, samples: 120, evalN: 2000, seed: 5, eps: 0.05, conf: 0.9}, "c961ee63f1e6aac73d0ee129f35754f8a95fe097a8f06f7c8d7c43a2b6a0c380"},
 	}

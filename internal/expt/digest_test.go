@@ -15,18 +15,21 @@ import (
 // digest. The digests were recorded before the integral-objective pruning,
 // sparse pivot rows and small-pass chunking landed, again when support
 // projection replaced the per-sample concentration ILP (plans move where
-// supports tie; insertion's TestPlanEquivalence bounds the move), and once
-// more when the flow's Stats lost its count of two-ILP components: each is
-// the previous encoding's hash with that field cut out. They hold on amd64,
+// supports tie; insertion's TestPlanEquivalence bounds the move), once
+// more when the flow's Stats lost its count of two-ILP components (each
+// the previous encoding's hash with that field cut out), and when the
+// nk ≥ 2 projection took the componentwise-least optimum of a min-cost
+// flow instead of the simplex's pivot-order choice (the same gate bounds
+// that move). They hold on amd64,
 // where the compiler never fuses multiply-adds (other architectures may
 // round differently, so the test only runs there).
 var rowDigests = map[uint64]string{
-	101: "b544b88cd8b6c8204dadef83fcf427cb7431602d11fb12d6d1166c2378d03124",
-	202: "48b1d402e0e5d2c59581bbfb508e0e777fcbb6f909f4bb5f19b787633aa89c21",
-	303: "9fca928061b373c0e382589197291afa43bfa496220d115224761f2b50d2667f",
-	404: "8025f3d2f4a4c8b728429698a6bb7cbcdef65bea11f23f7f629b711ea1064b81",
-	505: "9273ee5d14ce22ae30ddfe053981ce6192db4c7defabc5b64fd1e0171d6d2d0b",
-	606: "7dedd4bf4b8646fd9783b996fe916d65741c760f08441ae3d87b1f48788fa4f2",
+	101: "45a7d0f209a50362589853f8fc09137ddc427c818c9319f1428bb0096f36274b",
+	202: "7fb4493cdc0fa07a4a3473dec7dfe34ed14ea51a5bd955401b8d356fa7c4b7ad",
+	303: "1568a8c9c3f25adfca19fc3dacf277a13989e9d469e6ce5348de1990efbbc769",
+	404: "3ed9c0abf7d4c299bdecea1c1d8df10f31adce2ffd65fc88306be3b30c292a7c",
+	505: "8c2573d7ae89cc73edf5a35bf457274098994b9b6118d4e7a4089e10e36a108a",
+	606: "5441c18bce1ff8eab28b76f5ecc245d3b8dc0543c7dc9f38a55996edc15c9a83",
 }
 
 func TestRunRowsDigests(t *testing.T) {
@@ -62,11 +65,12 @@ func TestRunRowsDigests(t *testing.T) {
 // adaptiveRowDigests pins RunRows under Eps 0.02 the same way: the rows then
 // carry adaptive reports from the shared wave loop. They were recorded
 // before fixed-n and adaptive evaluation were merged into one executor
-// (yield.Drive), and again with rowDigests when support projection landed
-// and when Stats lost its two-ILP component count.
+// (yield.Drive), and again with rowDigests when support projection landed,
+// when Stats lost its two-ILP component count, and when the projection
+// took the componentwise-least optimum.
 var adaptiveRowDigests = map[uint64]string{
-	101: "e63518eb996bd9ac92c293c629d52c95896d65907a12cdea583698127a6f8114",
-	202: "6975292267ced220df0bb7bfb6e57187126d839379b46cea2f6df44789865455",
+	101: "b9122ca1af098f11aadbd50514edf7e445bb557172723d56266114f4a9fd0b9e",
+	202: "81bc704ff6ad437178d61a5cd6f53a66bbb666bbba14ab9369c8c93d55c50647",
 }
 
 func TestRunRowsAdaptiveDigests(t *testing.T) {

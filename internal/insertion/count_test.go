@@ -274,6 +274,33 @@ func TestProjectKeepsBestOnBudget(t *testing.T) {
 	}
 }
 
+// TestProjectUlpEmptyBox: float Bellman-Ford can pass a support whose
+// box, narrowed by the rows to pinned FFs, is empty by an ulp — here
+// x0 ≤ −1 and x0 ≥ −1 + 2⁻⁵³ through one row to FF 1 outside the
+// component, a 2-cycle of weight −2⁻⁵³ that rounding hides. The projection
+// has no failure to fall back from: the clamp (nk = 1) and the flow
+// (nk = 2, with a second FF that must move) both return a repair that
+// misses the row by that ulp.
+func TestProjectUlpEmptyBox(t *testing.T) {
+	pairs := []timing.Pair{{Launch: 0, Capture: 1}, {Launch: 2, Capture: 3}}
+	g := synthGraph(4, pairs)
+	for _, comp := range [][]int{{0}, {0, 2}} {
+		s := solverFor(g, 200, 50, 10, modeFloating, nil, nil, nil)
+		s.setupB[0], s.holdB[0] = -1, 1-math.Pow(2, -53)
+		s.setupB[1], s.holdB[1] = -5, 90
+		nk, ok, capped := s.solveComponent(comp)
+		if !ok || capped || nk != len(comp) {
+			t.Fatalf("comp %v: nk=%d ok=%v capped=%v, want a repair with nk=%d", comp, nk, ok, capped, len(comp))
+		}
+		if lo, hi := s.boxLo[0], s.boxHi[0]; lo <= hi {
+			t.Fatalf("comp %v: box [%v, %v] is not empty", comp, lo, hi)
+		}
+		if err := s.checkTunings(comp, nk, s.tuned, 1e-15); err != nil {
+			t.Fatalf("comp %v: tuned %v: %v", comp, s.tuned, err)
+		}
+	}
+}
+
 // TestCountMinHugeBound: a row joins a component when either bound is
 // below 2τ, so its other bound can be arbitrarily large. A 1e20 ps setup
 // bound next to a real hold violation must read as non-binding in both

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/diffcon"
-	"repro/internal/lp"
 )
 
 // Exact support projection: the concentration step (19) without an ILP.
@@ -19,13 +18,14 @@ import (
 // with one endpoint in S become bounds on it, so with nk = 1 the
 // projection is a clamp: the center into the window intersected with those
 // bounds (step 1), or the grid index nearest the center's index within the
-// intersected index range (step 2). With nk ≥ 2 it is an LP with 2·nk
-// columns (x, and t ≥ |x − c|) and no binaries. Step 2 solves it in
-// grid-index space: the bounds are the integer grid bounds gridFits uses
-// and the centers are grid indices (gridCenters snaps them), so the
-// difference rows form a transposed network matrix whose cells, cut at the
-// integer centers, have integral vertices, and so has the optimum the
-// simplex returns.
+// intersected index range (step 2). With nk ≥ 2 it is the dual of a
+// min-cost circulation, which l1Flow solves exactly; it returns the
+// componentwise-least optimal point, so a support with several optima
+// yields the one a stated rule picks. Step 2 solves it in grid-index
+// space: the bounds are the integer grid bounds gridFits uses and the
+// centers are grid indices (gridCenters snaps them), so every quantity
+// the flow computes is a small integer, exact in float64, and the point
+// is integral.
 
 // tieTol is the relative objective tolerance within which two supports'
 // projections tie: a tie goes to the larger Σx, then to the earlier
@@ -37,11 +37,10 @@ const tieTol = 1e-9
 // enumerates the remaining size-nk supports in countMin's order, projects
 // the centers onto each feasible one, and leaves the least-objective
 // projection in s.xSol. When the support budget runs out it keeps the best
-// projection so far. It reports false when a projection fails: an LP that
-// is not optimal, or a step-2 grid index more than 1e-9 from an integer.
+// projection so far.
 //
 //contract:allocfree
-func (s *sampleSolver) project(n int) bool {
+func (s *sampleSolver) project(n int) {
 	full := uint32(1)<<n - 1
 	budget := s.nkBudget
 	found := false
@@ -55,9 +54,7 @@ func (s *sampleSolver) project(n int) bool {
 				continue
 			}
 		}
-		if !s.projectSupport(n, mask) {
-			return false
-		}
+		s.projectSupport(n, mask)
 		obj, sum := 0.0, 0.0
 		for v, ff := range s.comp {
 			obj += math.Abs(s.xCur[v] - s.center[ff])
@@ -74,14 +71,13 @@ func (s *sampleSolver) project(n int) bool {
 		}
 	}
 	s.xSol = append(s.xSol[:0], s.xBest...)
-	return true
 }
 
 // projectSupport projects the centers onto support mask and writes the
 // tuning of every component FF to s.xCur, 0 for pinned ones. The
 // projection works in x in step 1 and in grid indices in step 2; s.xCur
 // holds x either way.
-func (s *sampleSolver) projectSupport(n int, mask uint32) bool {
+func (s *sampleSolver) projectSupport(n int, mask uint32) {
 	m := s.mapSupport(n, mask)
 	// Window of each support variable, narrowed by every row whose other
 	// endpoint is pinned, and its center.
@@ -106,70 +102,47 @@ func (s *sampleSolver) projectSupport(n int, mask uint32) bool {
 			s.boxHi[c] = math.Min(s.boxHi[c], s.rowBound(r.hold, r.c, r.l, c, l))
 		}
 	}
-	for v := range s.supp {
-		if s.boxLo[v] > s.boxHi[v] {
-			return false
-		}
-	}
-	// One free FF sits at its center clamped into its box; more take an
-	// LP. Either way boxC ends up holding the projection.
+	// One free FF sits at its center clamped into its box; more take the
+	// flow. Either way boxC ends up holding the projection.
 	if m == 1 {
 		s.boxC[0] = math.Max(s.boxLo[0], math.Min(s.boxHi[0], s.boxC[0]))
-	} else if !s.projectLP() {
-		return false
+	} else {
+		s.projectFlow(m)
 	}
 	s.xCur = s.xCur[:0]
 	for v, node := range s.node {
-		if node == diffcon.Origin {
-			s.xCur = append(s.xCur, 0)
-			continue
-		}
-		x := s.boxC[node]
-		if s.mode == modeFixed {
-			if math.Abs(x-math.Round(x)) > 1e-9 {
-				return false
-			}
-			ff := s.comp[v]
-			x = s.lower[ff] + math.Round(x)*s.spec.Step()
+		x := 0.0
+		switch {
+		case node == diffcon.Origin:
+		case s.mode == modeFloating:
+			x = s.boxC[node]
+		default:
+			x = s.lower[s.comp[v]] + s.boxC[node]*s.spec.Step()
 		}
 		s.xCur = append(s.xCur, x)
 	}
-	return true
 }
 
-// projectLP solves the nk ≥ 2 projection over the support mapSupport laid
-// out, in the concentration ILP's own linearization: x_v in its box and
-// t_v ≥ |x_v − c_v| (two rows, c the unclamped center), minimizing Σt under
-// every row between two support FFs. Sharing the ILP's shape lets the
-// simplex choose among a support's equally good points much as the
-// branch-and-bound's relaxations do. On success boxC holds the solution.
-func (s *sampleSolver) projectLP() bool {
-	prob := &s.lpProb
-	prob.Reset()
-	for v := range s.supp {
-		prob.AddVar(s.boxLo[v], s.boxHi[v], 0, "x") // column 2v
-		prob.AddVar(0, lp.Inf, 1, "t")              // column 2v+1
+// projectFlow solves the nk ≥ 2 projection over the m-variable support
+// mapSupport laid out and projectSupport boxed: the boxes, and every row
+// between two support FFs, go to the flow solver, which overwrites boxC
+// with the componentwise-least optimal point.
+func (s *sampleSolver) projectFlow(m int) {
+	f := &s.l1
+	f.reset(m)
+	for v := 0; v < m; v++ {
+		f.bound(v, m, s.boxHi[v])
+		f.bound(m, v, -s.boxLo[v])
 	}
 	for _, r := range s.rows {
 		l, c := s.nodeOf(r.l), s.nodeOf(r.c)
 		if l == diffcon.Origin || c == diffcon.Origin {
-			continue // a bound (projectSupport) or a constant (supportFeasible)
+			continue // a box (above) or a constant (supportFeasible)
 		}
-		prob.AddRow(lp.LE, s.rowBound(r.setup, r.l, r.c, l, c), lp.T(2*l, 1), lp.T(2*c, -1))
-		prob.AddRow(lp.LE, s.rowBound(r.hold, r.c, r.l, c, l), lp.T(2*c, 1), lp.T(2*l, -1))
+		f.bound(l, c, s.rowBound(r.setup, r.l, r.c, l, c))
+		f.bound(c, l, s.rowBound(r.hold, r.c, r.l, c, l))
 	}
-	for v := range s.supp {
-		prob.AddRow(lp.LE, s.boxC[v], lp.T(2*v, 1), lp.T(2*v+1, -1))
-		prob.AddRow(lp.LE, -s.boxC[v], lp.T(2*v, -1), lp.T(2*v+1, -1))
-	}
-	sol, err := prob.SolveWS(&s.lpWS)
-	if err != nil || sol.Status != lp.Optimal {
-		return false
-	}
-	for v := range s.supp {
-		s.boxC[v] = sol.X[2*v]
-	}
-	return true
+	f.solve(s.boxC)
 }
 
 // mapSupport lays out support mask of an n-FF component: s.node[v] is

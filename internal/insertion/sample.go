@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/diffcon"
-	"repro/internal/lp"
 	"repro/internal/timing"
 )
 
@@ -49,8 +48,8 @@ const (
 )
 
 // sampleSolver carries the per-pass configuration plus per-worker scratch:
-// the support-enumeration systems, the projection LP and its workspace,
-// and epoch-stamped index maps, so solving a component in steady state
+// the support-enumeration systems, the projection's flow solver, and
+// epoch-stamped index maps, so solving a component in steady state
 // reuses worker-owned memory and performs no heap allocations.
 //
 // Ownership: a solver is single-goroutine state. Workers obtain one through
@@ -107,14 +106,13 @@ type sampleSolver struct {
 	// per-component projection scratch (project): where countMin's size-nk
 	// enumeration stopped, the support's variables (supp: component
 	// indices), their boxes and centers, the current and best projections
-	// over the component, and the nk ≥ 2 LP.
+	// over the component, and the nk ≥ 2 flow solver.
 	nkMask             uint32
 	nkBudget           int
 	supp               []int
 	boxLo, boxHi, boxC []float64
 	xCur, xBest        []float64
-	lpProb             lp.Problem
-	lpWS               lp.Workspace
+	l1                 l1Flow
 
 	// epoch-stamped maps replacing per-build allocations: posIdx[ff] is the
 	// index of ff in the current component iff posEpoch[ff] == epoch, and a
@@ -344,9 +342,8 @@ type repairFunc func(s *sampleSolver, comp []int) (nk int, ok bool)
 // because it is too large to enumerate. countMin decides the count by
 // support enumeration, and project replaces the concentration ILP by
 // projecting the centers onto every feasible support of size nk. The
-// NoConcentration ablation, and a component whose projection fails, emit
-// the first feasible size-nk support's Bellman-Ford point instead
-// (DESIGN.md, "Combinatorial repair").
+// NoConcentration ablation emits the first feasible size-nk support's
+// Bellman-Ford point instead (DESIGN.md, "Combinatorial repair").
 //
 //contract:allocfree
 func (s *sampleSolver) solveComponent(comp []int) (nk int, ok, capped bool) {
@@ -359,7 +356,9 @@ func (s *sampleSolver) solveComponent(comp []int) (nk int, ok, capped bool) {
 	if nk, ok, capped = s.countMin(n); !ok {
 		return 0, false, capped
 	}
-	if !s.concentration || !s.project(n) {
+	if s.concentration {
+		s.project(n)
+	} else {
 		s.supportPoint(n, s.nkMask)
 	}
 	s.emit(comp)

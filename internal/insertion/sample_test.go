@@ -323,7 +323,7 @@ func TestSolveComponentHairlineViolation(t *testing.T) {
 
 func TestSolveWarmZeroAllocs(t *testing.T) {
 	// A warm per-sample solve — including component discovery, the
-	// support enumeration and the projection LP — must run entirely out of
+	// support enumeration and the projection flow — must run entirely out of
 	// solver-owned scratch, in both modes.
 	pairs := []timing.Pair{
 		{Launch: 0, Capture: 1},

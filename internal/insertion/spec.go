@@ -16,8 +16,8 @@
 // Neither per-sample ILP runs. Each violation component is repaired
 // exactly and combinatorially: the count (15) by support enumeration over
 // difference constraints, the concentration (19) by projecting the centers
-// onto every feasible support of that size (an LP without binaries when
-// more than one FF moves). The paper's two ILPs survive only as the test
+// onto every feasible support of that size (the dual of a min-cost flow
+// when more than one FF moves). The paper's two ILPs survive only as the test
 // oracle the repair is checked against (DESIGN.md, "Combinatorial repair"
 // and "Oracles").
 //

@@ -26,7 +26,6 @@ var CtxPass = &analysis.Analyzer{
 // batchLoopCallees are the sample-batch iteration entry points: calling
 // one means the function walks a chip range and must be cancellable.
 var batchLoopCallees = map[string]bool{
-	"ForEachBatch":      true,
 	"ForEachRangeBatch": true,
 	"TallyRange":        true,
 	"EvaluateSweep":     true,

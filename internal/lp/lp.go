@@ -1,12 +1,13 @@
 // Package lp implements a dense simplex solver for linear programs with
 // general rows and variable bounds. It is the LP engine under the
 // branch-and-bound MILP solver (internal/milp) that stands in for the
-// commercial ILP solver used in the paper. Problem sizes in this system are
-// small — per-sample ILPs decompose into connected components of a few dozen
-// variables — so a dense tableau with Bland anti-cycling is both simple and
-// fast enough.
+// commercial ILP solver used in the paper, and with it the test oracle of
+// the flow's exact combinatorial repair: only tests import it (DESIGN.md,
+// "Oracles"). Problem sizes in this system are small — per-sample ILPs
+// decompose into connected components of a few dozen variables — so a
+// dense tableau with Bland anti-cycling is both simple and fast enough.
 //
-// The solver is built for a hot Monte Carlo loop: it is a bounded-variable
+// The solver was built for a hot Monte Carlo loop: it is a bounded-variable
 // simplex (bounds live in the ratio test as bound flips, not as extra rows,
 // which roughly halves the tableau in both dimensions for the all-two-sided
 // problems of the buffer flow), the tableau is one flat, stride-indexed

@@ -57,13 +57,12 @@ type Engine struct {
 // Each consumer fn must not retain ch and is called exactly once per
 // (sample, consumer), concurrently across samples.
 //
-// ForEachRangeBatch is the shard-friendly form: it covers only the samples
-// in [lo, hi), and chip k is the same chip ForEachBatch(n) would hand out
-// at index k — sample identity is (Seed, k), never "position within the
-// pass" — so a set of workers covering disjoint ranges that tile [0, n)
-// reproduces a single ForEachBatch(n) pass exactly.
+// ForEachRangeBatch covers the samples in [lo, hi), and chip k is the
+// same chip whatever range it is handed out in — sample identity is
+// (Seed, k), never "position within the pass" — so a set of workers
+// covering disjoint ranges that tile [0, n) reproduces a single
+// ForEachRangeBatch(0, n) pass exactly. A whole pass is lo = 0.
 type Source interface {
-	ForEachBatch(n int, fns ...func(k int, ch *timing.Chip))
 	ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip))
 }
 
@@ -136,7 +135,7 @@ func (r *realizer) realizeMarked(k int, marks []uint8) (ok bool) {
 }
 
 // Chip materializes sample k (deterministic; mostly for tests and
-// debugging — bulk work should use ForEach).
+// debugging — bulk work should use ForEachRangeBatch).
 func (e *Engine) Chip(k int) *timing.Chip {
 	r := e.newRealizer()
 	r.realize(k)
@@ -158,34 +157,23 @@ func chunkFor(n, workers int) int {
 	return min(chunk, max(1, n/(8*workers)))
 }
 
-// ForEach runs fn for samples 0..n-1 in parallel. Each worker owns one
-// reusable chip buffer; fn must not retain ch. fn is called exactly once
-// per sample, in arbitrary order, concurrently.
-func (e *Engine) ForEach(n int, fn func(k int, ch *timing.Chip)) {
-	e.ForEachBatch(n, fn)
-}
-
-// ForEachBatch runs a multi-consumer pass over samples 0..n-1 in parallel:
-// each chip is realized exactly once and handed to every fn in argument
-// order before the worker moves on. This is how multiple evaluation
-// consumers (the original-yield check, the paper's strategy, the baseline
-// strategies) share one sample stream instead of re-realizing the same
-// population per query.
+// ForEachRangeBatch runs a multi-consumer pass over the samples [lo, hi)
+// in parallel: each chip is realized exactly once and handed to every fn
+// in argument order before the worker moves on. This is how multiple
+// evaluation consumers (the original-yield check, the paper's strategy,
+// the baseline strategies) share one sample stream instead of re-realizing
+// the same population per query. Each worker owns one reusable chip
+// buffer; fn must not retain ch, and is called exactly once per sample, in
+// arbitrary order, concurrently.
 //
 // Work is handed out lock-free in chunks of contiguous sample indices via a
 // single atomic counter, and each worker re-seeds one owned stream per
 // sample instead of allocating a generator — so the steady-state sampling
-// loop performs no locking and no heap allocations. Chip k remains
-// deterministic in (Seed, k) regardless of worker count or scheduling.
-func (e *Engine) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
-	e.ForEachRangeBatch(0, n, fns...)
-}
-
-// ForEachRangeBatch runs a multi-consumer pass over the sample sub-range
-// [lo, hi) with the same contract as ForEachBatch. Chip k is deterministic
-// in (Seed, k) alone — a worker process handed a k-range re-seeds its
-// stream per sample exactly as the full pass would, so disjoint ranges
-// covering [0, n) reproduce ForEachBatch(n) bit for bit.
+// loop performs no locking and no heap allocations. Chip k is
+// deterministic in (Seed, k) alone, regardless of worker count or
+// scheduling — a worker process handed a k-range re-seeds its stream per
+// sample exactly as the full pass would, so disjoint ranges covering
+// [0, n) reproduce ForEachRangeBatch(0, n) bit for bit.
 //
 // A pass with two or more consumers certifies each chip once
 // (timing.Graph.Certify) before handing it on, so every consumer decides
@@ -287,7 +275,7 @@ func (e *Engine) PopulationBytes(n int) int64 {
 // skips the per-pass realization cost.
 //
 // Ownership: a Population is immutable once Materialize returns. Any
-// number of replay passes — including concurrent ForEachBatch calls from
+// number of replay passes — including concurrent ForEachRangeBatch calls from
 // different goroutines, the sharing pattern of a long-running service —
 // may run at once, because replay only reads the chip slabs. The single
 // sharp edge: the *timing.Chip values handed to consumer fns (and returned
@@ -319,7 +307,7 @@ func (e *Engine) Materialize(n int) *Population {
 			Hold:  hold[k*ns : (k+1)*ns : (k+1)*ns],
 		}
 	}
-	e.ForEach(n, func(k int, ch *timing.Chip) {
+	e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 		copy(p.chips[k].DMax, ch.DMax)
 		copy(p.chips[k].DMin, ch.DMin)
 		copy(p.chips[k].Setup, ch.Setup)
@@ -335,13 +323,6 @@ func (p *Population) N() int { return len(p.chips) }
 // Chip returns materialized chip k. The chip aliases the shared population
 // slabs: treat it as read-only (see the Population ownership contract).
 func (p *Population) Chip(k int) *timing.Chip { return &p.chips[k] }
-
-// ForEachBatch replays the cached chips through every fn, with the same
-// contract and chunked parallel distribution as Engine.ForEachBatch.
-// n must not exceed N().
-func (p *Population) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
-	p.ForEachRangeBatch(0, n, fns...)
-}
 
 // ForEachRangeBatch replays the cached chips of the sub-range [lo, hi)
 // through every fn — the replay form of Engine.ForEachRangeBatch, and
@@ -366,7 +347,7 @@ func (p *Population) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing
 // tuning buffers — the paper's original yield Yo.
 func (e *Engine) YieldAtZero(n int, T float64) stat.Yield {
 	pass := make([]bool, n)
-	e.ForEach(n, func(k int, ch *timing.Chip) {
+	e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 		pass[k] = e.G.FeasibleAtZero(ch, T)
 	})
 	y := stat.Yield{Total: n}

@@ -59,11 +59,11 @@ func TestChipDeterministicAcrossScheduling(t *testing.T) {
 	e := buildEngine(t, 20, 100, 1)
 	// Chip k from the direct API.
 	direct := e.Chip(7)
-	// Same chip observed through ForEach with varying worker counts.
+	// Same chip observed through a pass with varying worker counts.
 	for _, workers := range []int{1, 4} {
 		e.Workers = workers
 		var got *timing.Chip
-		e.ForEach(10, func(k int, ch *timing.Chip) {
+		e.ForEachRangeBatch(0, 10, func(k int, ch *timing.Chip) {
 			if k == 7 {
 				got = cloneChip(ch)
 			}
@@ -83,7 +83,7 @@ func TestForEachCoversAllSamplesOnce(t *testing.T) {
 			e.Workers = workers
 			var count int64
 			seen := make([]int32, n)
-			e.ForEach(n, func(k int, ch *timing.Chip) {
+			e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 				atomic.AddInt64(&count, 1)
 				atomic.AddInt32(&seen[k], 1)
 			})
@@ -115,8 +115,8 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 	pop := e.Materialize(2000)
 	type planted struct{ k int }
 	passes := map[string]func(fn func(k int, ch *timing.Chip)){
-		"engine":     func(fn func(k int, ch *timing.Chip)) { e.ForEach(2000, fn) },
-		"population": func(fn func(k int, ch *timing.Chip)) { pop.ForEachBatch(2000, fn) },
+		"engine":     func(fn func(k int, ch *timing.Chip)) { e.ForEachRangeBatch(0, 2000, fn) },
+		"population": func(fn func(k int, ch *timing.Chip)) { pop.ForEachRangeBatch(0, 2000, fn) },
 		"range":      func(fn func(k int, ch *timing.Chip)) { e.ForEachRangeBatch(500, 2000, fn) },
 	}
 	for name, pass := range passes {
@@ -166,7 +166,7 @@ func TestForEachChunkedStopsAfterPanic(t *testing.T) {
 func TestForEachZeroSamples(t *testing.T) {
 	e := buildEngine(t, 5, 10, 3)
 	called := false
-	e.ForEach(0, func(k int, ch *timing.Chip) { called = true })
+	e.ForEachRangeBatch(0, 0, func(k int, ch *timing.Chip) { called = true })
 	if called {
 		t.Fatal("fn must not be called for n=0")
 	}
@@ -259,7 +259,7 @@ func TestForEachBatchRealizesOncePerChip(t *testing.T) {
 	sig2 := make([]float64, n)
 	calls1 := make([]int32, n)
 	calls2 := make([]int32, n)
-	e.ForEachBatch(n,
+	e.ForEachRangeBatch(0, n,
 		func(k int, ch *timing.Chip) {
 			sig1[k] = ch.DMax[0] + ch.Setup[0]
 			atomic.AddInt32(&calls1[k], 1)
@@ -281,7 +281,7 @@ func TestForEachBatchRealizesOncePerChip(t *testing.T) {
 	}
 	// Zero consumers: no work, no realizations.
 	realized.Store(0)
-	e.ForEachBatch(n)
+	e.ForEachRangeBatch(0, n)
 	if realized.Load() != 0 {
 		t.Fatal("a pass with no consumers must not realize chips")
 	}
@@ -312,7 +312,7 @@ func TestPopulationMatchesEngine(t *testing.T) {
 	// Replay covers every sample once, for full and partial n.
 	for _, m := range []int{n, 70} {
 		seen := make([]int32, m)
-		pop.ForEachBatch(m, func(k int, ch *timing.Chip) {
+		pop.ForEachRangeBatch(0, m, func(k int, ch *timing.Chip) {
 			atomic.AddInt32(&seen[k], 1)
 		})
 		for k, c := range seen {
@@ -326,7 +326,7 @@ func TestPopulationMatchesEngine(t *testing.T) {
 			t.Fatal("replaying beyond the materialized count must panic")
 		}
 	}()
-	pop.ForEachBatch(n+1, func(k int, ch *timing.Chip) {})
+	pop.ForEachRangeBatch(0, n+1, func(k int, ch *timing.Chip) {})
 }
 
 func TestStatsByteIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -359,7 +359,7 @@ func TestPopulationConcurrentReplay(t *testing.T) {
 	n := 300
 	pop := e.Materialize(n)
 	ref := make([]float64, n) // DMax[0] per chip from a solo pass
-	pop.ForEachBatch(n, func(k int, ch *timing.Chip) { ref[k] = ch.DMax[0] })
+	pop.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) { ref[k] = ch.DMax[0] })
 
 	const passes = 6
 	sums := make([][]float64, passes)
@@ -369,7 +369,7 @@ func TestPopulationConcurrentReplay(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			pop.ForEachBatch(n, func(k int, ch *timing.Chip) {
+			pop.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 				sums[p][k] = ch.DMax[0]
 			})
 		}(p)
@@ -391,7 +391,7 @@ func TestEngineConcurrentPasses(t *testing.T) {
 	e := buildEngine(t, 15, 60, 4)
 	n := 200
 	solo := make([]float64, n)
-	e.ForEach(n, func(k int, ch *timing.Chip) { solo[k] = ch.Setup[0] })
+	e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) { solo[k] = ch.Setup[0] })
 
 	a := make([]float64, n)
 	b := make([]float64, n)
@@ -399,11 +399,11 @@ func TestEngineConcurrentPasses(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		e.ForEach(n, func(k int, ch *timing.Chip) { a[k] = ch.Setup[0] })
+		e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) { a[k] = ch.Setup[0] })
 	}()
 	go func() {
 		defer wg.Done()
-		e.ForEach(n, func(k int, ch *timing.Chip) { b[k] = ch.Setup[0] })
+		e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) { b[k] = ch.Setup[0] })
 	}()
 	wg.Wait()
 	for k := 0; k < n; k++ {
@@ -415,13 +415,13 @@ func TestEngineConcurrentPasses(t *testing.T) {
 
 func TestRangeBatchTilesFullPass(t *testing.T) {
 	// Disjoint ranges covering [0, n) — deliberately uneven — must together
-	// hand out exactly the chips a full ForEachBatch(n) pass does: sample
-	// identity is (Seed, k), never position within the pass.
+	// hand out exactly the chips a full ForEachRangeBatch(0, n) pass does:
+	// sample identity is (Seed, k), never position within the pass.
 	e := buildEngine(t, 12, 50, 3)
 	e.Workers = 3
 	const n = 130
 	full := make([][]float64, n)
-	e.ForEachBatch(n, func(k int, ch *timing.Chip) {
+	e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 		full[k] = append([]float64(nil), ch.DMax...)
 	})
 	for _, src := range []Source{e, e.Materialize(n)} {

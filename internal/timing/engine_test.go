@@ -101,7 +101,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			e.Workers = 2
 			const n = 40
 			seen := make([]bool, n)
-			e.ForEachBatch(n, func(k int, ch *timing.Chip) {
+			e.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 				seen[k] = true
 				if d := diffChip(ch, referenceChip(tc.g, e.Seed, strata, k)); d != "" {
 					t.Errorf("%s kernel, Stratify=%d: pass chip %d: %s from the reference", tc.kernel, strata, k, d)

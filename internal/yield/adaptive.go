@@ -385,13 +385,20 @@ func (a *Adaptive) Reports() []AdaptiveReport {
 	return out
 }
 
-// EvaluateManyAdaptive drives the adaptive wave loop in-process over eng,
-// whose Stratify each wave sets from the request: the stratified universe
-// differs from the plain one at the same seed.
+// EvaluateManyAdaptive drives the adaptive wave loop in-process over
+// copies of eng, each wave's with the Stratify the request sets: the
+// stratified universe differs from the plain one at the same seed. eng
+// itself is only read, so it stays fit for fixed-n passes and for passes
+// already running on it.
 func EvaluateManyAdaptive(eng *mc.Engine, n int, prec Precision, sweeps ...*SweepEvaluator) ([]AdaptiveReport, error) {
 	if _, err := prec.norm(); err != nil {
 		return nil, err // an inactive prec would silently run fixed-n
 	}
-	_, reps, err := Drive(context.Background(), n, prec, sweeps, LocalTally(func(strata int) mc.Source { eng.Stratify = strata; return eng }, sweeps...))
+	stream := func(strata int) mc.Source {
+		e := *eng
+		e.Stratify = strata
+		return &e
+	}
+	_, reps, err := Drive(context.Background(), n, prec, sweeps, LocalTally(stream, sweeps...))
 	return reps, err
 }

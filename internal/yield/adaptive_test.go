@@ -87,6 +87,31 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAdaptiveLeavesEngineUnstratified: the adaptive waves stream a
+// stratified universe, but on copies of the caller's engine. After an
+// adaptive call the engine's Stratify is still 0, and a fixed-n pass on it
+// streams the plain universe, as one on a fresh engine does.
+func TestAdaptiveLeavesEngineUnstratified(t *testing.T) {
+	ev, g, Ts, _ := sweepFixture(t)
+	const n, seed = 4000, 717
+	sw, err := NewSweepEvaluator(ev, Ts[5:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mc.New(g, seed)
+	if _, err := EvaluateManyAdaptive(eng, n, Precision{Eps: 0.02, Conf: 0.9}, sw); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stratify != 0 {
+		t.Fatalf("adaptive call left Stratify = %d on the caller's engine", eng.Stratify)
+	}
+	got := EvaluateMany(eng, n, sw)
+	want := EvaluateMany(mc.New(g, seed), n, sw)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fixed-n after an adaptive call:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestAdaptiveShardedWavesMatchInProcess pins the coordinator contract at
 // the yield layer: driving the same Adaptive machine with every wave split
 // into uneven sub-ranges — tallied by independent engines and merged, as

@@ -134,10 +134,6 @@ type ctxSource struct {
 	src  mc.Source
 }
 
-func (s ctxSource) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
-	s.ForEachRangeBatch(0, n, fns...)
-}
-
 func (s ctxSource) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip)) {
 	guarded := make([]func(k int, ch *timing.Chip), len(fns))
 	for i, fn := range fns {

@@ -233,7 +233,7 @@ func (r Report) Improvement() float64 {
 func Evaluate(e *Evaluator, eng *mc.Engine, n int, T float64) Report {
 	passO := make([]bool, n)
 	passT := make([]bool, n)
-	eng.ForEach(n, func(k int, ch *timing.Chip) {
+	eng.ForEachRangeBatch(0, n, func(k int, ch *timing.Chip) {
 		passO[k] = e.G.FeasibleAtZero(ch, T)
 		passT[k] = passO[k] || e.ChipFeasible(ch, T)
 	})

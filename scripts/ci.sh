@@ -129,12 +129,15 @@ if [ "$stage" = "all" ] || [ "$stage" = "lint" ]; then
     fi
 
     echo "== oracle packages stay out of the binaries =="
-    # internal/milp is the test-only oracle of the per-sample repair: no
-    # command may link it (DESIGN.md "Oracles").
-    if go list -deps ./cmd/... | grep -x 'repro/internal/milp' >/dev/null; then
-        echo "a command links repro/internal/milp, the test-only oracle" >&2
-        exit 1
-    fi
+    # internal/lp and internal/milp are the test-only oracle of the
+    # per-sample repair: no command may link either (DESIGN.md "Oracles").
+    deps=$(go list -deps ./cmd/...)
+    for oracle in repro/internal/lp repro/internal/milp; do
+        if grep -qx "$oracle" <<<"$deps"; then
+            echo "a command links $oracle, a test-only oracle" >&2
+            exit 1
+        fi
+    done
 fi
 
 if [ "$stage" = "lint" ]; then
@@ -330,9 +333,11 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     echo "== fuzz (solver equivalence, chip stream, wire and .bench round-trip, short budget) =="
     # Cross-check the compact simplex layout bit for bit against the
     # full-artificial reference, branch-and-bound on a reused arena against
-    # a fresh arena and the brute-force oracle, and the exact per-component
+    # a fresh arena and the brute-force oracle, the exact per-component
     # tuning count and projection against the test-only two-ILP oracle
-    # (milp's branch-and-bound, which no binary links), and
+    # (milp's branch-and-bound, which no binary links), the projection's
+    # min-cost flow solver alone against the simplex (optimal, feasible,
+    # integral on the grid, componentwise least), and
     # the integer difference-constraint solver (diffcon.IntSystem, which the
     # sweep's rescue probes and countMin run on) on its own invariants;
     # pin the chip realization stream (timing.Stream) bit for bit to
@@ -342,13 +347,14 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     # period to the full Monte Carlo on fuzzed edit sets; hammer
     # the shard wire decoders with arbitrary frames, and feed the .bench
     # parser arbitrary netlist text (each must reject or round-trip, never
-    # panic). Off by default (it adds ~11x CI_FUZZ_TIME of wall time); the
+    # panic). Off by default (it adds ~12x CI_FUZZ_TIME of wall time); the
     # CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzCompactLayout' -fuzztime "$fuzztime" ./internal/lp
         go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzComponentCount' -fuzztime "$fuzztime" ./internal/insertion
+        go test -run '^$' -fuzz 'FuzzL1Flow' -fuzztime "$fuzztime" ./internal/insertion
         go test -run '^$' -fuzz 'FuzzIntegralPruning' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzIntSystem' -fuzztime "$fuzztime" ./internal/diffcon
         go test -run '^$' -fuzz '^FuzzStream$' -fuzztime "$fuzztime" ./internal/timing
