@@ -77,24 +77,11 @@ func (f *l1Flow) bound(i, j int, b float64) {
 func (f *l1Flow) solve(c []float64) {
 	m, nn := f.m, f.m+1
 	// A Bellman-Ford point of the bound arcs, from a virtual source.
-	f.pot, f.exc = f.pot[:0], f.exc[:0]
+	f.resetDist(-1)
+	f.relax(f.w, false)
+	f.pot, f.exc = append(f.pot[:0], f.dist...), f.exc[:0]
 	for i := 0; i < nn; i++ {
-		f.pot = append(f.pot, 0)
 		f.exc = append(f.exc, 0)
-	}
-	for round := 0; round < nn; round++ {
-		changed := false
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				if d := f.pot[i] + f.w[i*nn+j]; d < f.pot[j] {
-					f.pot[j] = d
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
 	}
 	// Saturate each center arc whose reduced cost is negative.
 	f.tilt = f.tilt[:0]
@@ -121,7 +108,8 @@ func (f *l1Flow) solve(c []float64) {
 			break
 		}
 		f.residual(c)
-		f.shortestFrom(src)
+		f.resetDist(src)
+		f.relax(f.red, false)
 		dst := -1
 		for v := 0; v < nn; v++ {
 			if f.exc[v] < 0 && (dst < 0 || f.dist[v] < f.dist[dst]) {
@@ -139,7 +127,8 @@ func (f *l1Flow) solve(c []float64) {
 	}
 	// x_v = −dist(v → origin) = pot_v − pot_m − (reduced distance).
 	f.residual(c)
-	f.shortestTo(m)
+	f.resetDist(m)
+	f.relax(f.red, true)
 	for v := 0; v < m; v++ {
 		c[v] = f.pot[v] - f.pot[m] - f.dist[v]
 	}
@@ -192,17 +181,24 @@ func (f *l1Flow) push(i, j int) {
 	}
 }
 
-// shortestFrom sets dist and pred to the reduced shortest paths from src.
-// Reduced costs are non-negative, so Bellman-Ford settles within m+1
-// rounds and pred is a tree.
-func (f *l1Flow) shortestFrom(src int) {
+// relax runs Bellman-Ford over the dense cost matrix from the current
+// dist. Forward it lowers dist[j] through each arc i→j and records pred:
+// distances from a root. Reverse it lowers dist[i] through each arc i→j:
+// distances to a root. It stops at the first round that changes nothing;
+// with no negative cycle that is within m+1 rounds, and pred is a tree.
+func (f *l1Flow) relax(cost []float64, reverse bool) {
 	nn := f.m + 1
-	f.resetDist(src)
 	for round := 0; round < nn; round++ {
 		changed := false
 		for i := 0; i < nn; i++ {
 			for j := 0; j < nn; j++ {
-				if d := f.dist[i] + f.red[i*nn+j]; d < f.dist[j] {
+				a := cost[i*nn+j]
+				if reverse {
+					if d := a + f.dist[j]; d < f.dist[i] {
+						f.dist[i] = d
+						changed = true
+					}
+				} else if d := f.dist[i] + a; d < f.dist[j] {
 					f.dist[j], f.pred[j] = d, i
 					changed = true
 				}
@@ -214,32 +210,20 @@ func (f *l1Flow) shortestFrom(src int) {
 	}
 }
 
-// shortestTo sets dist to the reduced shortest-path distances to dst.
-func (f *l1Flow) shortestTo(dst int) {
-	nn := f.m + 1
-	f.resetDist(dst)
-	for round := 0; round < nn; round++ {
-		changed := false
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				if d := f.red[i*nn+j] + f.dist[j]; d < f.dist[i] {
-					f.dist[i] = d
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// resetDist sets dist to +Inf except 0 at root, and pred to −1.
+// resetDist sets pred to −1 and dist to +Inf except 0 at root, or to 0
+// everywhere when root is −1: a virtual source with a zero arc to every
+// node.
 func (f *l1Flow) resetDist(root int) {
+	d := math.Inf(1)
+	if root < 0 {
+		d = 0
+	}
 	f.dist, f.pred = f.dist[:0], f.pred[:0]
 	for i := 0; i <= f.m; i++ {
-		f.dist = append(f.dist, math.Inf(1))
+		f.dist = append(f.dist, d)
 		f.pred = append(f.pred, -1)
 	}
-	f.dist[root] = 0
+	if root >= 0 {
+		f.dist[root] = 0
+	}
 }

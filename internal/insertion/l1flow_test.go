@@ -1,7 +1,11 @@
 package insertion
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/lp"
@@ -238,4 +242,124 @@ func FuzzL1Flow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// loadProjections reads testdata/projections.jsonl: nk ≥ 2 projections the
+// plan equivalence panel's flow solved (every 8th with nk = 2, every 2nd
+// with nk = 3, every one with nk = 4), one JSON object a line with the
+// support size M, the mode, the centers C and every bound x_I − x_J ≤ B
+// (index M is the origin) as the flow solver received them.
+func loadProjections(tb testing.TB) []*l1Case {
+	fh, err := os.Open("testdata/projections.jsonl")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer fh.Close()
+	var cases []*l1Case
+	sc := bufio.NewScanner(fh)
+	for sc.Scan() {
+		var rec struct {
+			M    int
+			Grid bool
+			C    []float64
+			Rows []struct {
+				I, J int
+				B    float64
+			}
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			tb.Fatal(err)
+		}
+		tc := &l1Case{m: rec.M, grid: rec.Grid, c: rec.C}
+		for v := 0; v < rec.M; v++ {
+			tc.lo, tc.hi = append(tc.lo, math.Inf(-1)), append(tc.hi, math.Inf(1))
+		}
+		for _, r := range rec.Rows {
+			switch {
+			case r.J == rec.M:
+				tc.hi[r.I] = math.Min(tc.hi[r.I], r.B)
+			case r.I == rec.M:
+				tc.lo[r.J] = math.Max(tc.lo[r.J], -r.B)
+			default:
+				tc.rows = append(tc.rows, l1Row{r.I, r.J, r.B})
+			}
+		}
+		cases = append(cases, tc)
+	}
+	if err := sc.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return cases
+}
+
+// TestProjectionsMatchLP checks the flow against the simplex on the
+// recorded panel projections: equal objectives within 1e-9·(1 + obj).
+func TestProjectionsMatchLP(t *testing.T) {
+	var fl l1Flow
+	for k, tc := range loadProjections(t) {
+		obj := tc.objective(tc.project(&fl))
+		sol, err := tc.lpProblem(-1, 0).Solve()
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("projection %d: LP status %v err %v", k, sol.Status, err)
+		}
+		if math.Abs(obj-sol.Obj) > 1e-9*(1+obj) {
+			t.Fatalf("projection %d: flow objective %v, LP %v", k, obj, sol.Obj)
+		}
+	}
+}
+
+// BenchmarkProjection times one warm nk ≥ 2 support projection on the
+// recorded panel projections, per support size: the flow solver, and the
+// simplex on the concentration ILP's x/t layout (a column x in its box and
+// a column t ≥ |x − c| per variable; the rows between variables, then the
+// abs rows), reusing its Problem and Workspace as a per-sample solver would.
+func BenchmarkProjection(b *testing.B) {
+	cases := loadProjections(b)
+	for nk := 2; nk <= 4; nk++ {
+		var set []*l1Case
+		for _, tc := range cases {
+			if tc.m == nk {
+				set = append(set, tc)
+			}
+		}
+		x := make([]float64, nk)
+		b.Run(fmt.Sprintf("nk=%d/flow", nk), func(b *testing.B) {
+			var fl l1Flow
+			for i := 0; i < b.N; i++ {
+				tc := set[i%len(set)]
+				fl.reset(tc.m)
+				for v := 0; v < tc.m; v++ {
+					fl.bound(v, tc.m, tc.hi[v])
+					fl.bound(tc.m, v, -tc.lo[v])
+				}
+				for _, r := range tc.rows {
+					fl.bound(r.i, r.j, r.b)
+				}
+				copy(x, tc.c)
+				fl.solve(x)
+			}
+		})
+		b.Run(fmt.Sprintf("nk=%d/lp", nk), func(b *testing.B) {
+			var p lp.Problem
+			var ws lp.Workspace
+			for i := 0; i < b.N; i++ {
+				tc := set[i%len(set)]
+				p.Reset()
+				for v := 0; v < tc.m; v++ {
+					p.AddVar(tc.lo[v], tc.hi[v], 0, "x")
+					p.AddVar(0, lp.Inf, 1, "t")
+				}
+				for _, r := range tc.rows {
+					p.AddRow(lp.LE, r.b, lp.T(2*r.i, 1), lp.T(2*r.j, -1))
+				}
+				for v := 0; v < tc.m; v++ {
+					p.AddRow(lp.LE, tc.c[v], lp.T(2*v, 1), lp.T(2*v+1, -1))
+					p.AddRow(lp.LE, -tc.c[v], lp.T(2*v, -1), lp.T(2*v+1, -1))
+				}
+				if sol, err := p.SolveWS(&ws); err != nil || sol.Status != lp.Optimal {
+					b.Fatalf("LP status %v err %v", sol.Status, err)
+				}
+			}
+		})
+	}
 }

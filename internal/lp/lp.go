@@ -7,13 +7,13 @@
 // decompose into connected components of a few dozen variables — so a
 // dense tableau with Bland anti-cycling is both simple and fast enough.
 //
-// The solver was built for a hot Monte Carlo loop: it is a bounded-variable
+// The solver is built for many small solves: it is a bounded-variable
 // simplex (bounds live in the ratio test as bound flips, not as extra rows,
 // which roughly halves the tableau in both dimensions for the all-two-sided
 // problems of the buffer flow), the tableau is one flat, stride-indexed
 // []float64, and all solver memory comes from a reusable Workspace so a
-// repeat SolveWS performs no heap allocations (see DESIGN.md, "Performance
-// architecture"). Every solve is a cold two-phase primal simplex from the
+// repeat SolveWS performs no heap allocations (see DESIGN.md, "The
+// simplex"). Every solve is a cold two-phase primal simplex from the
 // slack/artificial starting basis; nothing carries over from one solve to
 // the next but buffer capacity.
 package lp
