@@ -88,8 +88,9 @@ func rowsDigest(t *testing.T, rows []expt.Row) string {
 
 // TestRowsDigests pins table1's rows on the tiny generated circuit, fixed-n
 // and adaptive, to digests recorded before the CLI moved onto the service
-// surface: both expt.RunRows and tableRows over the in-process server the
-// CLI builds must reproduce them.
+// surface (adaptive re-recorded when the stopping rule started crediting
+// the strata): both expt.RunRows and tableRows over the in-process server
+// the CLI builds must reproduce them.
 func TestRowsDigests(t *testing.T) {
 	b, spec, opt := tinyBench(t)
 	svc := serve.New(serve.Config{MaxBenches: 1, MaxPopulationMB: 1})
@@ -99,7 +100,7 @@ func TestRowsDigests(t *testing.T) {
 		want string
 	}{
 		{"fixed", expt.RowConfig{InsertSamples: 130, EvalSamples: 300, Seed: 5}, "55915c38d0a60de7445918e4b0b86a2b9af57f3b2b4647487a738e28fc22ff25"},
-		{"adaptive", expt.RowConfig{InsertSamples: 130, EvalSamples: 2000, Seed: 5, Eps: 0.05, Conf: 0.9}, "a8a8399d3e9d4bf9148d764f86f2bb8d10bedc77817aeed5dd478bbac61849f7"},
+		{"adaptive", expt.RowConfig{InsertSamples: 130, EvalSamples: 2000, Seed: 5, Eps: 0.05, Conf: 0.9}, "a16014f4ecc258c02a55186acb1879c7df3e26685e50fdb41064b790ec186460"},
 	}
 	for _, tc := range cases {
 		rows, err := expt.RunRows(b, expt.Targets, tc.rc)

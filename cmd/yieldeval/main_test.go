@@ -224,8 +224,9 @@ func savePlan(t *testing.T, bench string) string {
 // adaptive option sets to digests recorded before the CLI moved onto the
 // service surface; sweep was re-recorded when support projection replaced
 // the per-sample concentration ILP (its plan moved where supports tie), and
-// again when the projection took the componentwise-least optimum. The
-// plan file's temp path is printed, so it is replaced by a fixed token
+// again when the projection took the componentwise-least optimum; adaptive
+// was re-recorded when the stopping rule started crediting the strata.
+// The plan file's temp path is printed, so it is replaced by a fixed token
 // before hashing.
 func TestRunDigests(t *testing.T) {
 	bench := writeTinyBench(t)
@@ -238,7 +239,7 @@ func TestRunDigests(t *testing.T) {
 		{"classic", options{bench: bench, samples: 120, evalN: 300, seed: 5}, "3aa05301c9e7eca7b5a2aa0a6a4a874b776c62e2a7c3be98862ef2427ac82618"},
 		{"sweep", options{bench: bench, samples: 120, evalN: 300, seed: 5, periods: 4}, "e9bebdee89c05a33ebf9846ed6c784f8f93b5bb863c9e932b0816a6683750b33"},
 		{"plan", options{bench: bench, evalN: 300, seed: 5, planFile: plan}, "5ab834e2d4e2d7cb53538001ba7306d5d4e1ef6bf1f2ce56f26d25a3f79b28d7"},
-		{"adaptive", options{bench: bench, samples: 120, evalN: 2000, seed: 5, eps: 0.05, conf: 0.9}, "c961ee63f1e6aac73d0ee129f35754f8a95fe097a8f06f7c8d7c43a2b6a0c380"},
+		{"adaptive", options{bench: bench, samples: 120, evalN: 2000, seed: 5, eps: 0.05, conf: 0.9}, "9fbc4f4cf21301c759b44d28cdbed59e601d9a2965e12612b83bcceda97835a9"},
 	}
 	for _, tc := range cases {
 		var out bytes.Buffer

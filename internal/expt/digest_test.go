@@ -66,11 +66,12 @@ func TestRunRowsDigests(t *testing.T) {
 // carry adaptive reports from the shared wave loop. They were recorded
 // before fixed-n and adaptive evaluation were merged into one executor
 // (yield.Drive), and again with rowDigests when support projection landed,
-// when Stats lost its two-ILP component count, and when the projection
-// took the componentwise-least optimum.
+// when Stats lost its two-ILP component count, when the projection
+// took the componentwise-least optimum, and alone when the stopping rule
+// started crediting the strata (stat.StratifiedHalfWidth).
 var adaptiveRowDigests = map[uint64]string{
-	101: "b9122ca1af098f11aadbd50514edf7e445bb557172723d56266114f4a9fd0b9e",
-	202: "81bc704ff6ad437178d61a5cd6f53a66bbb666bbba14ab9369c8c93d55c50647",
+	101: "5fb2d439e6ba565b7e2868446a58fa356e8232df6513bc9b17cb4cf87a37361d",
+	202: "ca1cc5281fefffa32069ff49f0679a7a91f33aded9aa1ba80383fdc3656126ea",
 }
 
 func TestRunRowsAdaptiveDigests(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/internal/yield"
 )
 
 // adaptiveYieldReq is the probe every adaptive serve test runs: a
@@ -94,6 +95,71 @@ func TestAdaptiveYieldShardedMatchesInProcess(t *testing.T) {
 	if reqd := s.m.adSamplesReq.Load(); reqd != int64(req.EvalSamples) {
 		t.Fatalf("coordinator samples_requested counter %d, want %d", reqd, req.EvalSamples)
 	}
+}
+
+// TestShardedRejectsPooledStratifiedTally: on a stratified wave a worker
+// partial carries one histogram per stratum. A partial folded back to the
+// pooled length — as a worker from before the per-stratum layout would
+// send — sums to the right chip count but cannot be credited per stratum,
+// so the coordinator must reject it as corrupt, never merge it, and still
+// answer what the plain server answers.
+func TestShardedRejectsPooledStratifiedTally(t *testing.T) {
+	inner := New(Config{}).Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		if r.URL.Path != yieldPassPath || rec.Code != http.StatusOK {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		resp, err := decodeYieldPassResponse(rec.Body.Bytes())
+		if err != nil {
+			t.Errorf("proxy: decoding yield-pass frame: %v", err)
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		for i, tl := range resp.Tallies {
+			resp.Tallies[i] = yield.SweepTally{FirstZero: pooledHist(tl.FirstZero), FirstTuned: pooledHist(tl.FirstTuned)}
+		}
+		writeFrame(w, resp)
+	}))
+	t.Cleanup(worker.Close)
+
+	_, plain := newTestServer(t)
+	req := adaptiveYieldReq(t, plain)
+	want, err := plain.Yield(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want.Results)
+	s := New(Config{Workers: []string{worker.URL}, Shards: 3, Dispatch: fastDispatch()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	got, err := NewClient(ts.URL).Yield(context.Background(), req)
+	if err != nil {
+		t.Fatalf("adaptive yield over a pooling worker: %v", err)
+	}
+	if gotJSON, _ := json.Marshal(got.Results); string(gotJSON) != string(wantJSON) {
+		t.Fatalf("results diverge from the plain server:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if s.Pool().C.Corrupt.Load() < 1 {
+		t.Fatal("no pooled partial was rejected")
+	}
+}
+
+// pooledHist folds a per-stratum histogram of the default strata into the
+// pooled one (nil stays nil).
+func pooledHist(hist []int) []int {
+	if hist == nil {
+		return nil
+	}
+	bins := len(hist) / yield.DefaultStrata
+	out := make([]int, bins)
+	for i, c := range hist {
+		out[i%bins] += c
+	}
+	return out
 }
 
 // TestAdaptiveYieldEarlyStopAndMetrics: an easy single-period query must

@@ -267,8 +267,10 @@ type YieldPassRequest struct {
 	// ZeroOnly asks for a zero-only tally (step-1 search, no rescue solver;
 	// FirstTuned omitted) — the cheap wave kind of adaptive dispatch.
 	ZeroOnly bool `json:"zero_only,omitempty"`
-	// Strata stratifies the worker's sample universe (mc.Engine.Stratify);
-	// 0 means the plain universe, as every fixed-n pass uses.
+	// Strata stratifies the worker's sample universe (mc.Engine.Stratify)
+	// and, when > 1, shapes each tally into one histogram per stratum
+	// (yield.WaveTally); 0 means the plain universe and pooled tallies, as
+	// every fixed-n pass uses.
 	Strata int `json:"strata,omitempty"`
 }
 

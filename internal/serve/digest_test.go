@@ -25,13 +25,18 @@ import (
 // (yield.Drive), and hold on amd64 (see rowDigests in internal/expt). All
 // but fixed/301 were re-recorded when support projection replaced the
 // per-sample concentration ILP: the plans moved where supports tie
-// (insertion's TestPlanEquivalence bounds the move).
+// (insertion's TestPlanEquivalence bounds the move). The stratified
+// adaptive digests were re-recorded again when the stopping rule started
+// crediting the strata (stat.StratifiedHalfWidth); adaptive-unstratified
+// (Strata -1) was recorded before that change and pins the unstratified
+// rule to it.
 var queryDigests = map[string]string{
-	"fixed/301":            "9c4726b2c374d5834fba9ae94f10c2313c1a7843d8ab85a16ef4afa929133ffd",
-	"adaptive/301":         "1d9164c9e8ffa35485c59dbaf4b32f629679e9cc5ef6abcde1ae80facddca74a",
-	"fixed/2001":           "7560a17945b1a622ba5d72891ae5f90f4ddd5618be4d96f45538468bbf82a644",
-	"adaptive/2001":        "ecabb250d82efe08593a45edad45dbe8a5422ac027a0f0f06322d024b304f3f7",
-	"adaptive-tight/20001": "91cd9049b9ddc14efc21f604da1a00951183f843a70d9a8dc938d8eb23eb2037",
+	"fixed/301":                   "9c4726b2c374d5834fba9ae94f10c2313c1a7843d8ab85a16ef4afa929133ffd",
+	"adaptive/301":                "6a5b92465b2927d613e28a069e1033dab6baf1122203344da5f89240770ca2f7",
+	"fixed/2001":                  "7560a17945b1a622ba5d72891ae5f90f4ddd5618be4d96f45538468bbf82a644",
+	"adaptive/2001":               "b415dd07fdbf9f1f96bad436627cd0c91ca40842bb5c211f91c15b452f001ec4",
+	"adaptive-tight/20001":        "d9fc2d49567388b511b2eb77bed5353ec77a703c0d2ceb2a695c413d6379b77e",
+	"adaptive-unstratified/20001": "fedba28978e18cc48b3ddfbd0e989bcf9fbdceed340f85d3aeee2686ac1fce80",
 }
 
 func TestQueryDigests(t *testing.T) {
@@ -78,4 +83,6 @@ func TestQueryDigests(t *testing.T) {
 	}
 	tight, err := EvaluateQueriesAdaptive(b.Graph, seed, 20001, queries[:1], yield.Precision{Eps: 0.01})
 	check("adaptive-tight/20001", tight, err)
+	plain, err := EvaluateQueriesAdaptive(b.Graph, seed, 20001, queries, yield.Precision{Eps: 0.01, Strata: -1})
+	check("adaptive-unstratified/20001", plain, err)
 }

@@ -339,10 +339,7 @@ func (c *Coordinator) tally(queries []YieldQuery, sweeps []*yield.SweepEvaluator
 	return func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
 		merged := make([]yield.SweepTally, len(sweeps))
 		for i, sw := range sweeps {
-			merged[i] = sw.NewTally()
-			if zeroOnly {
-				merged[i].FirstTuned = nil
-			}
+			merged[i] = sw.WaveTally(strata, zeroOnly)
 		}
 		var mu sync.Mutex
 		mergeAll := func(parts []yield.SweepTally) error {
@@ -373,7 +370,7 @@ func (c *Coordinator) tally(queries []YieldQuery, sweeps []*yield.SweepEvaluator
 			if err != nil {
 				return err
 			}
-			if err := yield.CheckWave(sweeps, resp.Tallies, r.Len(), zeroOnly); err != nil {
+			if err := yield.CheckWave(sweeps, resp.Tallies, r.Lo, r.Hi, zeroOnly, strata); err != nil {
 				return shard.Errf(shard.ClassCorrupt, "serve: worker %s range [%d,%d): %w", w.Base, r.Lo, r.Hi, err)
 			}
 			if !commit() {

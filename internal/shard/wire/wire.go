@@ -29,8 +29,10 @@ const ContentType = "application/x-bufins-shard"
 
 // Version is the frame version byte leading every binary payload. Version
 // 2 added a per-outcome counter of two-ILP repairs to insertion pass
-// responses; version 3 dropped it again with the two-ILP route.
-const Version = 3
+// responses; version 3 dropped it again with the two-ILP route; version 4
+// made a stratified yield wave's tally one histogram per stratum, so a
+// list's length means something else than it did.
+const Version = 4
 
 // Decode sentinels. Static (errors.New, not fmt) so latching them in a
 // Reader stays allocation-free on the warm decode path.

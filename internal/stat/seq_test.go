@@ -117,3 +117,164 @@ func TestSequentialCoverage(t *testing.T) {
 		})
 	}
 }
+
+// TestStratifiedSequentialCoverage is TestSequentialCoverage for the
+// stratified interval on synthetic stratified Bernoulli draws: L = 16
+// equal-probability strata with known pass rates p_h, some of them exactly
+// 0 or 1 (bands no chip of which passes, or every chip of which does).
+// Each wave draws the same number of samples from every stratum, as the
+// adaptive sampler's aligned waves do. The stopped intervals must cover
+// the true rate mean(p_h) at least at the nominal confidence, and the
+// rule must stop on fewer draws than the pooled Wilson rule on the same
+// draws: that is what crediting the strata buys.
+func TestStratifiedSequentialCoverage(t *testing.T) {
+	const (
+		conf   = 0.90
+		trials = 2000
+		L      = 16
+	)
+	cases := []struct {
+		name string
+		ph   [L]float64
+		eps  float64
+		seed uint64
+	}{
+		{"mid", [L]float64{0, 0, 0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1, 1, 1, 1, 1, 1}, 0.03, 201},
+		{"high", [L]float64{0.3, 0.7, 0.9, 0.97, 0.99, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0.02, 202},
+		{"flat", [L]float64{0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7}, 0.04, 203},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := 0.0
+			for _, q := range tc.ph {
+				p += q / L
+			}
+			rng := rand.New(rand.NewPCG(tc.seed, 0x57A7))
+			sched := SeqSchedule{Alpha: 1 - conf}
+			// stop runs one trial under a half-width rule and returns
+			// whether the stopped interval covers p, and the draws spent.
+			stop := func(hwOf func(pass []int, nh int, alpha float64) float64) (bool, int) {
+				pass := make([]int, L)
+				nh := 0
+				for w, size := 1, 64; ; w, size = w+1, 2*size {
+					for h := range pass {
+						for i := 0; i < size/L; i++ {
+							if rng.Float64() < tc.ph[h] {
+								pass[h]++
+							}
+						}
+					}
+					nh += size / L
+					if hw := hwOf(pass, nh, sched.AlphaAt(w)); hw <= tc.eps {
+						x := 0
+						for _, c := range pass {
+							x += c
+						}
+						return math.Abs(float64(x)/float64(L*nh)-p) <= hw, L * nh
+					}
+					if nh > 1<<20 {
+						t.Fatalf("rule never stopped (p=%v eps=%v)", p, tc.eps)
+					}
+				}
+			}
+			strat := func(pass []int, nh int, alpha float64) float64 {
+				hw, _ := StratifiedHalfWidth(pass, nh, alpha)
+				return hw
+			}
+			pooled := func(pass []int, nh int, alpha float64) float64 {
+				x := 0
+				for _, c := range pass {
+					x += c
+				}
+				return WilsonHalfWidth(x, L*nh, alpha)
+			}
+			covered, drawsStrat, drawsPooled := 0, 0, 0
+			for trial := 0; trial < trials; trial++ {
+				ok, n := stop(strat)
+				if ok {
+					covered++
+				}
+				drawsStrat += n
+				_, n = stop(pooled)
+				drawsPooled += n
+			}
+			coverage := float64(covered) / float64(trials)
+			t.Logf("p=%.4f coverage %.4f, mean stop %d draws (pooled Wilson %d)",
+				p, coverage, drawsStrat/trials, drawsPooled/trials)
+			if coverage < conf {
+				t.Errorf("empirical coverage %.4f below nominal %.2f", coverage, conf)
+			}
+			if tc.name != "flat" && drawsStrat >= drawsPooled {
+				t.Errorf("stratified rule spent %d draws, pooled %d: the strata earned nothing",
+					drawsStrat/trials, drawsPooled/trials)
+			}
+		})
+	}
+}
+
+// TestStratifiedHalfWidthFallbacks pins the cases where the stratified
+// interval is the pooled Wilson one: one stratum, p̂ at 0 or 1, strata of
+// a single draw, and a variance estimate above plain Monte Carlo's.
+func TestStratifiedHalfWidthFallbacks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pass []int
+		nh   int
+	}{
+		{"one stratum", []int{37}, 50},
+		{"all fail", []int{0, 0, 0, 0}, 16},
+		{"all pass", []int{16, 16, 16, 16}, 16},
+		{"single draws", []int{1, 0, 1, 1}, 1},
+		{"smoothing dominates", []int{16, 16, 15, 16}, 16},
+	} {
+		x := 0
+		for _, c := range tc.pass {
+			x += c
+		}
+		hw, deff := StratifiedHalfWidth(tc.pass, tc.nh, 0.05)
+		if want := WilsonHalfWidth(x, len(tc.pass)*tc.nh, 0.05); hw != want || deff != 1 {
+			t.Errorf("%s: (hw, deff) = (%v, %v), want (%v, 1)", tc.name, hw, deff, want)
+		}
+	}
+	// Strata that separate passes from fails shrink the interval.
+	hw, deff := StratifiedHalfWidth([]int{0, 0, 16, 16}, 16, 0.05)
+	if want := WilsonHalfWidth(32, 64, 0.05); !(hw < want && deff < 1) {
+		t.Errorf("separating strata: (hw, deff) = (%v, %v), want hw < %v and deff < 1", hw, deff, want)
+	}
+}
+
+// FuzzStratifiedHalfWidth: for arbitrary per-stratum counts the half-width
+// is finite and in [0, 1], the design effect in (0, 1], and both equal the
+// pooled Wilson ones when there is one stratum or p̂ is 0 or 1.
+func FuzzStratifiedHalfWidth(f *testing.F) {
+	f.Add([]byte{0, 0, 255, 255}, uint16(16), uint16(49))
+	f.Add([]byte{255, 255, 255, 254}, uint16(16), uint16(4))
+	f.Add([]byte{128}, uint16(300), uint16(99))
+	f.Add([]byte{0, 0, 0}, uint16(2), uint16(0))
+	f.Add([]byte{}, uint16(5), uint16(500))
+	f.Fuzz(func(t *testing.T, counts []byte, nh, a uint16) {
+		if len(counts) > 256 {
+			counts = counts[:256]
+		}
+		n := int(nh % 5000)
+		alpha := float64(a%999+1) / 1000
+		pass := make([]int, len(counts))
+		x := 0
+		for h, c := range counts {
+			pass[h] = int(c) * n / 255
+			x += pass[h]
+		}
+		hw, deff := StratifiedHalfWidth(pass, n, alpha)
+		if math.IsNaN(hw) || hw < 0 || hw > 1 {
+			t.Fatalf("pass=%v nh=%d alpha=%v: half-width %v outside [0, 1]", pass, n, alpha, hw)
+		}
+		if math.IsNaN(deff) || deff <= 0 || deff > 1 {
+			t.Fatalf("pass=%v nh=%d alpha=%v: design effect %v outside (0, 1]", pass, n, alpha, deff)
+		}
+		if len(pass) == 1 || x == 0 || x == len(pass)*n {
+			if want := WilsonHalfWidth(x, len(pass)*n, alpha); hw != want || deff != 1 {
+				t.Fatalf("pass=%v nh=%d alpha=%v: (hw, deff) = (%v, %v), want pooled (%v, 1)", pass, n, alpha, hw, deff, want)
+			}
+		}
+	})
+}

@@ -14,10 +14,13 @@ import (
 // the first time every queried threshold is known to the requested
 // half-width at the requested confidence. Peeking after every wave is kept
 // honest by the α-spending schedule in internal/stat. Two variance
-// reductions sharpen the estimates beyond plain Monte Carlo: the wave
-// sampler stratifies the first global variation component, and
-// cheap zero-only waves (step-1 search only, no rescue solver) extend the
-// step-1 tallies, which act as a control variate for step-2 (tuned) yield.
+// reductions sharpen the estimates beyond plain Monte Carlo. The wave
+// sampler stratifies the first global variation component into Strata
+// bands, the tallies keep one histogram per band, and the interval is the
+// stratified one (stat.StratifiedHalfWidth), so the between-band variance
+// the strata remove also leaves the half-width. Cheap zero-only waves
+// (step-1 search only, no rescue solver) extend the step-1 tallies, which
+// act as a control variate for step-2 (tuned) yield.
 //
 // Every decision — wave sizes, wave kinds, when to stop — is a pure
 // function of the merged integer tallies, which are themselves
@@ -92,6 +95,14 @@ type PointEstimate struct {
 	// (step-1 rate over all samples plus rescue rate over joint samples)
 	// because its interval was tighter than the direct one.
 	CV bool `json:"cv,omitempty"`
+	// Deff is the design effect v̂/p̂(1−p̂) the stratified half-width used
+	// (stat.StratifiedHalfWidth): the factor by which the strata shrank
+	// the variance against plain Monte Carlo, 1 where the interval fell
+	// back to the pooled one. A control-variate Tuned estimate reports its
+	// rescue term's, the term the control variate cannot shrink. 0
+	// (omitted) when no stratified interval was taken: unstratified waves,
+	// or the Hoeffding bound.
+	Deff float64 `json:"deff,omitempty"`
 }
 
 // AdaptiveReport is the adaptive counterpart of SweepReport: per sweep
@@ -123,6 +134,7 @@ type Adaptive struct {
 
 	n      int // sample cap (the fixed-n budget adaptive must beat)
 	align  int // wave sizes are multiples of this (2, or 2·Strata)
+	strata int // histograms per tally: Strata, or 1 when unstratified
 	sweeps []*SweepEvaluator
 
 	cursor   int // samples consumed: next wave starts here
@@ -134,8 +146,8 @@ type Adaptive struct {
 	pendHi   int
 	pendZero bool
 
-	joint []SweepTally // per sweep: both histograms over joint waves
-	zonly [][]int      // per sweep: FirstZero histogram over zero-only waves
+	joint []SweepTally // per sweep: both per-stratum histograms over joint waves
+	zonly [][]int      // per sweep: per-stratum FirstZero over zero-only waves
 
 	done bool
 	met  bool
@@ -144,8 +156,9 @@ type Adaptive struct {
 // NewAdaptive prepares an adaptive evaluation of the sweeps, capped at n
 // samples (the nominal fixed-n budget; the rule stops earlier whenever the
 // requested precision is met). Wave sizes are floored to multiples of
-// 2·Strata (two stratification cycles, covering every band evenly; 2
-// without strata), so up to one such alignment of the cap may go unused;
+// 2·Strata (two stratification cycles, covering every band evenly, so
+// every band holds the same number of chips at every check; 2 without
+// strata), so up to one such alignment of the cap may go unused;
 // when n cannot fit even one, stratification is disabled instead. The
 // alignment sets the wave schedule, so changing it changes every adaptive
 // result.
@@ -168,12 +181,12 @@ func NewAdaptive(prec Precision, n int, sweeps ...*SweepEvaluator) (*Adaptive, e
 			align = 2
 		}
 	}
-	a := &Adaptive{Prec: p, n: n, align: align, sweeps: sweeps, nextSize: p.Wave0}
+	a := &Adaptive{Prec: p, n: n, align: align, strata: numStrata(p.Strata), sweeps: sweeps, nextSize: p.Wave0}
 	a.joint = make([]SweepTally, len(sweeps))
 	a.zonly = make([][]int, len(sweeps))
 	for i, sw := range sweeps {
-		a.joint[i] = sw.NewTally()
-		a.zonly[i] = make([]int, len(sw.Ts)+1)
+		a.joint[i] = sw.WaveTally(p.Strata, false)
+		a.zonly[i] = sw.WaveTally(p.Strata, true).FirstZero
 	}
 	return a, nil
 }
@@ -210,7 +223,7 @@ func (a *Adaptive) Absorb(tallies []SweepTally) error {
 	if !a.pending {
 		return fmt.Errorf("yield: Absorb without a pending wave")
 	}
-	if err := CheckWave(a.sweeps, tallies, a.pendHi-a.pendLo, a.pendZero); err != nil {
+	if err := CheckWave(a.sweeps, tallies, a.pendLo, a.pendHi, a.pendZero, a.Prec.Strata); err != nil {
 		return err
 	}
 	for i, t := range tallies {
@@ -251,57 +264,83 @@ func (a *Adaptive) sched() stat.SeqSchedule {
 }
 
 // tallyCums folds sweep si's histograms into cumulative pass counts per
-// threshold: zero passes over all n1 samples, tuned passes over the n2
-// joint samples, and the rescue increments D = tuned − zero over the same
-// joint samples (a Bernoulli count, since a tuned pass subsumes a zero
-// pass chip by chip).
+// threshold i and stratum h, flattened as i·strata+h: zero passes over all
+// n1 samples, tuned passes over the n2 joint samples, and the rescue
+// increments D = tuned − zero over the same joint samples (a Bernoulli
+// count, since a tuned pass subsumes a zero pass chip by chip). Every
+// stratum holds n1/strata and n2/strata of the samples.
 func (a *Adaptive) tallyCums(si int) (passZ, passT, passD []int, n1, n2 int) {
-	nT := len(a.sweeps[si].Ts)
-	passZ = make([]int, nT)
-	passT = make([]int, nT)
-	passD = make([]int, nT)
-	cz, ct, cjz := 0, 0, 0
-	for i := 0; i < nT; i++ {
-		cjz += a.joint[si].FirstZero[i]
-		ct += a.joint[si].FirstTuned[i]
-		cz += a.joint[si].FirstZero[i] + a.zonly[si][i]
-		passZ[i] = cz
-		passT[i] = ct
-		passD[i] = ct - cjz
+	L := a.strata
+	bins := len(a.sweeps[si].Ts) + 1
+	nT := bins - 1
+	passZ = make([]int, nT*L)
+	passT = make([]int, nT*L)
+	passD = make([]int, nT*L)
+	jz, jt, zo := a.joint[si].FirstZero, a.joint[si].FirstTuned, a.zonly[si]
+	for h := 0; h < L; h++ {
+		cz, ct, cjz := 0, 0, 0
+		for i := 0; i < nT; i++ {
+			off := h*bins + i
+			cjz += jz[off]
+			ct += jt[off]
+			cz += jz[off] + zo[off]
+			passZ[i*L+h] = cz
+			passT[i*L+h] = ct
+			passD[i*L+h] = ct - cjz
+		}
 	}
 	n2 = a.joint[si].Chips()
 	n1 = n2
-	for _, c := range a.zonly[si] {
+	for _, c := range zo {
 		n1 += c
 	}
 	return
 }
 
-// point assembles the two estimates at one threshold under significance
-// alpha. Original spends its whole budget directly. Tuned reports the
-// tighter of two valid intervals: the direct estimate at alpha/2, or the
-// control-variate form — step-1 rate over all n1 samples plus rescue rate
-// over the n2 joint samples, each at alpha/4 — whose interval widths add.
-// Both splits are union bounds, so either report covers at 1−alpha.
-func (a *Adaptive) point(passZ, passT, passD, n1, n2 int, alpha float64) (orig, tuned PointEstimate) {
-	b := a.Prec.Bound
-	orig = PointEstimate{
-		Estimate:  rate(passZ, n1),
-		HalfWidth: b.HalfWidth(passZ, n1, alpha),
-		Samples:   n1,
+// halfWidth is the interval of the rate over n samples whose passes per
+// stratum are pass (one entry per stratum): the stratified Wilson interval
+// on stratified waves, else the pooled Bound.HalfWidth with deff 0 (none
+// used) — without strata, or under Hoeffding, which needs no variance and
+// holds as it is for the stratified sampler's non-identical draws.
+func (a *Adaptive) halfWidth(pass []int, n int, alpha float64) (hw, deff float64) {
+	if len(pass) == 1 || a.Prec.Bound == stat.BoundHoeffding {
+		return a.Prec.Bound.HalfWidth(sum(pass), n, alpha), 0
 	}
-	hwDir := b.HalfWidth(passT, n2, alpha/2)
-	hwCV := b.HalfWidth(passZ, n1, alpha/4) + b.HalfWidth(passD, n2, alpha/4)
-	if hwCV < hwDir {
-		est := rate(passZ, n1) + rate(passD, n2)
+	return stat.StratifiedHalfWidth(pass, n/len(pass), alpha)
+}
+
+// point assembles the two estimates at one threshold under significance
+// alpha from its per-stratum pass counts. Original spends its whole budget
+// directly. Tuned reports the tighter of two valid intervals: the direct
+// estimate at alpha/2, or the control-variate form — step-1 rate over all
+// n1 samples plus rescue rate over the n2 joint samples, each at alpha/4 —
+// whose interval widths add. Both splits are union bounds, so either
+// report covers at 1−alpha.
+func (a *Adaptive) point(passZ, passT, passD []int, n1, n2 int, alpha float64) (orig, tuned PointEstimate) {
+	z, t, d := sum(passZ), sum(passT), sum(passD)
+	hwZ, deffZ := a.halfWidth(passZ, n1, alpha)
+	orig = PointEstimate{Estimate: rate(z, n1), HalfWidth: hwZ, Samples: n1, Deff: deffZ}
+	hwDir, deffT := a.halfWidth(passT, n2, alpha/2)
+	hwZ4, _ := a.halfWidth(passZ, n1, alpha/4)
+	hwD4, deffD := a.halfWidth(passD, n2, alpha/4)
+	if hwCV := hwZ4 + hwD4; hwCV < hwDir {
+		est := rate(z, n1) + rate(d, n2)
 		if est > 1 {
 			est = 1
 		}
-		tuned = PointEstimate{Estimate: est, HalfWidth: hwCV, Samples: n1, CV: true}
+		tuned = PointEstimate{Estimate: est, HalfWidth: hwCV, Samples: n1, CV: true, Deff: deffD}
 	} else {
-		tuned = PointEstimate{Estimate: rate(passT, n2), HalfWidth: hwDir, Samples: n2}
+		tuned = PointEstimate{Estimate: rate(t, n2), HalfWidth: hwDir, Samples: n2, Deff: deffT}
 	}
 	return orig, tuned
+}
+
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 func rate(pass, n int) float64 {
@@ -315,10 +354,11 @@ func rate(pass, n int) float64 {
 // the current check's spending budget.
 func (a *Adaptive) allMet() bool {
 	alpha := a.sched().AlphaAt(a.waves)
+	L := a.strata
 	for si := range a.sweeps {
 		passZ, passT, passD, n1, n2 := a.tallyCums(si)
-		for i := range passZ {
-			orig, tuned := a.point(passZ[i], passT[i], passD[i], n1, n2, alpha)
+		for i := 0; i < len(passZ); i += L {
+			orig, tuned := a.point(passZ[i:i+L], passT[i:i+L], passD[i:i+L], n1, n2, alpha)
 			if orig.HalfWidth > a.Prec.Eps || tuned.HalfWidth > a.Prec.Eps {
 				return false
 			}
@@ -334,21 +374,20 @@ func (a *Adaptive) allMet() bool {
 // control-variate form converge: its width tends to the rescue term as the
 // step-1 term vanishes.
 func (a *Adaptive) zeroOnlyNext() bool {
-	n2 := a.joint[0].Chips()
-	if n2 == 0 {
+	if a.joint[0].Chips() == 0 {
 		return false // nothing to control against yet: first wave is joint
 	}
 	alphaNext := a.sched().AlphaAt(a.waves + 1)
 	alphaCur := a.sched().AlphaAt(a.waves)
-	b := a.Prec.Bound
+	L := a.strata
 	for si := range a.sweeps {
 		passZ, passT, passD, n1, n2 := a.tallyCums(si)
-		for i := range passZ {
-			_, tuned := a.point(passZ[i], passT[i], passD[i], n1, n2, alphaCur)
+		for i := 0; i < len(passZ); i += L {
+			_, tuned := a.point(passZ[i:i+L], passT[i:i+L], passD[i:i+L], n1, n2, alphaCur)
 			if tuned.HalfWidth <= a.Prec.Eps {
 				continue
 			}
-			if b.HalfWidth(passD[i], n2, alphaNext/4) > a.Prec.Eps/2 {
+			if hw, _ := a.halfWidth(passD[i:i+L], n2, alphaNext/4); hw > a.Prec.Eps/2 {
 				return false
 			}
 		}
@@ -363,6 +402,7 @@ func (a *Adaptive) Reports() []AdaptiveReport {
 		w = 1
 	}
 	alpha := a.sched().AlphaAt(w)
+	L := a.strata
 	out := make([]AdaptiveReport, len(a.sweeps))
 	for si, sw := range a.sweeps {
 		passZ, passT, passD, n1, n2 := a.tallyCums(si)
@@ -378,7 +418,8 @@ func (a *Adaptive) Reports() []AdaptiveReport {
 			Conf:         a.Prec.Conf,
 		}
 		for i := range sw.Ts {
-			rep.Original[i], rep.Tuned[i] = a.point(passZ[i], passT[i], passD[i], n1, n2, alpha)
+			lo, hi := i*L, (i+1)*L
+			rep.Original[i], rep.Tuned[i] = a.point(passZ[lo:hi], passT[lo:hi], passD[lo:hi], n1, n2, alpha)
 		}
 		out[si] = rep
 	}

@@ -151,11 +151,7 @@ func TestAdaptiveShardedWavesMatchInProcess(t *testing.T) {
 		// Merged accumulators, one per sweep, shaped for the wave kind.
 		merged := make([]SweepTally, len(sweeps))
 		for i, sw := range sweeps {
-			if zeroOnly {
-				merged[i] = SweepTally{FirstZero: make([]int, len(sw.Ts)+1)}
-			} else {
-				merged[i] = sw.NewTally()
-			}
+			merged[i] = sw.WaveTally(a.Prec.Strata, zeroOnly)
 		}
 		// Uneven split of the wave range; each part uses a fresh engine,
 		// as a remote worker would.
@@ -163,7 +159,7 @@ func TestAdaptiveShardedWavesMatchInProcess(t *testing.T) {
 		for c := 0; c+1 < len(cuts); c++ {
 			eng := mc.New(g, seed)
 			eng.Stratify = a.Prec.Strata
-			part := TallyRange(eng, cuts[c], cuts[c+1], zeroOnly, sweeps...)
+			part := TallyRange(eng, cuts[c], cuts[c+1], zeroOnly, a.Prec.Strata, sweeps...)
 			for i := range merged {
 				if err := merged[i].Merge(part[i]); err != nil {
 					t.Fatal(err)
@@ -208,7 +204,7 @@ func TestAdaptiveZeroOnlyWavesControlVariate(t *testing.T) {
 		} else {
 			jointChips += hi - lo
 		}
-		if err := a.Absorb(TallyRange(eng, lo, hi, zeroOnly, sw)); err != nil {
+		if err := a.Absorb(TallyRange(eng, lo, hi, zeroOnly, a.Prec.Strata, sw)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +267,7 @@ func TestAdaptiveValidation(t *testing.T) {
 	if err := a.Absorb([]SweepTally{{FirstZero: []int{1}, FirstTuned: []int{1}}}); err == nil {
 		t.Error("mis-shaped wave tally accepted")
 	}
-	if err := a.Absorb([]SweepTally{sw.NewTally()}); err == nil {
+	if err := a.Absorb([]SweepTally{sw.WaveTally(a.Prec.Strata, false)}); err == nil {
 		t.Error("wave tally with wrong chip count accepted")
 	}
 }

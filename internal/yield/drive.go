@@ -39,7 +39,7 @@ func Drive(ctx context.Context, n int, prec Precision, sweeps []*SweepEvaluator,
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := CheckWave(sweeps, ts, n, false); err != nil {
+		if err := CheckWave(sweeps, ts, 0, n, false, 0); err != nil {
 			return nil, nil, err
 		}
 		reports := make([]SweepReport, len(sweeps))
@@ -64,40 +64,54 @@ func Drive(ctx context.Context, n int, prec Precision, sweeps []*SweepEvaluator,
 	return nil, a.Reports(), nil
 }
 
-// CheckWave validates one wave's tallies before they merge: one tally per
-// sweep, shaped for the wave kind (zero-only tallies carry no tuned bins),
-// no bin negative, and each histogram — FirstZero, and FirstTuned on full
-// waves — covering exactly chips chips. The coordinator runs it on every
-// worker partial, so a malformed response is rejected, never merged.
-func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, chips int, zeroOnly bool) error {
+// CheckWave validates the tallies of chips [lo, hi) of one wave before they
+// merge: one tally per sweep, shaped for the wave kind (zero-only tallies
+// carry no tuned bins) and its strata (one histogram per stratum, see
+// WaveTally), no bin negative, and each stratum's histogram — FirstZero,
+// and FirstTuned on full waves — covering exactly the range's chips of
+// that stratum. The coordinator runs it on every worker partial, so a
+// malformed response, or a pooled one on a stratified wave, is rejected,
+// never merged.
+func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, lo, hi int, zeroOnly bool, strata int) error {
 	if len(tallies) != len(sweeps) {
 		return fmt.Errorf("yield: wave returned %d tallies for %d sweeps", len(tallies), len(sweeps))
 	}
+	L := numStrata(strata)
 	for i, t := range tallies {
-		nT := len(sweeps[i].Ts)
-		if len(t.FirstZero) != nT+1 {
-			return fmt.Errorf("yield: wave tally %d has %d zero bins, want %d", i, len(t.FirstZero), nT+1)
+		bins := len(sweeps[i].Ts) + 1
+		if len(t.FirstZero) != L*bins {
+			return fmt.Errorf("yield: wave tally %d has %d zero bins, want %d", i, len(t.FirstZero), L*bins)
 		}
 		switch {
 		case zeroOnly && len(t.FirstTuned) != 0:
 			return fmt.Errorf("yield: zero-only wave tally %d carries tuned bins", i)
-		case !zeroOnly && len(t.FirstTuned) != nT+1:
-			return fmt.Errorf("yield: wave tally %d has %d tuned bins, want %d", i, len(t.FirstTuned), nT+1)
+		case !zeroOnly && len(t.FirstTuned) != L*bins:
+			return fmt.Errorf("yield: wave tally %d has %d tuned bins, want %d", i, len(t.FirstTuned), L*bins)
 		}
-		for _, bins := range [][]int{t.FirstZero, t.FirstTuned} {
-			sum := 0
-			for _, c := range bins {
-				if c < 0 {
-					return fmt.Errorf("yield: wave tally %d has a negative bin", i)
-				}
-				sum += c
+		for _, hist := range [][]int{t.FirstZero, t.FirstTuned} {
+			if len(hist) == 0 {
+				continue // a zero-only wave's tuned side
 			}
-			if len(bins) > 0 && sum != chips {
-				return fmt.Errorf("yield: wave tally %d covers %d chips, want %d", i, sum, chips)
+			for h := 0; h < L; h++ {
+				sum := 0
+				for _, c := range hist[h*bins : (h+1)*bins] {
+					if c < 0 {
+						return fmt.Errorf("yield: wave tally %d has a negative bin", i)
+					}
+					sum += c
+				}
+				if want := stratumChips(hi, h, L) - stratumChips(lo, h, L); sum != want {
+					return fmt.Errorf("yield: wave tally %d covers %d chips of stratum %d, want %d", i, sum, h, want)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// stratumChips counts the chips k ∈ [0, x) of stratum h of L (k mod L = h).
+func stratumChips(x, h, L int) int {
+	return (x - h + L - 1) / L
 }
 
 // LocalTally is the in-process tallier: each wave is one TallyRange pass
@@ -106,7 +120,7 @@ func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, chips int, zeroOn
 // worker's yield-pass handler and the coordinator's local drain alike.
 func LocalTally(source func(strata int) mc.Source, sweeps ...*SweepEvaluator) TallyFunc {
 	return func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]SweepTally, error) {
-		ts := TallyRange(ctxSource{done: ctx.Done(), src: source(strata)}, lo, hi, zeroOnly, sweeps...)
+		ts := TallyRange(ctxSource{done: ctx.Done(), src: source(strata)}, lo, hi, zeroOnly, strata, sweeps...)
 		if err := ctx.Err(); err != nil {
 			return nil, err // chips after the cancellation point never ran
 		}

@@ -239,10 +239,13 @@ func (s *SweepEvaluator) advance(ch *timing.Chip, ps []pairRef, i int) (next int
 
 // SweepTally is the mergeable partial result of a sweep over any subset of
 // chips: FirstZero[i] / FirstTuned[i] count chips whose pass threshold is
-// sweep index i (index len(Ts) = never passes). Tallies are pure integer
-// histograms summed over chips, so merging k-range partials in any order
-// reproduces the single-pass tally exactly — the property the sharded
-// sample loop's distributed reduce rests on.
+// sweep index i (index len(Ts) = never passes). A tally of a stratified
+// wave (strata L > 1) holds one such histogram per stratum h = k mod L,
+// flattened as h·(len(Ts)+1)+i, so the adaptive stopping rule can credit
+// the strata; the pooled histogram is the sum over strata. Tallies are
+// pure integer histograms summed over chips, so merging k-range partials
+// in any order reproduces the single-pass tally exactly — the property
+// the sharded sample loop's distributed reduce rests on.
 type SweepTally struct {
 	FirstZero  []int `json:"first_zero"`
 	FirstTuned []int `json:"first_tuned"`
@@ -273,21 +276,36 @@ func (t *SweepTally) Merge(o SweepTally) error {
 	return nil
 }
 
-// NewTally returns an empty tally sized for this sweep (a merge identity).
-func (s *SweepEvaluator) NewTally() SweepTally {
-	return SweepTally{
-		FirstZero:  make([]int, len(s.Ts)+1),
-		FirstTuned: make([]int, len(s.Ts)+1),
+// WaveTally returns an empty tally shaped for a wave over the universe
+// stratified into strata bands (≤ 1: unstratified, one pooled histogram)
+// and of the given kind (zero-only: FirstTuned nil) — the merge identity
+// of that wave's partials.
+func (s *SweepEvaluator) WaveTally(strata int, zeroOnly bool) SweepTally {
+	bins := numStrata(strata) * (len(s.Ts) + 1)
+	t := SweepTally{FirstZero: make([]int, bins)}
+	if !zeroOnly {
+		t.FirstTuned = make([]int, bins)
 	}
+	return t
 }
 
-// RangePass begins a tally pass over the chip sub-range [lo, hi). The
-// consume function accepts global sample indices k ∈ [lo, hi) and is safe
-// for concurrent use from mc workers (per-worker scratch comes from an
+// numStrata is the number of per-stratum histograms a tally of a wave with
+// the given Stratify setting holds.
+func numStrata(strata int) int {
+	if strata > 1 {
+		return strata
+	}
+	return 1
+}
+
+// RangePass begins a tally pass over the chip sub-range [lo, hi) of the
+// universe stratified into strata bands (see WaveTally). The consume
+// function accepts global sample indices k ∈ [lo, hi) and is safe for
+// concurrent use from mc workers (per-worker scratch comes from an
 // internal pool; thresholds land in k-indexed arrays); tally reduces the
 // range sequentially afterward, so the partial is byte-identical for any
 // worker count.
-func (s *SweepEvaluator) RangePass(lo, hi int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
+func (s *SweepEvaluator) RangePass(lo, hi, strata int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
 	firstZero := make([]int32, hi-lo)
 	firstTuned := make([]int32, hi-lo)
 	consume = func(k int, ch *timing.Chip) {
@@ -298,10 +316,12 @@ func (s *SweepEvaluator) RangePass(lo, hi int) (consume func(k int, ch *timing.C
 		firstTuned[k-lo] = int32(tn)
 	}
 	tally = func() SweepTally {
-		t := s.NewTally()
+		t := s.WaveTally(strata, false)
+		L, bins := numStrata(strata), len(s.Ts)+1
 		for i := range firstZero {
-			t.FirstZero[firstZero[i]]++
-			t.FirstTuned[firstTuned[i]]++
+			off := (lo + i) % L * bins
+			t.FirstZero[off+int(firstZero[i])]++
+			t.FirstTuned[off+int(firstTuned[i])]++
 		}
 		return t
 	}
@@ -315,23 +335,25 @@ func (s *SweepEvaluator) RangePass(lo, hi int) (consume func(k int, ch *timing.C
 // it merges only with other zero-only tallies). The adaptive evaluator uses
 // these cheap waves to extend the step-1 horizon (original yield, and the
 // control-variate correction of tuned yield) without paying step-2 cost.
-func (s *SweepEvaluator) RangePassZero(lo, hi int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
+func (s *SweepEvaluator) RangePassZero(lo, hi, strata int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
 	firstZero := make([]int32, hi-lo)
 	consume = func(k int, ch *timing.Chip) {
 		firstZero[k-lo] = int32(s.firstZeroIndex(ch))
 	}
 	tally = func() SweepTally {
-		t := SweepTally{FirstZero: make([]int, len(s.Ts)+1)}
-		for _, z := range firstZero {
-			t.FirstZero[z]++
+		t := s.WaveTally(strata, true)
+		L, bins := numStrata(strata), len(s.Ts)+1
+		for i, z := range firstZero {
+			t.FirstZero[(lo+i)%L*bins+int(z)]++
 		}
 		return t
 	}
 	return consume, tally
 }
 
-// ReportOf folds a (complete) tally into the cumulative sweep report: the
-// yield at sweep point i counts every chip whose threshold is ≤ i.
+// ReportOf folds a (complete, pooled) tally into the cumulative sweep
+// report: the yield at sweep point i counts every chip whose threshold is
+// ≤ i.
 func (s *SweepEvaluator) ReportOf(t SweepTally) SweepReport {
 	nT := len(s.Ts)
 	n := t.Chips()
@@ -366,10 +388,11 @@ func EvaluateSweep(ev *Evaluator, src mc.Source, n int, Ts []float64) (SweepRepo
 // unit every tallier runs: disjoint ranges tiling a wave merge
 // (SweepTally.Merge) into exactly the tally one full pass produces. With
 // zeroOnly set, only the step-1 threshold search runs (RangePassZero) and
-// the tallies carry FirstZero alone.
+// the tallies carry FirstZero alone. strata is src's Stratify setting: it
+// shapes the tallies into per-stratum histograms (see WaveTally).
 //
 //contract:allocfree
-func TallyRange(src mc.Source, lo, hi int, zeroOnly bool, sweeps ...*SweepEvaluator) []SweepTally {
+func TallyRange(src mc.Source, lo, hi int, zeroOnly bool, strata int, sweeps ...*SweepEvaluator) []SweepTally {
 	pass := (*SweepEvaluator).RangePass
 	if zeroOnly {
 		pass = (*SweepEvaluator).RangePassZero
@@ -379,7 +402,7 @@ func TallyRange(src mc.Source, lo, hi int, zeroOnly bool, sweeps ...*SweepEvalua
 	//lint:ignore contract:allocfree per-wave header: O(sweeps), not O(samples)
 	tallies := make([]func() SweepTally, len(sweeps))
 	for i, sw := range sweeps {
-		consumes[i], tallies[i] = pass(sw, lo, hi)
+		consumes[i], tallies[i] = pass(sw, lo, hi, strata)
 	}
 	src.ForEachRangeBatch(lo, hi, consumes...)
 	//lint:ignore contract:allocfree per-wave partial-tally result: O(sweeps), not O(samples)

@@ -98,7 +98,7 @@ func TestSweepMatchesPerPeriodEvaluate(t *testing.T) {
 			}
 			rep := EvaluateMany(mc.New(g, seed), n, sw)[0]
 			zero := sw.ReportOf(SweepTally{
-				FirstZero:  TallyRange(mc.New(g, seed), 0, n, true, sw)[0].FirstZero,
+				FirstZero:  TallyRange(mc.New(g, seed), 0, n, true, 0, sw)[0].FirstZero,
 				FirstTuned: make([]int, len(Ts)+1),
 			})
 			// Two consumers of one pass, and a population's replay, decide
@@ -109,8 +109,8 @@ func TestSweepMatchesPerPeriodEvaluate(t *testing.T) {
 						t.Fatalf("certified pass %+v != uncertified %+v", r, rep)
 					}
 				}
-				for _, tl := range TallyRange(src, 0, n, true, sw, sw) {
-					if !slices.Equal(tl.FirstZero, TallyRange(mc.New(g, seed), 0, n, true, sw)[0].FirstZero) {
+				for _, tl := range TallyRange(src, 0, n, true, 0, sw, sw) {
+					if !slices.Equal(tl.FirstZero, TallyRange(mc.New(g, seed), 0, n, true, 0, sw)[0].FirstZero) {
 						t.Fatal("certified zero-only tally differs from the uncertified one")
 					}
 				}
@@ -398,9 +398,9 @@ func TestTallyRangeMergesToFullPass(t *testing.T) {
 	}
 	// Uneven tiling, merged back-to-front to prove order independence.
 	ranges := [][2]int{{0, 1}, {1, 130}, {130, 640}, {640, 900}}
-	merged := sw.NewTally()
+	merged := sw.WaveTally(0, false)
 	for i := len(ranges) - 1; i >= 0; i-- {
-		part := TallyRange(mc.New(g, seed), ranges[i][0], ranges[i][1], false, sw)[0]
+		part := TallyRange(mc.New(g, seed), ranges[i][0], ranges[i][1], false, 0, sw)[0]
 		data, err := json.Marshal(part)
 		if err != nil {
 			t.Fatal(err)

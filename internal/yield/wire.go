@@ -8,7 +8,8 @@ import (
 // tallies the sharded yield loop merges. The frame is flat
 // little-endian (see internal/shard/wire): a u32 tally count, then per
 // tally a presence-flagged FirstZero list and a presence-flagged
-// FirstTuned list. Zero-only tallies carry FirstTuned == nil, and the
+// FirstTuned list (on a stratified wave, each list holds one histogram per
+// stratum; see SweepTally). Zero-only tallies carry FirstTuned == nil, and the
 // codec preserves nil vs present exactly: CheckWave tells the wave kinds
 // apart by it, so a codec that normalized one into the other would reject
 // every partial of that kind.

@@ -35,6 +35,42 @@ func TestTalliesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTalliesRoundTripStratified: a stratified wave's tallies hold
+// L·(nT+1) bins per histogram; the codec carries them whole, joint and
+// zero-only alike, and the decoded batch passes the same CheckWave.
+func TestTalliesRoundTripStratified(t *testing.T) {
+	const L, lo, hi = 4, 8, 24
+	sw := &SweepEvaluator{Ts: []float64{100, 110, 120}}
+	bins := len(sw.Ts) + 1
+	joint, zero := sw.WaveTally(L, false), sw.WaveTally(L, true)
+	for k := lo; k < hi; k++ {
+		off := k % L * bins
+		joint.FirstZero[off+k%bins]++
+		joint.FirstTuned[off+k%2]++
+		zero.FirstZero[off+(k/L)%bins]++
+	}
+	ts := []SweepTally{joint, zero}
+	var tb TallyBuf
+	r := wire.NewReader(AppendTallies(nil, ts))
+	got := tb.Decode(&r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("Done: %v", err)
+	}
+	if !reflect.DeepEqual(got, ts) {
+		t.Fatalf("round trip diverges:\n got  %+v\n want %+v", got, ts)
+	}
+	if len(got[0].FirstZero) != L*bins || len(got[1].FirstZero) != L*bins || got[1].FirstTuned != nil {
+		t.Fatalf("decoded shapes: %d/%d zero bins, zero-only tuned %v", len(got[0].FirstZero), len(got[1].FirstZero), got[1].FirstTuned)
+	}
+	sweeps := []*SweepEvaluator{sw}
+	if err := CheckWave(sweeps, got[:1], lo, hi, false, L); err != nil {
+		t.Errorf("decoded joint tally: %v", err)
+	}
+	if err := CheckWave(sweeps, got[1:], lo, hi, true, L); err != nil {
+		t.Errorf("decoded zero-only tally: %v", err)
+	}
+}
+
 func TestTalliesPreserveZeroOnlyNil(t *testing.T) {
 	// CheckWave tells the wave kinds apart by FirstTuned presence; the codec must
 	// not normalize a zero-only tally into a full one or vice versa.

@@ -344,11 +344,12 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     # math/rand/v2 over fuzzed seeds and call patterns, its jump-ahead
     # (Stream.Advance) to single steps, the chips' zero-tuning certificates
     # to the exact scans on fuzzed chips, and the incremental what-if
-    # period to the full Monte Carlo on fuzzed edit sets; hammer
-    # the shard wire decoders with arbitrary frames, and feed the .bench
-    # parser arbitrary netlist text (each must reject or round-trip, never
-    # panic). Off by default (it adds ~12x CI_FUZZ_TIME of wall time); the
-    # CI workflow enables it.
+    # period to the full Monte Carlo on fuzzed edit sets; bound the
+    # adaptive rule's stratified interval on arbitrary per-stratum counts;
+    # hammer the shard wire decoders with arbitrary frames, and feed the
+    # .bench parser arbitrary netlist text (each must reject or round-trip,
+    # never panic). Off by default (it adds ~13x CI_FUZZ_TIME of wall
+    # time); the CI workflow enables it.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
         go test -run '^$' -fuzz 'FuzzCompactLayout' -fuzztime "$fuzztime" ./internal/lp
@@ -361,6 +362,7 @@ if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
         go test -run '^$' -fuzz 'FuzzStreamAdvance' -fuzztime "$fuzztime" ./internal/timing
         go test -run '^$' -fuzz 'FuzzZeroCert' -fuzztime "$fuzztime" ./internal/timing
         go test -run '^$' -fuzz 'FuzzWhatIfPeriod' -fuzztime "$fuzztime" ./internal/expt
+        go test -run '^$' -fuzz 'FuzzStratifiedHalfWidth' -fuzztime "$fuzztime" ./internal/stat
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
         go test -run '^$' -fuzz 'FuzzParseBench' -fuzztime "$fuzztime" ./internal/ckt
     else
