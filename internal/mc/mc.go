@@ -77,6 +77,32 @@ func streamSeed(k int) uint64 {
 	return uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 }
 
+// Strata is the number of strata of a universe with the given Stratify
+// setting: Stratify itself when > 1, else 1 (unstratified, every chip in
+// stratum 0).
+func Strata(stratify int) int {
+	if stratify > 1 {
+		return stratify
+	}
+	return 1
+}
+
+// Stratum is the stratum of chip k in a universe with the given Stratify
+// setting: chip k draws gvec[0] from band k mod Stratify, and every chip
+// of an unstratified universe is in stratum 0. This is the one statement
+// of the rule; tallies that keep per-stratum counts use it too.
+func Stratum(k, stratify int) int {
+	return k % Strata(stratify)
+}
+
+// StratumChips counts the chips k ∈ [lo, hi) in stratum h of a universe
+// with the given Stratify setting.
+func StratumChips(lo, hi, h, stratify int) int {
+	L := Strata(stratify)
+	below := func(x int) int { return (x - h + L - 1) / L } // chips of h in [0, x)
+	return below(hi) - below(lo)
+}
+
 // stratumNormal maps a uniform draw within stratum s of L onto the normal
 // quantile band [s/L, (s+1)/L).
 func stratumNormal(s, L int, u float64) float64 {
@@ -115,7 +141,7 @@ func (r *realizer) realize(k int) {
 	if e.Stratify > 1 && e.G.Dim() > 0 {
 		u := r.s.Float64()
 		r.s.Normals(dev[1:])
-		dev[0] = stratumNormal(k%e.Stratify, e.Stratify, u)
+		dev[0] = stratumNormal(Stratum(k, e.Stratify), e.Stratify, u)
 	} else {
 		r.s.Normals(dev)
 	}

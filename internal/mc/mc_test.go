@@ -541,3 +541,24 @@ func TestRealizerZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStratumChipsCountsRange: StratumChips agrees with counting Stratum
+// over the range, for unaligned ranges and the unstratified settings.
+func TestStratumChipsCountsRange(t *testing.T) {
+	for _, stratify := range []int{-1, 0, 1, 2, 5, 16} {
+		for lo := 0; lo < 20; lo++ {
+			for hi := lo; hi < 40; hi++ {
+				L := Strata(stratify)
+				count := make([]int, L)
+				for k := lo; k < hi; k++ {
+					count[Stratum(k, stratify)]++
+				}
+				for h := 0; h < L; h++ {
+					if got := StratumChips(lo, hi, h, stratify); got != count[h] {
+						t.Fatalf("Stratify=%d: StratumChips(%d, %d, %d) = %d, want %d", stratify, lo, hi, h, got, count[h])
+					}
+				}
+			}
+		}
+	}
+}

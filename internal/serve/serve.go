@@ -116,6 +116,20 @@ const (
 	maxSweepSamples = 1 << 25
 )
 
+// checkStrata validates a yield pass's strata field, which sizes its
+// tallies (one histogram per stratum): within [0, yield.MaxStrata] and,
+// when stratified (> 1), at most half of eval_samples — the rules
+// yield.NewAdaptive applies to the waves it sends.
+func checkStrata(strata, evalSamples int) error {
+	if strata < 0 || strata > yield.MaxStrata {
+		return badRequest("strata %d outside [0, %d]", strata, yield.MaxStrata)
+	}
+	if strata > 1 && strata > evalSamples/2 {
+		return badRequest("strata %d exceeds half of eval_samples %d", strata, evalSamples)
+	}
+	return nil
+}
+
 // solveWorkers bounds a request's solve parallelism to [0, GOMAXPROCS]
 // (0 = all cores). mc starts one goroutine per worker, each with its own
 // graph-sized chip and pooled solver, so an unbounded client-chosen count

@@ -20,6 +20,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/shard/chaos"
 	"repro/internal/shard/wire"
+	"repro/internal/yield"
 
 	"repro/internal/leakcheck"
 )
@@ -364,6 +365,24 @@ func TestShardPassEndpointsValidate(t *testing.T) {
 			Range: shard.Range{Lo: 0, Hi: 10},
 		}); code != http.StatusBadRequest {
 			t.Fatalf("yield pass of %d chips × 4 sweeps: HTTP %d, want 400", n, code)
+		}
+	}
+	// strata sizes the tallies, so it is bounded like the sample counts:
+	// a stratified wave the adaptive sampler could send is accepted, and
+	// a negative, oversized or wider-than-half-the-universe one is not.
+	yieldPass := func(strata int) int {
+		return post("/v1/shard/yield-pass", YieldPassRequest{
+			Circuit: tinySpec(), Options: tinyOptions(),
+			EvalSamples: 100, Queries: []YieldQuery{{Plan: ins.Plan}},
+			Range: shard.Range{Lo: 0, Hi: 10}, Strata: strata,
+		})
+	}
+	if code := yieldPass(16); code != http.StatusOK {
+		t.Fatalf("yield pass at strata 16: HTTP %d, want 200", code)
+	}
+	for _, strata := range []int{-1, 51, yield.MaxStrata + 1, 1 << 28, 1 << 62} {
+		if code := yieldPass(strata); code != http.StatusBadRequest {
+			t.Fatalf("yield pass at strata %d: HTTP %d, want 400", strata, code)
 		}
 	}
 }

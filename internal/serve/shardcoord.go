@@ -90,6 +90,9 @@ func (s *Server) handleYieldPass(r *http.Request) (any, error) {
 	if err := checkSamples("eval_samples", req.EvalSamples, maxEvalSamples); err != nil {
 		return nil, err
 	}
+	if err := checkStrata(req.Strata, req.EvalSamples); err != nil {
+		return nil, err
+	}
 	if len(req.Queries) == 0 {
 		return nil, badRequest("need at least one query")
 	}

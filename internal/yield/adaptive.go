@@ -36,6 +36,9 @@ const (
 	// DefaultStrata is the stratification granularity of the first global
 	// variation component.
 	DefaultStrata = 16
+	// MaxStrata bounds Precision.Strata: a stratified tally holds one
+	// histogram per stratum, so the strata multiply its size.
+	MaxStrata = 1 << 8
 )
 
 // Precision is an adaptive evaluation request: stop when every queried
@@ -54,6 +57,7 @@ type Precision struct {
 	Wave0 int
 	// Strata stratifies the first global variation component over this
 	// many bands; 0 means DefaultStrata, negative disables stratification.
+	// At most MaxStrata.
 	Strata int
 }
 
@@ -73,6 +77,9 @@ func (p Precision) norm() (Precision, error) {
 	}
 	if p.Wave0 <= 0 {
 		p.Wave0 = DefaultWave0
+	}
+	if p.Strata > MaxStrata {
+		return p, fmt.Errorf("yield: adaptive strata %d above %d", p.Strata, MaxStrata)
 	}
 	if p.Strata == 0 {
 		p.Strata = DefaultStrata
@@ -181,7 +188,7 @@ func NewAdaptive(prec Precision, n int, sweeps ...*SweepEvaluator) (*Adaptive, e
 			align = 2
 		}
 	}
-	a := &Adaptive{Prec: p, n: n, align: align, strata: numStrata(p.Strata), sweeps: sweeps, nextSize: p.Wave0}
+	a := &Adaptive{Prec: p, n: n, align: align, strata: mc.Strata(p.Strata), sweeps: sweeps, nextSize: p.Wave0}
 	a.joint = make([]SweepTally, len(sweeps))
 	a.zonly = make([][]int, len(sweeps))
 	for i, sw := range sweeps {

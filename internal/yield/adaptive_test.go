@@ -241,6 +241,7 @@ func TestAdaptiveValidation(t *testing.T) {
 		{Eps: 0.6},
 		{Eps: 0.01, Conf: 0.3},
 		{Eps: 0.01, Conf: 1},
+		{Eps: 0.01, Strata: MaxStrata + 1},
 	} {
 		if _, err := NewAdaptive(prec, 1000, sw); err == nil {
 			t.Errorf("Precision %+v accepted, want error", prec)

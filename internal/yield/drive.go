@@ -76,7 +76,7 @@ func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, lo, hi int, zeroO
 	if len(tallies) != len(sweeps) {
 		return fmt.Errorf("yield: wave returned %d tallies for %d sweeps", len(tallies), len(sweeps))
 	}
-	L := numStrata(strata)
+	L := mc.Strata(strata)
 	for i, t := range tallies {
 		bins := len(sweeps[i].Ts) + 1
 		if len(t.FirstZero) != L*bins {
@@ -100,18 +100,13 @@ func CheckWave(sweeps []*SweepEvaluator, tallies []SweepTally, lo, hi int, zeroO
 					}
 					sum += c
 				}
-				if want := stratumChips(hi, h, L) - stratumChips(lo, h, L); sum != want {
+				if want := mc.StratumChips(lo, hi, h, strata); sum != want {
 					return fmt.Errorf("yield: wave tally %d covers %d chips of stratum %d, want %d", i, sum, h, want)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// stratumChips counts the chips k ∈ [0, x) of stratum h of L (k mod L = h).
-func stratumChips(x, h, L int) int {
-	return (x - h + L - 1) / L
 }
 
 // LocalTally is the in-process tallier: each wave is one TallyRange pass

@@ -281,21 +281,12 @@ func (t *SweepTally) Merge(o SweepTally) error {
 // and of the given kind (zero-only: FirstTuned nil) — the merge identity
 // of that wave's partials.
 func (s *SweepEvaluator) WaveTally(strata int, zeroOnly bool) SweepTally {
-	bins := numStrata(strata) * (len(s.Ts) + 1)
+	bins := mc.Strata(strata) * (len(s.Ts) + 1)
 	t := SweepTally{FirstZero: make([]int, bins)}
 	if !zeroOnly {
 		t.FirstTuned = make([]int, bins)
 	}
 	return t
-}
-
-// numStrata is the number of per-stratum histograms a tally of a wave with
-// the given Stratify setting holds.
-func numStrata(strata int) int {
-	if strata > 1 {
-		return strata
-	}
-	return 1
 }
 
 // RangePass begins a tally pass over the chip sub-range [lo, hi) of the
@@ -317,9 +308,9 @@ func (s *SweepEvaluator) RangePass(lo, hi, strata int) (consume func(k int, ch *
 	}
 	tally = func() SweepTally {
 		t := s.WaveTally(strata, false)
-		L, bins := numStrata(strata), len(s.Ts)+1
+		bins := len(s.Ts) + 1
 		for i := range firstZero {
-			off := (lo + i) % L * bins
+			off := mc.Stratum(lo+i, strata) * bins
 			t.FirstZero[off+int(firstZero[i])]++
 			t.FirstTuned[off+int(firstTuned[i])]++
 		}
@@ -342,9 +333,9 @@ func (s *SweepEvaluator) RangePassZero(lo, hi, strata int) (consume func(k int, 
 	}
 	tally = func() SweepTally {
 		t := s.WaveTally(strata, true)
-		L, bins := numStrata(strata), len(s.Ts)+1
+		bins := len(s.Ts) + 1
 		for i, z := range firstZero {
-			t.FirstZero[(lo+i)%L*bins+int(z)]++
+			t.FirstZero[mc.Stratum(lo+i, strata)*bins+int(z)]++
 		}
 		return t
 	}

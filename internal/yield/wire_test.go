@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mc"
 	"repro/internal/shard/wire"
 )
 
@@ -44,7 +45,7 @@ func TestTalliesRoundTripStratified(t *testing.T) {
 	bins := len(sw.Ts) + 1
 	joint, zero := sw.WaveTally(L, false), sw.WaveTally(L, true)
 	for k := lo; k < hi; k++ {
-		off := k % L * bins
+		off := mc.Stratum(k, L) * bins
 		joint.FirstZero[off+k%bins]++
 		joint.FirstTuned[off+k%2]++
 		zero.FirstZero[off+(k/L)%bins]++
